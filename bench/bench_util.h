@@ -21,6 +21,9 @@
 #include "obs/export.h"
 #include "obs/flight/export.h"
 #include "obs/flight/recorder.h"
+#include "rate/airtime.h"
+#include "rate/effective_snr.h"
+#include "rate/per.h"
 
 namespace jmb::bench {
 
@@ -283,6 +286,21 @@ inline std::vector<std::vector<double>> diverse_link_gains(
     std::size_t n_aps, std::size_t n_clients, const SnrBand& band, Rng& rng) {
   return chan::diverse_link_gains(n_aps, n_clients, band.lo_db, band.hi_db,
                                   rng);
+}
+
+/// Goodput (Mb/s) of back-to-back 1500-byte frames, each followed by a
+/// 16 us SIFS-like gap, at the best rate the per-subcarrier SNRs support
+/// and that rate's delivery probability; 0 if even the base rate fails.
+inline double saturated_goodput_mbps(rvec subcarrier_snr,
+                                     double sample_rate_hz) {
+  rate::EffectiveSnrs link(std::move(subcarrier_snr));
+  const auto ri = rate::select_rate(link);
+  if (!ri) return 0.0;
+  const phy::Mcs& mcs = phy::rate_set()[*ri];
+  const double airtime =
+      rate::frame_airtime_s(1500, mcs, sample_rate_hz) + 16e-6;
+  const double per = rate::frame_error_prob(link, *ri, 1500);
+  return 1500.0 * 8.0 * (1.0 - per) / airtime / 1e6;
 }
 
 /// Residual per-slave phase-error sigma used by the link-model sweeps,

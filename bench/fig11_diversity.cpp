@@ -8,30 +8,16 @@
 // under 802.11) reaches ~21 Mb/s with 10 APs; coherent combining gives an
 // N^2 SNR boost.
 #include <cstdio>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/link_model.h"
 #include "engine/trial_runner.h"
-#include "rate/airtime.h"
-#include "rate/effective_snr.h"
-#include "rate/per.h"
 
 namespace {
 
 using namespace jmb;
-
-// Goodput (Mb/s) of back-to-back 1500-byte frames at the best rate the
-// per-subcarrier SNRs support; 0 if even the base rate fails.
-double goodput_mbps(const rvec& sub_snr) {
-  const auto ri = rate::select_rate(sub_snr);
-  if (!ri) return 0.0;
-  const phy::Mcs& mcs = phy::rate_set()[*ri];
-  const double airtime = rate::frame_airtime_s(1500, mcs, 10e6) + 16e-6;
-  const double per = rate::frame_error_prob(sub_snr, *ri, 1500);
-  return 1500.0 * 8.0 * (1.0 - per) / airtime / 1e6;
-}
 
 constexpr std::size_t kApCounts[] = {2, 4, 6, 8, 10};
 
@@ -75,7 +61,7 @@ int main(int argc, char** argv) {
               sub[k] = std::norm(h.at(k)(0, 0));
             }
             const auto timer = ctx.time_stage(engine::kStageDecode);
-            acc.add(goodput_mbps(sub));
+            acc.add(bench::saturated_goodput_mbps(std::move(sub), 10e6));
           }
           cols.push_back(acc.mean());
         }
@@ -100,7 +86,7 @@ int main(int argc, char** argv) {
                   row, bench::kCalibratedPhaseSigma, 1.0, rng);
             }
             const auto timer = ctx.time_stage(engine::kStageDecode);
-            acc.add(goodput_mbps(sub));
+            acc.add(bench::saturated_goodput_mbps(std::move(sub), 10e6));
           }
           cols.push_back(acc.mean());
         }

@@ -9,22 +9,13 @@
 #include "bench_util.h"
 #include "core/compat11n.h"
 #include "engine/trial_runner.h"
-#include "rate/airtime.h"
-#include "rate/effective_snr.h"
-#include "rate/per.h"
 
 namespace {
 
 using namespace jmb;
 
-double stream_goodput_mbps(const rvec& sub_snr) {
-  const auto ri = rate::select_rate(sub_snr);
-  if (!ri) return 0.0;
-  const phy::Mcs& mcs = phy::rate_set()[*ri];
-  const double airtime = rate::frame_airtime_s(1500, mcs, 20e6) + 16e-6;
-  const double per = rate::frame_error_prob(sub_snr, *ri, 1500);
-  return 1500.0 * 8.0 * (1.0 - per) / airtime / 1e6;
-}
+// 802.11n channel width: one 20 MHz spatial stream per goodput sample.
+constexpr double kSampleRateHz = 20e6;
 
 }  // namespace
 
@@ -49,8 +40,12 @@ int main(int argc, char** argv) {
     }
     const auto timer = ctx.time_stage(engine::kStageDecode);
     double jmb = 0.0, base = 0.0;
-    for (const rvec& s : r->jmb_stream_sinr) jmb += stream_goodput_mbps(s);
-    for (const rvec& s : r->baseline_stream_snr) base += stream_goodput_mbps(s);
+    for (const rvec& s : r->jmb_stream_sinr) {
+      jmb += bench::saturated_goodput_mbps(s, kSampleRateHz);
+    }
+    for (const rvec& s : r->baseline_stream_snr) {
+      base += bench::saturated_goodput_mbps(s, kSampleRateHz);
+    }
     base /= 2.0;
     return base > 1.0 ? jmb / base : std::nan("");
   });

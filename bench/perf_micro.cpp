@@ -21,6 +21,8 @@
 #include "phy/transmitter.h"
 #include "phy/viterbi.h"
 #include "phy/workspace.h"
+#include "rate/effective_snr.h"
+#include "rate/per.h"
 #include "simd/aligned.h"
 #include "simd/backend.h"
 #include "simd/kernels.h"
@@ -377,6 +379,40 @@ void BM_PfSelectDeepQueue(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PfSelectDeepQueue)->Arg(8)->Arg(64);
+
+// A Rayleigh-faded 48-subcarrier link state at a mean SNR of `mean_db`,
+// drawn at run time so no call can be folded at compile time.
+rvec faded_link_snrs(double mean_db) {
+  Rng rng(23);
+  rvec snr(phy::kNumDataCarriers);
+  for (double& s : snr) s = from_db(mean_db) * std::norm(rng.cgaussian());
+  return snr;
+}
+
+// Effective-SNR rate selection at a mean SNR of range(0) dB (low / mid /
+// high): the per-link query the MAC pays, on a fresh state each call.
+void BM_SelectRate(benchmark::State& state) {
+  const rvec snr = faded_link_snrs(static_cast<double>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snr.data());
+    auto r = rate::select_rate(snr);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_SelectRate)->Arg(5)->Arg(15)->Arg(30);
+
+// One PER draw's model evaluation at the rate the state selects (the base
+// rate when none decodes).
+void BM_FrameErrorProb(benchmark::State& state) {
+  const rvec snr = faded_link_snrs(static_cast<double>(state.range(0)));
+  const std::size_t ri = rate::select_rate(snr).value_or(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snr.data());
+    double per = rate::frame_error_prob(snr, ri, 1500);
+    benchmark::DoNotOptimize(per);
+  }
+}
+BENCHMARK(BM_FrameErrorProb)->Arg(5)->Arg(15)->Arg(30);
 
 void BM_BeamformingSinr10x10(benchmark::State& state) {
   Rng rng(7);

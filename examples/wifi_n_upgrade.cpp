@@ -11,21 +11,11 @@
 #include "bench_util.h"
 #include "core/compat11n.h"
 #include "engine/trial_runner.h"
-#include "rate/airtime.h"
-#include "rate/effective_snr.h"
-#include "rate/per.h"
 
 namespace {
 
-double stream_goodput_mbps(const jmb::rvec& sub_snr) {
-  using namespace jmb;
-  const auto ri = rate::select_rate(sub_snr);
-  if (!ri) return 0.0;
-  const phy::Mcs& mcs = phy::rate_set()[*ri];
-  const double airtime = rate::frame_airtime_s(1500, mcs, 20e6) + 16e-6;
-  return 1500.0 * 8.0 * (1.0 - rate::frame_error_prob(sub_snr, *ri, 1500)) /
-         airtime / 1e6;
-}
+// 802.11n channel width: one 20 MHz spatial stream per goodput sample.
+constexpr double kSampleRateHz = 20e6;
 
 }  // namespace
 
@@ -56,12 +46,15 @@ int main(int argc, char** argv) {
   double jmb = 0.0, base = 0.0;
   std::printf("per-stream goodput (20 MHz, 1500-byte frames):\n");
   for (std::size_t s = 0; s < r.jmb_stream_sinr.size(); ++s) {
-    const double g = stream_goodput_mbps(r.jmb_stream_sinr[s]);
+    const double g =
+        bench::saturated_goodput_mbps(r.jmb_stream_sinr[s], kSampleRateHz);
     std::printf("  JMB stream %zu (client %zu, antenna %zu): %.1f Mb/s\n", s,
                 s / 2, s % 2, g);
     jmb += g;
   }
-  for (const rvec& s : r.baseline_stream_snr) base += stream_goodput_mbps(s);
+  for (const rvec& s : r.baseline_stream_snr) {
+    base += bench::saturated_goodput_mbps(s, kSampleRateHz);
+  }
   base /= 2.0;  // stock 802.11n: clients time-share the channel
 
   std::printf("\ntotal with stock 802.11n (time-shared 2x2): %.1f Mb/s\n",

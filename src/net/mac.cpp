@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "fault/injector.h"
@@ -85,6 +86,26 @@ struct LatencyAccumulator {
 
 /// A-MPDU delimiter overhead charged per aggregated subframe.
 constexpr std::size_t kMpduDelimiterBytes = 4;
+
+/// Rate selection per Section 9: the APs know the full channel and the
+/// effective channel is k*I, so every stream of a joint transmission runs
+/// at one rate, the worst client's. Queries the `n` streams' link states
+/// in order into `links` (reused across slots; a stream's PER draws then
+/// reuse its evaluation) and stops at the first unreachable client, whose
+/// nullopt sinks the whole transmission.
+template <class Query>
+std::optional<std::size_t> common_rate(std::vector<rate::EffectiveSnrs>& links,
+                                       std::size_t n, Query&& link_snr) {
+  links.resize(n);
+  std::optional<std::size_t> rate_idx;
+  for (std::size_t i = 0; i < n; ++i) {
+    links[i].assign(link_snr(i));
+    const auto r = rate::select_rate(links[i]);
+    if (!r) return std::nullopt;
+    if (!rate_idx || *r < *rate_idx) rate_idx = r;
+  }
+  return rate_idx;
+}
 
 /// Accumulates per-(client, flow) delivery statistics for traffic-mode
 /// runs. std::map keys keep the export order deterministic.
@@ -172,8 +193,8 @@ MacReport run_traffic_mac(std::size_t n_aps, std::size_t n_clients,
   // Achievable-rate hint for rate-aware policies: the PHY rate the client
   // would get right now, in Mb/s.
   const RateHintFn rate_hint = [&](std::size_t client) {
-    const LinkState ls = link_state(client);
-    const auto r = rate::select_rate(ls.subcarrier_snr);
+    rate::EffectiveSnrs link(link_state(client).subcarrier_snr);
+    const auto r = rate::select_rate(link);
     if (!r) return 0.0;
     return static_cast<double>(phy::rate_set()[*r].n_dbps()) *
            params.airtime.sample_rate_hz /
@@ -186,6 +207,7 @@ MacReport run_traffic_mac(std::size_t n_aps, std::size_t n_clients,
 
   std::vector<std::size_t> picked;
   std::vector<std::uint8_t> taken(n_clients, 0);
+  std::vector<rate::EffectiveSnrs> links;
 
   while (t < params.duration_s) {
     report.offered_packets += src.drain_until(t, queue);
@@ -260,26 +282,13 @@ MacReport run_traffic_mac(std::size_t n_aps, std::size_t n_clients,
     if (frames.empty()) continue;
     if (jmb) ++report.joint_transmissions;
 
-    // Worst-client common rate, exactly as the legacy joint path: the
-    // effective channel is k*I, so all streams run one rate.
-    std::vector<LinkState> states;
-    states.reserve(frames.size());
-    std::size_t rate_idx = 0;
-    bool reachable = true;
-    bool first = true;
-    for (const AggFrame& f : frames) {
-      states.push_back(link_state(f.client));
-      const auto r = rate::select_rate(states.back().subcarrier_snr);
-      if (!r) {
-        reachable = false;
-        break;
-      }
-      if (first || *r < rate_idx) rate_idx = *r;
-      first = false;
-    }
+    const std::optional<std::size_t> rate_idx =
+        common_rate(links, frames.size(), [&](std::size_t i) {
+          return link_state(frames[i].client).subcarrier_snr;
+        });
 
     // Unreachable member: the attempt burns base-rate airtime, all fail.
-    const phy::Mcs& mcs = phy::rate_set()[reachable ? rate_idx : 0];
+    const phy::Mcs& mcs = phy::rate_set()[rate_idx.value_or(0)];
     const double airtime =
         jmb ? rate::joint_frame_airtime_s(frame_bytes, mcs, params.airtime)
             : rate::frame_airtime_s(frame_bytes, mcs,
@@ -295,9 +304,9 @@ MacReport run_traffic_mac(std::size_t n_aps, std::size_t n_clients,
       double served_bytes = 0.0;
       for (Packet& p : f.mpdus) {
         const bool ok =
-            reachable &&
-            rng.uniform() >= rate::frame_error_prob(
-                                 states[i].subcarrier_snr, rate_idx, p.bytes);
+            rate_idx &&
+            rng.uniform() >=
+                rate::frame_error_prob(links[i], *rate_idx, p.bytes);
         if (ok) {
           ++report.per_client[p.client].delivered;
           client_bytes[p.client] += static_cast<double>(p.bytes);
@@ -373,8 +382,8 @@ MacReport run_baseline_mac(std::size_t n_clients, const LinkStateFn& link_state,
       break;  // non-saturated mode with an empty queue: done
     }
 
-    const LinkState ls = link_state(pkt->client);
-    const auto rate_idx = rate::select_rate(ls.subcarrier_snr);
+    rate::EffectiveSnrs link(link_state(pkt->client).subcarrier_snr);
+    const auto rate_idx = rate::select_rate(link);
     if (!rate_idx) {
       // Client out of range: attempt at base rate fails; count and move on.
       t += rate::frame_airtime_s(pkt->bytes, phy::rate_set()[0],
@@ -389,8 +398,7 @@ MacReport run_baseline_mac(std::size_t n_clients, const LinkStateFn& link_state,
     t += airtime;
     report.data_airtime_s += airtime;
 
-    const double per =
-        rate::frame_error_prob(ls.subcarrier_snr, *rate_idx, pkt->bytes);
+    const double per = rate::frame_error_prob(link, *rate_idx, pkt->bytes);
     if (rng.uniform() >= per) {
       ++report.per_client[pkt->client].delivered;
       note_delivery(report, params, *pkt, t);
@@ -424,6 +432,7 @@ MacReport run_jmb_mac(std::size_t n_aps, std::size_t n_clients,
   double t = 0.0;
   double next_measurement = 0.0;
   std::size_t next_forced = 0;  // cursor into params.remeasure_at
+  std::vector<rate::EffectiveSnrs> links;
 
   while (t < params.duration_s) {
     const bool forced = next_forced < params.remeasure_at.size() &&
@@ -468,19 +477,10 @@ MacReport run_jmb_mac(std::size_t n_aps, std::size_t n_clients,
     }
     ++report.joint_transmissions;
 
-    // Rate selection per Section 9: the APs know the full channel, the
-    // effective channel is k*I, so every client in the joint transmission
-    // runs at the same rate, chosen from the worst client's effective SNR.
-    std::vector<LinkState> states;
-    states.reserve(batch.size());
-    std::optional<std::size_t> rate_idx;
-    for (const Packet& p : batch) {
-      states.push_back(link_state(p.client));
-      const auto r = rate::select_rate(states.back().subcarrier_snr);
-      if (!rate_idx || (r && *r < *rate_idx)) rate_idx = r;
-      if (!r) rate_idx = std::nullopt;
-      if (!rate_idx) break;
-    }
+    const std::optional<std::size_t> rate_idx =
+        common_rate(links, batch.size(), [&](std::size_t i) {
+          return link_state(batch[i].client).subcarrier_snr;
+        });
     if (!rate_idx) {
       // Someone unreachable: attempt costs base-rate airtime; all fail.
       t += rate::joint_frame_airtime_s(params.psdu_bytes, phy::rate_set()[0],
@@ -506,8 +506,7 @@ MacReport run_jmb_mac(std::size_t n_aps, std::size_t n_clients,
     // or fails on its own effective SNR.
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Packet& p = batch[i];
-      const double per = rate::frame_error_prob(states[i].subcarrier_snr,
-                                                *rate_idx, p.bytes);
+      const double per = rate::frame_error_prob(links[i], *rate_idx, p.bytes);
       if (rng.uniform() >= per) {
         ++report.per_client[p.client].delivered;
         note_delivery(report, params, p, t);
@@ -569,8 +568,8 @@ MacReport run_baseline_mac_resilient(std::size_t n_aps, std::size_t n_clients,
     // Each client transmits from its best *surviving* AP — the mask makes
     // the link model re-associate instantly, the per-AP independence that
     // 802.11 keeps and joint transmission gives up.
-    const LinkState ls = link_state(pkt->client, up);
-    const auto rate_idx = rate::select_rate(ls.subcarrier_snr);
+    rate::EffectiveSnrs link(link_state(pkt->client, up).subcarrier_snr);
+    const auto rate_idx = rate::select_rate(link);
     if (!rate_idx) {
       t += rate::frame_airtime_s(pkt->bytes, phy::rate_set()[0],
                                  params.airtime.sample_rate_hz);
@@ -584,8 +583,7 @@ MacReport run_baseline_mac_resilient(std::size_t n_aps, std::size_t n_clients,
     t += airtime;
     report.data_airtime_s += airtime;
 
-    const double per =
-        rate::frame_error_prob(ls.subcarrier_snr, *rate_idx, pkt->bytes);
+    const double per = rate::frame_error_prob(link, *rate_idx, pkt->bytes);
     if (rng.uniform() >= per) {
       ++report.per_client[pkt->client].delivered;
       note_delivery(report, params, *pkt, t);
@@ -630,6 +628,7 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
   };
 
   std::size_t next_forced = 0;  // cursor into params.remeasure_at
+  std::vector<rate::EffectiveSnrs> links;
 
   while (t < params.duration_s) {
     pump_mac_faults(fault, resilience, t);
@@ -744,17 +743,11 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
       }
     }
 
-    std::vector<LinkState> states;
     std::optional<std::size_t> rate_idx;
     if (!stale_member) {
-      states.reserve(batch.size());
-      for (const Packet& p : batch) {
-        states.push_back(link_state(p.client, believed()));
-        const auto r = rate::select_rate(states.back().subcarrier_snr);
-        if (!rate_idx || (r && *r < *rate_idx)) rate_idx = r;
-        if (!r) rate_idx = std::nullopt;
-        if (!rate_idx) break;
-      }
+      rate_idx = common_rate(links, batch.size(), [&](std::size_t i) {
+        return link_state(batch[i].client, believed()).subcarrier_snr;
+      });
     }
     if (stale_member || !rate_idx) {
       t += rate::joint_frame_airtime_s(params.psdu_bytes, phy::rate_set()[0],
@@ -779,8 +772,7 @@ MacReport run_jmb_mac_resilient(std::size_t n_aps, std::size_t n_clients,
     bool all_delivered = true;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Packet& p = batch[i];
-      const double per = rate::frame_error_prob(states[i].subcarrier_snr,
-                                                *rate_idx, p.bytes);
+      const double per = rate::frame_error_prob(links[i], *rate_idx, p.bytes);
       if (rng.uniform() >= per) {
         ++report.per_client[p.client].delivered;
         note_delivery(report, params, p, t);

@@ -28,15 +28,21 @@ double ber(phy::Modulation m, double snr) {
 }
 
 double snr_for_ber(phy::Modulation m, double target_ber) {
-  if (target_ber <= 0.0 || target_ber >= 0.5) {
+  // Written so that a NaN target fails the check too.
+  if (!(target_ber > 0.0 && target_ber < 0.5)) {
     throw std::invalid_argument("snr_for_ber: target must be in (0, 0.5)");
   }
   double lo = 1e-6, hi = 1e9;
   for (int it = 0; it < 200; ++it) {
     const double mid = std::sqrt(lo * hi);  // geometric bisection
+    // An iteration that would move neither end is a fixed point: every
+    // later one recomputes the same mid and takes the same branch, so
+    // stopping there (after ~60) returns exactly what 200 iterations would.
     if (ber(m, mid) > target_ber) {
+      if (mid == lo) break;
       lo = mid;
     } else {
+      if (mid == hi) break;
       hi = mid;
     }
   }

@@ -15,7 +15,8 @@ namespace jmb::rate {
 [[nodiscard]] double ber(phy::Modulation m, double snr);
 
 /// Inverse of ber() in SNR: the symbol SNR at which the constellation hits
-/// `target_ber`. Solved by bisection; clamped to [1e-6, 1e9].
+/// `target_ber`. Solved by bisection; clamped to [1e-6, 1e9]. Throws
+/// std::invalid_argument unless 0 < target_ber < 0.5 (so also on NaN).
 [[nodiscard]] double snr_for_ber(phy::Modulation m, double target_ber);
 
 }  // namespace jmb::rate

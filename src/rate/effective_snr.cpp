@@ -1,7 +1,9 @@
 #include "rate/effective_snr.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "rate/ber.h"
 
@@ -12,7 +14,13 @@ double effective_snr(phy::Modulation m, const rvec& subcarrier_snr) {
     throw std::invalid_argument("effective_snr: no subcarriers");
   }
   double mean_ber = 0.0;
-  for (double s : subcarrier_snr) {
+  for (std::size_t k = 0; k < subcarrier_snr.size(); ++k) {
+    const double s = subcarrier_snr[k];
+    // std::max would pass a NaN through and the link would read as dead.
+    if (std::isnan(s)) {
+      throw std::invalid_argument("effective_snr: NaN SNR on subcarrier " +
+                                  std::to_string(k));
+    }
     mean_ber += ber(m, std::max(s, 0.0));
   }
   mean_ber /= static_cast<double>(subcarrier_snr.size());
@@ -25,6 +33,12 @@ double effective_snr_db(phy::Modulation m, const rvec& subcarrier_snr) {
   return to_db(effective_snr(m, subcarrier_snr));
 }
 
+double EffectiveSnrs::db(phy::Modulation m) {
+  std::optional<double>& slot = db_[static_cast<std::size_t>(m)];
+  if (!slot) slot = effective_snr_db(m, snr_);
+  return *slot;
+}
+
 const rvec& rate_thresholds_db() {
   // Required effective SNR per rate_set() entry, anchored to 802.11a
   // receiver-sensitivity spacing and validated against this repo's PHY
@@ -33,15 +47,20 @@ const rvec& rate_thresholds_db() {
   return kThresholds;
 }
 
-std::optional<std::size_t> select_rate(const rvec& subcarrier_snr) {
+std::optional<std::size_t> select_rate(EffectiveSnrs& link) {
   const auto& rates = phy::rate_set();
   const auto& thr = rate_thresholds_db();
-  std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    const double eff = effective_snr_db(rates[i].modulation, subcarrier_snr);
-    if (eff >= thr[i]) best = i;
+  // Top down: the first rate that meets its threshold is the highest such
+  // index. At good SNR that costs one modulation's evaluation, not eight.
+  for (std::size_t i = rates.size(); i-- > 0;) {
+    if (link.db(rates[i].modulation) >= thr[i]) return i;
   }
-  return best;
+  return std::nullopt;
+}
+
+std::optional<std::size_t> select_rate(const rvec& subcarrier_snr) {
+  EffectiveSnrs link(subcarrier_snr);
+  return select_rate(link);
 }
 
 std::optional<std::size_t> select_rate_flat(double snr_db) {

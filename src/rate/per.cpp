@@ -6,13 +6,12 @@
 
 namespace jmb::rate {
 
-double frame_error_prob(const rvec& subcarrier_snr, std::size_t rate_index,
+double frame_error_prob(EffectiveSnrs& link, std::size_t rate_index,
                         std::size_t psdu_bytes) {
   if (rate_index >= phy::rate_set().size()) {
     throw std::invalid_argument("frame_error_prob: bad rate index");
   }
-  const phy::Modulation m = phy::rate_set()[rate_index].modulation;
-  const double eff_db = effective_snr_db(m, subcarrier_snr);
+  const double eff_db = link.db(phy::rate_set()[rate_index].modulation);
   const double margin = eff_db - rate_thresholds_db()[rate_index];
   // Waterfall anchored at 10% PER for 1500 bytes, one decade per dB.
   double per = 0.1 * std::pow(10.0, -margin);
@@ -20,6 +19,12 @@ double frame_error_prob(const rvec& subcarrier_snr, std::size_t rate_index,
   // for small PER).
   per *= static_cast<double>(psdu_bytes) / 1500.0;
   return std::clamp(per, 0.0, 1.0);
+}
+
+double frame_error_prob(const rvec& subcarrier_snr, std::size_t rate_index,
+                        std::size_t psdu_bytes) {
+  EffectiveSnrs link(subcarrier_snr);
+  return frame_error_prob(link, rate_index, psdu_bytes);
 }
 
 double frame_error_prob_flat(double snr_db, std::size_t rate_index,

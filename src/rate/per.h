@@ -7,10 +7,15 @@
 
 namespace jmb::rate {
 
-/// Frame error probability for a given rate at the given per-subcarrier
-/// SNRs. At threshold: ~10% PER; each dB of margin cuts PER by ~10x; PER
-/// saturates at 1 a little below threshold. Length scales the error
-/// exposure relative to the 1500-byte reference.
+/// Frame error probability for a given rate on one link state. At
+/// threshold: ~10% PER; each dB of margin cuts PER by ~10x; PER saturates
+/// at 1 a little below threshold. Length scales the error exposure
+/// relative to the 1500-byte reference.
+[[nodiscard]] double frame_error_prob(EffectiveSnrs& link,
+                                      std::size_t rate_index,
+                                      std::size_t psdu_bytes = 1500);
+
+/// Same, from per-subcarrier SNRs.
 [[nodiscard]] double frame_error_prob(const rvec& subcarrier_snr,
                                       std::size_t rate_index,
                                       std::size_t psdu_bytes = 1500);

@@ -1,7 +1,16 @@
 // Tests for BER models, effective SNR, rate selection, airtime and PER.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "dsp/rng.h"
 
 #include "rate/airtime.h"
 #include "rate/ber.h"
@@ -12,6 +21,90 @@ namespace jmb::rate {
 namespace {
 
 using phy::Modulation;
+
+constexpr Modulation kModulations[] = {Modulation::kBpsk, Modulation::kQpsk,
+                                       Modulation::kQam16, Modulation::kQam64};
+
+// Reference copy of the rate code as it was before the per-link-state
+// evaluator: a fixed 200-step bisection and a bottom-up scan over all
+// eight rates, each recomputing its modulation's effective SNR. The
+// optimized code must reproduce it bit for bit.
+namespace ref {
+
+double snr_for_ber(Modulation m, double target_ber) {
+  double lo = 1e-6, hi = 1e9;
+  for (int it = 0; it < 200; ++it) {
+    const double mid = std::sqrt(lo * hi);
+    if (ber(m, mid) > target_ber) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::sqrt(lo * hi);
+}
+
+double effective_snr_db(Modulation m, const rvec& subcarrier_snr) {
+  double mean_ber = 0.0;
+  for (double s : subcarrier_snr) mean_ber += ber(m, std::max(s, 0.0));
+  mean_ber /= static_cast<double>(subcarrier_snr.size());
+  mean_ber = std::clamp(mean_ber, 1e-15, 0.499);
+  return to_db(ref::snr_for_ber(m, mean_ber));
+}
+
+std::optional<std::size_t> select_rate(const rvec& subcarrier_snr) {
+  const auto& rates = phy::rate_set();
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const double eff = ref::effective_snr_db(rates[i].modulation,
+                                             subcarrier_snr);
+    if (eff >= rate_thresholds_db()[i]) best = i;
+  }
+  return best;
+}
+
+double frame_error_prob(const rvec& subcarrier_snr, std::size_t rate_index,
+                        std::size_t psdu_bytes) {
+  const phy::Modulation m = phy::rate_set()[rate_index].modulation;
+  const double eff_db = ref::effective_snr_db(m, subcarrier_snr);
+  const double margin = eff_db - rate_thresholds_db()[rate_index];
+  double per = 0.1 * std::pow(10.0, -margin);
+  per *= static_cast<double>(psdu_bytes) / 1500.0;
+  return std::clamp(per, 0.0, 1.0);
+}
+
+}  // namespace ref
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Seeded 48-subcarrier link states: Rayleigh fading around a mean drawn
+// from -5..35 dB, every third one with a deep 20 dB notch; then flat
+// states at each rate threshold and one ulp either side of it.
+std::vector<rvec> parity_link_states() {
+  std::vector<rvec> out;
+  Rng rng(1212);
+  for (int v = 0; v < 150; ++v) {
+    const double mean = from_db(rng.uniform(-5.0, 35.0));
+    rvec snr(phy::kNumDataCarriers);
+    for (double& s : snr) s = mean * std::norm(rng.cgaussian());
+    if (v % 3 == 0) {
+      const std::size_t at = static_cast<std::size_t>(rng.uniform(0.0, 40.0));
+      for (std::size_t k = at; k < at + 8; ++k) snr[k] *= from_db(-20.0);
+    }
+    out.push_back(std::move(snr));
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double thr : rate_thresholds_db()) {
+    const double lin = from_db(thr);
+    for (double s :
+         {std::nextafter(lin, 0.0), lin, std::nextafter(lin, kInf)}) {
+      out.emplace_back(phy::kNumDataCarriers, s);
+    }
+  }
+  return out;
+}
 
 TEST(Ber, QFunctionKnownValues) {
   EXPECT_NEAR(q_function(0.0), 0.5, 1e-12);
@@ -173,6 +266,95 @@ TEST(Per, LongerFramesFailMore) {
   EXPECT_GT(frame_error_prob_flat(15.0, 4, 3000),
             frame_error_prob_flat(15.0, 4, 500));
   EXPECT_THROW((void)frame_error_prob_flat(15.0, 99), std::invalid_argument);
+}
+
+TEST(RateParity, SnrForBerMatchesFullBisection) {
+  for (Modulation m : kModulations) {
+    for (double lg = -15.0; lg < std::log10(0.5); lg += 0.05) {
+      const double target = std::pow(10.0, lg);
+      EXPECT_TRUE(
+          same_bits(snr_for_ber(m, target), ref::snr_for_ber(m, target)))
+          << phy::to_string(m) << " target " << target;
+    }
+    for (double target : {1e-15, 0.499}) {
+      EXPECT_TRUE(
+          same_bits(snr_for_ber(m, target), ref::snr_for_ber(m, target)))
+          << phy::to_string(m) << " target " << target;
+    }
+  }
+}
+
+TEST(RateParity, EffectiveSnrMatchesReference) {
+  for (const rvec& snr : parity_link_states()) {
+    EffectiveSnrs link(snr);
+    for (Modulation m : kModulations) {
+      const double want = ref::effective_snr_db(m, snr);
+      EXPECT_TRUE(same_bits(effective_snr_db(m, snr), want));
+      EXPECT_TRUE(same_bits(link.db(m), want));
+      EXPECT_TRUE(same_bits(link.db(m), want)) << "cached value drifted";
+    }
+  }
+}
+
+TEST(RateParity, SelectRateMatchesBottomUpScan) {
+  for (const rvec& snr : parity_link_states()) {
+    const auto want = ref::select_rate(snr);
+    EXPECT_EQ(select_rate(snr), want);
+    EffectiveSnrs link(snr);
+    EXPECT_EQ(select_rate(link), want);
+  }
+}
+
+TEST(RateParity, FrameErrorProbMatchesReference) {
+  for (const rvec& snr : parity_link_states()) {
+    // One evaluator shared by the rate pick and every PER, as in the MAC.
+    EffectiveSnrs link(snr);
+    (void)select_rate(link);
+    for (std::size_t ri = 0; ri < phy::rate_set().size(); ++ri) {
+      for (std::size_t bytes : {100, 1500, 3000}) {
+        const double want = ref::frame_error_prob(snr, ri, bytes);
+        EXPECT_TRUE(same_bits(frame_error_prob(snr, ri, bytes), want))
+            << "rate " << ri << " bytes " << bytes;
+        EXPECT_TRUE(same_bits(frame_error_prob(link, ri, bytes), want))
+            << "rate " << ri << " bytes " << bytes;
+      }
+    }
+  }
+}
+
+TEST(EffSnr, EvaluatorAssignForgetsCachedValues) {
+  EffectiveSnrs link(rvec(48, from_db(30.0)));
+  ASSERT_EQ(select_rate(link), phy::rate_set().size() - 1);
+  const rvec dead(48, from_db(-5.0));
+  link.assign(dead);
+  EXPECT_FALSE(select_rate(link).has_value());
+  EXPECT_TRUE(same_bits(link.db(Modulation::kQam64),
+                        effective_snr_db(Modulation::kQam64, dead)));
+}
+
+TEST(EffSnr, NanSubcarrierIsRejectedWithItsIndex) {
+  rvec snr(48, from_db(25.0));
+  snr[17] = std::numeric_limits<double>::quiet_NaN();
+  for (Modulation m : kModulations) {
+    try {
+      (void)effective_snr(m, snr);
+      ADD_FAILURE() << "no throw for " << phy::to_string(m);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("subcarrier 17"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Before the guard this read as an unreachable link: no rate, PER 1.
+  EXPECT_THROW((void)select_rate(snr), std::invalid_argument);
+  EXPECT_THROW((void)frame_error_prob(snr, 0), std::invalid_argument);
+}
+
+TEST(Ber, NanTargetIsRejected) {
+  EXPECT_THROW(
+      (void)snr_for_ber(Modulation::kBpsk,
+                        std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 }  // namespace
