@@ -4,9 +4,13 @@
 // histogram type, not just means).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
+#include "chan/medium.h"
+#include "chan/oscillator.h"
 #include "core/link_model.h"
 #include "core/precoder.h"
 #include "dsp/fft.h"
@@ -424,6 +428,60 @@ void BM_BeamformingSinr10x10(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BeamformingSinr10x10);
+
+// The sample-level medium: one receive() of a 10k-sample window in which
+// four transmitters overlap, each with its own SFO and CFO (up to 20 ppm),
+// phase noise and 4-tap multipath (items = received samples). The window
+// stays put, so every iteration is one more receiver of the same window,
+// as in a joint frame.
+void BM_MediumReceive(benchmark::State& state) {
+  constexpr std::size_t kWindow = 10000;
+  constexpr double kFs = 10e6;
+  constexpr double kStart = 1e-3;
+  const auto osc = [](double ppm, std::uint64_t seed) {
+    return chan::OscillatorParams{.ppm = ppm, .carrier_hz = 2.4e9,
+                                  .sample_rate_hz = kFs,
+                                  .phase_noise_linewidth_hz = 0.1,
+                                  .seed = seed};
+  };
+  chan::Medium medium({});
+  const chan::NodeId rx = medium.add_node(osc(-7.0, 1), 1e-3);
+  Rng rng(3);
+  const std::array<double, 4> ppm{20.0, -20.0, 12.5, -3.0};
+  for (std::size_t k = 0; k < ppm.size(); ++k) {
+    const chan::NodeId tx = medium.add_node(osc(ppm[k], 2 + k), 1e-3);
+    const double delay_s = 20e-9 * static_cast<double>(k + 1);
+    medium.set_link(tx, rx, {.gain = 1.0, .n_taps = 4, .tap_decay = 0.5,
+                             .rice_k = 0.0, .delay_s = delay_s,
+                             .coherence_time_s = 0.25, .sample_rate_hz = kFs,
+                             .seed = 10 + k});
+    medium.transmit(tx, kStart + static_cast<double>(100 + 10 * k) / kFs,
+                    rng.cgaussian_vec(kWindow - 200, 1.0));
+  }
+  for (auto _ : state) {
+    cvec y = medium.receive(rx, kStart, kWindow);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kWindow));
+}
+BENCHMARK(BM_MediumReceive);
+
+// One phase-noise run of range(0) samples (items = samples): every
+// iteration restarts at the run's first index, so this is the cost of the
+// walk itself, one Gaussian increment per sample.
+void BM_PhaseNoiseRun(benchmark::State& state) {
+  const chan::Oscillator osc({.ppm = 0.0, .carrier_hz = 2.4e9,
+                              .sample_rate_hz = 10e6,
+                              .phase_noise_linewidth_hz = 0.1, .seed = 5});
+  std::vector<double> run(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    osc.phase_noise_run(100000, run);
+    benchmark::DoNotOptimize(run.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PhaseNoiseRun)->Arg(256)->Arg(10000);
 
 // Uncontended SPSC hand-off: one push + one pop on the same thread — the
 // pure ring overhead an operator pays per item, without cache-line

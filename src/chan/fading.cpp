@@ -67,9 +67,10 @@ void FadingChannel::draw_initial() {
 }
 
 void FadingChannel::evolve_to(double t_seconds) {
-  if (t_seconds < t_) {
+  // Written so that NaN fails the test too.
+  if (!(t_seconds >= t_)) {
     throw std::invalid_argument(
-        "FadingChannel::evolve_to: time must not go backwards");
+        "FadingChannel::evolve_to: time must not go backwards or be NaN");
   }
   t_ = t_seconds;
   for (std::size_t l = 0; l < taps_.size(); ++l) {

@@ -1,6 +1,7 @@
 #include "chan/medium.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,6 +9,37 @@
 #include "dsp/resampler.h"
 
 namespace jmb::chan {
+
+namespace {
+
+/// One transmitter's phase-noise walk within a receive() call: a
+/// fixed-size block that only moves forward, so the transmitter side
+/// holds no window-sized buffer.
+class TxWalk {
+ public:
+  /// theta(idx) of `osc`; idx should not decrease between calls (a
+  /// smaller one restarts the walk).
+  double at(const Oscillator& osc, std::uint64_t idx) {
+    if (!live_ || idx < first_) {
+      live_ = true;
+      first_ = idx;
+      osc.phase_noise_run(first_, phase_);
+    }
+    // Consecutive blocks continue one walk: no index is stepped twice.
+    while (idx - first_ >= phase_.size()) {
+      first_ += phase_.size();
+      osc.phase_noise_run(first_, phase_);
+    }
+    return phase_[idx - first_];
+  }
+
+ private:
+  bool live_ = false;
+  std::uint64_t first_ = 0;  ///< phase-noise index of phase_[0]
+  std::array<double, 256> phase_{};
+};
+
+}  // namespace
 
 Medium::Medium(MediumParams p, std::uint64_t noise_seed)
     : params_(p), noise_rng_(noise_seed) {}
@@ -57,12 +89,18 @@ const FadingChannel* Medium::link(NodeId tx, NodeId rx) const {
 }
 
 void Medium::evolve_links_to(double t_seconds) {
+  if (!std::isfinite(t_seconds)) {
+    throw std::invalid_argument("Medium::evolve_links_to: time is not finite");
+  }
   for (auto& [key, chan] : links_) chan->evolve_to(t_seconds);
 }
 
 void Medium::transmit(NodeId tx, double start_s, cvec samples) {
   if (tx >= nodes_.size()) {
     throw std::invalid_argument("Medium::transmit: unknown node");
+  }
+  if (!std::isfinite(start_s)) {
+    throw std::invalid_argument("Medium::transmit: start time is not finite");
   }
   transmissions_.push_back({tx, start_s, std::move(samples)});
 }
@@ -72,6 +110,9 @@ void Medium::clear_transmissions() { transmissions_.clear(); }
 cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
   if (rx >= nodes_.size()) {
     throw std::invalid_argument("Medium::receive: unknown node");
+  }
+  if (!std::isfinite(start_s)) {
+    throw std::invalid_argument("Medium::receive: start time is not finite");
   }
   const Node& rxn = nodes_[rx];
   const double fs = params_.sample_rate_hz;
@@ -103,6 +144,24 @@ cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
     }
   }
 
+  if (n == 0) return y;
+
+  // Receiver sample m is taken at true time tm = start_s + m / fs_rx, and
+  // both oscillators' phase noise is read at nominal index floor(tm * fs),
+  // which never decreases with m. So the receiver's phase noise over the
+  // window is one run, walked once per call (and only if a burst overlaps
+  // the window), and each transmitter's is one forward walk. Both live
+  // only for the call: a buffer kept across calls raised peak RSS.
+  const auto time_at = [&](std::size_t m) {
+    return start_s + static_cast<double>(m) / fs_rx;
+  };
+  const auto index_at = [&](double tm) {
+    return static_cast<std::uint64_t>(std::max(0.0, tm * fs));
+  };
+  std::vector<double> rx_phase;
+  std::uint64_t rx_first = 0;
+  std::vector<TxWalk> tx_walks(nodes_.size());
+
   for (const Transmission& t : transmissions_) {
     if (t.tx == rx) continue;  // half-duplex: a node doesn't hear itself
     const FadingChannel* ch = link(t.tx, rx);
@@ -125,17 +184,34 @@ cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
     const double win_end = start_s + static_cast<double>(n) / fs_rx;
     if (burst_end < win_start || t0 > win_end) continue;
 
+    if (rx_phase.empty()) {
+      rx_first = index_at(time_at(0));
+      rx_phase.resize(index_at(time_at(n - 1)) - rx_first + 1);
+      rxn.osc.phase_noise_run(rx_first, rx_phase);
+    }
+    TxWalk& tx_walk = tx_walks[t.tx];
+    const auto len = static_cast<std::ptrdiff_t>(conv.size());
+    const double last = static_cast<double>(conv.size() - 1);
     for (std::size_t m = 0; m < n; ++m) {
-      const double tm = start_s + static_cast<double>(m) / fs_rx;
+      const double tm = time_at(m);
       const double pos = (tm - t0) * fs_tx;
-      if (pos < 0.0 || pos > static_cast<double>(conv.size() - 1)) continue;
-      const cplx s = interp_cubic(conv, pos);
+      if (!(pos >= 0.0 && pos <= last)) continue;
+      // interp_cubic, minus its edge checks wherever all four neighbours
+      // are inside the burst.
+      const auto i1 = static_cast<std::ptrdiff_t>(std::floor(pos));
+      cplx s;
+      if (i1 >= 1 && i1 + 2 < len) {
+        const double mu = pos - static_cast<double>(i1);
+        s = cubic_segment(conv[i1 - 1], conv[i1], conv[i1 + 1], conv[i1 + 2],
+                          mu);
+      } else {
+        s = interp_cubic(conv, pos);
+      }
       if (s == cplx{}) continue;
       // Oscillator rotations evaluated at true time.
       const double det = kTwoPi * delta_cfo * tm;
-      const auto idx = static_cast<std::uint64_t>(std::max(0.0, tm * fs));
-      const double pn =
-          txn.osc.phase_noise_at(idx) - rxn.osc.phase_noise_at(idx);
+      const std::uint64_t idx = index_at(tm);
+      const double pn = tx_walk.at(txn.osc, idx) - rx_phase[idx - rx_first];
       y[m] += s * phasor(det + pn);
     }
   }

@@ -64,15 +64,18 @@ class Medium {
   [[nodiscard]] const FadingChannel* link(NodeId tx, NodeId rx) const;
 
   /// Advance all links' fading processes to time t (seconds, monotone).
+  /// Throws std::invalid_argument if t is not finite.
   void evolve_links_to(double t_seconds);
 
   /// Schedule a burst from `tx` whose first sample leaves the antenna at
   /// true time `start_s` (as measured on the global clock). The node's SFO
-  /// is applied when receivers resample it.
+  /// is applied when receivers resample it. Throws std::invalid_argument
+  /// if start_s is not finite.
   void transmit(NodeId tx, double start_s, cvec samples);
 
   /// What `rx` hears over n samples of ITS OWN clock, the first taken at
   /// true time ~ start_s. Includes AWGN and both oscillators' rotations.
+  /// Throws std::invalid_argument if start_s is not finite.
   [[nodiscard]] cvec receive(NodeId rx, double start_s, std::size_t n);
 
   /// Drop all scheduled transmissions (between experiment phases).

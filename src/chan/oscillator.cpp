@@ -1,5 +1,6 @@
 #include "chan/oscillator.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace jmb::chan {
@@ -33,33 +34,61 @@ Oscillator::Oscillator(OscillatorParams p) : params_(p) {
   // 2 pi B dt. Per nominal sample: sigma^2 = 2 pi B / fs.
   sigma_per_sample_ = std::sqrt(kTwoPi * params_.phase_noise_linewidth_hz /
                                 params_.sample_rate_hz);
-  checkpoints_[0] = 0.0;
+  checkpoints_.push_back(0.0);
 }
 
 double Oscillator::increment(std::uint64_t n) const {
   return sigma_per_sample_ * hashed_gaussian(params_.seed, n);
 }
 
+// theta(n) is the left fold ((0 + inc(1)) + inc(2)) + ... + inc(n), so a
+// walk from any earlier point of it (checkpoint, last_ or run_) produces
+// the same doubles as one from 0.
+Oscillator::WalkPoint Oscillator::walk_start(std::uint64_t n) const {
+  const std::size_t k = static_cast<std::size_t>(
+      std::min<std::uint64_t>(n / kCheckpointStride, checkpoints_.size() - 1));
+  WalkPoint w{k * kCheckpointStride, checkpoints_[k]};
+  if (last_.idx <= n && last_.idx > w.idx) w = last_;
+  if (run_.idx <= n && run_.idx > w.idx) w = run_;
+  return w;
+}
+
+void Oscillator::step(WalkPoint& w) const {
+  ++w.idx;
+  w.phase += increment(w.idx);
+  if (w.idx == checkpoints_.size() * kCheckpointStride) {
+    checkpoints_.push_back(w.phase);
+  }
+}
+
 double Oscillator::phase_noise_at(std::uint64_t n) const {
   if (sigma_per_sample_ == 0.0) return 0.0;
-  // Start from the better of: the nearest checkpoint at or below n, or the
-  // previous query's position (receive loops walk near-monotonically).
-  auto it = checkpoints_.upper_bound(n);
-  --it;  // checkpoints_[0] always exists
-  std::uint64_t idx = it->first;
-  double phase = it->second;
-  if (last_idx_ <= n && last_idx_ > idx) {
-    idx = last_idx_;
-    phase = last_phase_;
+  WalkPoint w = walk_start(n);
+  while (w.idx < n) step(w);
+  last_ = w;
+  return w.phase;
+}
+
+void Oscillator::phase_noise_run(std::uint64_t first,
+                                 std::span<double> out) const {
+  if (out.empty()) return;
+  if (sigma_per_sample_ == 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
   }
-  while (idx < n) {
-    ++idx;
-    phase += increment(idx);
-    if (idx % kCheckpointStride == 0) checkpoints_[idx] = phase;
+  WalkPoint w = walk_start(first);
+  while (w.idx < first) step(w);
+  // A run that starts inside the stretch walked since run_ (the next
+  // receiver of the same window, or the next block of a cut-up walk)
+  // keeps run_, so a later restart anywhere in that stretch still begins
+  // at run_ rather than at a checkpoint.
+  if (!(run_.idx <= first && first <= last_.idx + 1)) run_ = w;
+  out[0] = w.phase;
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    step(w);
+    out[i] = w.phase;
   }
-  last_idx_ = n;
-  last_phase_ = phase;
-  return phase;
+  last_ = w;
 }
 
 cplx Oscillator::rotation_at(double t_seconds) const {

@@ -11,7 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
+#include <vector>
 
 #include "dsp/types.h"
 
@@ -49,6 +50,13 @@ class Oscillator {
   /// transmitter queried for several receivers stays self-consistent.
   [[nodiscard]] double phase_noise_at(std::uint64_t n) const;
 
+  /// The phase noise of a contiguous index run, in one forward walk:
+  /// out[i] == phase_noise_at(first + i), bit for bit. Later queries and
+  /// runs may restart from `first`, so every receiver of one window, and
+  /// every block of a walk cut into consecutive runs, pays for the walk
+  /// to the window once.
+  void phase_noise_run(std::uint64_t first, std::span<double> out) const;
+
   /// Total oscillator rotation at true time t seconds (index n = t * fs):
   /// e^{j(2 pi cfo t + theta(n))}.
   [[nodiscard]] cplx rotation_at(double t_seconds) const;
@@ -75,16 +83,28 @@ class Oscillator {
   double injected_phase_rad_ = 0.0;
   double injected_cfo_hz_ = 0.0;
 
-  /// Sparse checkpoints of the random walk (every kCheckpointStride
-  /// samples), filled in lazily; mutable cache of a deterministic process.
-  static constexpr std::uint64_t kCheckpointStride = 1u << 14;
-  mutable std::map<std::uint64_t, double> checkpoints_;
-  /// Memo of the most recent query: receive loops ask for near-monotone
-  /// indices, so continuing from here makes them O(1) amortized.
-  mutable std::uint64_t last_idx_ = 0;
-  mutable double last_phase_ = 0.0;
+  /// A point of the random walk: theta(idx) == phase.
+  struct WalkPoint {
+    std::uint64_t idx = 0;
+    double phase = 0.0;
+  };
+
+  /// Checkpoints of the random walk, filled in lazily: checkpoints_[k] is
+  /// theta(k * kCheckpointStride). Every walk steps through each stride
+  /// multiple it passes, so the filled ones always form a prefix.
+  static constexpr std::uint64_t kCheckpointStride = 1u << 10;
+  mutable std::vector<double> checkpoints_;
+  /// Where the most recent query or run ended: receive loops ask for
+  /// near-monotone indices, so continuing from here is O(1) amortized.
+  mutable WalkPoint last_;
+  /// Where the most recent run began (see phase_noise_run).
+  mutable WalkPoint run_;
 
   [[nodiscard]] double increment(std::uint64_t n) const;
+  /// The latest known point at or below n: its checkpoint, last_ or run_.
+  [[nodiscard]] WalkPoint walk_start(std::uint64_t n) const;
+  /// One step of the walk, recording the checkpoint it may land on.
+  void step(WalkPoint& w) const;
 };
 
 }  // namespace jmb::chan

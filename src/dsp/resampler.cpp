@@ -7,7 +7,8 @@ namespace jmb {
 cplx interp_cubic(const cvec& x, double pos) {
   // Four-point Lagrange interpolation around floor(pos). Points that fall
   // within one sample of either edge degrade gracefully to linear/nearest.
-  if (x.empty() || pos < 0.0 || pos > static_cast<double>(x.size() - 1)) {
+  // Written so that NaN fails the test: floor(NaN) has no integer value.
+  if (x.empty() || !(pos >= 0.0 && pos <= static_cast<double>(x.size() - 1))) {
     return {0.0, 0.0};
   }
   const auto i1 = static_cast<std::ptrdiff_t>(std::floor(pos));
@@ -19,16 +20,7 @@ cplx interp_cubic(const cvec& x, double pos) {
     if (i >= n) return x.back();
     return x[static_cast<std::size_t>(i)];
   };
-  const cplx y0 = at(i1 - 1);
-  const cplx y1 = at(i1);
-  const cplx y2 = at(i1 + 1);
-  const cplx y3 = at(i1 + 2);
-
-  // Catmull-Rom style cubic through the middle two samples.
-  const cplx a = 0.5 * (-y0 + 3.0 * y1 - 3.0 * y2 + y3);
-  const cplx b = y0 - 2.5 * y1 + 2.0 * y2 - 0.5 * y3;
-  const cplx c = 0.5 * (y2 - y0);
-  return ((a * mu + b) * mu + c) * mu + y1;
+  return cubic_segment(at(i1 - 1), at(i1), at(i1 + 1), at(i1 + 2), mu);
 }
 
 cvec resample(const cvec& x, double ratio, double offset) {

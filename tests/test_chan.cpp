@@ -3,12 +3,18 @@
 // medium into the standard receiver.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "chan/fading.h"
 #include "chan/medium.h"
 #include "chan/oscillator.h"
 #include "chan/topology.h"
+#include "dsp/resampler.h"
 #include "dsp/stats.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
@@ -119,6 +125,19 @@ TEST(Fading, EvolveBackwardsThrows) {
                     .sample_rate_hz = 10e6, .seed = 1});
   ch.evolve_to(1.0);
   EXPECT_THROW(ch.evolve_to(0.5), std::invalid_argument);
+}
+
+TEST(Fading, EvolveToNaNThrows) {
+  // NaN < t is false, so a plain "backwards" test would let NaN through
+  // and silently turn every tap into NaN.
+  FadingChannel ch({.gain = 1.0, .n_taps = 2, .tap_decay = 0.5, .rice_k = 0.0,
+                    .delay_s = 0.0, .coherence_time_s = 0.25,
+                    .sample_rate_hz = 10e6, .seed = 1});
+  const cvec before = ch.taps();
+  EXPECT_THROW(ch.evolve_to(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(ch.taps(), before);
+  ch.evolve_to(1e-3);
+  for (const cplx& h : ch.taps()) EXPECT_TRUE(std::isfinite(std::abs(h)));
 }
 
 TEST(Fading, RicianKConcentratesFirstTap) {
@@ -380,6 +399,36 @@ TEST(Medium, TrueChannelIncludesDelayRamp) {
   EXPECT_THROW((void)medium.true_channel(rx, tx), std::invalid_argument);
 }
 
+TEST(Medium, NonFiniteTimesThrow) {
+  Medium medium({});
+  const NodeId a = medium.add_node({.ppm = 1.0, .carrier_hz = 2.4e9,
+                                    .sample_rate_hz = 10e6,
+                                    .phase_noise_linewidth_hz = 0.1, .seed = 1},
+                                   1e-6);
+  const NodeId b = medium.add_node({.ppm = -1.0, .carrier_hz = 2.4e9,
+                                    .sample_rate_hz = 10e6,
+                                    .phase_noise_linewidth_hz = 0.1, .seed = 2},
+                                   1e-6);
+  medium.set_link(a, b, {.gain = 1.0, .n_taps = 2, .tap_decay = 0.5,
+                         .rice_k = 0.0, .delay_s = 20e-9,
+                         .coherence_time_s = 0.25, .sample_rate_hz = 10e6,
+                         .seed = 3});
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const cvec burst(200, cplx{1.0, 0.0});
+  EXPECT_THROW(medium.transmit(a, nan, burst), std::invalid_argument);
+  EXPECT_THROW(medium.transmit(a, inf, burst), std::invalid_argument);
+  EXPECT_THROW((void)medium.receive(b, nan, 100), std::invalid_argument);
+  EXPECT_THROW((void)medium.receive(b, -inf, 100), std::invalid_argument);
+  EXPECT_THROW(medium.evolve_links_to(nan), std::invalid_argument);
+  EXPECT_THROW(medium.evolve_links_to(inf), std::invalid_argument);
+  // The rejected calls scheduled nothing and moved no link.
+  EXPECT_NEAR(mean_power(medium.receive(b, 0.0, 400)), 1e-6, 5e-7);
+  medium.evolve_links_to(1e-3);
+  medium.transmit(a, 1e-3, burst);
+  EXPECT_GT(mean_power(medium.receive(b, 1e-3, 200)), 0.01);
+}
+
 TEST(Medium, EndToEndPacketThroughMediumDecodes) {
   // A real 802.11 frame from a +1.5 ppm AP to a -1.2 ppm client across a
   // fading link at ~25 dB SNR, with phase noise — the standard receiver
@@ -421,6 +470,326 @@ TEST(Medium, EndToEndPacketThroughMediumDecodes) {
   // CFO estimate should land near 2.7 ppm * 2.4 GHz = 6.48 kHz.
   EXPECT_NEAR(res.preamble.cfo_hz, 6480.0, 300.0);
   EXPECT_NEAR(res.preamble.snr_db, 25.0, 6.0);
+}
+
+// ---------------------------------------------------------------------------
+// Parity: Medium::receive walks each oscillator's phase noise once per
+// receive window. It must reproduce, bit for bit, the per-sample loop it
+// replaced, which queried both oscillators at every in-burst sample.
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+OscillatorParams noisy_osc(std::uint64_t seed) {
+  return {.ppm = 0.0, .carrier_hz = 2.4e9, .sample_rate_hz = 10e6,
+          .phase_noise_linewidth_hz = 50.0, .seed = seed};
+}
+
+/// theta(first .. first + len - 1) from a fresh oscillator queried in
+/// increasing order: every query continues the previous one, so this is
+/// the plain left fold of the increments.
+std::vector<double> folded(const OscillatorParams& p, std::uint64_t first,
+                           std::size_t len) {
+  const Oscillator osc(p);
+  std::vector<double> out(len);
+  for (std::size_t i = 0; i < len; ++i) out[i] = osc.phase_noise_at(first + i);
+  return out;
+}
+
+TEST(OscillatorParity, RunMatchesPointQueriesAcrossCheckpoints) {
+  const OscillatorParams p = noisy_osc(7);
+  const Oscillator osc(p);
+  // Runs that straddle multiples of 1024 and of 16384, in increasing order.
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    const std::uint64_t first = k * 16384 - 300;
+    std::vector<double> run(2500);
+    osc.phase_noise_run(first, run);
+    EXPECT_TRUE(same_bits(run, folded(p, first, run.size()))) << first;
+  }
+}
+
+TEST(OscillatorParity, RunPlacedBeforeAnEarlierQuery) {
+  const OscillatorParams p = noisy_osc(8);
+  const Oscillator osc(p);
+  (void)osc.phase_noise_at(70000);
+  std::vector<double> run(3000);
+  osc.phase_noise_run(20000, run);
+  EXPECT_TRUE(same_bits(run, folded(p, 20000, run.size())));
+  // A point query inside the run, below the next checkpoint (20480),
+  // restarts from the run's first index.
+  const double mid = osc.phase_noise_at(20400);
+  EXPECT_TRUE(same_bits({&mid, 1}, {&run[400], 1}));
+  const double before = osc.phase_noise_at(19999);
+  const std::vector<double> ref = folded(p, 19999, 1);
+  EXPECT_TRUE(same_bits({&before, 1}, ref));
+}
+
+TEST(OscillatorParity, RunFromIndexZero) {
+  const OscillatorParams p = noisy_osc(9);
+  const Oscillator osc(p);
+  std::vector<double> run(1500);
+  osc.phase_noise_run(0, run);
+  EXPECT_EQ(run[0], 0.0);
+  EXPECT_TRUE(same_bits(run, folded(p, 0, run.size())));
+}
+
+TEST(OscillatorParity, ZeroLinewidthRunIsAllZero) {
+  OscillatorParams p = noisy_osc(10);
+  p.phase_noise_linewidth_hz = 0.0;
+  const Oscillator osc(p);
+  std::vector<double> run(500, 1.0);
+  osc.phase_noise_run(123456, run);
+  EXPECT_TRUE(same_bits(run, std::vector<double>(run.size(), 0.0)));
+  EXPECT_EQ(osc.phase_noise_at(123456), 0.0);
+}
+
+TEST(OscillatorParity, BlockWalkMatchesPointQueries) {
+  // A walk cut into consecutive fixed-size runs, as Medium::receive does
+  // for transmitters. Later passes (the next receivers of the window)
+  // start a sample after, before, and at the first pass's start, so they
+  // restart from the run start as well as from a checkpoint.
+  const OscillatorParams p = noisy_osc(11);
+  const Oscillator osc(p);
+  const std::uint64_t first = 3 * 16384 - 1000;
+  const std::uint64_t end = first + 4096;
+  const std::vector<double> ref = folded(p, first - 1, end - first + 1);
+  for (const std::uint64_t start : {first, first + 1, first - 1, first}) {
+    std::vector<double> walk;
+    std::array<double, 256> block{};
+    for (std::uint64_t b = start; b < end; b += block.size()) {
+      osc.phase_noise_run(b, block);
+      walk.insert(walk.end(), block.begin(), block.end());
+    }
+    walk.resize(end - start);
+    EXPECT_TRUE(same_bits(walk, std::span(ref).subspan(start - (first - 1))))
+        << start - first;
+  }
+}
+
+struct Burst {
+  NodeId tx = 0;
+  double start_s = 0.0;
+  cvec samples;
+};
+
+/// The receive loop as it stood before the shared walks: both
+/// oscillators' phase_noise_at at every in-burst sample. `y` holds what
+/// the receiver hears with nothing on the air; `oscs` are fresh
+/// oscillators with the medium's parameters, so no cache is shared.
+cvec reference_receive(const Medium& medium,
+                       const std::vector<Oscillator>& oscs,
+                       const std::vector<Burst>& bursts, NodeId rx,
+                       double start_s, cvec y) {
+  const std::size_t n = y.size();
+  const double fs = medium.sample_rate_hz();
+  const Oscillator& rxo = oscs[rx];
+  const double fs_rx = rxo.sample_rate_hz();
+  for (const Burst& t : bursts) {
+    if (t.tx == rx) continue;
+    const FadingChannel* ch = medium.link(t.tx, rx);
+    if (ch == nullptr) continue;
+    const Oscillator& txo = oscs[t.tx];
+    const double fs_tx = txo.sample_rate_hz();
+    const double delta_cfo = txo.cfo_hz() - rxo.cfo_hz();
+    const cvec conv = ch->apply(t.samples);
+    const double delay_s = ch->delay_samples() / fs;
+    const double t0 = t.start_s + delay_s;
+    const double burst_end = t0 + static_cast<double>(conv.size()) / fs_tx;
+    const double win_start = start_s;
+    const double win_end = start_s + static_cast<double>(n) / fs_rx;
+    if (burst_end < win_start || t0 > win_end) continue;
+    for (std::size_t m = 0; m < n; ++m) {
+      const double tm = start_s + static_cast<double>(m) / fs_rx;
+      const double pos = (tm - t0) * fs_tx;
+      if (pos < 0.0 || pos > static_cast<double>(conv.size() - 1)) continue;
+      const cplx s = interp_cubic(conv, pos);
+      if (s == cplx{}) continue;
+      const double det = kTwoPi * delta_cfo * tm;
+      const auto idx = static_cast<std::uint64_t>(std::max(0.0, tm * fs));
+      const double pn = txo.phase_noise_at(idx) - rxo.phase_noise_at(idx);
+      y[m] += s * phasor(det + pn);
+    }
+  }
+  return y;
+}
+
+/// A medium under test plus a twin with the same nodes and noise seed but
+/// nothing on the air, which supplies the reference's noise floor.
+class ParityRig {
+ public:
+  NodeId add_node(double ppm, double linewidth_hz = 20.0) {
+    const OscillatorParams p{.ppm = ppm, .carrier_hz = 2.4e9,
+                             .sample_rate_hz = 10e6,
+                             .phase_noise_linewidth_hz = linewidth_hz,
+                             .seed = 100 + medium_.n_nodes()};
+    (void)twin_.add_node(p, 1e-4);
+    return medium_.add_node(p, 1e-4);
+  }
+  void set_link(NodeId tx, NodeId rx, std::size_t taps, double delay_s) {
+    medium_.set_link(tx, rx, {.gain = 1.0, .n_taps = taps, .tap_decay = 0.6,
+                              .rice_k = 1.0, .delay_s = delay_s,
+                              .coherence_time_s = 0.25, .sample_rate_hz = 10e6,
+                              .seed = 1000 + 16 * tx + rx});
+  }
+  void set_interference(NodeId rx, std::vector<double> psd) {
+    twin_.set_interference(rx, psd);
+    medium_.set_interference(rx, std::move(psd));
+  }
+  void transmit(NodeId tx, double start_s, std::size_t len) {
+    Rng rng(5000 + bursts_.size());
+    cvec s = rng.cgaussian_vec(len, 1.0);
+    bursts_.push_back({tx, start_s, s});
+    medium_.transmit(tx, start_s, std::move(s));
+  }
+  /// receive() against the reference loop over the same window.
+  ::testing::AssertionResult matches(NodeId rx, double start_s,
+                                     std::size_t n) {
+    std::vector<Oscillator> oscs;
+    for (NodeId i = 0; i < medium_.n_nodes(); ++i) {
+      oscs.emplace_back(medium_.oscillator(i).params());
+    }
+    const cvec ref = reference_receive(medium_, oscs, bursts_, rx, start_s,
+                                       twin_.receive(rx, start_s, n));
+    const cvec got = medium_.receive(rx, start_s, n);
+    for (std::size_t m = 0; m < n; ++m) {
+      if (std::memcmp(&got[m], &ref[m], sizeof(cplx)) != 0) {
+        return ::testing::AssertionFailure()
+               << "rx " << rx << " sample " << m << ": " << got[m]
+               << " != " << ref[m];
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+ private:
+  Medium medium_{{}, 77};
+  Medium twin_{{}, 77};
+  std::vector<Burst> bursts_;
+};
+
+constexpr double kFs = 10e6;
+/// Window start a little below index 2 * 16384, so windows cross stride
+/// multiples of the old and the new checkpoint grid.
+constexpr double kWin = 32000.0 / kFs;
+
+TEST(MediumParity, OneToFourTransmittersWithSfoCfoAndMultipath) {
+  const std::array<double, 4> tx_ppm{20.0, -20.0, 13.7, -7.3};
+  for (std::size_t n_tx = 1; n_tx <= 4; ++n_tx) {
+    for (std::size_t taps = 1; taps <= 6; ++taps) {
+      ParityRig rig;
+      std::vector<NodeId> txs;
+      for (std::size_t k = 0; k < n_tx; ++k) {
+        txs.push_back(rig.add_node(tx_ppm[k]));
+      }
+      const NodeId fast = rig.add_node(20.0);
+      const NodeId slow = rig.add_node(-20.0);
+      for (std::size_t k = 0; k < n_tx; ++k) {
+        const double delay = 37e-9 * static_cast<double>(k + 1);
+        rig.set_link(txs[k], fast, taps, delay);
+        rig.set_link(txs[k], slow, 7 - taps, delay + 13e-9);
+        rig.transmit(txs[k], kWin + (40.0 + 17.0 * k) / kFs, 1800 + 50 * k);
+      }
+      EXPECT_TRUE(rig.matches(fast, kWin, 2600)) << n_tx << "x" << taps;
+      EXPECT_TRUE(rig.matches(slow, kWin, 2600)) << n_tx << "x" << taps;
+    }
+  }
+}
+
+TEST(MediumParity, BurstsClippingEitherWindowEdge) {
+  ParityRig rig;
+  const NodeId a = rig.add_node(11.0);
+  const NodeId b = rig.add_node(-9.0);
+  const NodeId rx = rig.add_node(4.0);
+  rig.set_link(a, rx, 3, 55e-9);
+  rig.set_link(b, rx, 4, 12e-9);
+  rig.transmit(a, kWin - 700.0 / kFs, 1500);   // clips the window start
+  rig.transmit(b, kWin + 1200.0 / kFs, 1500);  // runs past the window end
+  EXPECT_TRUE(rig.matches(rx, kWin, 2000));
+}
+
+TEST(MediumParity, WindowStartingBeforeTimeZeroClampsTheIndex) {
+  ParityRig rig;
+  const NodeId tx = rig.add_node(-15.0);
+  const NodeId rx = rig.add_node(18.0);
+  rig.set_link(tx, rx, 2, 31e-9);
+  rig.transmit(tx, -300.0 / kFs, 900);
+  EXPECT_TRUE(rig.matches(rx, -500.0 / kFs, 1500));
+}
+
+TEST(MediumParity, InterferencePsdReceiver) {
+  ParityRig rig;
+  const NodeId tx = rig.add_node(6.0);
+  const NodeId rx = rig.add_node(-6.0);
+  rig.set_link(tx, rx, 3, 25e-9);
+  std::vector<double> psd(64);
+  for (std::size_t k = 0; k < psd.size(); ++k) {
+    psd[k] = 1e-3 * double(1 + k % 5);
+  }
+  rig.set_interference(rx, std::move(psd));
+  rig.transmit(tx, kWin + 100.0 / kFs, 1200);
+  EXPECT_TRUE(rig.matches(rx, kWin, 1500));
+}
+
+TEST(MediumParity, ZeroLinewidthNodesAndAMissingLink) {
+  ParityRig rig;
+  const NodeId quiet_tx = rig.add_node(9.0, 0.0);
+  const NodeId unlinked = rig.add_node(-3.0);
+  const NodeId noisy_tx = rig.add_node(-12.0);
+  const NodeId rx = rig.add_node(2.0);
+  const NodeId quiet_rx = rig.add_node(-2.0, 0.0);
+  for (const NodeId r : {rx, quiet_rx}) {
+    rig.set_link(quiet_tx, r, 2, 40e-9);
+    rig.set_link(noisy_tx, r, 3, 15e-9);
+  }
+  rig.transmit(quiet_tx, kWin + 50.0 / kFs, 1000);
+  rig.transmit(unlinked, kWin + 60.0 / kFs, 1000);
+  rig.transmit(noisy_tx, kWin + 70.0 / kFs, 1000);
+  EXPECT_TRUE(rig.matches(rx, kWin, 1300));
+  EXPECT_TRUE(rig.matches(quiet_rx, kWin, 1300));
+}
+
+TEST(MediumParity, FourReceiversReadTheSameWindow) {
+  // The joint-frame shape: the lead sends a header and a data burst, the
+  // others a data burst each, and every client reads the whole window.
+  ParityRig rig;
+  const std::array<double, 4> ap_ppm{3.0, -17.0, 19.5, -8.0};
+  const std::array<double, 4> client_ppm{-19.0, 20.0, 0.5, -4.0};
+  std::vector<NodeId> aps, clients;
+  for (const double ppm : ap_ppm) aps.push_back(rig.add_node(ppm));
+  for (const double ppm : client_ppm) clients.push_back(rig.add_node(ppm));
+  for (std::size_t a = 0; a < aps.size(); ++a) {
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      rig.set_link(aps[a], clients[c], 1 + (a + c) % 6,
+                   (10.0 + 7.0 * double(a) + 3.0 * double(c)) * 1e-9);
+    }
+  }
+  rig.transmit(aps[0], kWin + 100.0 / kFs, 320);
+  for (std::size_t a = 0; a < aps.size(); ++a) {
+    rig.transmit(aps[a], kWin + (1900.0 + 0.3 * double(a)) / kFs, 2400);
+  }
+  for (const NodeId c : clients) EXPECT_TRUE(rig.matches(c, kWin, 4700));
+}
+
+TEST(MediumParity, ReceiveEarlierThanThePreviousOne) {
+  ParityRig rig;
+  const NodeId a = rig.add_node(14.0);
+  const NodeId b = rig.add_node(-11.0);
+  const NodeId rx1 = rig.add_node(7.0);
+  const NodeId rx2 = rig.add_node(-19.0);
+  for (const NodeId r : {rx1, rx2}) {
+    rig.set_link(a, r, 2, 22e-9);
+    rig.set_link(b, r, 5, 48e-9);
+  }
+  // b's bursts are listed out of time order, so its walk restarts lower.
+  rig.transmit(a, kWin, 6000);
+  rig.transmit(b, kWin + 4000.0 / kFs, 1500);
+  rig.transmit(b, kWin + 500.0 / kFs, 1500);
+  EXPECT_TRUE(rig.matches(rx1, kWin + 3000.0 / kFs, 2500));
+  EXPECT_TRUE(rig.matches(rx1, kWin, 2500));
+  EXPECT_TRUE(rig.matches(rx2, kWin + 1000.0 / kFs, 2500));
+  EXPECT_TRUE(rig.matches(rx2, kWin - 200.0 / kFs, 7000));
 }
 
 }  // namespace

@@ -279,6 +279,12 @@ TEST(Resampler, OutOfRangeIsSilence) {
   EXPECT_EQ(interp_cubic(cvec{}, 0.0), (cplx{0.0, 0.0}));
 }
 
+TEST(Resampler, NaNPositionIsSilence) {
+  // floor(NaN) has no integer value: NaN must be turned away before it.
+  const cvec x{{1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}, {4.0, 0.0}};
+  EXPECT_EQ(interp_cubic(x, std::nan("")), (cplx{0.0, 0.0}));
+}
+
 // The FftPlan contract is BITWISE identity with the naive transform —
 // equality, not closeness, because the golden physics exports depend on it.
 TEST(FftPlan, ForwardBitwiseMatchesNaive) {
