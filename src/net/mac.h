@@ -2,6 +2,13 @@
 // (shared queue, lead election, joint transmissions, channel-measurement
 // epochs, asynchronous ACKs with retransmission).
 //
+// All four entry points run one event loop (mac.cpp). It is parameterized
+// by the traffic source (MacParams::traffic, or a saturated round-robin
+// fill), the link-state callback, the fault/resilience hooks, and the
+// stream count and mode (802.11: one stream, no epochs; JMB: n_streams,
+// joint airtime, measurement epochs). DESIGN.md "MAC model: one loop"
+// lists which behaviours each piece decides.
+//
 // Channel state enters through a callback so these simulations compose
 // with either the closed-form LinkModel or measurements from the
 // sample-level system.
@@ -39,12 +46,15 @@ using MaskedLinkStateFn = std::function<LinkState(
     std::size_t client, const std::vector<std::uint8_t>& active_aps)>;
 
 /// Churn/mobility hook: is `client` attached to this cell at virtual time
-/// t? The scheduler skips detached clients (no traffic is generated for
-/// them) and idles when the cell is momentarily empty. A null ActivityFn
-/// means "everyone, always" and leaves every MAC variant on the exact
-/// legacy code path.
+/// t? The saturated fill skips detached clients (no traffic is generated
+/// for them) and idles when the cell is momentarily empty. A null
+/// ActivityFn means "everyone, always".
 using ActivityFn = std::function<bool(std::size_t client, double t)>;
 
+/// Every entry point validates its inputs and throws std::invalid_argument
+/// naming the field: duration_s must be finite and > 0, n_aps, n_clients
+/// and n_streams > 0, coherence_time_s > 0 on a JMB run, and
+/// saturated = false needs a traffic source.
 struct MacParams {
   double duration_s = 1.0;
   std::size_t psdu_bytes = 1500;
@@ -52,40 +62,38 @@ struct MacParams {
   int max_retries = 10;
   rate::AirtimeParams airtime;
   std::uint64_t seed = 1;
-  bool saturated = true;  ///< backlogged traffic to every client
-  /// Consecutive joint transmissions without the lead's sync header before
-  /// the MAC declares the lead dead and re-elects (resilient variant).
-  std::size_t lead_miss_threshold = 3;
+  /// Implied by `traffic`: a run is saturated exactly when it has no
+  /// traffic source. Read only by validation (false without a source is
+  /// an error); kept because existing callers assign it.
+  bool saturated = true;
 
-  // --- metro churn/mobility knobs (defaults keep the legacy path) ---
-  /// Null = every client always attached (legacy behaviour, bit-exact).
+  /// Null = every client always attached. Saturated runs only.
   ActivityFn activity;
   /// Forced re-measurement instants (sorted ascending): a hand-off into
   /// the cell requires measuring the newcomer's channel outside the
-  /// regular coherence cadence. JMB variants only; empty = none.
+  /// regular coherence cadence. JMB runs only; empty = none.
   std::vector<double> remeasure_at;
   /// Record per-frame delivery latency (enqueue -> ACK) samples into
   /// MacReport::frame_latency_s.
   bool record_latency = false;
 
-  // --- traffic-subsystem knobs (defaults keep the legacy path) ---
-  /// Packet arrival process replacing the synthetic saturated fill. Null
-  /// keeps the legacy always-backlogged behaviour, bit-exact. Non-owning;
-  /// must outlive the run and is mutated by it (arrivals are consumed).
+  /// Packet arrival process replacing the saturated round-robin fill.
+  /// Null = every client always backlogged with psdu_bytes packets.
+  /// Non-owning; must outlive the run and is mutated by it (arrivals are
+  /// consumed).
   TrafficSource* traffic = nullptr;
-  /// User-selection policy for traffic-mode runs. Null = FIFO (the exact
+  /// User-selection policy for traffic-mode runs. Null = FIFO (the
   /// pop_joint order). Non-owning; mutated by per-slot feedback.
   Scheduler* scheduler = nullptr;
-  /// A-MPDU-style aggregation budget per client per joint transmission.
-  /// The default (1 frame) is the legacy one-packet-per-client MAC.
+  /// A-MPDU-style aggregation budget per client per transmission in
+  /// traffic mode. The default (1 frame) sends one packet per client.
   AggLimits agg;
 
-  // --- precoder/CSI knobs (defaults keep the legacy path) ---
   /// Called at every measurement epoch (regular cadence and forced
   /// remeasures alike) with the running epoch count and the virtual time,
   /// right as the fresh snapshot lands. The CSI-impairment sweeps use it
   /// to reset channel staleness in step with the MAC's own coherence
-  /// cadence. Null = legacy behaviour, bit-exact.
+  /// cadence. Null = no callback.
   std::function<void(std::size_t epoch, double t)> on_measure;
 };
 
@@ -147,8 +155,8 @@ struct MacReport {
 
 /// JMB: every transmission serves up to `n_streams` clients jointly.
 /// A channel-measurement phase (airtime from measurement_airtime_s) runs
-/// once per coherence interval. Lead election follows the head packet's
-/// designated AP (tracked for reporting; it does not change airtime).
+/// once per coherence interval. The lead and its sync header only matter
+/// under faults (run_jmb_mac_resilient).
 [[nodiscard]] MacReport run_jmb_mac(std::size_t n_aps, std::size_t n_clients,
                                     std::size_t n_streams,
                                     const LinkStateFn& link_state,
@@ -170,10 +178,11 @@ struct MacReport {
 /// *believed* active (detection lag) the stale precoder ruins the whole
 /// joint transmission; once quarantined, the MAC triggers an immediate
 /// re-measurement epoch and continues on the surviving set (the mask
-/// passed to `link_state`). A dead lead is declared after
-/// `params.lead_miss_threshold` headerless slots and a new lead elected
-/// from the surviving set. `fault` and `resilience` may be null (either
-/// reduces that mechanism to a no-op); with both null this is
+/// passed to `link_state`). A dead lead is declared after three
+/// headerless slots and a new lead elected from the surviving set.
+/// Backhaul loss drops packets of the saturated fill; a TrafficSource's
+/// arrivals are not subject to it. `fault` and `resilience` may be null
+/// (either reduces that mechanism to a no-op); with both null this is
 /// run_jmb_mac with a MaskedLinkStateFn.
 [[nodiscard]] MacReport run_jmb_mac_resilient(
     std::size_t n_aps, std::size_t n_clients, std::size_t n_streams,

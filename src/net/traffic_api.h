@@ -4,10 +4,11 @@
 //
 // The interfaces live in net/ (they speak only net:: vocabulary) so the
 // MAC stays independent of any particular traffic model; the concrete
-// flow generators and scheduling policies live in src/traffic/. A null
-// TrafficSource keeps the MAC on the legacy saturated round-robin path,
-// and a null Scheduler keeps the legacy FIFO pop_joint selection — both
-// bit-exact with the pre-traffic behaviour.
+// flow generators and scheduling policies live in src/traffic/. The
+// TrafficSource is one of the four pieces the MAC loop is parameterized
+// by: without one (MacParams::traffic null) the loop's saturated
+// round-robin fill keeps every client backlogged. A null Scheduler serves
+// clients in FIFO order, the pop_joint selection.
 #pragma once
 
 #include <cstddef>

@@ -2,12 +2,27 @@
 // the baseline vs JMB MAC simulations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "fault/injector.h"
+#include "fault/plan.h"
+#include "fault/resilience.h"
 #include "net/mac.h"
 #include "net/queue.h"
 #include "net/scheduler.h"
 #include "rate/effective_snr.h"
+#include "traffic/flow.h"
+#include "traffic/policy.h"
 
 namespace jmb::net {
 namespace {
@@ -272,6 +287,411 @@ TEST(Mac, MarginalSnrCausesRetransmissions) {
   EXPECT_GT(r.per_client[0].failed_attempts + r.per_client[1].failed_attempts,
             5u);
   EXPECT_GT(r.per_client[0].delivered, 50u);  // retransmissions recover
+}
+
+// ------------------------------------------------------------ validation
+//
+// Each case used to hang, crash or return an empty / NaN report; the
+// single entry check now throws std::invalid_argument naming the field.
+
+template <class Run>
+void expect_rejects(const Run& run, const char* field) {
+  try {
+    (void)run();
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MacValidation, ZeroStreamsInTrafficModeThrows) {
+  // Used to spin forever: no stream could be picked and time never moved.
+  traffic::PacketSource src(1, 2, traffic::make_profile("poisson", 5.0), 0.1);
+  MacParams p;
+  p.duration_s = 0.1;
+  p.saturated = false;
+  p.traffic = &src;
+  expect_rejects([&] { return run_jmb_mac(2, 2, 0, flat_links(25.0), p); },
+                 "n_streams");
+}
+
+TEST(MacValidation, ZeroClientsThrows) {
+  // Used to die with SIGFPE in the round-robin fill (rr % n_clients).
+  MacParams p;
+  p.duration_s = 0.1;
+  expect_rejects([&] { return run_jmb_mac(2, 0, 2, flat_links(25.0), p); },
+                 "n_clients");
+  expect_rejects([&] { return run_baseline_mac(0, flat_links(25.0), p); },
+                 "n_clients");
+}
+
+TEST(MacValidation, NonPositiveOrNonFiniteDurationThrows) {
+  // duration_s = 0 used to divide by zero into NaN goodput.
+  for (const double d : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    MacParams p;
+    p.duration_s = d;
+    expect_rejects([&] { return run_baseline_mac(2, flat_links(25.0), p); },
+                   "duration_s");
+    expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
+                   "duration_s");
+  }
+}
+
+TEST(MacValidation, NonPositiveCoherenceOnJmbThrows) {
+  // Used to measure back to back, transmit nothing and report 0 goodput.
+  for (const double tc : {0.0, -0.1}) {
+    MacParams p;
+    p.duration_s = 0.1;
+    p.coherence_time_s = tc;
+    expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
+                   "coherence_time_s");
+    // The baseline has no measurement epochs, so it does not care.
+    EXPECT_GT(run_baseline_mac(2, flat_links(25.0), p).total_goodput_mbps,
+              0.0);
+  }
+}
+
+TEST(MacValidation, UnsaturatedWithoutTrafficThrows) {
+  // Used to return an empty report: no fill and no arrivals.
+  MacParams p;
+  p.duration_s = 0.1;
+  p.saturated = false;
+  expect_rejects([&] { return run_baseline_mac(2, flat_links(25.0), p); },
+                 "saturated");
+  expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
+                 "saturated");
+}
+
+// ------------------------------------------------------------ MAC golden
+//
+// FNV-1a digests over every MacReport field (doubles by bit pattern) for a
+// seeded grid covering all four entry points: saturated and traffic-mode
+// runs, churn hooks, schedulers x aggregation, and fault/resilience
+// combinations. The table was generated from the MAC before its event
+// loops were merged, so any change to draw order, accounting or timing on
+// any of these paths shows up as a digest mismatch naming the case.
+
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t report_digest(const MacReport& r, Fnv d = {}) {
+  const auto n = [&d](std::size_t v) { d.add(static_cast<std::uint64_t>(v)); };
+  n(r.per_client.size());
+  for (const ClientStats& c : r.per_client) {
+    n(c.delivered);
+    n(c.failed_attempts);
+    n(c.dropped);
+    d.add(c.goodput_mbps);
+  }
+  d.add(r.total_goodput_mbps);
+  d.add(r.data_airtime_s);
+  d.add(r.measurement_airtime_s);
+  d.add(r.duration_s);
+  n(r.joint_transmissions);
+  n(r.measurement_epochs);
+  n(r.frame_latency_s.size());
+  for (const double l : r.frame_latency_s) d.add(l);
+  n(r.flows.size());
+  for (const FlowStats& f : r.flows) {
+    n(f.client);
+    n(f.flow);
+    n(f.delivered);
+    n(f.dropped);
+    n(f.deadline_misses);
+    n(f.delivered_bytes);
+    d.add(f.goodput_mbps);
+    d.add(f.mean_latency_s);
+    d.add(f.max_latency_s);
+    d.add(f.jitter_s);
+  }
+  n(r.offered_packets);
+  n(r.aggregated_mpdus);
+  d.add(r.max_queue_depth);
+  n(r.lead_elections);
+  n(r.faults_injected);
+  n(r.quarantines);
+  n(r.backhaul_drops);
+  d.add(r.mean_time_to_detect_s);
+  d.add(r.mean_time_to_recover_s);
+  return d.value();
+}
+
+/// Per-client SNR levels cycling through 25 dB, the top rate's threshold
+/// (marginal: frequent PER failures) and -10 dB (below the base rate).
+double golden_snr_db(std::size_t client) {
+  const double levels[3] = {25.0, rate::rate_thresholds_db().back(), -10.0};
+  return levels[client % 3];
+}
+
+LinkState golden_state(double snr_db) {
+  return LinkState{rvec(phy::kNumDataCarriers, from_db(snr_db))};
+}
+
+LinkStateFn golden_links() {
+  return [](std::size_t c) { return golden_state(golden_snr_db(c)); };
+}
+
+/// The fault grid leaves out the unreachable level: a joint transmission
+/// carrying a -10 dB member always fails, which would mask every fault.
+double reachable_snr_db(std::size_t client) {
+  return golden_snr_db(client % 2);
+}
+
+/// Client c's home AP is c % n_aps: the full level while it is up, 6 dB
+/// less via another AP, unreachable once every AP is masked off.
+MaskedLinkStateFn golden_masked_links(double (*level_db)(std::size_t) =
+                                          golden_snr_db) {
+  return [level_db](std::size_t c, const std::vector<std::uint8_t>& up) {
+    bool any = false;
+    for (const std::uint8_t u : up) any = any || u != 0;
+    if (!any) return golden_state(-20.0);
+    const bool home = up[c % up.size()] != 0;
+    return golden_state(level_db(c) - (home ? 0.0 : 6.0));
+  };
+}
+
+MacParams golden_params(std::uint64_t seed) {
+  MacParams p;
+  p.duration_s = 0.3;
+  p.coherence_time_s = 0.1;
+  p.max_retries = 3;
+  p.seed = seed;
+  return p;
+}
+
+/// Deterministic churn: odd clients drop out for part of every 50 ms, and
+/// the whole cell is empty for 20 ms (idle slots).
+bool golden_activity(std::size_t client, double t) {
+  if (t >= 0.12 && t < 0.14) return false;
+  return client % 2 == 0 || std::fmod(t, 0.05) < 0.03;
+}
+
+/// Adds the churn/hook knobs; on_measure folds each (epoch, t) callback
+/// into `epochs`, which the case digests alongside the report.
+void add_hooks(MacParams& p, Fnv& epochs, bool churn) {
+  if (churn) p.activity = golden_activity;
+  p.remeasure_at = {0.02, 0.05, 0.05, 0.2};
+  p.record_latency = true;
+  p.on_measure = [&epochs](std::size_t epoch, double t) {
+    epochs.add(static_cast<std::uint64_t>(epoch));
+    epochs.add(t);
+  };
+}
+
+using GoldenTable = std::map<std::string, std::uint64_t>;
+
+/// Compares each case against the table; a mismatch prints the table line
+/// that would pin the observed digest.
+void expect_golden(const GoldenTable& want, const std::string& name,
+                   std::uint64_t got) {
+  const auto it = want.find(name);
+  char line[96];
+  std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},", name.c_str(),
+                static_cast<unsigned long long>(got));
+  if (it == want.end()) {
+    ADD_FAILURE() << "no golden digest for " << line;
+  } else {
+    EXPECT_EQ(it->second, got) << line;
+  }
+}
+
+TEST(MacGolden, Saturated) {
+  const GoldenTable want = {
+      {"base/2", 0x4a8a74fb0851b0a4ull},
+      {"jmb/2", 0x8a5ea21f19c923fdull},
+      {"base_res/2", 0x4a8a74fb0851b0a4ull},
+      {"jmb_res/2", 0x8a5ea21f19c923fdull},
+      {"base_hooks/2", 0x32f62a4283a38bd0ull},
+      {"base_res_hooks/2", 0x32f62a4283a38bd0ull},
+      {"jmb_res_hooks/2", 0xcb385802959182d0ull},
+      {"base_churn/2", 0xb52a1339bfe5bc25ull},
+      {"base_res_churn/2", 0xb52a1339bfe5bc25ull},
+      {"jmb_res_churn/2", 0x0e02b4d6b2f73afcull},
+      {"jmb_hooks/2", 0xcb385802959182d0ull},
+      {"base/4", 0x2bba94326e71f592ull},
+      {"jmb/4", 0x89888458f7ce4b00ull},
+      {"base_res/4", 0x2bba94326e71f592ull},
+      {"jmb_res/4", 0x89888458f7ce4b00ull},
+      {"base_hooks/4", 0x0d5892db0660ca26ull},
+      {"base_res_hooks/4", 0x0d5892db0660ca26ull},
+      {"jmb_res_hooks/4", 0x5fc27e2bd316fb3dull},
+      {"base_churn/4", 0x68afcf2ecac71676ull},
+      {"base_res_churn/4", 0x68afcf2ecac71676ull},
+      {"jmb_res_churn/4", 0xf0a3aa030413baf3ull},
+      {"jmb_hooks/4", 0x5fc27e2bd316fb3dull},
+  };
+  const LinkStateFn links = golden_links();
+  const MaskedLinkStateFn masked = golden_masked_links();
+  for (const std::size_t n : {std::size_t{2}, std::size_t{4}}) {
+    const std::size_t c = n + 1;  // clients
+    const std::string tag = "/" + std::to_string(n);
+    const MacParams p = golden_params(100 + n);
+    expect_golden(want, "base" + tag,
+                  report_digest(run_baseline_mac(c, links, p)));
+    expect_golden(want, "jmb" + tag,
+                  report_digest(run_jmb_mac(n, c, n, links, p)));
+    expect_golden(want, "base_res" + tag,
+                  report_digest(run_baseline_mac_resilient(n, c, masked, p,
+                                                           nullptr)));
+    expect_golden(want, "jmb_res" + tag,
+                  report_digest(run_jmb_mac_resilient(n, c, n, masked, p,
+                                                      nullptr, nullptr)));
+    for (const bool churn : {false, true}) {
+      const std::string hooks = (churn ? "_churn" : "_hooks") + tag;
+      Fnv e1;
+      Fnv e2;
+      Fnv e3;
+      MacParams q1 = p;
+      MacParams q2 = p;
+      MacParams q3 = p;
+      add_hooks(q1, e1, churn);
+      add_hooks(q2, e2, churn);
+      add_hooks(q3, e3, churn);
+      const MacReport r1 = run_baseline_mac(c, links, q1);
+      const MacReport r2 =
+          run_baseline_mac_resilient(n, c, masked, q2, nullptr);
+      const MacReport r3 =
+          run_jmb_mac_resilient(n, c, n, masked, q3, nullptr, nullptr);
+      expect_golden(want, "base" + hooks, report_digest(r1, e1));
+      expect_golden(want, "base_res" + hooks, report_digest(r2, e2));
+      expect_golden(want, "jmb_res" + hooks, report_digest(r3, e3));
+    }
+    // Plain run_jmb_mac is pinned without churn only: its fill budget is
+    // the resilient loop's, which differs from the old plain loop's once
+    // an activity hook skips clients (no caller combines the two).
+    Fnv epochs;
+    MacParams q = p;
+    add_hooks(q, epochs, /*churn=*/false);
+    const MacReport r = run_jmb_mac(n, c, n, links, q);
+    expect_golden(want, "jmb_hooks" + tag, report_digest(r, epochs));
+  }
+}
+
+TEST(MacGolden, Traffic) {
+  const GoldenTable want = {
+      {"base/null/agg1", 0x88c881e8f90e6032ull},
+      {"base/null/agg4", 0xf05bb46d0a7ff842ull},
+      {"base/fifo/agg1", 0x88c881e8f90e6032ull},
+      {"base/fifo/agg4", 0xf05bb46d0a7ff842ull},
+      {"base/pf/agg1", 0x5c5ba1361eb08cb9ull},
+      {"base/pf/agg4", 0x49b4e861b3a51b21ull},
+      {"base/edf/agg1", 0x13fc556fb65b90a8ull},
+      {"base/edf/agg4", 0x6b246c552bc20cc7ull},
+      {"jmb/null/agg1", 0x6231748f2de0fecdull},
+      {"jmb/null/agg4", 0xe92856653f6be754ull},
+      {"jmb/fifo/agg1", 0x6231748f2de0fecdull},
+      {"jmb/fifo/agg4", 0xe92856653f6be754ull},
+      {"jmb/pf/agg1", 0x0c6b7e95ac9c8145ull},
+      {"jmb/pf/agg4", 0x9134ccda2339f37dull},
+      {"jmb/edf/agg1", 0xd79012328e2bb46aull},
+      {"jmb/edf/agg4", 0x20d7a721ea16b17full},
+  };
+  const traffic::Profile profile = traffic::make_profile("mixed", 8.0);
+  const char* const policies[] = {"null", "fifo", "pf", "edf"};
+  const AggLimits aggs[] = {AggLimits{}, AggLimits{4, 8000}};
+  for (const bool jmb : {false, true}) {
+    for (const char* policy : policies) {
+      for (const AggLimits& agg : aggs) {
+        const std::string name = std::string(jmb ? "jmb/" : "base/") +
+                                 policy + "/agg" +
+                                 std::to_string(agg.max_frames);
+        traffic::PacketSource src(77, 5, profile, 0.25);
+        std::unique_ptr<Scheduler> sched;
+        if (std::string_view(policy) != "null") {
+          sched = traffic::make_scheduler(policy);
+        }
+        Fnv epochs;
+        MacParams p = golden_params(200);
+        p.duration_s = 0.25;
+        p.saturated = false;
+        p.traffic = &src;
+        p.scheduler = sched.get();
+        p.agg = agg;
+        add_hooks(p, epochs, /*churn=*/false);
+        const MacReport r =
+            jmb ? run_jmb_mac(4, 5, 4, golden_links(), p)
+                : run_baseline_mac(5, golden_links(), p);
+        expect_golden(want, name, report_digest(r, epochs));
+      }
+    }
+  }
+}
+
+TEST(MacGolden, Resilient) {
+  const GoldenTable want = {
+      {"base/crashes", 0x8c373e9a376e87eaull},
+      {"jmb_fault/crashes", 0x6aad87e0123bb846ull},
+      {"jmb_ctrl/crashes", 0x981fe503c5503b69ull},
+      {"jmb_ctrl_churn/crashes", 0x82fdbe19d0ded249ull},
+      {"base/backhaul_total", 0x8225400913880902ull},
+      {"jmb_fault/backhaul_total", 0xc5b8afa33cee4e7bull},
+      {"jmb_ctrl/backhaul_total", 0xc5b8afa33cee4e7bull},
+      {"jmb_ctrl_churn/backhaul_total", 0x8e5457f37514ec18ull},
+      {"base/lead_crash", 0x985a2c38c0b77936ull},
+      {"jmb_fault/lead_crash", 0xc5ddf80dca69836full},
+      {"jmb_ctrl/lead_crash", 0xcd4c25fe090c5768ull},
+      {"jmb_ctrl_churn/lead_crash", 0xa3074c05b664041aull},
+      {"base/lossy", 0x9b316bfd51a50e27ull},
+      {"jmb_fault/lossy", 0x9772a5b946967193ull},
+      {"jmb_ctrl/lossy", 0x5e0559da48d8ff55ull},
+      {"jmb_ctrl_churn/lossy", 0x0e02d59abc6d8ee1ull},
+  };
+  constexpr std::size_t kAps = 5;
+  constexpr std::size_t kClients = 4;
+  std::vector<fault::FaultEvent> starve;
+  starve.push_back({fault::FaultKind::kBackhaulLoss, 0.1, 0, 0.1, 0.0, 1.0});
+  std::vector<fault::FaultEvent> lossy;
+  lossy.push_back({fault::FaultKind::kSyncLoss, 0.05, 1, 0.1, 0.0, 0.8});
+  lossy.push_back({fault::FaultKind::kSyncCorrupt, 0.1, 3, 0.1, 0.8, 1.0});
+  lossy.push_back({fault::FaultKind::kBackhaulLoss, 0.15, 0, 0.05, 0.0, 0.3});
+  lossy.push_back({fault::FaultKind::kBackhaulDelay, 0.2, 0, 0.05, 2e-4, 1.0});
+  const std::pair<const char*, fault::FaultPlan> plans[] = {
+      {"crashes", fault::FaultPlan::random_crashes(25.0, 0.3, kAps, 0.04, 9)},
+      {"backhaul_total", fault::FaultPlan(std::move(starve), 3)},
+      {"lead_crash", fault::FaultPlan::single_crash(0, 0.1)},
+      {"lossy", fault::FaultPlan(std::move(lossy), 5)},
+  };
+  const MaskedLinkStateFn links = golden_masked_links(reachable_snr_db);
+  for (const auto& [plan_name, plan] : plans) {
+    const std::string tag = std::string("/") + plan_name;
+    const MacParams p = golden_params(300);
+    Fnv epochs;
+    MacParams churn = p;
+    add_hooks(churn, epochs, /*churn=*/true);
+    fault::FaultSession s1(plan, kAps, 300);
+    fault::FaultSession s2(plan, kAps, 300);
+    fault::FaultSession s3(plan, kAps, 300);
+    fault::FaultSession s4(plan, kAps, 300);
+    fault::ResilienceController c3(kAps);
+    fault::ResilienceController c4(kAps);
+    const MacReport base =
+        run_baseline_mac_resilient(kAps, kClients, links, p, &s1);
+    const MacReport jmb_fault =
+        run_jmb_mac_resilient(kAps, kClients, kClients, links, p, &s2,
+                              nullptr);
+    const MacReport jmb_ctrl =
+        run_jmb_mac_resilient(kAps, kClients, kClients, links, p, &s3, &c3);
+    const MacReport jmb_churn = run_jmb_mac_resilient(
+        kAps, kClients, kClients, links, churn, &s4, &c4);
+    expect_golden(want, "base" + tag, report_digest(base));
+    expect_golden(want, "jmb_fault" + tag, report_digest(jmb_fault));
+    expect_golden(want, "jmb_ctrl" + tag, report_digest(jmb_ctrl));
+    expect_golden(want, "jmb_ctrl_churn" + tag,
+                  report_digest(jmb_churn, epochs));
+  }
 }
 
 }  // namespace
