@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
             gains = bench::diverse_link_gains(n, n, band, rng);
             h = core::well_conditioned_channel_set(gains, rng);
           }
-          std::optional<core::ZfPrecoder> precoder;
+          std::optional<core::Precoder> precoder;
           {
             const auto timer = ctx.time_stage(engine::kStagePrecode);
-            precoder = core::ZfPrecoder::build(h, 1.0, &ctx.sink);
+            precoder = core::Precoder::build(h, 1.0, &ctx.sink);
             if (precoder) {
               ctx.metrics->stage(engine::kStagePrecode)
                   .add_condition(condition_number(h.at(0)));

@@ -44,7 +44,7 @@ Point run_point(std::size_t n, const bench::SnrBand& band, int topologies,
     // Dense-deployment link budget; the joint channel is in the paper's
     // well-conditioned regime, so the beamforming scale carries only the
     // genuine harmonic/conditioning penalty relative to the best links.
-    std::optional<core::ZfPrecoder> precoder;
+    std::optional<core::Precoder> precoder;
     std::vector<std::vector<double>> gains;
     core::ChannelMatrixSet h(0, 0);
     {
@@ -55,7 +55,7 @@ Point run_point(std::size_t n, const bench::SnrBand& band, int topologies,
     {
       const auto timer = ctx.time_stage(engine::kStagePrecode);
       // JMB_PRECODER selects the weight rule; the default ZF config makes
-      // build_kind bitwise-identical to the legacy ZfPrecoder::build.
+      // build_kind bitwise-identical to Precoder::build.
       core::PrecoderConfig cfg;
       cfg.kind = kind;
       if (kind == phy::PrecoderKind::kRzf) {

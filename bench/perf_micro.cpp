@@ -142,7 +142,7 @@ void BM_ZfPrecoderBuild(benchmark::State& state) {
   Rng rng(6);
   const core::ChannelMatrixSet h = core::random_channel_set(n, n, rng);
   for (auto _ : state) {
-    auto p = core::ZfPrecoder::build(h);
+    auto p = core::Precoder::build(h);
     benchmark::DoNotOptimize(p->scale());
   }
 }
@@ -156,7 +156,7 @@ void BM_ZfPrecoderBuildWs(benchmark::State& state) {
   const core::ChannelMatrixSet h = core::random_channel_set(n, n, rng);
   Workspace ws;
   for (auto _ : state) {
-    auto p = core::ZfPrecoder::build(h, ws);
+    auto p = core::Precoder::build(h, ws);
     benchmark::DoNotOptimize(p->scale());
   }
 }
@@ -210,7 +210,7 @@ void BM_PrecodeTransmitVector(benchmark::State& state) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
   Workspace ws;
-  const auto p = core::ZfPrecoder::build(h, ws);
+  const auto p = core::Precoder::build(h, ws);
   cvec x(4);
   for (auto& v : x) v = rng.cgaussian();
   std::size_t k = 0;
@@ -226,7 +226,7 @@ void BM_PrecodeTransmitVectorInto(benchmark::State& state) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
   Workspace ws;
-  const auto p = core::ZfPrecoder::build(h, ws);
+  const auto p = core::Precoder::build(h, ws);
   cvec x(4);
   for (auto& v : x) v = rng.cgaussian();
   cvec y(p->n_tx());
@@ -266,7 +266,7 @@ void BM_PrecoderApplyBackend(benchmark::State& state, simd::Backend be) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
   Workspace ws;
-  const auto p = core::ZfPrecoder::build(h, ws);
+  const auto p = core::Precoder::build(h, ws);
   const std::size_t n_sc = h.n_subcarriers();
   // Four per-stream symbol rows accumulated into one antenna row, exactly
   // the SynthesisStage data-symbol path over the packed weights.
@@ -610,7 +610,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
     for (int i = 0; i < kReps; ++i) {
       const engine::ScopedStageTimer timer(&set, "zf_build_4x4");
-      auto p = core::ZfPrecoder::build(h);
+      auto p = core::Precoder::build(h);
       benchmark::DoNotOptimize(p->scale());
     }
   }
@@ -620,7 +620,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     Workspace ws;
     for (int i = 0; i < kReps; ++i) {
       const engine::ScopedStageTimer timer(&set, "zf_build_4x4_ws");
-      auto p = core::ZfPrecoder::build(h, ws);
+      auto p = core::Precoder::build(h, ws);
       benchmark::DoNotOptimize(p->scale());
     }
   }

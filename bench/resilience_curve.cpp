@@ -52,7 +52,7 @@ constexpr double kRates[] = {0.0, 0.5, 1.0, 2.0, 4.0};
 constexpr std::size_t kNumRates = sizeof(kRates) / sizeof(kRates[0]);
 
 /// Per-active-mask SINR pools behind a MaskedLinkStateFn: each distinct
-/// joint set gets its own reduced-H precoder (ZfPrecoder::build_masked)
+/// joint set gets its own reduced-H precoder (Precoder::build_masked)
 /// and a pre-drawn pool of per-transmission SINR vectors, so the MAC
 /// prices the SNR cost of shrinking the array, not just the lost AP.
 /// Lazy pool construction draws from a trial-scoped RNG, and the mask
@@ -73,7 +73,7 @@ struct MaskedSinrPools {
     auto [it, fresh] = pools.try_emplace(mask);
     if (fresh) {
       const auto precoder =
-          core::ZfPrecoder::build_masked(*h, mask, *ws, 1.0);
+          core::Precoder::build_masked(*h, mask, *ws, 1.0);
       if (precoder) {
         it->second.reserve(kPool);
         for (std::size_t i = 0; i < kPool; ++i) {

@@ -70,12 +70,12 @@ int main(int argc, char** argv) {
 
     double jmb_total = 0.0;
     if (n >= 2) {
-      std::optional<core::ZfPrecoder> precoder;
+      std::optional<core::Precoder> precoder;
       core::ChannelMatrixSet h(0, 0);
       {
         const auto timer = ctx.time_stage(engine::kStagePrecode);
         h = core::well_conditioned_channel_set(gains, rng);
-        precoder = core::ZfPrecoder::build(h, 1.0, &ctx.sink);
+        precoder = core::Precoder::build(h, 1.0, &ctx.sink);
       }
       if (!precoder) {
         return std::pair<double, double>{base.total_goodput_mbps, 0.0};

@@ -127,8 +127,8 @@ cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
   // Bin k of variance nfft * psd[k] lands in the time domain (ifft
   // scales by 1/N) with per-sample variance mean(psd) — a flat psd of v
   // raises the white floor by exactly v. Receivers without a profile
-  // skip this entirely (no RNG draws), keeping legacy runs bitwise
-  // identical.
+  // skip this entirely: drawing zero-power bins from the shared noise_rng_
+  // would shift every later draw.
   if (!rxn.interference_psd.empty()) {
     const std::vector<double>& psd = rxn.interference_psd;
     const std::size_t nfft = psd.size();

@@ -53,8 +53,8 @@ class Medium {
   /// neighboring cells' leakage on FFT bin k (noise-rise units — a flat
   /// psd of v raises the white floor by exactly v). Rendered in receive()
   /// as shaped Gaussian noise, one psd.size()-bin block at a time. An
-  /// empty vector removes the profile and restores the exact legacy
-  /// noise path (no extra RNG draws — bitwise identical output).
+  /// empty vector removes the profile: receive() then takes no draws for
+  /// it, so every later draw from the shared noise stream is unshifted.
   void set_interference(NodeId rx, std::vector<double> psd);
   [[nodiscard]] const std::vector<double>& interference(NodeId rx) const;
 
@@ -94,7 +94,7 @@ class Medium {
   struct Node {
     Oscillator osc;
     double noise_var = 1.0;
-    /// Empty = no inter-cell interference (legacy path, no RNG draws).
+    /// Empty = no inter-cell interference (and no noise draws for it).
     std::vector<double> interference_psd;
   };
   struct Transmission {

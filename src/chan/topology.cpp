@@ -130,7 +130,6 @@ std::vector<double> inter_cell_interference(
     const InterCellParams& p, std::size_t n_subcarriers,
     std::uint64_t trial_seed, const std::vector<double>& duty) {
   std::vector<double> psd(n_subcarriers, 0.0);
-  if (p.coupling_scale == 0.0) return psd;
   for (std::size_t j = 0; j < n_cells; ++j) {
     if (j == self) continue;
     const double d = duty.empty() ? 1.0 : duty[j % duty.size()];

@@ -108,8 +108,8 @@ struct InterCellParams {
   /// Beyond-ref falloff exponent (urban canyon, > indoor NLOS).
   double exponent = 3.5;
   /// Linear multiplier on the whole term; 0 disables inter-cell coupling
-  /// exactly (the degenerate single-cell path draws nothing and adds
-  /// nothing, keeping legacy configs bitwise identical).
+  /// exactly (every leakage gain is 0.0, so no pair draws or adds
+  /// anything).
   double coupling_scale = 1.0;
 };
 
@@ -130,8 +130,8 @@ struct InterCellParams {
 /// any shard schedule, and symmetric: cell a sees the same fade toward b
 /// as b toward a. `duty[j]` scales neighbor j's contribution by its
 /// transmit duty cycle (fraction of airtime actually occupied); pass 1.0
-/// for saturated neighbors. Returns all-zeros (no RNG draws) when
-/// coupling_scale == 0.
+/// for saturated neighbors. Pairs with zero leakage gain or zero duty are
+/// skipped without a draw, so coupling_scale == 0 returns all zeros.
 [[nodiscard]] std::vector<double> inter_cell_interference(
     std::size_t self, std::size_t n_cells, const CellGridParams& grid,
     const InterCellParams& p, std::size_t n_subcarriers,

@@ -5,7 +5,6 @@
 
 #include "linalg/lu.h"
 #include "linalg/pinv.h"
-#include "phy/workspace.h"
 
 namespace jmb::core {
 
@@ -46,12 +45,22 @@ struct NodeOsc {
 
 }  // namespace
 
-Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng,
-                              Workspace* ws) {
+Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng) {
   const std::size_t n_tx = p.n_aps * p.ants_per_node;
   const std::size_t n_rx = p.n_clients * p.ants_per_node;
   if (n_tx < 2) {
     throw std::invalid_argument("run_compat11n: need >= 2 tx antennas");
+  }
+  if (!(std::isfinite(p.link_gain) && p.link_gain > 0.0)) {
+    throw std::invalid_argument("run_compat11n: link_gain must be finite, > 0");
+  }
+  if (!std::isfinite(p.measure_snr_db)) {
+    throw std::invalid_argument("run_compat11n: measure_snr_db must be finite");
+  }
+  if (!(std::isfinite(p.sounding_interval_s) &&
+        p.sounding_interval_s >= 0.0)) {
+    throw std::invalid_argument(
+        "run_compat11n: sounding_interval_s must be finite, >= 0");
   }
 
   // True channels (time-invariant within the experiment) with link gain.
@@ -160,8 +169,6 @@ Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng,
       for (std::size_t r = 0; r < n_rx; ++r) {
         // Oracle row at t0, with the same row-common rotation as the
         // estimate (anchored on the L1 entry).
-        const double phi_row = cl_osc[client_of_rx(r)].phase_at(t0);
-        (void)phi_row;
         for (std::size_t a = 0; a < n_tx; ++a) {
           const double phi = ap_osc[ap_of_ant(a)].phase_at(t0) -
                              cl_osc[client_of_rx(r)].phase_at(t0);
@@ -176,13 +183,13 @@ Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng,
   result.reconstruction_rel_err = rel_err(h_hat);
   result.naive_rel_err = rel_err(h_naive);
 
-  // ---- Joint transmission at t0 + tx_delay: ZF from h_hat; true channel
-  // at transmit time has rotated, slaves correct via sync header with a
-  // small residual (one error per slave AP, shared by its antennas).
+  // ---- Joint transmission: ZF from h_hat. The true channel has rotated
+  // by transmit time; the slaves' sync-header correction undoes that up to
+  // a residual of tx_phase_err_sigma (one error per slave AP, shared by
+  // its antennas).
   ChannelMatrixSet h_for_zf(n_rx, n_tx);
   for (std::size_t k = 0; k < n_sc; ++k) h_for_zf.at(k) = h_hat[k];
-  const auto precoder = ws ? ZfPrecoder::build(h_for_zf, *ws)
-                           : ZfPrecoder::build(h_for_zf);
+  const auto precoder = Precoder::build(h_for_zf);
   result.jmb_stream_sinr.assign(n_rx, rvec(n_sc, 0.0));
   double noise = p.noise_power;
   if (precoder && p.effective_snr_db > 0.0) {

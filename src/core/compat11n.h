@@ -18,10 +18,6 @@
 #include "chan/oscillator.h"
 #include "core/link_model.h"
 
-namespace jmb {
-class Workspace;
-}
-
 namespace jmb::core {
 
 struct Compat11nParams {
@@ -30,7 +26,6 @@ struct Compat11nParams {
   std::size_t ants_per_node = 2;
 
   double sounding_interval_s = 2e-3;  ///< spacing between soundings
-  double tx_delay_s = 10e-3;          ///< data transmission time after t0
   double measure_snr_db = 35.0;       ///< per-sounding estimation SNR
   double ppm_range = 2.0;             ///< oscillator spread (APs and clients)
   double carrier_hz = 2.4e9;
@@ -67,10 +62,11 @@ struct Compat11nResult {
 };
 
 /// Run one end-to-end compat measurement + joint transmission evaluation.
-/// A non-null `ws` routes the joint ZF build through the workspace's pinv
-/// scratch; results are bitwise-identical either way.
-[[nodiscard]] Compat11nResult run_compat11n(const Compat11nParams& p, Rng& rng,
-                                            Workspace* ws = nullptr);
+/// Throws std::invalid_argument naming the field for fewer than 2 transmit
+/// antennas, a non-finite or non-positive link_gain, a non-finite
+/// measure_snr_db, or a non-finite or negative sounding_interval_s.
+[[nodiscard]] Compat11nResult run_compat11n(const Compat11nParams& p,
+                                            Rng& rng);
 
 /// Receiver-side zero-forcing stream SNRs for an n_rx x n_streams MIMO
 /// channel with per-stream transmit power `power`: stream j gets

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "phy/workspace.h"
-
 namespace jmb::core {
 
 namespace {
@@ -29,10 +27,8 @@ struct NodeOsc {
 };
 
 rvec mean_sinr_db(const ChannelMatrixSet& h_snapshot,
-                  const std::vector<CMatrix>& h_eff,
-                  double noise_power, Workspace* ws) {
-  const auto precoder = ws ? ZfPrecoder::build(h_snapshot, *ws)
-                           : ZfPrecoder::build(h_snapshot);
+                  const std::vector<CMatrix>& h_eff, double noise_power) {
+  const auto precoder = Precoder::build(h_snapshot);
   const std::size_t nc = h_snapshot.n_clients();
   rvec out(nc, -100.0);
   if (!precoder) return out;
@@ -57,10 +53,20 @@ rvec mean_sinr_db(const ChannelMatrixSet& h_snapshot,
 
 }  // namespace
 
-DecoupledResult run_decoupled(const DecoupledParams& p, Rng& rng,
-                              Workspace* ws) {
+DecoupledResult run_decoupled(const DecoupledParams& p, Rng& rng) {
   const std::size_t n = p.n_nodes;
   if (n < 2) throw std::invalid_argument("run_decoupled: need >= 2 nodes");
+  if (!(std::isfinite(p.link_gain) && p.link_gain > 0.0)) {
+    throw std::invalid_argument("run_decoupled: link_gain must be finite, > 0");
+  }
+  if (!std::isfinite(p.measure_snr_db)) {
+    throw std::invalid_argument("run_decoupled: measure_snr_db must be finite");
+  }
+  if (!(std::isfinite(p.measurement_spacing_s) &&
+        p.measurement_spacing_s >= 0.0)) {
+    throw std::invalid_argument(
+        "run_decoupled: measurement_spacing_s must be finite, >= 0");
+  }
 
   const ChannelMatrixSet h_true = random_channel_set_with_gains(
       std::vector<std::vector<double>>(n, std::vector<double>(n, p.link_gain)),
@@ -145,16 +151,15 @@ DecoupledResult run_decoupled(const DecoupledParams& p, Rng& rng,
   // operating point matches the requested effective SNR.
   double noise = p.noise_power;
   if (p.effective_snr_db > 0.0) {
-    if (const auto pre = ws ? ZfPrecoder::build(h_oracle, *ws)
-                            : ZfPrecoder::build(h_oracle)) {
+    if (const auto pre = Precoder::build(h_oracle)) {
       noise = pre->scale() * pre->scale() / from_db(p.effective_snr_db);
     }
   }
 
   DecoupledResult out;
-  out.sinr_db = mean_sinr_db(h_bar, h_eff_oracle, noise, ws);
-  out.naive_sinr_db = mean_sinr_db(h_naive, h_eff_oracle, noise, ws);
-  out.oracle_sinr_db = mean_sinr_db(h_oracle, h_eff_oracle, noise, ws);
+  out.sinr_db = mean_sinr_db(h_bar, h_eff_oracle, noise);
+  out.naive_sinr_db = mean_sinr_db(h_naive, h_eff_oracle, noise);
+  out.oracle_sinr_db = mean_sinr_db(h_oracle, h_eff_oracle, noise);
   return out;
 }
 

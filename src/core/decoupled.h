@@ -13,16 +13,11 @@
 #include "chan/oscillator.h"
 #include "core/link_model.h"
 
-namespace jmb {
-class Workspace;
-}
-
 namespace jmb::core {
 
 struct DecoupledParams {
   std::size_t n_nodes = 2;            ///< APs == clients == n (single antenna)
   double measurement_spacing_s = 50e-3;  ///< t_c - t_{c-1}
-  double tx_delay_s = 20e-3;  ///< transmit time after the last measurement
   double measure_snr_db = 25.0;
   double ppm_range = 2.0;
   double carrier_hz = 2.4e9;
@@ -48,9 +43,10 @@ struct DecoupledResult {
   rvec oracle_sinr_db;
 };
 
-/// A non-null `ws` routes every internal ZF build through the workspace's
-/// pinv scratch; results are bitwise-identical either way.
-[[nodiscard]] DecoupledResult run_decoupled(const DecoupledParams& p, Rng& rng,
-                                            Workspace* ws = nullptr);
+/// Throws std::invalid_argument naming the field for fewer than 2 nodes, a
+/// non-finite or non-positive link_gain, a non-finite measure_snr_db, or a
+/// non-finite or negative measurement_spacing_s.
+[[nodiscard]] DecoupledResult run_decoupled(const DecoupledParams& p,
+                                            Rng& rng);
 
 }  // namespace jmb::core

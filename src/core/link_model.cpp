@@ -147,7 +147,7 @@ ChannelMatrixSet well_conditioned_channel_set(
 
 SinrReport beamforming_sinr(const ChannelMatrixSet& h, const rvec& phase_err,
                             double noise_power) {
-  const auto precoder = ZfPrecoder::build(h);
+  const auto precoder = Precoder::build(h);
   if (!precoder) {
     throw std::invalid_argument("beamforming_sinr: singular channel");
   }
@@ -155,12 +155,12 @@ SinrReport beamforming_sinr(const ChannelMatrixSet& h, const rvec& phase_err,
 }
 
 SinrReport beamforming_sinr(const ChannelMatrixSet& h,
-                            const ZfPrecoder& precoder_ref,
+                            const Precoder& precoder_ref,
                             const rvec& phase_err, double noise_power) {
   if (phase_err.size() != h.n_tx()) {
     throw std::invalid_argument("beamforming_sinr: phase_err size != n_tx");
   }
-  const ZfPrecoder* precoder = &precoder_ref;
+  const Precoder* precoder = &precoder_ref;
   const std::size_t nc = h.n_clients();
 
   SinrReport rep;
@@ -210,7 +210,7 @@ double snr_reduction_db(std::size_t n_clients, std::size_t n_tx,
     rvec misaligned(n_tx, 0.0);
     for (std::size_t a = 1; a < n_tx; ++a) misaligned[a] = misalignment_rad;
 
-    const auto precoder = ZfPrecoder::build(h);
+    const auto precoder = Precoder::build(h);
     if (!precoder) continue;
     const double noise =
         precoder->scale() * precoder->scale() / from_db(snr_db);
@@ -227,7 +227,7 @@ double snr_reduction_db(std::size_t n_clients, std::size_t n_tx,
 
 double expected_inr_db(const ChannelMatrixSet& h, double phase_err_sigma,
                        double noise_power, std::size_t trials, Rng& rng) {
-  const auto precoder = ZfPrecoder::build(h);
+  const auto precoder = Precoder::build(h);
   if (!precoder) {
     throw std::invalid_argument("expected_inr_db: singular channel");
   }
@@ -262,7 +262,7 @@ double expected_inr_db(const ChannelMatrixSet& h, double phase_err_sigma,
 std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
                                        double phase_err_sigma,
                                        double noise_power, Rng& rng) {
-  const auto precoder = ZfPrecoder::build(h);
+  const auto precoder = Precoder::build(h);
   if (!precoder) {
     throw std::invalid_argument("jmb_subcarrier_sinrs: singular channel");
   }
@@ -270,7 +270,7 @@ std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
 }
 
 std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                       const ZfPrecoder& precoder,
+                                       const Precoder& precoder,
                                        double phase_err_sigma,
                                        double noise_power, Rng& rng) {
   rvec phase(h.n_tx(), 0.0);

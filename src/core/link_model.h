@@ -73,7 +73,7 @@ struct SinrReport {
 /// Same, with a precomputed precoder (avoids re-inverting H per call —
 /// use this inside MAC simulations that query SINRs per transmission).
 [[nodiscard]] SinrReport beamforming_sinr(const ChannelMatrixSet& h,
-                                          const ZfPrecoder& precoder,
+                                          const Precoder& precoder,
                                           const rvec& phase_err,
                                           double noise_power);
 
@@ -97,7 +97,7 @@ struct SinrReport {
                                                      double noise_power,
                                                      Rng& rng);
 [[nodiscard]] std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                                     const ZfPrecoder& precoder,
+                                                     const Precoder& precoder,
                                                      double phase_err_sigma,
                                                      double noise_power,
                                                      Rng& rng);

@@ -70,13 +70,11 @@ cvec MeasurementSchedule::ap_waveform(std::size_t ap) const {
   return out;
 }
 
-namespace {
-
-std::optional<ClientMeasurement> process_measurement_frame_impl(
+std::optional<ClientMeasurement> process_measurement_frame(
     const cvec& rx, const MeasurementSchedule& sched, const phy::PhyConfig& cfg,
-    Workspace* ws) {
+    Workspace& ws) {
   phy::Receiver receiver(cfg);
-  receiver.set_workspace(ws);
+  receiver.set_workspace(&ws);
   const auto pm = receiver.measure_preamble(rx);
   if (!pm) return std::nullopt;
   // Reference time = sync-header start. The LTF correlator pinned the
@@ -95,11 +93,10 @@ std::optional<ClientMeasurement> process_measurement_frame_impl(
   out.noise_var = pm->noise_var;
   out.per_ap.resize(sched.n_aps);
 
-  // Scratch windows: drawn from the workspace when one is attached so the
-  // per-AP/per-round loops below stay off the heap once capacities are warm.
-  cvec local_win, local_freq;
-  cvec& win = ws ? ws->meas_win : local_win;
-  cvec& freq = ws ? ws->meas_freq : local_freq;
+  // Scratch windows come from the workspace, so the per-AP/per-round loops
+  // below stay off the heap once capacities are warm.
+  cvec& win = ws.meas_win;
+  cvec& freq = ws.meas_freq;
 
   for (std::size_t ap = 0; ap < sched.n_aps; ++ap) {
     // --- Coarse CFO from the AP's dedicated block (lag-64 correlation).
@@ -158,25 +155,10 @@ std::optional<ClientMeasurement> process_measurement_frame_impl(
       }
     }
     const phy::ChannelEstimate avg = phy::average_estimates(raw);
-    out.per_ap[ap].channel = ws ? phy::denoise_time_support(avg, *ws)
-                                : phy::denoise_time_support(avg);
+    out.per_ap[ap].channel = phy::denoise_time_support(avg, ws);
     out.per_ap[ap].cfo_hz = cfo;
   }
   return out;
-}
-
-}  // namespace
-
-std::optional<ClientMeasurement> process_measurement_frame(
-    const cvec& rx, const MeasurementSchedule& sched,
-    const phy::PhyConfig& cfg) {
-  return process_measurement_frame_impl(rx, sched, cfg, nullptr);
-}
-
-std::optional<ClientMeasurement> process_measurement_frame(
-    const cvec& rx, const MeasurementSchedule& sched, const phy::PhyConfig& cfg,
-    Workspace& ws) {
-  return process_measurement_frame_impl(rx, sched, cfg, &ws);
 }
 
 }  // namespace jmb::core

@@ -65,14 +65,9 @@ struct ClientMeasurement {
 
 /// Client-side processing of a received measurement frame.
 /// `rx` is the client's baseband buffer; the sync header is detected
-/// inside. Returns nullopt if the header isn't found.
-[[nodiscard]] std::optional<ClientMeasurement> process_measurement_frame(
-    const cvec& rx, const MeasurementSchedule& sched,
-    const phy::PhyConfig& cfg);
-
-/// Workspace-backed variant: the receiver's preamble buffers, the per-round
-/// CFO/channel FFT windows, and the denoising projection all come from `ws`
-/// instead of the heap. Bitwise-identical to the 3-argument overload.
+/// inside. Returns nullopt if the header isn't found. The receiver's
+/// preamble buffers, the per-round CFO/channel FFT windows and the
+/// denoising projection all come from `ws` instead of the heap.
 [[nodiscard]] std::optional<ClientMeasurement> process_measurement_frame(
     const cvec& rx, const MeasurementSchedule& sched, const phy::PhyConfig& cfg,
     Workspace& ws);

@@ -5,11 +5,11 @@
 // need to normalize H^{-1} to respect power constraints"). The effective
 // channel every client sees is scale * I.
 //
-// The precoder zoo (ROADMAP item 2) generalizes the same build/apply
-// interface across three weight rules selected by phy::PrecoderKind:
+// One build/apply interface covers three weight rules selected by
+// phy::PrecoderKind:
 //
-//   kZf   W_k = pinv(H_k)            — the paper's choice; bit-identical
-//                                      to the original ZfPrecoder path.
+//   kZf   W_k = pinv(H_k)            — the paper's choice, and what
+//                                      Precoder::build() computes.
 //   kRzf  W_k = H^H (H H^H + a I)^-1 — regularized ZF; with the ridge `a`
 //                                      matched to noise + CSI-error power
 //                                      this is the MMSE transmit filter.
@@ -41,7 +41,7 @@ class Workspace;
 
 namespace jmb::core {
 
-/// How to build the weights. Default-constructed = the legacy ZF path.
+/// How to build the weights. Default-constructed = plain ZF, as build().
 struct PrecoderConfig {
   phy::PrecoderKind kind = phy::PrecoderKind::kZf;
   /// Each AP antenna's average transmit power budget per subcarrier.
@@ -191,7 +191,7 @@ class Precoder {
   }
 
  private:
-  /// Single implementation behind both legacy build() overloads.
+  /// Single implementation behind both build() overloads.
   [[nodiscard]] static std::optional<Precoder> build_impl(
       const ChannelMatrixSet& h, PinvScratch& scratch,
       double per_antenna_power, const obs::ObsSink* obs);
@@ -216,10 +216,6 @@ class Precoder {
   double scale_ = 0.0;
   phy::PrecoderKind kind_ = phy::PrecoderKind::kZf;
 };
-
-/// Original name of the ZF-only precoder; every legacy call site keeps
-/// compiling (and the ZF build path stays byte-for-byte the same code).
-using ZfPrecoder = Precoder;
 
 /// Reduced channel set keeping only the given client rows (ascending
 /// caller-chosen order) — the companion of Precoder::greedy_select.

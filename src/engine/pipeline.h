@@ -136,7 +136,7 @@ struct SystemState {
   std::vector<core::SlavePhaseSync> slave_sync;  // index 0 <-> ap 1
 
   core::ChannelMatrixSet h;
-  std::optional<core::ZfPrecoder> precoder;
+  std::optional<core::Precoder> precoder;
 
   /// Per-trial scratch arena: FFT plans, pinv scratch, receive buffers and
   /// the denoising-projection cache. One per SystemState (one per

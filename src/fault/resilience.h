@@ -11,7 +11,7 @@
 //        quarantined --evidence returns--> probation --re-measure--> healthy
 //
 // Quarantined APs sit out of joint transmissions (the precoder is
-// re-derived from the reduced H; see ZfPrecoder::build_masked), and the
+// re-derived from the reduced H; see Precoder::build_masked), and the
 // controller raises a re-measurement request so the surviving set
 // re-anchors its references. Detection and recovery latencies are
 // published into the metric registry (resilience/time_to_detect_s,

@@ -46,7 +46,7 @@ struct MaskedSinrPools {
     }
     auto [it, fresh] = pools.try_emplace(key);
     if (fresh) {
-      const auto precoder = core::ZfPrecoder::build_masked(*h, mask, *ws, 1.0);
+      const auto precoder = core::Precoder::build_masked(*h, mask, *ws, 1.0);
       if (precoder) {
         it->second.reserve(kPool);
         for (std::size_t i = 0; i < kPool; ++i) {

@@ -5,12 +5,12 @@
 // joint transmission, one per additional client.
 //
 // Internally the queue keeps one subqueue per client, ordered by a global
-// arrival sequence number, so the legacy single-deque FIFO semantics are
-// reproduced exactly (head = globally oldest packet; pop_joint = first
-// packet per distinct client in arrival order) while joint selection costs
-// O(active clients) instead of a full-queue scan, and scheduling policies
-// (traffic_api.h) can pick clients and aggregate multiple packets per
-// client without disturbing other subqueues.
+// arrival sequence number, so it behaves as one FIFO (head = globally
+// oldest packet; pop_joint = first packet per distinct client in arrival
+// order) while joint selection costs O(active clients) instead of a
+// full-queue scan, and scheduling policies (traffic_api.h) can pick
+// clients and aggregate multiple packets per client without disturbing
+// other subqueues.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@ struct Packet {
   double enqueue_s = 0.0;
   int retries = 0;
   std::uint64_t id = 0;
-  // --- traffic-subsystem fields (defaults keep legacy callers as-is) ---
+  // --- traffic-subsystem fields (defaults: one flow, no deadline) ---
   std::uint32_t flow = 0;   ///< flow index within the client (0 = default)
   double deadline_s = 0.0;  ///< absolute delivery deadline; 0 = none
 };
@@ -36,7 +36,7 @@ struct Packet {
 /// A-MPDU-style aggregation limits: how many packets one client may pack
 /// into its stream of a single joint transmission, and the byte budget
 /// they must fit in. The head packet is always taken, so max_frames = 1
-/// reproduces the one-packet-per-client legacy behaviour.
+/// sends one packet per client.
 struct AggLimits {
   std::size_t max_frames = 1;
   std::size_t max_bytes = static_cast<std::size_t>(-1);

@@ -1,8 +1,6 @@
 #include "phy/chanest.h"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "linalg/pinv.h"
@@ -108,13 +106,12 @@ CMatrix make_denoise_projection(std::size_t support) {
   return b * (*b_pinv);
 }
 
-namespace {
-
-// Gather the 52 used gains, project, and scatter the result back — the
-// shared back half of both denoise_time_support overloads.
-ChannelEstimate project_estimate(const ChannelEstimate& est,
-                                 const CMatrix& projection, cvec& v,
-                                 cvec& smooth) {
+ChannelEstimate denoise_time_support(const ChannelEstimate& est, Workspace& ws,
+                                     std::size_t support) {
+  // Gather the 52 used gains, project, and scatter the result back.
+  const CMatrix& projection = ws.denoise_projection(support);
+  cvec& v = ws.denoise_v;
+  cvec& smooth = ws.denoise_smooth;
   v.resize(52);
   std::size_t row = 0;
   for (int k = -26; k <= 26; ++k) {
@@ -130,36 +127,6 @@ ChannelEstimate project_estimate(const ChannelEstimate& est,
     out.h[bin_of(k)] = smooth[row++];
   }
   return out;
-}
-
-}  // namespace
-
-ChannelEstimate denoise_time_support(const ChannelEstimate& est,
-                                     std::size_t support) {
-  // Process-wide cache for workspace-less callers, guarded by a mutex:
-  // trials run concurrently under engine::TrialRunner. std::map nodes are
-  // stable, so the reference stays valid after the lock is released. The
-  // hot path passes a Workspace instead and never takes this lock.
-  static std::mutex cache_mu;
-  static std::map<std::size_t, CMatrix> cache;
-  const CMatrix* projection = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu);
-    auto it = cache.find(support);
-    if (it == cache.end()) {
-      it = cache.emplace(support, make_denoise_projection(support)).first;
-    }
-    projection = &it->second;
-  }
-  cvec v;
-  cvec smooth;
-  return project_estimate(est, *projection, v, smooth);
-}
-
-ChannelEstimate denoise_time_support(const ChannelEstimate& est, Workspace& ws,
-                                     std::size_t support) {
-  return project_estimate(est, ws.denoise_projection(support), ws.denoise_v,
-                          ws.denoise_smooth);
 }
 
 PilotPhase track_pilots(const cvec& freq_symbol, const ChannelEstimate& chan,

@@ -49,20 +49,17 @@ struct ChannelEstimate {
 /// time-domain support: the true channel has only a few taps (plus the
 /// FFT-window back-off and fractional delays), so restricting the
 /// impulse response to `support` samples removes (52 - support)/52 of
-/// the estimation noise without biasing real multipath.
-[[nodiscard]] ChannelEstimate denoise_time_support(const ChannelEstimate& est,
-                                                   std::size_t support = 20);
-
-/// denoise_time_support() using the per-trial workspace: the projection
-/// matrix comes from the workspace's lock-free cache and the intermediates
-/// live in workspace buffers. Bitwise-identical to the overload above.
+/// the estimation noise without biasing real multipath. The projection
+/// matrix comes from the per-trial workspace's cache and the
+/// intermediates live in workspace buffers. Throws std::invalid_argument
+/// unless 1 <= support <= 52.
 [[nodiscard]] ChannelEstimate denoise_time_support(const ChannelEstimate& est,
                                                    Workspace& ws,
                                                    std::size_t support = 20);
 
 /// Build the least-squares projection matrix P = B (B^H B)^{-1} B^H that
 /// restricts a 52-subcarrier estimate to `support` time-domain taps.
-/// Shared by the legacy process-wide cache and Workspace's per-trial one.
+/// Workspace::denoise_projection caches it per workspace.
 [[nodiscard]] CMatrix make_denoise_projection(std::size_t support);
 
 /// Pilot-based tracking of common phase error (residual CFO) and phase

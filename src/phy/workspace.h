@@ -36,8 +36,8 @@ class Workspace {
   /// Cached FFT plan for size n (built on first use, then allocation-free).
   const FftPlan& fft_plan(std::size_t n);
 
-  /// Per-workspace projection matrix for phy::denoise_time_support — the
-  /// lock-free replacement for the old process-wide mutex-guarded cache.
+  /// Per-workspace projection matrix for phy::denoise_time_support (built
+  /// on first use per support; workspaces are per-trial, so no lock).
   const CMatrix& denoise_projection(std::size_t support);
 
   // ---- linalg scratch ----------------------------------------------------

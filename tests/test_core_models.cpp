@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "core/link_model.h"
-#include "core/system.h"
 #include "dsp/stats.h"
+#include "engine/system.h"
 #include "linalg/pinv.h"
 
 namespace jmb::core {
@@ -80,7 +80,7 @@ TEST(WellConditioned, ZfScaleNearBestGain) {
   const std::vector<std::vector<double>> gains(
       6, std::vector<double>(6, best));
   const ChannelMatrixSet h = well_conditioned_channel_set(gains, rng);
-  const auto p = ZfPrecoder::build(h);
+  const auto p = Precoder::build(h);
   ASSERT_TRUE(p.has_value());
   EXPECT_NEAR(to_db(p->predicted_snr(1.0)), 18.0, 2.5);
 }
@@ -159,7 +159,7 @@ TEST(Oscillator, MemoConsistencyUnderMixedQueries) {
 TEST(LinkModel, PrecoderCachedOverloadMatches) {
   Rng rng(6);
   const ChannelMatrixSet h = random_channel_set(3, 3, rng);
-  const auto p = ZfPrecoder::build(h);
+  const auto p = Precoder::build(h);
   ASSERT_TRUE(p.has_value());
   const rvec phase{0.0, 0.05, -0.03};
   const SinrReport a = beamforming_sinr(h, phase, 0.5);

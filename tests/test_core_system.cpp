@@ -1,16 +1,22 @@
 // Integration tests for the sample-level JMB system: the interleaved
 // channel-measurement protocol, distributed phase synchronization, joint
 // zero-forcing transmissions, diversity mode, nulling (INR), and the
-// compat / decoupled measurement schemes.
+// compat / decoupled measurement schemes, with golden digests and input
+// validation for the latter.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/compat11n.h"
 #include "core/decoupled.h"
 #include "core/measurement.h"
-#include "core/system.h"
 #include "dsp/stats.h"
+#include "engine/system.h"
+#include "golden_digest.h"
+#include "phy/workspace.h"
 #include "rate/effective_snr.h"
 
 namespace jmb::core {
@@ -57,17 +63,16 @@ TEST(MeasurementSchedule, WaveformsDoNotOverlap) {
   EXPECT_EQ(std::abs(waves[1][10]), 0.0);
 }
 
-TEST(MeasurementFrame, CleanChannelRecovery) {
-  // Render a 3-AP measurement frame through trivial per-AP channels with
-  // known CFOs; the client's estimates must match gains and reference
-  // phases.
-  const phy::PhyConfig cfg;
-  const MeasurementSchedule sched{3, 4};
+/// Per-AP channel gains and CFOs of the clean 3-AP measurement frame.
+constexpr cplx kFrameGains[3] = {{0.9, 0.3}, {-0.5, 0.8}, {0.4, -0.7}};
+constexpr double kFrameCfos[3] = {3000.0, -5200.0, 800.0};
+
+/// A 3-AP measurement frame rendered at sample 150 through trivial
+/// per-AP channels (kFrameGains) with known CFOs (kFrameCfos), over a
+/// -60 dB noise floor.
+cvec clean_measurement_frame(const phy::PhyConfig& cfg,
+                             const MeasurementSchedule& sched) {
   Rng rng(1);
-
-  const cplx gains[3] = {{0.9, 0.3}, {-0.5, 0.8}, {0.4, -0.7}};
-  const double cfos[3] = {3000.0, -5200.0, 800.0};
-
   cvec buf(sched.frame_len() + 400);
   for (auto& v : buf) v = rng.cgaussian(1e-6);
   const std::size_t at = 150;
@@ -75,23 +80,33 @@ TEST(MeasurementFrame, CleanChannelRecovery) {
     const cvec w = sched.ap_waveform(ap);
     for (std::size_t n = 0; n < w.size(); ++n) {
       const double t = static_cast<double>(at + n);
-      buf[at + n] += w[n] * gains[ap] *
-                     phasor(kTwoPi * cfos[ap] * t / cfg.sample_rate_hz);
+      buf[at + n] += w[n] * kFrameGains[ap] *
+                     phasor(kTwoPi * kFrameCfos[ap] * t / cfg.sample_rate_hz);
     }
   }
-  const auto cm = process_measurement_frame(buf, sched, cfg);
+  return buf;
+}
+
+TEST(MeasurementFrame, CleanChannelRecovery) {
+  // The client's estimates of the clean frame must match gains and
+  // reference phases.
+  const phy::PhyConfig cfg;
+  const MeasurementSchedule sched{3, 4};
+  const cvec buf = clean_measurement_frame(cfg, sched);
+  Workspace ws;
+  const auto cm = process_measurement_frame(buf, sched, cfg, ws);
   ASSERT_TRUE(cm.has_value());
   EXPECT_NEAR(static_cast<double>(cm->header_start), 150.0, 3.0);
   for (std::size_t ap = 0; ap < 3; ++ap) {
-    EXPECT_NEAR(cm->per_ap[ap].cfo_hz, cfos[ap], 25.0) << "ap " << ap;
+    EXPECT_NEAR(cm->per_ap[ap].cfo_hz, kFrameCfos[ap], 25.0) << "ap " << ap;
     // The estimate should equal gain * e^{j cfo * header_start_phase}
     // rotated to the reference time; compare against the oracle value at
     // the detected header.
     // Estimates are referenced to the block-center snapshot time.
     const cplx expect =
-        gains[ap] * phasor(kTwoPi * cfos[ap] *
-                           static_cast<double>(cm->reference_sample) /
-                           cfg.sample_rate_hz);
+        kFrameGains[ap] * phasor(kTwoPi * kFrameCfos[ap] *
+                                 static_cast<double>(cm->reference_sample) /
+                                 cfg.sample_rate_hz);
     for (int k : {-20, -5, 5, 20}) {
       // The FFT windows back off 4 samples into the CP, adding the ramp
       // e^{-j 2 pi k 4/64} per subcarrier. It is common to every AP and
@@ -109,7 +124,8 @@ TEST(MeasurementFrame, FailsWithoutPreamble) {
   const phy::PhyConfig cfg;
   Rng rng(2);
   const cvec noise = rng.cgaussian_vec(4000, 1.0);
-  EXPECT_FALSE(process_measurement_frame(noise, {3, 2}, cfg).has_value());
+  Workspace ws;
+  EXPECT_FALSE(process_measurement_frame(noise, {3, 2}, cfg, ws).has_value());
 }
 
 TEST(JmbSystemTest, MeasurementProducesConsistentChannels) {
@@ -362,6 +378,178 @@ TEST(Decoupled, WorksForMoreNodes) {
   }
   // Stale rows without the shared reference: last client suffers most.
   EXPECT_LT(r.naive_sinr_db[3], r.sinr_db[3] - 6.0);
+}
+
+// ------------------------------------------------------------ core golden
+//
+// FNV-1a digests over every output double (by bit pattern) of the
+// channel-level compat and decoupled models and of the client's
+// measurement-frame processing, for a seeded grid. Each model digest also
+// folds in the caller's next RNG draw, so a change in how many draws a run
+// takes shows up too. The table was generated before the workspace-less
+// overloads of these functions were removed.
+
+using golden::expect_golden;
+using golden::Fnv;
+using golden::GoldenTable;
+
+TEST(CoreGolden, Compat11n) {
+  const GoldenTable want = {
+      {"compat/22dB/seed1", 0xa0ffc2ca4e0921c6ull},
+      {"compat/22dB/seed2", 0x6d8117cf3b4cf14cull},
+      {"compat/15dB/seed1", 0x6978cdbfc5e61b93ull},
+      {"compat/15dB/seed2", 0x7f0839c73ca57304ull},
+      {"compat/9dB/seed1", 0xa6ffd7e1b2738729ull},
+      {"compat/9dB/seed2", 0xf9ba2ab79f98a3a2ull},
+  };
+  // The three SNR band centers fig12 uses, each as link gain and target.
+  for (const double band_db : {22.0, 15.0, 9.0}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      Compat11nParams p;
+      p.link_gain = from_db(band_db);
+      p.effective_snr_db = band_db;
+      Rng rng(seed);
+      const Compat11nResult r = run_compat11n(p, rng);
+      Fnv d;
+      d.add(r.reconstruction_rel_err);
+      d.add(r.naive_rel_err);
+      d.add(static_cast<std::uint64_t>(r.jmb_stream_sinr.size()));
+      for (const rvec& s : r.jmb_stream_sinr) d.add(s);
+      d.add(static_cast<std::uint64_t>(r.baseline_stream_snr.size()));
+      for (const rvec& s : r.baseline_stream_snr) d.add(s);
+      d.add(rng.next_u64());
+      expect_golden(want,
+                    "compat/" + std::to_string(static_cast<int>(band_db)) +
+                        "dB/seed" + std::to_string(seed),
+                    d.value());
+    }
+  }
+}
+
+TEST(CoreGolden, Decoupled) {
+  const GoldenTable want = {
+      {"decoupled/n2", 0xc830fea452d5d384ull},
+      {"decoupled/n4", 0xac552028ee176a0aull},
+  };
+  for (const std::size_t n : {2u, 4u}) {
+    DecoupledParams p;
+    p.n_nodes = n;
+    p.link_gain = from_db(22.0);
+    Rng rng(40 + n);
+    const DecoupledResult r = run_decoupled(p, rng);
+    Fnv d;
+    d.add(r.sinr_db);
+    d.add(r.naive_sinr_db);
+    d.add(r.oracle_sinr_db);
+    d.add(rng.next_u64());
+    expect_golden(want, "decoupled/n" + std::to_string(n), d.value());
+  }
+}
+
+TEST(CoreGolden, MeasurementFrame) {
+  const GoldenTable want = {
+      {"measurement/cold", 0xa1739e472e7371afull},
+      {"measurement/warm", 0xa1739e472e7371afull},
+  };
+  const phy::PhyConfig cfg;
+  const MeasurementSchedule sched{3, 4};
+  const cvec buf = clean_measurement_frame(cfg, sched);
+  Workspace ws;
+  // The second pass runs on a warm workspace and must match the first.
+  for (const char* pass : {"cold", "warm"}) {
+    const auto cm = process_measurement_frame(buf, sched, cfg, ws);
+    ASSERT_TRUE(cm.has_value());
+    Fnv d;
+    d.add(static_cast<std::uint64_t>(cm->header_start));
+    d.add(static_cast<std::uint64_t>(cm->reference_sample));
+    d.add(cm->noise_var);
+    d.add(static_cast<std::uint64_t>(cm->per_ap.size()));
+    for (const PerApMeasurement& m : cm->per_ap) {
+      d.add(m.cfo_hz);
+      for (const cplx v : m.channel.h) {
+        d.add(v.real());
+        d.add(v.imag());
+      }
+    }
+    expect_golden(want, std::string("measurement/") + pass, d.value());
+  }
+}
+
+// ------------------------------------------------------------ validation
+
+/// Runs `fn`, which must throw std::invalid_argument naming `field`.
+template <class Fn>
+void expect_rejects(Fn fn, const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CoreValidation, Compat11nRejectsZeroLinkGain) {
+  // Regression: a zero gain made both reconstruction errors 0/0 = NaN.
+  Compat11nParams p;
+  p.link_gain = 0.0;
+  Rng rng(1);
+  expect_rejects([&] { (void)run_compat11n(p, rng); }, "link_gain");
+}
+
+TEST(CoreValidation, Compat11nRejectsNanLinkGain) {
+  // Regression: a NaN gain made every baseline stream SNR NaN.
+  Compat11nParams p;
+  p.link_gain = std::nan("");
+  Rng rng(1);
+  expect_rejects([&] { (void)run_compat11n(p, rng); }, "link_gain");
+}
+
+TEST(CoreValidation, DecoupledRejectsZeroLinkGain) {
+  // Regression: a zero gain silently reported the -100 dB "no precoder"
+  // sentinel for every client.
+  DecoupledParams p;
+  p.link_gain = 0.0;
+  Rng rng(1);
+  expect_rejects([&] { (void)run_decoupled(p, rng); }, "link_gain");
+}
+
+TEST(CoreValidation, DecoupledRejectsNanMeasurementSpacing) {
+  // Regression: NaN measurement times also ended in the -100 dB sentinel.
+  DecoupledParams p;
+  p.measurement_spacing_s = std::nan("");
+  Rng rng(1);
+  expect_rejects([&] { (void)run_decoupled(p, rng); },
+                 "measurement_spacing_s");
+}
+
+TEST(CoreValidation, RejectsNonFiniteSnrAndBadIntervals) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(1);
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    Compat11nParams c;
+    c.measure_snr_db = bad;
+    expect_rejects([&] { (void)run_compat11n(c, rng); }, "measure_snr_db");
+    DecoupledParams d;
+    d.measure_snr_db = bad;
+    expect_rejects([&] { (void)run_decoupled(d, rng); }, "measure_snr_db");
+  }
+  for (const double bad : {-1e-3, inf, std::nan("")}) {
+    Compat11nParams c;
+    c.sounding_interval_s = bad;
+    expect_rejects([&] { (void)run_compat11n(c, rng); },
+                   "sounding_interval_s");
+    DecoupledParams d;
+    d.measurement_spacing_s = bad;
+    expect_rejects([&] { (void)run_decoupled(d, rng); },
+                   "measurement_spacing_s");
+  }
+  Compat11nParams c;
+  c.link_gain = -1.0;
+  expect_rejects([&] { (void)run_compat11n(c, rng); }, "link_gain");
+  DecoupledParams d;
+  d.link_gain = inf;
+  expect_rejects([&] { (void)run_decoupled(d, rng); }, "link_gain");
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(ZfPrecoderTest, DiagonalizesRandomChannels) {
   Rng rng(1);
   for (std::size_t n : {2u, 4u, 8u}) {
     const ChannelMatrixSet h = random_channel_set(n, n, rng);
-    const auto p = ZfPrecoder::build(h);
+    const auto p = Precoder::build(h);
     ASSERT_TRUE(p.has_value());
     EXPECT_GT(p->scale(), 0.0);
     for (std::size_t k = 0; k < h.n_subcarriers(); k += 13) {
@@ -67,7 +67,7 @@ TEST(ZfPrecoderTest, RespectsPerAntennaPower) {
   Rng rng(2);
   const double budget = 0.7;
   const ChannelMatrixSet h = random_channel_set(3, 6, rng);
-  const auto p = ZfPrecoder::build(h, budget);
+  const auto p = Precoder::build(h, budget);
   ASSERT_TRUE(p.has_value());
   // No antenna's mean per-subcarrier power exceeds the budget; the
   // hungriest antenna uses it fully.
@@ -87,7 +87,7 @@ TEST(ZfPrecoderTest, RespectsPerAntennaPower) {
 TEST(ZfPrecoderTest, MoreAntennasThanClientsUsesPinv) {
   Rng rng(3);
   const ChannelMatrixSet h = random_channel_set(2, 5, rng);
-  const auto p = ZfPrecoder::build(h);
+  const auto p = Precoder::build(h);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->n_tx(), 5u);
   EXPECT_EQ(p->n_streams(), 2u);
@@ -99,13 +99,13 @@ TEST(ZfPrecoderTest, MoreAntennasThanClientsUsesPinv) {
 TEST(ZfPrecoderTest, RejectsUnderdetermined) {
   Rng rng(4);
   const ChannelMatrixSet h = random_channel_set(4, 2, rng);
-  EXPECT_THROW((void)ZfPrecoder::build(h), std::invalid_argument);
+  EXPECT_THROW((void)Precoder::build(h), std::invalid_argument);
 }
 
 TEST(ZfPrecoderTest, TransmitVectorMatchesWeights) {
   Rng rng(5);
   const ChannelMatrixSet h = random_channel_set(2, 3, rng);
-  const auto p = ZfPrecoder::build(h);
+  const auto p = Precoder::build(h);
   ASSERT_TRUE(p.has_value());
   const cvec x{cplx{1.0, 0.0}, cplx{0.0, -1.0}};
   const cvec tx = p->transmit_vector(11, x);
@@ -118,9 +118,9 @@ TEST(ZfPrecoderTest, TransmitVectorMatchesWeights) {
 TEST(ZfPrecoderTest, WorkspaceBuildIsBitwiseIdentical) {
   Rng rng(6);
   const ChannelMatrixSet h = random_channel_set(3, 5, rng);
-  const auto legacy = ZfPrecoder::build(h);
+  const auto legacy = Precoder::build(h);
   Workspace ws;
-  const auto reusing = ZfPrecoder::build(h, ws);
+  const auto reusing = Precoder::build(h, ws);
   ASSERT_TRUE(legacy.has_value());
   ASSERT_TRUE(reusing.has_value());
   EXPECT_EQ(legacy->scale(), reusing->scale());
@@ -209,7 +209,7 @@ TEST(LinkModel, InrGrowsWithApCount) {
     const ChannelMatrixSet h = random_channel_set_with_gains(
         std::vector<std::vector<double>>(n, std::vector<double>(n, 1.0)), rng,
         52, /*rice_k=*/2.0);
-    const auto p = ZfPrecoder::build(h);
+    const auto p = Precoder::build(h);
     ASSERT_TRUE(p.has_value());
     const double noise = p->scale() * p->scale() / from_db(20.0);
     inr.push_back(expected_inr_db(h, sigma, noise, 40, rng));

@@ -329,9 +329,9 @@ TEST(MaskedPrecoder, FullMaskIsBitwiseIdenticalToBuild) {
   Rng rng(11);
   const auto h = core::random_channel_set(3, 4, rng);
   Workspace ws;
-  const auto full = core::ZfPrecoder::build(h, ws);
+  const auto full = core::Precoder::build(h, ws);
   const std::vector<std::uint8_t> mask(4, 1);
-  const auto masked = core::ZfPrecoder::build_masked(h, mask, ws);
+  const auto masked = core::Precoder::build_masked(h, mask, ws);
   ASSERT_TRUE(full.has_value());
   ASSERT_TRUE(masked.has_value());
   EXPECT_EQ(full->scale(), masked->scale());  // bitwise, not approximate
@@ -351,7 +351,7 @@ TEST(MaskedPrecoder, ExcludedApsGetZeroRows) {
   const auto h = core::random_channel_set(3, 5, rng);
   Workspace ws;
   const std::vector<std::uint8_t> mask{1, 0, 1, 1, 0};
-  const auto p = core::ZfPrecoder::build_masked(h, mask, ws);
+  const auto p = core::Precoder::build_masked(h, mask, ws);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->n_tx(), 5u);
   EXPECT_EQ(p->n_streams(), 3u);
@@ -373,7 +373,7 @@ TEST(MaskedPrecoder, ExcludedApsGetZeroRows) {
       ++out;
     }
   }
-  const auto small = core::ZfPrecoder::build(reduced, ws);
+  const auto small = core::Precoder::build(reduced, ws);
   ASSERT_TRUE(small.has_value());
   EXPECT_EQ(p->scale(), small->scale());
   const std::size_t active_rows[] = {0, 2, 3};
@@ -391,7 +391,7 @@ TEST(MaskedPrecoder, TooFewSurvivorsReturnsNullopt) {
   const auto h = core::random_channel_set(3, 4, rng);
   Workspace ws;
   const std::vector<std::uint8_t> mask{1, 0, 1, 0};  // 2 antennas, 3 streams
-  EXPECT_FALSE(core::ZfPrecoder::build_masked(h, mask, ws).has_value());
+  EXPECT_FALSE(core::Precoder::build_masked(h, mask, ws).has_value());
 }
 
 // ----------------------------------------------------- engine integration

@@ -1,12 +1,9 @@
-// Tests for the link layer: event scheduler, shared downlink queue, and
-// the baseline vs JMB MAC simulations.
+// Tests for the link layer: the shared downlink queue and the baseline vs
+// JMB MAC simulations.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,85 +14,15 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "fault/resilience.h"
+#include "golden_digest.h"
 #include "net/mac.h"
 #include "net/queue.h"
-#include "net/scheduler.h"
 #include "rate/effective_snr.h"
 #include "traffic/flow.h"
 #include "traffic/policy.h"
 
 namespace jmb::net {
 namespace {
-
-TEST(Scheduler, FiresInTimeOrder) {
-  EventScheduler sched;
-  std::vector<int> order;
-  sched.at(2.0, [&] { order.push_back(2); });
-  sched.at(1.0, [&] { order.push_back(1); });
-  sched.at(3.0, [&] { order.push_back(3); });
-  EXPECT_EQ(sched.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_NEAR(sched.now(), 3.0, 1e-12);
-}
-
-TEST(Scheduler, TiesBreakFifo) {
-  EventScheduler sched;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sched.at(1.0, [&order, i] { order.push_back(i); });
-  }
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Scheduler, HandlersCanScheduleMore) {
-  EventScheduler sched;
-  int count = 0;
-  std::function<void()> tick = [&] {
-    ++count;
-    if (count < 10) sched.after(0.1, tick);
-  };
-  sched.at(0.0, tick);
-  sched.run_until(0.45);
-  EXPECT_EQ(count, 5);  // t = 0, .1, .2, .3, .4
-  sched.run();
-  EXPECT_EQ(count, 10);
-}
-
-TEST(Scheduler, PastEventsClampToNow) {
-  EventScheduler sched;
-  sched.at(1.0, [] {});
-  sched.run();
-  // Regression: scheduling behind the clock must clamp to now() and fire
-  // as soon as possible, not throw or run at a time before now().
-  double fired_at = -1.0;
-  sched.at(0.5, [&] { fired_at = sched.now(); });
-  EXPECT_EQ(sched.run(), 1u);
-  EXPECT_NEAR(fired_at, 1.0, 1e-12);
-  EXPECT_NEAR(sched.now(), 1.0, 1e-12);
-}
-
-TEST(Scheduler, ClampedEventsKeepFifoOrderBehindDueWork) {
-  EventScheduler sched;
-  sched.at(1.0, [] {});
-  sched.run();
-  std::vector<int> order;
-  sched.at(1.0, [&] { order.push_back(0); });  // already due
-  sched.at(0.25, [&] { order.push_back(1); }); // clamped to 1.0, queued after
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(Scheduler, RejectsNanTime) {
-  EventScheduler sched;
-  EXPECT_THROW(sched.at(std::nan(""), [] {}), std::invalid_argument);
-}
-
-TEST(Scheduler, RunUntilAdvancesClock) {
-  EventScheduler sched;
-  sched.run_until(5.0);
-  EXPECT_NEAR(sched.now(), 5.0, 1e-12);
-}
 
 TEST(Queue, FifoAndHead) {
   DownlinkQueue q;
@@ -372,20 +299,9 @@ TEST(MacValidation, UnsaturatedWithoutTrafficThrows) {
 // loops were merged, so any change to draw order, accounting or timing on
 // any of these paths shows up as a digest mismatch naming the case.
 
-class Fnv {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+using golden::expect_golden;
+using golden::Fnv;
+using golden::GoldenTable;
 
 std::uint64_t report_digest(const MacReport& r, Fnv d = {}) {
   const auto n = [&d](std::size_t v) { d.add(static_cast<std::uint64_t>(v)); };
@@ -489,23 +405,6 @@ void add_hooks(MacParams& p, Fnv& epochs, bool churn) {
     epochs.add(static_cast<std::uint64_t>(epoch));
     epochs.add(t);
   };
-}
-
-using GoldenTable = std::map<std::string, std::uint64_t>;
-
-/// Compares each case against the table; a mismatch prints the table line
-/// that would pin the observed digest.
-void expect_golden(const GoldenTable& want, const std::string& name,
-                   std::uint64_t got) {
-  const auto it = want.find(name);
-  char line[96];
-  std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},", name.c_str(),
-                static_cast<unsigned long long>(got));
-  if (it == want.end()) {
-    ADD_FAILURE() << "no golden digest for " << line;
-  } else {
-    EXPECT_EQ(it->second, got) << line;
-  }
 }
 
 TEST(MacGolden, Saturated) {

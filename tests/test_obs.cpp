@@ -1,22 +1,20 @@
 // Observability layer: registry semantics, merge determinism across
 // thread counts, histogram bucketing, JSON round-trips, the schema
-// validator, and the bounded trace ring.
+// validator, and the stage timer's flight-recorder spans.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <iterator>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/trial_runner.h"
 #include "obs/bounds.h"
 #include "obs/export.h"
+#include "obs/flight/recorder.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
-#include "obs/trace.h"
 
 namespace jmb {
 namespace {
@@ -380,91 +378,6 @@ TEST(ObsExport, CsvHasHeaderAndSkipsTimingByDefault) {
   EXPECT_EQ(csv.find("t,counter,timing"), std::string::npos);
   const std::string with_timing = obs::registry_csv(reg, true);
   EXPECT_NE(with_timing.find("t,counter,timing"), std::string::npos);
-}
-
-TEST(ObsTrace, RingIsBoundedAndSnapshotsOldestFirst) {
-  obs::TraceRecorder rec(4);
-  for (std::uint64_t frame = 0; frame < 6; ++frame) {
-    rec.record("stage", 0, frame, static_cast<double>(frame) * 10.0, 5.0);
-  }
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  const std::vector<obs::TraceSpan> spans = rec.snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans.front().frame, 2u);  // frames 0,1 were evicted
-  EXPECT_EQ(spans.back().frame, 5u);
-}
-
-TEST(ObsTrace, ChromeTraceDumpParsesAndCarriesSpans) {
-  obs::TraceRecorder rec(8);
-  rec.record("precode", 3, 7, 100.0, 25.0);
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  rec.write_chrome_trace(f);
-  std::rewind(f);
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  std::string err;
-  const obs::JsonValue doc = obs::parse_json(text, &err);
-  ASSERT_TRUE(doc.is_object()) << err;
-  const obs::JsonValue* events = doc.get("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->as_array().size(), 1u);
-  const obs::JsonValue& e = events->as_array()[0];
-  ASSERT_NE(e.get("name"), nullptr);
-  EXPECT_EQ(e.get("name")->as_string(), "precode");
-  EXPECT_EQ(e.get("ph")->as_string(), "X");
-  EXPECT_DOUBLE_EQ(e.get("ts")->as_number(), 100.0);
-  EXPECT_DOUBLE_EQ(e.get("dur")->as_number(), 25.0);
-  EXPECT_DOUBLE_EQ(e.get("tid")->as_number(), 3.0);
-}
-
-// Evicting the oldest spans must be loud: the counter exports into a
-// registry (kTiming, so default exports stay unchanged) and the Chrome
-// dump carries a trailing "C" event with the same total.
-TEST(ObsTrace, DroppedEventsExportWhenBoundIsHit) {
-  obs::TraceRecorder rec(4);
-  for (std::uint64_t frame = 0; frame < 6; ++frame) {
-    rec.record("stage", 0, frame, static_cast<double>(frame) * 10.0, 5.0);
-  }
-  obs::MetricRegistry reg;
-  rec.export_metrics(reg);
-  const auto* recorded = reg.find("trace/recorded_events");
-  ASSERT_NE(recorded, nullptr);
-  EXPECT_EQ(std::get<obs::Gauge>(recorded->metric).value(), 6.0);
-  const auto* dropped = reg.find("trace/dropped_events");
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_EQ(dropped->cls, obs::MetricClass::kTiming);
-  EXPECT_EQ(std::get<obs::Gauge>(dropped->metric).value(), 2.0);
-
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  rec.write_chrome_trace(f);
-  std::rewind(f);
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  EXPECT_NE(text.find("\"trace/dropped_events\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
-}
-
-// A recorder that never overflowed exports no dropped counter at all —
-// the metric appears exactly when there is loss to report.
-TEST(ObsTrace, NoDroppedEventsMetricWithoutLoss) {
-  obs::TraceRecorder rec(8);
-  rec.record("stage", 0, 0, 0.0, 1.0);
-  obs::MetricRegistry reg;
-  rec.export_metrics(reg);
-  EXPECT_NE(reg.find("trace/recorded_events"), nullptr);
-  EXPECT_EQ(reg.find("trace/dropped_events"), nullptr);
 }
 
 TEST(ObsTrace, ScopedStageTimerRecordsFlightSpanAndMetrics) {

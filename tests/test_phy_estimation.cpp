@@ -37,7 +37,8 @@ TEST(Denoise, PreservesInSupportChannels) {
   Rng rng(1);
   const cvec taps = rng.cgaussian_vec(6);
   const ChannelEstimate est = from_taps(taps);
-  const ChannelEstimate out = denoise_time_support(est, 20);
+  Workspace ws;
+  const ChannelEstimate out = denoise_time_support(est, ws, 20);
   for (int k = -26; k <= 26; ++k) {
     if (k == 0) continue;
     EXPECT_NEAR(std::abs(out.at(k) - est.at(k)), 0.0, 1e-9) << k;
@@ -49,6 +50,7 @@ TEST(Denoise, RemovesOutOfSupportNoise) {
   const cvec taps = rng.cgaussian_vec(4);
   const ChannelEstimate clean = from_taps(taps);
   const double nvar = 0.05;
+  Workspace ws;
   double err_before = 0.0, err_after = 0.0;
   for (int trial = 0; trial < 40; ++trial) {
     ChannelEstimate noisy = clean;
@@ -56,7 +58,7 @@ TEST(Denoise, RemovesOutOfSupportNoise) {
       if (k == 0) continue;
       noisy.set(k, noisy.at(k) + rng.cgaussian(nvar));
     }
-    const ChannelEstimate den = denoise_time_support(noisy, 16);
+    const ChannelEstimate den = denoise_time_support(noisy, ws, 16);
     for (int k = -26; k <= 26; ++k) {
       if (k == 0) continue;
       err_before += std::norm(noisy.at(k) - clean.at(k));
@@ -74,8 +76,9 @@ TEST(Denoise, IsIdempotent) {
     if (k == 0) continue;
     est.set(k, rng.cgaussian());
   }
-  const ChannelEstimate once = denoise_time_support(est, 12);
-  const ChannelEstimate twice = denoise_time_support(once, 12);
+  Workspace ws;
+  const ChannelEstimate once = denoise_time_support(est, ws, 12);
+  const ChannelEstimate twice = denoise_time_support(once, ws, 12);
   for (int k = -26; k <= 26; ++k) {
     if (k == 0) continue;
     EXPECT_NEAR(std::abs(twice.at(k) - once.at(k)), 0.0, 1e-9);
@@ -84,10 +87,11 @@ TEST(Denoise, IsIdempotent) {
 
 TEST(Denoise, InputValidation) {
   ChannelEstimate est;
-  EXPECT_THROW((void)denoise_time_support(est, 0), std::invalid_argument);
-  EXPECT_THROW((void)denoise_time_support(est, 53), std::invalid_argument);
+  Workspace ws;
+  EXPECT_THROW((void)denoise_time_support(est, ws, 0), std::invalid_argument);
+  EXPECT_THROW((void)denoise_time_support(est, ws, 53), std::invalid_argument);
   // Full support = no-op projection (basis spans everything).
-  (void)denoise_time_support(est, 52);
+  (void)denoise_time_support(est, ws, 52);
 }
 
 TEST(LtfMetric, PeaksAtLtfPosition) {
@@ -209,26 +213,6 @@ TEST(WorkspaceParity, ReceiveIsBitwiseIdenticalWithWorkspace) {
     EXPECT_EQ(a.preamble.cfo_hz, b.preamble.cfo_hz);
     EXPECT_EQ(a.preamble.ltf_start, b.preamble.ltf_start);
     EXPECT_EQ(a.preamble.noise_var, b.preamble.noise_var);
-  }
-}
-
-TEST(WorkspaceParity, DenoiseMatchesLegacyMutexCache) {
-  Rng rng(22);
-  Workspace ws;
-  for (int trial = 0; trial < 3; ++trial) {
-    cvec taps{rng.cgaussian(), 0.4 * rng.cgaussian(), 0.1 * rng.cgaussian()};
-    ChannelEstimate est = from_taps(taps);
-    for (int k = -26; k <= 26; ++k) {
-      if (k == 0) continue;
-      est.set(k, est.at(k) + rng.cgaussian(1e-3));
-    }
-    const ChannelEstimate a = denoise_time_support(est);
-    const ChannelEstimate b = denoise_time_support(est, ws);
-    for (int k = -26; k <= 26; ++k) {
-      if (k == 0) continue;
-      EXPECT_EQ(a.at(k).real(), b.at(k).real()) << "k=" << k;
-      EXPECT_EQ(a.at(k).imag(), b.at(k).imag()) << "k=" << k;
-    }
   }
 }
 

@@ -20,7 +20,6 @@ namespace {
 using core::ChannelMatrixSet;
 using core::Precoder;
 using core::PrecoderConfig;
-using core::ZfPrecoder;
 using phy::CsiImpairment;
 using phy::PrecoderKind;
 
@@ -204,7 +203,7 @@ TEST(PrecoderZoo, ConjugateIsHermitianTransposeTimesScale) {
 TEST(PrecoderZoo, DefaultConfigBitwiseMatchesLegacyBuild) {
   Rng rng(31);
   const ChannelMatrixSet h = core::random_channel_set(3, 3, rng);
-  const auto legacy = ZfPrecoder::build(h);
+  const auto legacy = Precoder::build(h);
   const auto zoo = Precoder::build_kind(h, PrecoderConfig{});
   ASSERT_TRUE(legacy.has_value());
   ASSERT_TRUE(zoo.has_value());

@@ -60,7 +60,7 @@ TEST(ZeroAlloc, SteadyStateFrameKernelsDoNotAllocate) {
     h.at(k) = CMatrix{{cplx{1.2, 0.1 * t}, cplx{0.3, -0.2}},
                       {cplx{-0.25, 0.4}, cplx{0.9 + 0.1 * t, -0.05}}};
   }
-  const auto precoder = core::ZfPrecoder::build(h, ws);
+  const auto precoder = core::Precoder::build(h, ws);
   ASSERT_TRUE(precoder.has_value());
 
   // Preallocated frame buffers (what SystemState/Workspace own in the
