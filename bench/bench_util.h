@@ -187,19 +187,6 @@ inline BenchOptions parse_options(int& argc, char** argv, std::string figure) {
   return opts;
 }
 
-/// Drain the flight recorder to --trace-out when requested. Shared by
-/// finish() and the benches (streaming) that export without a
-/// TrialRunner. Returns false on I/O failure.
-inline bool write_trace_if_requested(const BenchOptions& opts) {
-  if (opts.trace_out.empty()) return true;
-  if (!obs::flight::FlightRecorder::instance().enabled()) {
-    std::fprintf(stderr,
-                 "warning: --trace-out requested but JMB_FLIGHT=0; the "
-                 "trace will be empty\n");
-  }
-  return obs::flight::write_chrome_trace_file(opts.trace_out);
-}
-
 /// End-of-run tail every bench shares: the stderr stage report, then the
 /// requested exports. Returns the process exit code.
 inline int finish(const BenchOptions& opts, const engine::TrialRunner& runner) {
@@ -229,7 +216,14 @@ inline int finish(const BenchOptions& opts, const engine::TrialRunner& runner) {
                                      opts.timing_metrics);
     ok = obs::write_text_file(opts.metrics_out, text) && ok;
   }
-  ok = write_trace_if_requested(opts) && ok;
+  if (!opts.trace_out.empty()) {
+    if (!obs::flight::FlightRecorder::instance().enabled()) {
+      std::fprintf(stderr,
+                   "warning: --trace-out requested but JMB_FLIGHT=0; the "
+                   "trace will be empty\n");
+    }
+    ok = obs::flight::write_chrome_trace_file(opts.trace_out) && ok;
+  }
   return ok ? 0 : 1;
 }
 

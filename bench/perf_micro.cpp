@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -17,7 +16,6 @@
 #include "dsp/fft_plan.h"
 #include "dsp/rng.h"
 #include "engine/metrics.h"
-#include "engine/stream/spsc_ring.h"
 #include "net/queue.h"
 #include "net/traffic_api.h"
 #include "obs/flight/recorder.h"
@@ -483,60 +481,9 @@ void BM_PhaseNoiseRun(benchmark::State& state) {
 }
 BENCHMARK(BM_PhaseNoiseRun)->Arg(256)->Arg(10000);
 
-// Uncontended SPSC hand-off: one push + one pop on the same thread — the
-// pure ring overhead an operator pays per item, without cache-line
-// ping-pong from a peer.
-void BM_SpscRingPushPop(benchmark::State& state) {
-  engine::stream::SpscRing<std::uint64_t> ring(
-      static_cast<std::size_t>(state.range(0)));
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    std::uint64_t v = i++;
-    benchmark::DoNotOptimize(ring.try_push(v));
-    std::uint64_t out = 0;
-    benchmark::DoNotOptimize(ring.try_pop(out));
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscRingPushPop)->Arg(2)->Arg(8)->Arg(64);
-
-// Cross-thread operator hop: round-trip an item through an echo thread
-// over two rings — the inter-operator hand-off latency the streaming
-// pipeline pays per stage boundary (two hops per round trip).
-void BM_SpscOperatorHop(benchmark::State& state) {
-  engine::stream::SpscRing<std::uint64_t> to_echo(
-      static_cast<std::size_t>(state.range(0)));
-  engine::stream::SpscRing<std::uint64_t> from_echo(
-      static_cast<std::size_t>(state.range(0)));
-  std::thread echo([&] {
-    std::uint64_t v = 0;
-    for (;;) {
-      if (!to_echo.try_pop(v)) {
-        if (to_echo.closed() && !to_echo.try_pop(v)) break;
-        std::this_thread::yield();  // single-core machines: don't burn a
-        continue;                   // whole scheduler quantum spinning
-      }
-      while (!from_echo.try_push(v)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    std::uint64_t v = i++;
-    while (!to_echo.try_push(v)) std::this_thread::yield();
-    std::uint64_t out = 0;
-    while (!from_echo.try_pop(out)) std::this_thread::yield();
-    benchmark::DoNotOptimize(out);
-  }
-  to_echo.close();
-  echo.join();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
-}
-BENCHMARK(BM_SpscOperatorHop)->Arg(2)->Arg(64)->UseRealTime();
-
 // Flight-recorder hot path: a raw record write with a pre-interned name
 // — the per-event tax every instrumented site pays. The budget in
-// DESIGN.md §12 is <20 ns/record.
+// DESIGN.md §11 is <20 ns/record.
 void BM_FlightRecordWrite(benchmark::State& state) {
   auto& rec = obs::flight::FlightRecorder::instance();
   rec.set_enabled_for_test(true);

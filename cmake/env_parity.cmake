@@ -1,22 +1,21 @@
-# Streaming determinism parity: the physics metrics streaming_throughput
-# exports must be byte-identical across execution configurations — ring
-# depth, operator-thread placement, and the batch facade loop. This is
-# the lane-ownership invariant (one JmbSystem per lane, item-chained
-# hand-offs) checked end-to-end through the real bench.
+# Export parity across environments: run one bench twice with the same
+# seed under two environment/argument sets and require byte-identical
+# --metrics-out artifacts. Used to prove that a knob which must not change
+# physics (e.g. JMB_PRECODER=zf vs unset) really leaves it untouched.
 #
 # Invoked by ctest (see bench/CMakeLists.txt) as:
 #   cmake -DBENCH=<bench exe> -DSEED=<decimal seed>
 #         -DOUT1=<artifact> -DOUT2=<artifact>
 #         [-DENV1=<;-separated VAR=VAL>] [-DENV2=...]
 #         [-DARGS1=<;-separated bench args>] [-DARGS2=...]
-#         -P stream_parity.cmake
+#         -P env_parity.cmake
 #
-# Physics-only export (no --metrics-timing): queue depths, stalls and
-# deadline misses legitimately vary with configuration; the physics and
-# the export bytes that carry it must not.
+# Physics-only export (no --metrics-timing): wall-clock metrics
+# legitimately vary between runs; the physics and the export bytes that
+# carry it must not.
 foreach(var BENCH SEED OUT1 OUT2)
   if(NOT DEFINED ${var})
-    message(FATAL_ERROR "stream_parity.cmake: missing -D${var}=...")
+    message(FATAL_ERROR "env_parity.cmake: missing -D${var}=...")
   endif()
 endforeach()
 foreach(var ENV1 ENV2 ARGS1 ARGS2)
@@ -48,6 +47,6 @@ execute_process(
   RESULT_VARIABLE cmp_rc)
 if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR
-    "physics exports differ between streaming configurations: "
+    "physics exports differ between environments: "
     "'${OUT1}' vs '${OUT2}'")
 endif()

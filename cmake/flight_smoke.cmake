@@ -4,16 +4,16 @@
 #     with JMB_FLIGHT_DUMP_DIR set; the quarantine path must write a
 #     flight_*.json dump that validates against the trace_event schema
 #     and that trace_stats can break down (i.e. it carries span events).
-#  2. Explicit drain: run the streaming bench with --trace-out; the
-#     trace must validate and trace_stats must find the per-stage /
-#     ring-wait spans and item flows.
+#  2. Explicit drain: run the sample-level fig07 bench with --trace-out;
+#     the trace must validate and trace_stats must find the per-stage
+#     spans and item flows (it exits 1 on a span-less trace).
 #
 # Invoked by ctest (see bench/CMakeLists.txt) as:
-#   cmake -DRESILIENCE=<exe> -DSTREAMING=<exe> -DVALIDATOR=<exe>
+#   cmake -DRESILIENCE=<exe> -DFIG07=<exe> -DVALIDATOR=<exe>
 #         -DTRACE_STATS=<exe> -DSCHEMA=<trace_event schema>
 #         -DFAULT_PLAN=<plan json> -DDUMP_DIR=<dir> -DTRACE_OUT=<path>
 #         -P flight_smoke.cmake
-foreach(var RESILIENCE STREAMING VALIDATOR TRACE_STATS SCHEMA FAULT_PLAN
+foreach(var RESILIENCE FIG07 VALIDATOR TRACE_STATS SCHEMA FAULT_PLAN
             DUMP_DIR TRACE_OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "flight_smoke.cmake: missing -D${var}=...")
@@ -55,15 +55,15 @@ endif()
 list(GET dumps 0 first_dump)
 check_trace("${first_dump}")
 
-# --- Leg 2: --trace-out drains the recorder after a streaming run.
+# --- Leg 2: --trace-out drains the recorder after a fig07 run.
 execute_process(
-  COMMAND "${STREAMING}" 11 --quick "--trace-out=${TRACE_OUT}"
+  COMMAND "${FIG07}" 7 "--trace-out=${TRACE_OUT}"
   RESULT_VARIABLE bench_rc
   OUTPUT_QUIET)
 if(NOT bench_rc EQUAL 0)
-  message(FATAL_ERROR "streaming bench exited with ${bench_rc}")
+  message(FATAL_ERROR "fig07 bench exited with ${bench_rc}")
 endif()
 if(NOT EXISTS "${TRACE_OUT}")
-  message(FATAL_ERROR "streaming bench did not write '${TRACE_OUT}'")
+  message(FATAL_ERROR "fig07 bench did not write '${TRACE_OUT}'")
 endif()
 check_trace("${TRACE_OUT}")

@@ -217,28 +217,18 @@ struct FrameContext {
   core::JointResult result;
 };
 
-/// The scheduling envelope a stage body receives: the frame flowing
-/// through the stages plus the identity the execution mode attached to
-/// it. Batch mode (FramePipeline) wraps each FrameContext on the stack
-/// with the defaults below; streaming mode (engine/stream/) fills the
-/// stream/deadline fields from the work item, so the same stage bodies
-/// serve both modes without knowing which one is driving them.
+/// What a stage body receives: the frame flowing through the stages.
+/// FramePipeline wraps each FrameContext on the stack; tests and tools
+/// that drive a single stage build one the same way.
 struct StageContext {
   explicit StageContext(FrameContext& f) : frame(f) {}
 
   FrameContext& frame;
-  /// Owning stream when pipelined (0 in batch mode).
-  std::size_t stream_id = 0;
-  /// Work-item sequence number within the stream (0 in batch mode).
-  std::uint64_t item_seq = 0;
-  /// Virtual-sample-clock deadline in wall seconds since pipeline start;
-  /// +inf (or 0 in batch mode) means no deadline applies.
-  double deadline_s = 0.0;
 };
 
 /// A composable pipeline stage. Stages communicate only through the
-/// FrameContext inside the StageContext; the execution mode (batch
-/// FramePipeline or streaming StreamPipeline) owns sequencing and timing.
+/// FrameContext inside the StageContext; FramePipeline owns sequencing
+/// and timing.
 class Stage {
  public:
   virtual ~Stage() = default;

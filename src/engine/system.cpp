@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
@@ -16,9 +17,47 @@ double JmbSystem::gain_for_snr_db(double snr_db, double noise_var) {
   return noise_var * from_db(snr_db) / kOfdmTimePower;
 }
 
+namespace {
+
+/// Entry check for SystemParams, run before any RNG draw: a bad value
+/// throws naming its field, instead of feeding an inverted or non-finite
+/// range to a uniform draw or failing later with an unrelated message.
+const SystemParams& validated(const SystemParams& p) {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("JmbSystem: SystemParams::") +
+                                  what);
+    }
+  };
+  const auto finite_nonneg = [](double x) {
+    return std::isfinite(x) && x >= 0.0;
+  };
+  require(p.n_aps > 0, "n_aps must be > 0");
+  require(p.n_clients > 0, "n_clients must be > 0");
+  require(p.measurement_rounds > 0, "measurement_rounds must be > 0");
+  require(std::isfinite(p.noise_var) && p.noise_var > 0.0,
+          "noise_var must be finite and > 0");
+  require(finite_nonneg(p.ap_ppm_range),
+          "ap_ppm_range must be finite and >= 0");
+  require(finite_nonneg(p.client_ppm_range),
+          "client_ppm_range must be finite and >= 0");
+  require(finite_nonneg(p.fixed_timing_offset_s),
+          "fixed_timing_offset_s must be finite and >= 0");
+  require(finite_nonneg(p.trigger_jitter_s),
+          "trigger_jitter_s must be finite and >= 0");
+  require(finite_nonneg(p.prop_delay_min_s),
+          "prop_delay_min_s must be finite and >= 0");
+  require(std::isfinite(p.prop_delay_max_s) &&
+              p.prop_delay_min_s <= p.prop_delay_max_s,
+          "prop_delay_max_s must be finite and >= prop_delay_min_s");
+  return p;
+}
+
+}  // namespace
+
 JmbSystem::JmbSystem(SystemParams params,
                      const std::vector<std::vector<double>>& link_gains)
-    : state_(params) {
+    : state_(validated(params)) {
   if (link_gains.size() != params.n_clients) {
     throw std::invalid_argument("JmbSystem: link_gains rows != n_clients");
   }

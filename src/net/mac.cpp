@@ -45,6 +45,9 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
   require(n_aps > 0, "n_aps must be > 0");
   require(n_clients > 0, "n_clients must be > 0");
   require(n_streams > 0, "n_streams must be > 0");
+  require(!joint || n_streams <= n_aps,
+          "n_streams must be <= n_aps on a JMB run (zero-forcing serves at "
+          "most one stream per transmitter)");
   require(!joint || params.coherence_time_s > 0.0,
           "MacParams::coherence_time_s must be > 0 on a JMB run");
   require(params.saturated || params.traffic != nullptr,

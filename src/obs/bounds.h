@@ -49,12 +49,6 @@ inline constexpr double kMbpsBounds[] = {
     0.5,  1.0,  2.0,   3.0,   5.0,   7.5,   10.0,  15.0,  20.0,
     30.0, 50.0, 75.0,  100.0, 150.0, 200.0, 300.0, 500.0};
 
-/// Bounded-ring occupancy (streaming-pipeline queue depths, sampled at
-/// each pop; spans an empty edge through the deepest configured ring).
-inline constexpr double kQueueDepthBounds[] = {
-    0.0,  1.0,  2.0,  3.0,  4.0,   6.0,   8.0,   12.0,  16.0,
-    24.0, 32.0, 48.0, 64.0, 96.0,  128.0, 192.0, 256.0, 512.0};
-
 /// Unit-interval quantities (Jain fairness index, delivery ratios);
 /// resolution concentrated near 1.0 where fair schedulers live.
 inline constexpr double kUnitBounds[] = {

@@ -73,21 +73,6 @@ JsonValue bench_result_doc(const BenchRunInfo& info, const MetricRegistry& reg,
     for (const auto& [k, v] : info.fault_stats) faults.emplace_back(k, v);
     root.emplace_back("faults", std::move(faults));
   }
-  if (info.has_streaming) {
-    const StreamingStats& s = info.streaming;
-    JsonObject streaming;
-    streaming.emplace_back("msamples_per_s", s.msamples_per_s);
-    streaming.emplace_back("deadline_miss_rate", s.deadline_miss_rate);
-    streaming.emplace_back("items", static_cast<double>(s.items));
-    streaming.emplace_back("deadline_misses",
-                           static_cast<double>(s.deadline_misses));
-    streaming.emplace_back("total_msamples", s.total_msamples);
-    streaming.emplace_back("wall_s", s.wall_s);
-    streaming.emplace_back("ring_depth", s.ring_depth);
-    streaming.emplace_back("stage_threads", s.stage_threads);
-    streaming.emplace_back("rt_factor", s.rt_factor);
-    root.emplace_back("streaming", std::move(streaming));
-  }
   if (info.has_metro) {
     const MetroSummary& m = info.metro;
     JsonObject metro;

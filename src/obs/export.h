@@ -14,7 +14,6 @@
 
 #include "obs/json.h"
 #include "obs/registry.h"
-#include "obs/streaming.h"
 
 namespace jmb::obs {
 
@@ -86,14 +85,6 @@ struct BenchRunInfo {
   std::uint64_t fault_events = 0; ///< plan events scheduled per trial
   /// Aggregated recovery stats (quarantines, mean_time_to_detect_s, ...).
   std::vector<std::pair<std::string, double>> fault_stats;
-
-  // --- streaming-mode summary (streaming benches only) ---
-  /// When set, a "streaming" object is emitted (sustained Msamples/s,
-  /// deadline-miss rate, ring/thread configuration). Batch runs leave
-  /// this false so their artifacts stay byte-identical to pre-streaming
-  /// exports.
-  bool has_streaming = false;
-  StreamingStats streaming;
 
   // --- metro-sharding summary (metro benches only) ---
   /// When set, a "metro" object is emitted (cell grid shape, churn and

@@ -60,12 +60,9 @@ std::string chrome_trace_json(std::size_t last_n) {
       const double ts_us = ticks_to_us(r.tsc);
       const std::string_view name = rec.name_of(r.name);
       switch (r.type) {
-        case EventType::kSpan:
-        case EventType::kRingWait: {
+        case EventType::kSpan: {
           sep();
-          append_event_head(
-              out, name, r.type == EventType::kSpan ? "stage" : "ring", "X",
-              ts_us, th.tid);
+          append_event_head(out, name, "stage", "X", ts_us, th.tid);
           out += ",\"dur\":";
           append_json_double(out, tick_delta_us(r.value));
           if (r.flow != kNoFlow) {

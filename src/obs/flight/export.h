@@ -1,15 +1,15 @@
 // Drain-on-demand exporter for the flight recorder.
 //
 // Serializes the rings as Chrome trace_event JSON (chrome://tracing and
-// Perfetto both load it): stage spans and ring waits as "X" complete
-// events, instants as "i", counters as "C", and — for every flow id that
-// appears on more than one span — "s"/"t"/"f" flow events that draw the
-// item's causal chain across threads. Timestamps are microseconds since
-// the TSC calibration epoch; tid is the flight ring id (one lane per
-// recorded thread), pid is always 0.
+// Perfetto both load it): stage spans as "X" complete events, instants
+// as "i", counters as "C", and — for every flow id that appears on more
+// than one span — "s"/"t"/"f" flow events that draw the item's causal
+// chain across threads. Timestamps are microseconds since the TSC
+// calibration epoch; tid is the flight ring id (one lane per recorded
+// thread), pid is always 0.
 //
-// trigger_dump() is the fault hook: quarantine and deadline-miss paths
-// call it to snapshot the last N records per thread into
+// trigger_dump() is the fault hook: the quarantine path calls it to
+// snapshot the last N records per thread into
 // $JMB_FLIGHT_DUMP_DIR/flight_<reason>_<k>.json. It is rate-limited
 // (JMB_FLIGHT_MAX_DUMPS, default 4, strict warn-once parsing) and a
 // no-op when the directory is unset, so instrumented hot paths pay one

@@ -41,26 +41,25 @@
 namespace jmb::obs::flight {
 
 enum class EventType : std::uint8_t {
-  kSpan = 0,      ///< stage execution; value = duration ticks
-  kRingWait = 1,  ///< time an item sat in an SPSC ring; value = ticks
-  kInstant = 2,   ///< point event (fault injected, quarantine, miss...)
-  kCounter = 3,   ///< sampled series value; value = bit-cast double
+  kSpan = 0,     ///< stage execution; value = duration ticks
+  kInstant = 2,  ///< point event (fault injected, quarantine, ...)
+  kCounter = 3,  ///< sampled series value; value = bit-cast double
 };
 
 /// Sentinel for records not attached to any item journey.
 inline constexpr std::uint64_t kNoFlow = ~0ull;
 
 /// Flow ids thread one item's journey through the pipeline: the high
-/// bits identify the independent sequence (streaming lane, batch trial),
-/// the low 40 bits the item within it. 2^40 frames per lane is ~34 years
-/// of 20 MHz airtime — no wraparound in practice.
-inline constexpr std::uint64_t make_flow(std::uint64_t stream,
+/// bits identify the independent sequence (the trial), the low 40 bits
+/// the item within it. 2^40 frames per trial is ~34 years of 20 MHz
+/// airtime — no wraparound in practice.
+inline constexpr std::uint64_t make_flow(std::uint64_t trial,
                                          std::uint64_t seq) {
-  return (stream << 40) | (seq & ((1ull << 40) - 1));
+  return (trial << 40) | (seq & ((1ull << 40) - 1));
 }
 
 /// Flow id for metro-sharded runs: the cell shard index rides in bits
-/// 16..23 of the stream field, above the 16-bit trial index. Cell 0
+/// 16..23 of the trial field, above the 16-bit trial index. Cell 0
 /// reproduces the classic make_flow(trial, seq) id bit-for-bit, so
 /// single-cell traces are indistinguishable from pre-sharding ones.
 inline constexpr std::uint64_t make_cell_flow(std::uint64_t trial,

@@ -297,6 +297,49 @@ TEST(JmbSystemTest, InputValidation) {
   EXPECT_THROW((void)sys.measure_inr(0), std::logic_error);
   EXPECT_THROW(sys.advance_time(-1.0), std::invalid_argument);
   EXPECT_THROW(JmbSystem(p, flat_gains(1, 2, 20.0)), std::invalid_argument);
+
+  // SystemParams entry check: each defect throws naming its field instead
+  // of constructing a system that never measures or that feeds an inverted
+  // range to a uniform draw.
+  const auto rejects = [](const char* field, auto&& mutate) {
+    SystemParams bad;
+    mutate(bad);
+    try {
+      JmbSystem s(bad, flat_gains(bad.n_clients, bad.n_aps, 20.0));
+      ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const double nan = std::nan("");
+  rejects("noise_var", [](SystemParams& q) { q.noise_var = 0.0; });
+  rejects("noise_var", [&](SystemParams& q) { q.noise_var = nan; });
+  rejects("noise_var", [](SystemParams& q) { q.noise_var = -1.0; });
+  rejects("ap_ppm_range", [](SystemParams& q) { q.ap_ppm_range = -1.0; });
+  rejects("ap_ppm_range", [&](SystemParams& q) { q.ap_ppm_range = nan; });
+  rejects("client_ppm_range",
+          [](SystemParams& q) { q.client_ppm_range = -0.5; });
+  rejects("client_ppm_range",
+          [](SystemParams& q) { q.client_ppm_range = HUGE_VAL; });
+  rejects("fixed_timing_offset_s",
+          [](SystemParams& q) { q.fixed_timing_offset_s = -1e-9; });
+  rejects("trigger_jitter_s",
+          [](SystemParams& q) { q.trigger_jitter_s = -1e-9; });
+  rejects("trigger_jitter_s",
+          [&](SystemParams& q) { q.trigger_jitter_s = nan; });
+  rejects("prop_delay_min_s",
+          [](SystemParams& q) { q.prop_delay_min_s = -1e-9; });
+  rejects("prop_delay_min_s",
+          [&](SystemParams& q) { q.prop_delay_min_s = nan; });
+  rejects("prop_delay_max_s", [](SystemParams& q) {
+    q.prop_delay_min_s = 60e-9;
+    q.prop_delay_max_s = 10e-9;
+  });
+  rejects("n_aps", [](SystemParams& q) { q.n_aps = 0; });
+  rejects("n_clients", [](SystemParams& q) { q.n_clients = 0; });
+  rejects("measurement_rounds",
+          [](SystemParams& q) { q.measurement_rounds = 0; });
 }
 
 TEST(Compat11n, ReferenceAntennaTrickReconstructsH) {

@@ -76,7 +76,7 @@ TEST(ThreadPool, DestructionWithDrainedQueueIsClean) {
   EXPECT_EQ(count.load(), 4);
 }
 
-// The strict env parser behind JMB_THREADS (and the streaming knobs):
+// The strict env parser behind JMB_THREADS (and every JMB_* integer knob):
 // digits only, warn-once fallback on anything else.
 TEST(EngineEnv, ParseU64StrictRejectsNonCanonicalForms) {
   std::uint64_t v = 0;

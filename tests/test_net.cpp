@@ -243,6 +243,17 @@ TEST(MacValidation, ZeroStreamsInTrafficModeThrows) {
                  "n_streams");
 }
 
+TEST(MacValidation, MoreStreamsThanApsThrows) {
+  // Used to report 145 Mb/s from two APs serving eight joint streams:
+  // zero-forcing cannot null more streams than there are transmitters.
+  MacParams p;
+  p.duration_s = 0.1;
+  expect_rejects([&] { return run_jmb_mac(2, 8, 8, flat_links(25.0), p); },
+                 "n_streams");
+  expect_rejects([&] { return run_jmb_mac(2, 3, 3, flat_links(25.0), p); },
+                 "n_streams");
+}
+
 TEST(MacValidation, ZeroClientsThrows) {
   // Used to die with SIGFPE in the round-robin fill (rr % n_clients).
   MacParams p;

@@ -110,9 +110,6 @@ TEST(ObsBounds, LiteralTablesAreStableAndAscending) {
   EXPECT_EQ(std::size(obs::kDbBounds), 22u);
   EXPECT_DOUBLE_EQ(obs::kDbBounds[0], -320.0);
   EXPECT_EQ(std::size(obs::kCondBounds), 13u);
-  EXPECT_EQ(std::size(obs::kQueueDepthBounds), 18u);
-  EXPECT_DOUBLE_EQ(obs::kQueueDepthBounds[0], 0.0);
-  EXPECT_DOUBLE_EQ(obs::kQueueDepthBounds[17], 512.0);
   const auto ascending = [](const double* t, std::size_t n) {
     for (std::size_t i = 1; i < n; ++i) {
       if (t[i - 1] >= t[i]) return false;
@@ -124,8 +121,6 @@ TEST(ObsBounds, LiteralTablesAreStableAndAscending) {
   EXPECT_TRUE(ascending(obs::kHzBounds, std::size(obs::kHzBounds)));
   EXPECT_TRUE(ascending(obs::kDbBounds, std::size(obs::kDbBounds)));
   EXPECT_TRUE(ascending(obs::kCondBounds, std::size(obs::kCondBounds)));
-  EXPECT_TRUE(
-      ascending(obs::kQueueDepthBounds, std::size(obs::kQueueDepthBounds)));
 }
 
 TEST(ObsSink, NullRegistryIsNoOp) {
@@ -248,82 +243,6 @@ TEST(ObsSchema, MinimumMaximumBoundNumericMembers) {
       obs::validate_schema(schema, obs::parse_json(R"({"rate":1.5})")).empty());
   EXPECT_FALSE(
       obs::validate_schema(schema, obs::parse_json(R"({"depth":1})")).empty());
-}
-
-TEST(ObsSchema, StreamingObjectEmittedOnlyWhenSet) {
-  obs::MetricRegistry reg;
-  reg.counter("c").add(1.0);
-  obs::BenchRunInfo info;
-  info.figure = "streaming_throughput";
-  info.seed = 3;
-
-  // Without the flag the artifact stays byte-identical to pre-streaming
-  // exports: no "streaming" member at all.
-  const obs::JsonValue plain = obs::bench_result_doc(info, reg);
-  EXPECT_EQ(plain.get("streaming"), nullptr);
-
-  info.has_streaming = true;
-  info.streaming.msamples_per_s = 12.5;
-  info.streaming.deadline_miss_rate = 0.25;
-  info.streaming.items = 40;
-  info.streaming.deadline_misses = 10;
-  info.streaming.total_msamples = 3.2;
-  info.streaming.wall_s = 0.256;
-  info.streaming.ring_depth = 8;
-  info.streaming.stage_threads = 5;
-  info.streaming.rt_factor = 0.0;
-  const obs::JsonValue doc = obs::bench_result_doc(info, reg);
-  const obs::JsonValue* streaming = doc.get("streaming");
-  ASSERT_NE(streaming, nullptr);
-  ASSERT_TRUE(streaming->is_object());
-  ASSERT_NE(streaming->get("msamples_per_s"), nullptr);
-  EXPECT_DOUBLE_EQ(streaming->get("msamples_per_s")->as_number(), 12.5);
-  ASSERT_NE(streaming->get("deadline_miss_rate"), nullptr);
-  EXPECT_DOUBLE_EQ(streaming->get("deadline_miss_rate")->as_number(), 0.25);
-
-  // The emitted object satisfies the checked-in "streaming" schema shape.
-  const obs::JsonValue schema = obs::parse_json(R"({
-    "type": "object",
-    "required": ["msamples_per_s", "deadline_miss_rate"],
-    "properties": {
-      "msamples_per_s": {"type": "number", "minimum": 0},
-      "deadline_miss_rate": {"type": "number", "minimum": 0, "maximum": 1},
-      "items": {"type": "integer", "minimum": 0},
-      "deadline_misses": {"type": "integer", "minimum": 0},
-      "ring_depth": {"type": "integer", "minimum": 2},
-      "stage_threads": {"type": "integer", "minimum": 1, "maximum": 5}
-    }
-  })");
-  const auto errors = obs::validate_schema(schema, *streaming);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-}
-
-TEST(ObsStreaming, OpObsAndSummaryRegisterTimingMetrics) {
-  obs::MetricRegistry reg;
-  obs::StreamOpObs op(reg, 2);
-  op.on_pop(3);
-  op.on_pop(5);
-  op.on_push_stall();
-  const obs::MetricRegistry::Entry* depth = reg.find("stream/op2/queue_depth");
-  ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->cls, obs::MetricClass::kTiming);
-  EXPECT_DOUBLE_EQ(std::get<obs::Gauge>(depth->metric).value(), 5.0);
-  const obs::MetricRegistry::Entry* hist =
-      reg.find("stream/op2/queue_depth_hist");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(std::get<obs::Histogram>(hist->metric).count(), 2u);
-  const obs::MetricRegistry::Entry* stalls = reg.find("stream/op2/push_stalls");
-  ASSERT_NE(stalls, nullptr);
-  EXPECT_DOUBLE_EQ(std::get<obs::Counter>(stalls->metric).value(), 1.0);
-
-  obs::StreamingStats s;
-  s.msamples_per_s = 9.0;
-  s.deadline_miss_rate = 0.5;
-  obs::register_stream_summary(reg, s);
-  const obs::MetricRegistry::Entry* ms = reg.find("stream/msamples_per_s");
-  ASSERT_NE(ms, nullptr);
-  EXPECT_EQ(ms->cls, obs::MetricClass::kTiming);
-  EXPECT_DOUBLE_EQ(std::get<obs::Gauge>(ms->metric).value(), 9.0);
 }
 
 TEST(ObsSchema, BenchResultDocConformsToCheckedInShape) {

@@ -165,7 +165,7 @@ TEST(ZeroAlloc, FlightRecorderHotPathDoesNotAllocate) {
     const std::uint64_t flow = flight::make_flow(1, it);
     {
       flight::SpanScope span(span_name, flow);
-      flight::record(flight::EventType::kRingWait, inst_name,
+      flight::record(flight::EventType::kSpan, inst_name,
                      flight::now_ticks(), flow, it);
     }
     flight::instant(inst_name, flow, it);

@@ -6,10 +6,10 @@
 // same figure, same seed => the physics-class entries (and the run
 // header: figure, seed, params, faults) must serialize *identically*,
 // and any drift is a regression to explain, not noise to tolerate.
-// Timing-class entries and the "streaming" summary are machine-dependent
-// wall-clock; they are ignored unless --timing-tol=REL is given, in
-// which case every numeric leaf must agree within that relative
-// tolerance (|a-b| <= REL * max(|a|,|b|,1e-9)).
+// Timing-class entries are machine-dependent wall-clock; they are
+// ignored unless --timing-tol=REL is given, in which case every numeric
+// leaf must agree within that relative tolerance
+// (|a-b| <= REL * max(|a|,|b|,1e-9)).
 //
 // Exit codes tell CI *what kind* of drift it is looking at:
 //   0  the artifacts match;
@@ -245,8 +245,7 @@ int main(int argc, char** argv) {
     ++phys_checked;
   }
 
-  // Timing (and the streaming summary): wall-clock, only meaningful
-  // under an explicit tolerance.
+  // Timing: wall-clock, only meaningful under an explicit tolerance.
   std::size_t timing_checked = 0;
   if (timing_tol >= 0.0) {
     std::vector<const Entry*> base_timing;
@@ -274,16 +273,6 @@ int main(int argc, char** argv) {
         fail("timing " + where);
       }
       ++timing_checked;
-    }
-    const JsonValue* bs = base.get("streaming");
-    const JsonValue* cs = cand.get("streaming");
-    if ((bs == nullptr) != (cs == nullptr)) {
-      drift("streaming summary present in only one artifact");
-    } else if (bs != nullptr) {
-      std::string where;
-      if (!close_enough(*bs, *cs, timing_tol, "streaming", where)) {
-        fail("streaming " + where);
-      }
     }
   }
 

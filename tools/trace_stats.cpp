@@ -4,12 +4,11 @@
 //
 // Reads Chrome trace_event JSON (as written by obs/flight/export.h or a
 // JMB_FLIGHT_DUMP_DIR dump) and prints:
-//   - a per-stage table splitting self-time ("stage" spans) from
-//     ring-wait time ("ring" spans) — the critical-path breakdown;
+//   - a per-stage table of span counts, total time and share;
 //   - per-item end-to-end latency percentiles (p50/p90/p99), one item
 //     per flow id, measured from its first span start to its last span
 //     end;
-//   - the slowest item's self vs wait decomposition.
+//   - the slowest item's self vs untracked decomposition.
 // Exit 0 on success, 1 when the trace holds no span events, 2 on
 // usage/parse errors.
 #include <algorithm>
@@ -49,14 +48,13 @@ struct FlowAgg {
   double t_begin_us = 0.0;
   double t_end_us = 0.0;
   double self_us = 0.0;
-  double wait_us = 0.0;
   bool seen = false;
 
-  void add(double ts, double dur, bool is_wait) {
+  void add(double ts, double dur) {
     if (!seen || ts < t_begin_us) t_begin_us = ts;
     if (!seen || ts + dur > t_end_us) t_end_us = ts + dur;
     seen = true;
-    (is_wait ? wait_us : self_us) += dur;
+    self_us += dur;
   }
   [[nodiscard]] double e2e_us() const { return t_end_us - t_begin_us; }
 };
@@ -91,10 +89,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Aggregate the "X" spans: "stage" = work, "ring" = queueing. A flow
-  // id present in args binds the span to one item's journey.
+  // Aggregate the "X" spans by name. A flow id present in args binds the
+  // span to one item's journey.
   std::map<std::string, NameAgg> stage_agg;
-  std::map<std::string, NameAgg> ring_agg;
   std::map<std::uint64_t, FlowAgg> flows;
   std::uint64_t n_events = 0;
   std::uint64_t n_spans = 0;
@@ -110,16 +107,13 @@ int main(int argc, char** argv) {
     if (ph->as_string() == "C") ++n_counters;
     if (ph->as_string() != "X") continue;
     const JsonValue* name = ev.get("name");
-    const JsonValue* cat = ev.get("cat");
     const JsonValue* ts = ev.get("ts");
     const JsonValue* dur = ev.get("dur");
     if (name == nullptr || !name->is_string() || ts == nullptr ||
         !ts->is_number() || dur == nullptr || !dur->is_number()) {
       continue;
     }
-    const bool is_ring = cat != nullptr && cat->is_string() &&
-                         cat->as_string() == "ring";
-    auto& agg = (is_ring ? ring_agg : stage_agg)[name->as_string()];
+    auto& agg = stage_agg[name->as_string()];
     ++agg.count;
     agg.total_us += dur->as_number();
     ++n_spans;
@@ -128,7 +122,7 @@ int main(int argc, char** argv) {
       if (const JsonValue* flow = args->get("flow")) {
         if (flow->is_number()) {
           flows[static_cast<std::uint64_t>(flow->as_number())].add(
-              ts->as_number(), dur->as_number(), is_ring);
+              ts->as_number(), dur->as_number());
         }
       }
     }
@@ -141,10 +135,7 @@ int main(int argc, char** argv) {
   }
 
   double self_total = 0.0;
-  double wait_total = 0.0;
   for (const auto& [name, agg] : stage_agg) self_total += agg.total_us;
-  for (const auto& [name, agg] : ring_agg) wait_total += agg.total_us;
-  const double grand = self_total + wait_total;
 
   std::printf("trace: %s\n", argv[1]);
   std::printf(
@@ -154,23 +145,13 @@ int main(int argc, char** argv) {
 
   std::printf("%-28s %10s %14s %8s\n", "span", "count", "total ms",
               "share");
-  const auto print_rows = [&](const std::map<std::string, NameAgg>& aggs,
-                              const char* prefix) {
-    for (const auto& [name, agg] : aggs) {
-      std::printf("%s%-*s %10" PRIu64 " %14.3f %7.1f%%\n", prefix,
-                  static_cast<int>(28 - std::string(prefix).size()),
-                  name.c_str(), agg.count, agg.total_us / 1e3,
-                  grand > 0.0 ? 100.0 * agg.total_us / grand : 0.0);
-    }
-  };
-  print_rows(stage_agg, "");
-  print_rows(ring_agg, "~ ");
-  std::printf("%-28s %10s %14.3f %7.1f%%   (self)\n", "total", "",
-              self_total / 1e3,
-              grand > 0.0 ? 100.0 * self_total / grand : 0.0);
-  std::printf("%-28s %10s %14.3f %7.1f%%   (ring wait)\n", "total", "",
-              wait_total / 1e3,
-              grand > 0.0 ? 100.0 * wait_total / grand : 0.0);
+  for (const auto& [name, agg] : stage_agg) {
+    std::printf("%-28s %10" PRIu64 " %14.3f %7.1f%%\n", name.c_str(),
+                agg.count, agg.total_us / 1e3,
+                self_total > 0.0 ? 100.0 * agg.total_us / self_total : 0.0);
+  }
+  std::printf("%-28s %10s %14.3f %7.1f%%\n", "total", "", self_total / 1e3,
+              self_total > 0.0 ? 100.0 : 0.0);
 
   if (!flows.empty()) {
     std::vector<double> e2e;
@@ -192,13 +173,11 @@ int main(int argc, char** argv) {
     const FlowAgg& worst = flows[slowest_flow];
     std::printf(
         "  slowest item: flow %" PRIu64
-        " (lane %" PRIu64 ", seq %" PRIu64
-        "): %.1f us = %.1f us self + %.1f us ring wait + %.1f us "
-        "untracked\n",
+        " (trial %" PRIu64 ", seq %" PRIu64
+        "): %.1f us = %.1f us self + %.1f us untracked\n",
         slowest_flow, slowest_flow >> 40,
         static_cast<std::uint64_t>(slowest_flow & ((1ull << 40) - 1)),
-        worst.e2e_us(), worst.self_us,
-        worst.wait_us, worst.e2e_us() - worst.self_us - worst.wait_us);
+        worst.e2e_us(), worst.self_us, worst.e2e_us() - worst.self_us);
   }
   return 0;
 }
