@@ -55,4 +55,9 @@ inline constexpr double kUnitBounds[] = {
     0.1,  0.2,  0.3,  0.4,  0.5,  0.6,  0.7,   0.75, 0.8,
     0.85, 0.9,  0.925, 0.95, 0.97, 0.98, 0.99, 0.995, 1.0};
 
+/// Per-client throughput gain ratios (JMB / 802.11, Fig. 10): a starved
+/// client through the N-fold gain of a 10-AP joint transmission.
+inline constexpr double kGainBounds[] = {
+    0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 15.0};
+
 }  // namespace jmb::obs

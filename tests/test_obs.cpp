@@ -110,6 +110,7 @@ TEST(ObsBounds, LiteralTablesAreStableAndAscending) {
   EXPECT_EQ(std::size(obs::kDbBounds), 22u);
   EXPECT_DOUBLE_EQ(obs::kDbBounds[0], -320.0);
   EXPECT_EQ(std::size(obs::kCondBounds), 13u);
+  EXPECT_EQ(std::size(obs::kGainBounds), 14u);
   const auto ascending = [](const double* t, std::size_t n) {
     for (std::size_t i = 1; i < n; ++i) {
       if (t[i - 1] >= t[i]) return false;
@@ -121,6 +122,7 @@ TEST(ObsBounds, LiteralTablesAreStableAndAscending) {
   EXPECT_TRUE(ascending(obs::kHzBounds, std::size(obs::kHzBounds)));
   EXPECT_TRUE(ascending(obs::kDbBounds, std::size(obs::kDbBounds)));
   EXPECT_TRUE(ascending(obs::kCondBounds, std::size(obs::kCondBounds)));
+  EXPECT_TRUE(ascending(obs::kGainBounds, std::size(obs::kGainBounds)));
 }
 
 TEST(ObsSink, NullRegistryIsNoOp) {
