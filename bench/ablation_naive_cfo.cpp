@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "ablation_naive_cfo");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Ablation: naive CFO-prediction sync vs JMB per-packet re-sync",
                 seed);
 

@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "ablation_overhead");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Ablation: measurement overhead vs coherence time", seed);
 
   rate::AirtimeParams air;

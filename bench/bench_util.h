@@ -3,21 +3,26 @@
 // throughput sweeps.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "chan/topology.h"
+#include "core/link_model.h"
 #include "dsp/rng.h"
 #include "dsp/stats.h"
+#include "engine/env.h"
 #include "engine/trial_runner.h"
+#include "linalg/pinv.h"
+#include "net/mac.h"
+#include "obs/bounds.h"
 #include "obs/export.h"
 #include "obs/flight/export.h"
 #include "obs/flight/recorder.h"
@@ -27,24 +32,11 @@
 
 namespace jmb::bench {
 
-/// Strict decimal parse: digits only, no leading whitespace or sign
-/// (strtoull alone would silently wrap "-1" to 2^64-1), no trailing
-/// garbage, no overflow. Returns false on any violation.
-inline bool parse_u64(const char* text, std::uint64_t& out) {
-  if (text == nullptr || *text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  out = v;
-  return true;
-}
-
 /// Parse a full decimal seed or die with a usage message naming `source`.
 inline std::uint64_t parse_seed_or_die(const char* text, const char* source,
                                        const char* prog) {
   std::uint64_t v = 0;
-  if (!parse_u64(text, v)) {
+  if (!engine::parse_u64_strict(text, v)) {
     std::fprintf(stderr,
                  "%s: invalid seed '%s' (from %s); expected a decimal "
                  "integer\nusage: %s [seed]   (or set JMB_SEED)\n",
@@ -59,7 +51,8 @@ inline std::uint64_t parse_seed_or_die(const char* text, const char* source,
 inline std::size_t parse_count_or_die(const char* text, const char* what,
                                       const char* prog) {
   std::uint64_t v = 0;
-  if (!parse_u64(text, v) || v > static_cast<std::uint64_t>(SIZE_MAX)) {
+  if (!engine::parse_u64_strict(text, v) ||
+      v > static_cast<std::uint64_t>(SIZE_MAX)) {
     std::fprintf(stderr,
                  "%s: invalid %s '%s'; expected a decimal integer\n", prog,
                  what, text == nullptr ? "" : text);
@@ -86,65 +79,39 @@ inline std::uint64_t seed_from(int argc, char** argv) {
 /// flight recorder (obs/flight/) became the span backend, --trace-out
 /// needs no per-bench wiring: finish() drains the process-wide rings.
 struct BenchOptions {
-  std::string figure;
-  std::uint64_t seed = 1;
   std::string metrics_out;     ///< --metrics-out= / JMB_METRICS_OUT
   std::string trace_out;       ///< --trace-out= / JMB_TRACE_OUT
   std::string fault_plan;      ///< --fault-plan= / JMB_FAULT_PLAN
   bool timing_metrics = false; ///< --metrics-timing / JMB_METRICS_TIMING
+  /// The bench_result.json run header (figure, seed, params) and the
+  /// optional summary objects. A summary left unset keeps the export
+  /// byte-identical to a bench without that subsystem.
+  obs::BenchRunInfo info;
+
   /// Run parameters recorded in bench_result.json (n_aps, trials, ...).
-  std::vector<std::pair<std::string, double>> params;
-
-  // Fault summary for the bench_result "faults" object; benches that
-  // inject faults call set_fault_plan() + add_fault_stat(). Left untouched
-  // (has_faults == false), the export is byte-identical to a fault-free
-  // bench's.
-  bool has_faults = false;
-  std::uint64_t fault_events = 0;
-  std::vector<std::pair<std::string, double>> fault_stats;
-
-  // Metro summary for the bench_result "metro" object; the metro bench
-  // calls set_metro(). Left untouched (has_metro == false), the export is
-  // byte-identical to a single-system bench's.
-  bool has_metro = false;
-  obs::MetroSummary metro;
-
-  // Traffic summary for the bench_result "traffic" object; overload/
-  // fairness benches call set_traffic(). Left untouched
-  // (has_traffic == false), the export is byte-identical to a saturated
-  // bench's.
-  bool has_traffic = false;
-  obs::TrafficSummary traffic;
-
-  // Precoder summary for the bench_result "precoder" object; the CSI
-  // sweep bench calls set_precoder(). Left untouched
-  // (has_precoder == false), the export is byte-identical to a ZF-only
-  // bench's.
-  bool has_precoder = false;
-  obs::PrecoderSummary precoder;
-
   void add_param(std::string name, double value) {
-    params.emplace_back(std::move(name), value);
+    info.params.emplace_back(std::move(name), value);
   }
+  /// Fault summary: the plan's source and its events per trial.
   void set_fault_plan(std::string source, std::uint64_t n_events) {
-    has_faults = true;
-    fault_plan = std::move(source);
-    fault_events = n_events;
+    info.has_faults = true;
+    info.fault_plan = std::move(source);
+    info.fault_events = n_events;
   }
   void add_fault_stat(std::string name, double value) {
-    fault_stats.emplace_back(std::move(name), value);
+    info.fault_stats.emplace_back(std::move(name), value);
   }
   void set_metro(obs::MetroSummary summary) {
-    has_metro = true;
-    metro = std::move(summary);
+    info.has_metro = true;
+    info.metro = std::move(summary);
   }
   void set_traffic(obs::TrafficSummary summary) {
-    has_traffic = true;
-    traffic = std::move(summary);
+    info.has_traffic = true;
+    info.traffic = std::move(summary);
   }
   void set_precoder(obs::PrecoderSummary summary) {
-    has_precoder = true;
-    precoder = std::move(summary);
+    info.has_precoder = true;
+    info.precoder = std::move(summary);
   }
 };
 
@@ -154,7 +121,7 @@ struct BenchOptions {
 /// Unrecognized arguments are left untouched for the caller.
 inline BenchOptions parse_options(int& argc, char** argv, std::string figure) {
   BenchOptions opts;
-  opts.figure = std::move(figure);
+  opts.info.figure = std::move(figure);
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -193,26 +160,12 @@ inline int finish(const BenchOptions& opts, const engine::TrialRunner& runner) {
   runner.print_report();
   bool ok = true;
   if (!opts.metrics_out.empty()) {
-    obs::BenchRunInfo info;
-    info.figure = opts.figure;
-    info.seed = opts.seed;
-    info.params = opts.params;
-    info.has_faults = opts.has_faults;
-    info.fault_plan = opts.fault_plan.empty() ? "builtin" : opts.fault_plan;
-    info.fault_events = opts.fault_events;
-    info.fault_stats = opts.fault_stats;
-    info.has_metro = opts.has_metro;
-    info.metro = opts.metro;
-    info.has_traffic = opts.has_traffic;
-    info.traffic = opts.traffic;
-    info.has_precoder = opts.has_precoder;
-    info.precoder = opts.precoder;
     const bool csv = opts.metrics_out.size() >= 4 &&
                      opts.metrics_out.compare(opts.metrics_out.size() - 4, 4,
                                               ".csv") == 0;
     const std::string text =
         csv ? obs::registry_csv(runner.registry(), opts.timing_metrics)
-            : obs::bench_result_json(info, runner.registry(),
+            : obs::bench_result_json(opts.info, runner.registry(),
                                      opts.timing_metrics);
     ok = obs::write_text_file(opts.metrics_out, text) && ok;
   }
@@ -282,6 +235,79 @@ inline std::vector<std::vector<double>> diverse_link_gains(
                                   rng);
 }
 
+/// The two MAC runs of one throughput-scaling topology.
+struct ScalingRun {
+  net::MacReport base;  ///< 802.11: one AP at a time, each client at its best
+  net::MacReport jmb;   ///< JMB joint transmissions
+};
+
+/// One Fig. 9/10 topology: n APs and n clients in `band`, a well-
+/// conditioned joint channel, then 802.11 and JMB MAC runs of 0.1 s with
+/// a 16 us SIFS-like turnaround (the paper's 150 us USRP software
+/// turnaround is a software-radio artifact; EXPERIMENTS.md gives the
+/// gain's sensitivity to it). JMB prices each joint transmission from a
+/// 16-entry SinrPool. Observes both total goodputs. Returns nullopt, and
+/// skips the MAC runs, when the precoder cannot be built. With kZf the
+/// weights are bitwise Precoder::build's.
+inline std::optional<ScalingRun> run_scaling_topology(
+    std::size_t n, const SnrBand& band, phy::PrecoderKind kind, Rng& rng,
+    engine::TrialContext& ctx) {
+  std::vector<std::vector<double>> gains;
+  core::ChannelMatrixSet h(0, 0);
+  {
+    const auto timer = ctx.time_stage(engine::kStageMeasure);
+    gains = diverse_link_gains(n, n, band, rng);
+    h = core::well_conditioned_channel_set(gains, rng);
+  }
+  std::optional<core::Precoder> precoder;
+  {
+    const auto timer = ctx.time_stage(engine::kStagePrecode);
+    core::PrecoderConfig cfg;
+    cfg.kind = kind;
+    if (kind == phy::PrecoderKind::kRzf) {
+      cfg.ridge = core::PrecoderConfig::mmse_ridge(n, 1.0);
+    }
+    precoder = core::Precoder::build_kind(h, cfg, &ctx.sink);
+    if (precoder) {
+      ctx.metrics->stage(engine::kStagePrecode)
+          .add_condition(condition_number(h.at(0)));
+    }
+  }
+  if (!precoder) return std::nullopt;
+
+  net::MacParams mac;
+  mac.duration_s = 0.1;
+  mac.airtime.turnaround_s = 16e-6;
+  const auto best_ap = [&](std::size_t c) {
+    return net::LinkState{core::best_ap_snrs(gains[c])};
+  };
+  ScalingRun run;
+  mac.seed = rng.next_u64();
+  {
+    const auto timer = ctx.time_stage(engine::kStageDecode);
+    run.base = net::run_baseline_mac(n, best_ap, mac);
+  }
+  Rng err_rng(rng.next_u64());
+  std::optional<core::SinrPool> pool;
+  {
+    const auto timer = ctx.time_stage(engine::kStagePropagate);
+    pool.emplace(h, *precoder, 16, err_rng);
+  }
+  const auto pooled = [&](std::size_t c) {
+    return net::LinkState{pool->next(c)};
+  };
+  mac.seed = rng.next_u64();
+  {
+    const auto timer = ctx.time_stage(engine::kStageDecode);
+    run.jmb = net::run_jmb_mac(n, n, n, pooled, mac);
+  }
+  ctx.sink.observe("scaling/base_goodput_mbps", obs::kMbpsBounds,
+                   run.base.total_goodput_mbps);
+  ctx.sink.observe("scaling/jmb_goodput_mbps", obs::kMbpsBounds,
+                   run.jmb.total_goodput_mbps);
+  return run;
+}
+
 /// Goodput (Mb/s) of back-to-back 1500-byte frames, each followed by a
 /// 16 us SIFS-like gap, at the best rate the per-subcarrier SNRs support
 /// and that rate's delivery probability; 0 if even the base rate fails.
@@ -296,10 +322,5 @@ inline double saturated_goodput_mbps(rvec subcarrier_snr,
   const double per = rate::frame_error_prob(link, *ri, 1500);
   return 1500.0 * 8.0 * (1.0 - per) / airtime / 1e6;
 }
-
-/// Residual per-slave phase-error sigma used by the link-model sweeps,
-/// calibrated against the sample-level Fig. 7 distribution (median 0.017,
-/// 95th pct < 0.05 rad => sigma ~ 0.02).
-constexpr double kCalibratedPhaseSigma = 0.02;
 
 }  // namespace jmb::bench

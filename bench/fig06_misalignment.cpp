@@ -18,8 +18,8 @@
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "fig06_misalignment");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Fig. 6: SNR reduction vs phase misalignment (2x2 ZF)", seed);
 
   constexpr std::size_t kTrials = 100;

@@ -17,8 +17,8 @@
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "fig07_phase_cdf");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Fig. 7: CDF of achieved phase misalignment (sample-level)",
                 seed);
 

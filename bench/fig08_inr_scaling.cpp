@@ -26,8 +26,8 @@
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "fig08_inr_scaling");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Fig. 8: INR at a nulled client vs number of AP-client pairs",
                 seed);
 
@@ -67,14 +67,14 @@ int main(int argc, char** argv) {
           const double noise =
               precoder->scale() * precoder->scale() / from_db(eff);
           const auto timer = ctx.time_stage(engine::kStagePropagate);
-          inr.add(core::expected_inr_db(h, bench::kCalibratedPhaseSigma,
+          inr.add(core::expected_inr_db(h, core::kCalibratedPhaseSigma,
                                         noise, 25, rng));
         }
         return inr.mean();
       });
 
   std::printf("(a) misalignment-limited regime (link model, calibrated"
-              " phase error %.3f rad)\n\n", bench::kCalibratedPhaseSigma);
+              " phase error %.3f rad)\n\n", core::kCalibratedPhaseSigma);
   std::printf("%-6s", "N");
   for (const auto& band : bench::snr_bands()) std::printf(" %-20s", band.name);
   std::printf("\n");

@@ -25,8 +25,8 @@ constexpr std::size_t kApCounts[] = {2, 4, 6, 8, 10};
 
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "fig11_diversity");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Fig. 11: diversity throughput vs per-link SNR", seed);
   std::printf("single client; all APs beamform the same stream (MRT)\n\n");
 
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
             {
               const auto timer = ctx.time_stage(engine::kStagePrecode);
               sub = core::diversity_subcarrier_snrs(
-                  row, bench::kCalibratedPhaseSigma, 1.0, rng);
+                  row, core::kCalibratedPhaseSigma, 1.0, rng);
             }
             const auto timer = ctx.time_stage(engine::kStageDecode);
             acc.add(bench::saturated_goodput_mbps(std::move(sub), 10e6));

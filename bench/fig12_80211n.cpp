@@ -26,8 +26,8 @@ constexpr double kSampleRateHz = 20e6;
 
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "fig12_80211n");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner(
       "Fig. 12: JMB with off-the-shelf 802.11n clients (2x 2-ant APs, 2x "
       "2-ant clients)", seed);

@@ -21,8 +21,8 @@ constexpr double kSampleRateHz = 20e6;
 
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "fig13_80211n_fairness");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
   bench::banner("Fig. 13: CDF of 802.11n-compat throughput gain", seed);
 
   // One trial per run on its own RNG stream (seed ^ run index).

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     }
   }
   argc = out;
-  opts.seed = bench::seed_from(argc, argv);
+  opts.info.seed = bench::seed_from(argc, argv);
 
   metro::MetroParams base;
   base.n_cells = 0;  // sentinel: 0 = env unset, sweep the default grid
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   }
 
   bench::banner("metro_scale — aggregate capacity vs cells x users",
-                opts.seed);
+                opts.info.seed);
   std::printf("churn %.1f Hz, %zu AP(s)/cell, %zu trial(s)/point, %.2f s "
               "runs%s\n\n",
               base.churn_rate_hz, base.aps_per_cell, base.n_trials,
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   opts.add_param("churn_rate_hz", base.churn_rate_hz);
   opts.add_param("sweep_points", static_cast<double>(sweep.size()));
 
-  engine::TrialRunner runner({.base_seed = opts.seed});
+  engine::TrialRunner runner({.base_seed = opts.info.seed});
 
   std::printf("%-7s %-7s %-16s %-18s %-11s %-9s %-8s\n", "cells", "users",
               "aggregate Mb/s", "p99 latency (ms)", "handoffs", "blocked",

@@ -132,9 +132,10 @@ Point run_point(double load, const char* policy, const Config& cfg,
   Point pt;
   const auto timer = ctx.time_stage(engine::kStageDecode);
 
-  // Pre-drawn per-transmission SINR pools (the fig10 pattern): each joint
-  // transmission sees a fresh phase-error draw, cycled deterministically.
-  std::vector<std::vector<std::vector<rvec>>> pools(kGroups);
+  // One SinrPool per user group behind one shared lookup count: each
+  // joint transmission sees a fresh phase-error draw, cycled
+  // deterministically; a group whose precoder fails is an outage.
+  core::SinrPoolSet pools;
   {
     Rng pool_rng(rng.next_u64());
     core::PrecoderConfig pcfg;
@@ -143,29 +144,16 @@ Point run_point(double load, const char* policy, const Config& cfg,
       pcfg.ridge = core::PrecoderConfig::mmse_ridge(kStreams, 1.0);
     }
     for (std::size_t g = 0; g < kGroups; ++g) {
-      const auto precoder = core::Precoder::build_kind(h[g], pcfg, &ctx.sink);
-      if (!precoder) continue;
-      pools[g].reserve(kSinrPool);
-      for (std::size_t i = 0; i < kSinrPool; ++i) {
-        pools[g].push_back(core::jmb_subcarrier_sinrs(
-            h[g], *precoder, bench::kCalibratedPhaseSigma, 1.0, pool_rng));
-      }
+      pools.add(h[g], core::Precoder::build_kind(h[g], pcfg, &ctx.sink),
+                kSinrPool, pool_rng);
     }
   }
-  std::size_t draw = 0;
   const net::LinkStateFn jmb_links = [&](std::size_t c) {
-    const std::size_t g = c / kStreams;
-    if (pools[g].empty()) {
-      return net::LinkState{rvec(phy::kNumDataCarriers, 0.0)};
-    }
-    return net::LinkState{
-        pools[g][(draw++ / kStreams) % kSinrPool][c % kStreams]};
+    return net::LinkState{pools.next(c / kStreams, c % kStreams)};
   };
   // Baseline: flat per-subcarrier SNR from the client's best AP.
   const net::LinkStateFn base_links = [&](std::size_t c) {
-    double best = 0.0;
-    for (const double gain : gains[c]) best = std::max(best, gain);
-    return net::LinkState{rvec(phy::kNumDataCarriers, best)};
+    return net::LinkState{core::best_ap_snrs(gains[c])};
   };
 
   // Both MACs consume byte-identical arrival sequences: two PacketSource
@@ -255,8 +243,8 @@ int main(int argc, char** argv) {
     argc = out;
   }
   auto opts = bench::parse_options(argc, argv, "overload_fairness");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
 
   Config cfg;
   static const char* const kProfileNames[] = {"poisson", "web", "video",

@@ -604,11 +604,8 @@ int main(int argc, char** argv) {
   engine::print_stage_metrics(set);
 
   if (!opts.metrics_out.empty()) {
-    obs::BenchRunInfo info;
-    info.figure = opts.figure;
-    info.seed = opts.seed;
     const std::string text =
-        obs::bench_result_json(info, set.registry(), opts.timing_metrics);
+        obs::bench_result_json(opts.info, set.registry(), opts.timing_metrics);
     if (!obs::write_text_file(opts.metrics_out, text)) return 1;
   }
   return 0;

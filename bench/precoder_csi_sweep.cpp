@@ -152,37 +152,27 @@ TrialResult run_trial(double duration_s, engine::TrialContext& ctx) {
       // Weights from the impaired CSI, physics from the true channel: the
       // SINRs carry the real cost of the feedback error per weight rule.
       Rng err_rng(err_seed);
-      std::vector<std::vector<rvec>> pool;
-      pool.reserve(kSinrPool);
+      std::optional<core::SinrPool> pool;
       {
         const auto timer = ctx.time_stage(engine::kStagePropagate);
-        for (std::size_t i = 0; i < kSinrPool; ++i) {
-          pool.push_back(core::jmb_subcarrier_sinrs(
-              sub_true, *precoder, bench::kCalibratedPhaseSigma, 1.0,
-              err_rng));
-        }
+        pool.emplace(sub_true, *precoder, kSinrPool, err_rng);
       }
 
       net::MacParams mac;
       mac.duration_s = duration_s;
       mac.airtime.turnaround_s = 16e-6;  // SIFS-like, as in fig09
       mac.seed = mac_seed;
-      // Each measurement epoch refreshes the CSI: jump the pool cursor so
-      // the post-measure fading draws differ from the pre-measure ones.
-      std::size_t epoch_base = 0;
-      std::size_t draw = 0;
+      // Each measurement epoch refreshes the CSI: jump the pool so the
+      // post-measure fading draws differ from the pre-measure ones.
       mac.on_measure = [&](std::size_t epoch, double) {
-        epoch_base = epoch * 3;
+        pool->set_offset(epoch * 3);
       };
       net::MacReport report;
       {
         const auto timer = ctx.time_stage(engine::kStageDecode);
         report = net::run_jmb_mac(
             kAps, n_sel, n_sel,
-            [&](std::size_t c) {
-              return net::LinkState{
-                  pool[(epoch_base + draw++ / n_sel) % kSinrPool][c]};
-            },
+            [&](std::size_t c) { return net::LinkState{pool->next(c)}; },
             mac);
       }
       out.goodput_mbps[p][ki] = report.total_goodput_mbps;
@@ -213,8 +203,8 @@ int main(int argc, char** argv) {
     argc = out;
   }
   auto opts = bench::parse_options(argc, argv, "precoder_csi_sweep");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
 
   const std::size_t topologies = quick ? 4 : 8;
   const double duration_s = quick ? 0.05 : 0.08;

@@ -23,7 +23,6 @@
 // so exports are byte-identical for any JMB_THREADS.
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "bench_util.h"
@@ -51,62 +50,22 @@ constexpr double kOutageB = 0.2;
 constexpr double kRates[] = {0.0, 0.5, 1.0, 2.0, 4.0};
 constexpr std::size_t kNumRates = sizeof(kRates) / sizeof(kRates[0]);
 
-/// Per-active-mask SINR pools behind a MaskedLinkStateFn: each distinct
-/// joint set gets its own reduced-H precoder (Precoder::build_masked)
-/// and a pre-drawn pool of per-transmission SINR vectors, so the MAC
-/// prices the SNR cost of shrinking the array, not just the lost AP.
-/// Lazy pool construction draws from a trial-scoped RNG, and the mask
-/// request order is a deterministic function of the trial, so runs stay
-/// byte-identical across thread counts.
-struct MaskedSinrPools {
-  static constexpr std::size_t kPool = 8;
+constexpr std::size_t kSinrPool = 8;
 
-  const core::ChannelMatrixSet* h = nullptr;
-  Workspace* ws = nullptr;
-  std::size_t n_streams = 0;
-  Rng err_rng{1};
-  std::map<std::vector<std::uint8_t>, std::vector<std::vector<rvec>>> pools;
-  std::size_t draw = 0;
-
-  net::LinkState state(std::size_t client,
-                       const std::vector<std::uint8_t>& mask) {
-    auto [it, fresh] = pools.try_emplace(mask);
-    if (fresh) {
-      const auto precoder =
-          core::Precoder::build_masked(*h, mask, *ws, 1.0);
-      if (precoder) {
-        it->second.reserve(kPool);
-        for (std::size_t i = 0; i < kPool; ++i) {
-          it->second.push_back(core::jmb_subcarrier_sinrs(
-              *h, *precoder, bench::kCalibratedPhaseSigma, 1.0, err_rng));
-        }
-      }
-      // Too few survivors to zero-force every stream: leave the pool
-      // empty; the zero-SNR link state below makes the slot an outage.
-    }
-    if (it->second.empty()) {
-      return net::LinkState{rvec(phy::kNumDataCarriers, 0.0)};
-    }
-    return net::LinkState{it->second[(draw++ / n_streams) % kPool][client]};
-  }
-
-  net::MaskedLinkStateFn fn() {
-    return [this](std::size_t c, const std::vector<std::uint8_t>& mask) {
-      return state(c, mask);
-    };
-  }
-};
+/// JMB link states from per-active-mask SINR pools: each distinct joint
+/// set prices the SNR cost of shrinking the array, not just the lost AP.
+net::MaskedLinkStateFn jmb_links(core::MaskedSinrPool& pools) {
+  return [&pools](std::size_t c, const std::vector<std::uint8_t>& mask) {
+    return net::LinkState{pools.next(c, mask)};
+  };
+}
 
 /// Baseline link state: the client's best *surviving* AP at the link
 /// budget (instant re-association, per-AP independence).
-net::MaskedLinkStateFn baseline_masked_links(
+net::MaskedLinkStateFn baseline_links(
     const std::vector<std::vector<double>>& gains) {
   return [&gains](std::size_t c, const std::vector<std::uint8_t>& up) {
-    double best = 0.0;
-    for (std::size_t a = 0; a < gains[c].size(); ++a) {
-      if (a < up.size() && up[a]) best = std::max(best, gains[c][a]);
-    }
-    return net::LinkState{rvec(phy::kNumDataCarriers, best)};
+    return net::LinkState{core::best_ap_snrs(gains[c], up)};
   };
 }
 
@@ -150,17 +109,17 @@ net::MacParams mac_params(Rng& rng) {
 }
 
 net::MacReport run_jmb(std::size_t n_aps, std::size_t n_clients,
-                       MaskedSinrPools& pools, const net::MacParams& mac,
+                       core::MaskedSinrPool& pools, const net::MacParams& mac,
                        const fault::FaultPlan* plan, std::uint64_t trial_seed,
                        const obs::ObsSink* obs) {
   if (!plan || plan->empty()) {
-    return net::run_jmb_mac_resilient(n_aps, n_clients, n_clients, pools.fn(),
-                                      mac, nullptr, nullptr);
+    return net::run_jmb_mac_resilient(n_aps, n_clients, n_clients,
+                                      jmb_links(pools), mac, nullptr, nullptr);
   }
   fault::FaultSession session(*plan, n_aps, trial_seed);
   fault::ResilienceController ctrl(n_aps, {}, obs);
-  return net::run_jmb_mac_resilient(n_aps, n_clients, n_clients, pools.fn(),
-                                    mac, &session, &ctrl);
+  return net::run_jmb_mac_resilient(n_aps, n_clients, n_clients,
+                                    jmb_links(pools), mac, &session, &ctrl);
 }
 
 PointA run_point_a(const fault::FaultPlan& plan,
@@ -182,17 +141,17 @@ PointA run_point_a(const fault::FaultPlan& plan,
 
   // Fault-free reference, survivor floor, and the faulted run share the
   // topology but use independent MAC seeds and pool RNG streams.
-  MaskedSinrPools clean_pools{&h, &ws, kClientsA, Rng(rng.next_u64())};
+  core::MaskedSinrPool clean_pools(h, ws, kSinrPool, Rng(rng.next_u64()));
   pt.clean_mbps = run_jmb(kApsA, kClientsA, clean_pools, mac_params(rng),
                           nullptr, ctx.seed, nullptr)
                       .total_goodput_mbps;
 
-  MaskedSinrPools floor_pools{&h, &ws, kClientsA, Rng(rng.next_u64())};
+  core::MaskedSinrPool floor_pools(h, ws, kSinrPool, Rng(rng.next_u64()));
   pt.survivor_mbps = run_jmb(kApsA, kClientsA, floor_pools, mac_params(rng),
                              &floor_plan, ctx.seed, nullptr)
                          .total_goodput_mbps;
 
-  MaskedSinrPools fault_pools{&h, &ws, kClientsA, Rng(rng.next_u64())};
+  core::MaskedSinrPool fault_pools(h, ws, kSinrPool, Rng(rng.next_u64()));
   const net::MacReport faulted = run_jmb(kApsA, kClientsA, fault_pools,
                                          mac_params(rng), &plan, ctx.seed,
                                          &ctx.sink);
@@ -202,7 +161,7 @@ PointA run_point_a(const fault::FaultPlan& plan,
   pt.quarantines = faulted.quarantines;
 
   fault::FaultSession base_session(plan, kApsA, ctx.seed);
-  const auto base_links = baseline_masked_links(gains);
+  const auto base_links = baseline_links(gains);
   pt.base_mbps = net::run_baseline_mac_resilient(kApsA, kClientsA, base_links,
                                                  mac_params(rng), &base_session)
                      .total_goodput_mbps;
@@ -238,22 +197,24 @@ PointB run_point_b(double rate_hz, engine::TrialContext& ctx) {
   pt.faults = plan.size();
   const auto timer = ctx.time_stage(engine::kStageDecode);
 
-  MaskedSinrPools pools{&h, &ws, kClientsA, Rng(rng.next_u64())};
+  core::MaskedSinrPool pools(h, ws, kSinrPool, Rng(rng.next_u64()));
   net::MacReport jmb;
   if (plan.empty()) {
-    jmb = net::run_jmb_mac_resilient(kApsA, kClientsA, kClientsA, pools.fn(),
-                                     mac_params(rng), nullptr, nullptr);
+    jmb = net::run_jmb_mac_resilient(kApsA, kClientsA, kClientsA,
+                                     jmb_links(pools), mac_params(rng), nullptr,
+                                     nullptr);
   } else {
     fault::FaultSession session(plan, kApsA, ctx.seed);
     fault::ResilienceController ctrl(kApsA, {}, &ctx.sink);
-    jmb = net::run_jmb_mac_resilient(kApsA, kClientsA, kClientsA, pools.fn(),
-                                     mac_params(rng), &session, &ctrl);
+    jmb = net::run_jmb_mac_resilient(kApsA, kClientsA, kClientsA,
+                                     jmb_links(pools), mac_params(rng),
+                                     &session, &ctrl);
   }
   pt.jmb_mbps = jmb.total_goodput_mbps;
   pt.quarantines = jmb.quarantines;
   pt.lead_elections = jmb.lead_elections;
 
-  const auto base_links = baseline_masked_links(gains);
+  const auto base_links = baseline_links(gains);
   if (plan.empty()) {
     pt.base_mbps = net::run_baseline_mac_resilient(kApsA, kClientsA, base_links,
                                                    mac_params(rng), nullptr)
@@ -277,8 +238,8 @@ PointB run_point_b(double rate_hz, engine::TrialContext& ctx) {
 
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "resilience_curve");
-  opts.seed = bench::seed_from(argc, argv);
-  const auto seed = opts.seed;
+  opts.info.seed = bench::seed_from(argc, argv);
+  const auto seed = opts.info.seed;
 
   fault::FaultPlan plan;
   if (!opts.fault_plan.empty()) {

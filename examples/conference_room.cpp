@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                : 8;
   const std::uint64_t seed =
       argc > 2 ? bench::parse_seed_or_die(argv[2], "argv[2]", argv[0]) : 42;
-  opts.seed = seed;
+  opts.info.seed = seed;
   opts.add_param("n_max", static_cast<double>(n_max));
 
   std::printf("Conference room, one 10 MHz channel, saturated downlink.\n");
@@ -81,23 +81,16 @@ int main(int argc, char** argv) {
         return std::pair<double, double>{base.total_goodput_mbps, 0.0};
       }
       Rng err_rng(rng.next_u64());
-      std::vector<std::vector<rvec>> pool;
+      std::optional<core::SinrPool> pool;
       {
         const auto timer = ctx.time_stage(engine::kStagePropagate);
-        for (int i = 0; i < 16; ++i) {
-          pool.push_back(
-              core::jmb_subcarrier_sinrs(h, *precoder, 0.02, 1.0, err_rng));
-        }
+        pool.emplace(h, *precoder, 16, err_rng);
       }
-      std::size_t draw = 0;
       mac.seed = rng.next_u64();
       const auto timer = ctx.time_stage(engine::kStageDecode);
       const net::MacReport jmb = net::run_jmb_mac(
           n, n, n,
-          [&](std::size_t c) {
-            return net::LinkState{pool[(draw++ / n) % 16][c]};
-          },
-          mac);
+          [&](std::size_t c) { return net::LinkState{pool->next(c)}; }, mac);
       jmb_total = jmb.total_goodput_mbps;
     } else {
       jmb_total = base.total_goodput_mbps;  // one AP: nothing to join

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "dead_spot_diversity");
   const std::uint64_t seed =
       argc > 1 ? bench::parse_seed_or_die(argv[1], "argv[1]", argv[0]) : 3;
-  opts.seed = seed;
+  opts.info.seed = seed;
 
   std::printf("A client at ~6 dB per-link SNR (dead spot).\n\n");
 

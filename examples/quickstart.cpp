@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "quickstart");
-  opts.seed = 7;
+  opts.info.seed = 7;
 
   // The single end-to-end run goes through the TrialRunner so the
   // pipeline's per-stage metrics land in a report at the end.

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "wifi_n_upgrade");
   const std::uint64_t seed =
       argc > 1 ? bench::parse_seed_or_die(argv[1], "argv[1]", argv[0]) : 11;
-  opts.seed = seed;
+  opts.info.seed = seed;
 
   engine::TrialRunner runner(
       {.base_seed = seed, .n_threads = 1});

@@ -32,7 +32,7 @@ struct Compat11nParams {
   double phase_noise_linewidth_hz = 0.1;
   /// Residual per-slave phase error of the sync-header correction at
   /// transmit time (calibrated from the sample-level Fig. 7 result).
-  double tx_phase_err_sigma = 0.02;
+  double tx_phase_err_sigma = kCalibratedPhaseSigma;
   /// Operating point: noise floor set so joint ZF would deliver this
   /// post-beamforming SNR with a perfect snapshot; <= 0 uses noise_power.
   double effective_snr_db = 20.0;

@@ -22,7 +22,8 @@ struct DecoupledParams {
   double ppm_range = 2.0;
   double carrier_hz = 2.4e9;
   double phase_noise_linewidth_hz = 0.1;
-  double tx_phase_err_sigma = 0.02;   ///< slave sync residual at transmit
+  /// Slave sync residual at transmit.
+  double tx_phase_err_sigma = kCalibratedPhaseSigma;
   /// Operating point: the noise floor is set so the oracle (simultaneous
   /// measurement) system would deliver this post-beamforming SNR — the
   /// paper's method of placing clients by effective SNR. Set <= 0 to use

@@ -1,5 +1,6 @@
 #include "core/link_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -260,16 +261,6 @@ double expected_inr_db(const ChannelMatrixSet& h, double phase_err_sigma,
 }
 
 std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                       double phase_err_sigma,
-                                       double noise_power, Rng& rng) {
-  const auto precoder = Precoder::build(h);
-  if (!precoder) {
-    throw std::invalid_argument("jmb_subcarrier_sinrs: singular channel");
-  }
-  return jmb_subcarrier_sinrs(h, *precoder, phase_err_sigma, noise_power, rng);
-}
-
-std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
                                        const Precoder& precoder,
                                        double phase_err_sigma,
                                        double noise_power, Rng& rng) {
@@ -279,6 +270,86 @@ std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
   }
   const SinrReport rep = beamforming_sinr(h, precoder, phase, noise_power);
   return rep.sinr_per_subcarrier;
+}
+
+SinrPool::SinrPool(const ChannelMatrixSet& h, const Precoder& precoder,
+                   std::size_t size, Rng& rng,
+                   std::span<const double> interference)
+    : n_streams_(precoder.n_streams()) {
+  if (size == 0 || n_streams_ == 0) {
+    throw std::invalid_argument("SinrPool: empty pool or precoder");
+  }
+  entries_.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    auto sinrs = jmb_subcarrier_sinrs(h, precoder, kCalibratedPhaseSigma, 1.0,
+                                      rng);
+    if (!interference.empty()) {
+      for (rvec& per_client : sinrs) {
+        for (std::size_t k = 0; k < per_client.size(); ++k) {
+          per_client[k] /= 1.0 + interference[k % interference.size()];
+        }
+      }
+    }
+    entries_.push_back(std::move(sinrs));
+  }
+}
+
+const rvec& SinrPool::next(std::size_t client) {
+  return at(draw_++, client);
+}
+
+const rvec& SinrPool::at(std::size_t draw, std::size_t client) const {
+  return entries_[(offset_ + draw / n_streams_) % entries_.size()][client];
+}
+
+void SinrPoolSet::add(const ChannelMatrixSet& h,
+                      const std::optional<Precoder>& precoder,
+                      std::size_t size, Rng& rng,
+                      std::span<const double> interference) {
+  if (precoder) {
+    slots_.emplace_back(std::in_place, h, *precoder, size, rng, interference);
+  } else {
+    slots_.emplace_back();
+  }
+}
+
+const rvec& SinrPoolSet::next(std::size_t slot, std::size_t client) {
+  const std::optional<SinrPool>& pool = slots_[slot];
+  return pool ? pool->at(draw_++, client) : outage_;
+}
+
+MaskedSinrPool::MaskedSinrPool(const ChannelMatrixSet& h, Workspace& ws,
+                               std::size_t size, Rng rng,
+                               std::span<const double> interference)
+    : h_(&h),
+      ws_(&ws),
+      size_(size),
+      rng_(rng),
+      interference_(interference.begin(), interference.end()) {}
+
+const rvec& MaskedSinrPool::next(std::size_t client,
+                                 std::span<const std::uint8_t> active_tx) {
+  // A run sees a handful of masks: a linear scan comparing whole masks
+  // is enough, and masks wider than any machine word stay distinct.
+  const auto seen = std::find_if(
+      masks_.begin(), masks_.end(),
+      [&](const auto& mask) { return std::ranges::equal(mask, active_tx); });
+  const auto slot = static_cast<std::size_t>(seen - masks_.begin());
+  if (seen == masks_.end()) {
+    masks_.emplace_back(active_tx.begin(), active_tx.end());
+    pools_.add(*h_, Precoder::build_masked(*h_, active_tx, *ws_, 1.0), size_,
+               rng_, interference_);
+  }
+  return pools_.next(slot, client);
+}
+
+rvec best_ap_snrs(std::span<const double> gains,
+                  std::span<const std::uint8_t> up) {
+  double best = 0.0;
+  for (std::size_t a = 0; a < gains.size(); ++a) {
+    if (up.empty() || (a < up.size() && up[a])) best = std::max(best, gains[a]);
+  }
+  return rvec(phy::kNumDataCarriers, best);
 }
 
 std::vector<rvec> baseline_subcarrier_snrs(const ChannelMatrixSet& h,

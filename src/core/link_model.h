@@ -11,13 +11,21 @@
 // calibrated against the sample-level system (Fig. 7).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "core/precoder.h"
 #include "dsp/rng.h"
+#include "phy/params.h"
 
 namespace jmb::core {
+
+/// Residual per-slave phase-error sigma (radians) the closed-form link
+/// model runs at, calibrated against the sample-level Fig. 7 distribution
+/// (median 0.017 rad, 95th percentile < 0.05 rad => sigma ~ 0.02).
+inline constexpr double kCalibratedPhaseSigma = 0.02;
 
 /// Random i.i.d. Rayleigh channel set (unit mean power per link), the
 /// "100 different random channel matrices" of the paper's Fig. 6 method.
@@ -93,14 +101,102 @@ struct SinrReport {
 /// Per-client subcarrier SINRs under random phase errors, for feeding the
 /// MAC simulations: draws one phase-error vector per call.
 [[nodiscard]] std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
-                                                     double phase_err_sigma,
-                                                     double noise_power,
-                                                     Rng& rng);
-[[nodiscard]] std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
                                                      const Precoder& precoder,
                                                      double phase_err_sigma,
                                                      double noise_power,
                                                      Rng& rng);
+
+/// Closed-form MAC link states: one joint transmission = one entry of a
+/// pre-drawn pool. Entry i is the i-th call, in order, of
+/// jmb_subcarrier_sinrs(h, precoder, kCalibratedPhaseSigma, 1.0, rng), so
+/// gains are SNRs over a unit noise floor. `h` is the channel the
+/// transmission meets, which need not be the one `precoder` was built
+/// from (a CSI sweep precodes from impaired CSI). A non-empty
+/// `interference` profile divides every entry: SINR[k] / (1 + I[k % |I|]).
+///
+/// The MAC asks for one link state per served client per transmission, so
+/// lookup number `draw` (counted from 0) returns entry
+/// (offset + draw / n_streams) % size, n_streams being the precoder's.
+class SinrPool {
+ public:
+  SinrPool(const ChannelMatrixSet& h, const Precoder& precoder,
+           std::size_t size, Rng& rng,
+           std::span<const double> interference = {});
+
+  /// `client`'s per-subcarrier SINRs for the next lookup.
+  [[nodiscard]] const rvec& next(std::size_t client);
+
+  /// Shift later lookups by `entries` pool entries (a measurement epoch
+  /// refreshing the CSI moves to fresh fading draws).
+  void set_offset(std::size_t entries) { offset_ = entries; }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Entry i: per-client SINRs [client][subcarrier].
+  [[nodiscard]] const std::vector<rvec>& entry(std::size_t i) const {
+    return entries_[i];
+  }
+
+ private:
+  friend class SinrPoolSet;
+
+  [[nodiscard]] const rvec& at(std::size_t draw, std::size_t client) const;
+
+  std::vector<std::vector<rvec>> entries_;
+  std::size_t n_streams_ = 1;
+  std::size_t offset_ = 0;
+  std::size_t draw_ = 0;
+};
+
+/// Several SinrPools behind one lookup count: one per user group, or one
+/// per active-AP set (MaskedSinrPool). A slot whose precoder could not be
+/// built is an outage: its lookups return zero SNR and do not advance the
+/// count.
+class SinrPoolSet {
+ public:
+  /// Append a slot: a pool over `h` and `precoder`, or an outage slot when
+  /// `precoder` is empty.
+  void add(const ChannelMatrixSet& h, const std::optional<Precoder>& precoder,
+           std::size_t size, Rng& rng,
+           std::span<const double> interference = {});
+
+  /// `client`'s SINRs from slot `slot` for the next lookup.
+  [[nodiscard]] const rvec& next(std::size_t slot, std::size_t client);
+
+ private:
+  std::vector<std::optional<SinrPool>> slots_;
+  rvec outage_ = rvec(phy::kNumDataCarriers, 0.0);
+  std::size_t draw_ = 0;
+};
+
+/// Link states for a MAC whose joint set shrinks when APs fail: each
+/// distinct active-AP mask gets its own reduced-H precoder
+/// (Precoder::build_masked) and pool, built on first request from `rng`.
+/// Masks that cannot zero-force every stream are outages (see
+/// SinrPoolSet). Lookups are deterministic given the mask request order.
+class MaskedSinrPool {
+ public:
+  MaskedSinrPool(const ChannelMatrixSet& h, Workspace& ws, std::size_t size,
+                 Rng rng, std::span<const double> interference = {});
+
+  [[nodiscard]] const rvec& next(std::size_t client,
+                                 std::span<const std::uint8_t> active_tx);
+
+ private:
+  const ChannelMatrixSet* h_;
+  Workspace* ws_;
+  std::size_t size_;
+  Rng rng_;
+  rvec interference_;
+  std::vector<std::vector<std::uint8_t>> masks_;  ///< slot i's mask
+  SinrPoolSet pools_;
+};
+
+/// The 802.11 baseline's link state: the client's best AP alone, flat at
+/// the link budget (the effective-SNR rate selector reduces real channels
+/// to exactly this). `gains` holds the client's linear SNR to each AP;
+/// a non-empty `up` restricts the choice to APs with a nonzero entry.
+[[nodiscard]] rvec best_ap_snrs(std::span<const double> gains,
+                                std::span<const std::uint8_t> up = {});
 
 /// Baseline: client's per-subcarrier SNRs from its best AP alone.
 [[nodiscard]] std::vector<rvec> baseline_subcarrier_snrs(

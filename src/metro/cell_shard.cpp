@@ -1,5 +1,6 @@
 #include "metro/cell_shard.h"
 
+#include <span>
 #include <string>
 #include <utility>
 
@@ -11,73 +12,7 @@ namespace jmb::metro {
 
 namespace {
 
-/// Residual per-slave phase-error sigma, calibrated against the
-/// sample-level Fig. 7 distribution (median 0.017, 95th pct < 0.05 rad)
-/// — the same operating point the throughput benches use.
-constexpr double kPhaseSigma = 0.02;
-
-/// Per-active-mask SINR pools behind a MaskedLinkStateFn (the
-/// bench/resilience_curve idiom): each distinct joint set gets its own
-/// reduced-H precoder and a pre-drawn pool of per-transmission SINR
-/// vectors. The metro twist: the cell's inter-cell interference profile
-/// divides every pool entry — SINR'[k] = SINR[k] / (1 + I[k]) — so
-/// neighbors' leakage prices into rate selection. An all-zero profile
-/// skips the division entirely, leaving single-cell SINRs untouched.
-struct MaskedSinrPools {
-  static constexpr std::size_t kPool = 8;
-
-  const core::ChannelMatrixSet* h = nullptr;
-  Workspace* ws = nullptr;
-  std::size_t n_streams = 0;
-  const std::vector<double>* interference = nullptr;
-  bool has_interference = false;
-  Rng err_rng{1};
-  // Keyed on the packed active-AP bitmask (masks are <= 64 APs here),
-  // which sidesteps a GCC 12 -Wstringop-overread misfire on the
-  // vector<uint8_t> three-way compare inside std::map.
-  std::map<std::uint64_t, std::vector<std::vector<rvec>>> pools;
-  std::size_t draw = 0;
-
-  net::LinkState state(std::size_t client,
-                       const std::vector<std::uint8_t>& mask) {
-    std::uint64_t key = 0;
-    for (std::size_t a = 0; a < mask.size(); ++a) {
-      if (mask[a]) key |= std::uint64_t{1} << (a % 64);
-    }
-    auto [it, fresh] = pools.try_emplace(key);
-    if (fresh) {
-      const auto precoder = core::Precoder::build_masked(*h, mask, *ws, 1.0);
-      if (precoder) {
-        it->second.reserve(kPool);
-        for (std::size_t i = 0; i < kPool; ++i) {
-          auto sinrs = core::jmb_subcarrier_sinrs(*h, *precoder, kPhaseSigma,
-                                                  1.0, err_rng);
-          if (has_interference) {
-            for (rvec& per_client : sinrs) {
-              for (std::size_t k = 0; k < per_client.size(); ++k) {
-                per_client[k] /=
-                    1.0 + (*interference)[k % interference->size()];
-              }
-            }
-          }
-          it->second.push_back(std::move(sinrs));
-        }
-      }
-      // Too few survivors to zero-force every stream: leave the pool
-      // empty; the zero-SNR link state below makes the slot an outage.
-    }
-    if (it->second.empty()) {
-      return net::LinkState{rvec(h->n_subcarriers(), 0.0)};
-    }
-    return net::LinkState{it->second[(draw++ / n_streams) % kPool][client]};
-  }
-
-  net::MaskedLinkStateFn fn() {
-    return [this](std::size_t c, const std::vector<std::uint8_t>& mask) {
-      return state(c, mask);
-    };
-  }
-};
+constexpr std::size_t kSinrPool = 8;  ///< pre-drawn entries per active set
 
 }  // namespace
 
@@ -131,13 +66,14 @@ CellShardReport run_cell_shard(engine::TrialContext& ctx,
   const std::string cell_ns = "cell" + std::to_string(ctx.cell);
   {
     const auto timer = ctx.time_stage(engine::kStageDecode);
-    MaskedSinrPools pools{};
-    pools.h = &h;
-    pools.ws = &ws;
-    pools.n_streams = p.n_clients;
-    pools.interference = &psd;
-    pools.has_interference = rep.mean_interference > 0.0;
-    pools.err_rng = Rng(rng.next_u64());
+    // Per-active-mask SINR pools; neighbors' leakage divides every entry
+    // (SINR[k] / (1 + I[k])) so it prices into rate selection. A cell
+    // without interference passes no profile, leaving single-cell SINRs
+    // untouched.
+    core::MaskedSinrPool pools(
+        h, ws, kSinrPool, Rng(rng.next_u64()),
+        rep.mean_interference > 0.0 ? std::span<const double>(psd)
+                                    : std::span<const double>());
 
     // Per-cluster controller: this cell elects its own lead from its own
     // surviving APs, and its health metrics merge under its namespace.
@@ -148,8 +84,12 @@ CellShardReport run_cell_shard(engine::TrialContext& ctx,
     if (p.fault_plan != nullptr && !p.fault_plan->empty()) {
       session.emplace(*p.fault_plan, p.n_aps, trial_seed);
     }
+    const auto links = [&pools](std::size_t c,
+                                const std::vector<std::uint8_t>& mask) {
+      return net::LinkState{pools.next(c, mask)};
+    };
     rep.mac = net::run_jmb_mac_resilient(p.n_aps, p.n_clients, p.n_clients,
-                                         pools.fn(), mac,
+                                         links, mac,
                                          session ? &*session : nullptr, &ctrl);
   }
 

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -85,16 +84,6 @@ std::string chrome_trace_json(std::size_t last_n) {
           }
           out += "\"value\":";
           out += std::to_string(r.value);
-          out += "}}";
-          break;
-        }
-        case EventType::kCounter: {
-          double v = 0.0;
-          std::memcpy(&v, &r.value, sizeof v);
-          sep();
-          append_event_head(out, name, "counter", "C", ts_us, th.tid);
-          out += ",\"args\":{\"value\":";
-          append_json_double(out, v);
           out += "}}";
           break;
         }

@@ -2,9 +2,9 @@
 //
 // Serializes the rings as Chrome trace_event JSON (chrome://tracing and
 // Perfetto both load it): stage spans as "X" complete events, instants
-// as "i", counters as "C", and — for every flow id that appears on more
-// than one span — "s"/"t"/"f" flow events that draw the item's causal
-// chain across threads. Timestamps are microseconds since the TSC
+// as "i", and — for every flow id that appears on more than one span —
+// "s"/"t"/"f" flow events that draw the item's causal chain across
+// threads. Timestamps are microseconds since the TSC
 // calibration epoch; tid is the flight ring id (one lane per recorded
 // thread), pid is always 0.
 //

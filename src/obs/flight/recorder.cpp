@@ -167,16 +167,6 @@ void instant(std::string_view name, std::uint64_t flow, std::uint64_t value) {
   }
 }
 
-void counter(std::string_view name, double value) {
-  FlightRecorder& rec = FlightRecorder::instance();
-  if (FlightRing* r = rec.local_ring()) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    r->write(EventType::kCounter, rec.intern(name), now_ticks(), kNoFlow,
-             bits);
-  }
-}
-
 SpanScope::SpanScope(std::string_view name, std::uint64_t flow)
     : ring_(FlightRecorder::instance().local_ring()), flow_(flow) {
   if (ring_ != nullptr) {

@@ -43,7 +43,6 @@ namespace jmb::obs::flight {
 enum class EventType : std::uint8_t {
   kSpan = 0,     ///< stage execution; value = duration ticks
   kInstant = 2,  ///< point event (fault injected, quarantine, ...)
-  kCounter = 3,  ///< sampled series value; value = bit-cast double
 };
 
 /// Sentinel for records not attached to any item journey.
@@ -212,7 +211,6 @@ inline void instant(std::uint32_t name, std::uint64_t flow = kNoFlow,
 /// Convenience for cold paths: interns on each call.
 void instant(std::string_view name, std::uint64_t flow = kNoFlow,
              std::uint64_t value = 0);
-void counter(std::string_view name, double value);
 
 /// RAII span: stamps TSC at construction, writes one kSpan record at
 /// destruction. Zero-allocation with a pre-interned id.

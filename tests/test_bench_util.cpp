@@ -1,8 +1,8 @@
-// Strict seed/count parsing in bench_util.h: strtoull alone accepts
+// Strict seed/count parsing behind bench_util.h: strtoull alone accepts
 // leading whitespace, signs, and trailing garbage, and silently wraps
-// "-1" to 2^64-1 — parse_u64 must reject all of that, and the *_or_die
-// wrappers must exit(2) with a usage message instead of running a whole
-// figure sweep on a garbled seed.
+// "-1" to 2^64-1 — engine::parse_u64_strict must reject all of that, and
+// the *_or_die wrappers must exit(2) with a usage message instead of
+// running a whole figure sweep on a garbled seed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,38 +16,39 @@ namespace {
 
 TEST(ParseU64, AcceptsPlainDecimal) {
   std::uint64_t v = 99;
-  ASSERT_TRUE(parse_u64("0", v));
+  ASSERT_TRUE(engine::parse_u64_strict("0", v));
   EXPECT_EQ(v, 0u);
-  ASSERT_TRUE(parse_u64("42", v));
+  ASSERT_TRUE(engine::parse_u64_strict("42", v));
   EXPECT_EQ(v, 42u);
-  ASSERT_TRUE(parse_u64("18446744073709551615", v));  // 2^64 - 1
+  ASSERT_TRUE(engine::parse_u64_strict("18446744073709551615", v));  // 2^64 - 1
   EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ParseU64, RejectsTrailingGarbage) {
   std::uint64_t v = 99;
-  EXPECT_FALSE(parse_u64("5x", v));
-  EXPECT_FALSE(parse_u64("5 ", v));
-  EXPECT_FALSE(parse_u64("12.0", v));
-  EXPECT_FALSE(parse_u64("1e3", v));
+  EXPECT_FALSE(engine::parse_u64_strict("5x", v));
+  EXPECT_FALSE(engine::parse_u64_strict("5 ", v));
+  EXPECT_FALSE(engine::parse_u64_strict("12.0", v));
+  EXPECT_FALSE(engine::parse_u64_strict("1e3", v));
   EXPECT_EQ(v, 99u);  // failed parses leave the output untouched
 }
 
 TEST(ParseU64, RejectsSignsWhitespaceAndEmpty) {
   std::uint64_t v = 99;
-  EXPECT_FALSE(parse_u64(nullptr, v));
-  EXPECT_FALSE(parse_u64("", v));
-  EXPECT_FALSE(parse_u64(" 5", v));
-  EXPECT_FALSE(parse_u64("+5", v));
-  EXPECT_FALSE(parse_u64("-1", v));  // the strtoull 2^64-1 wrap case
-  EXPECT_FALSE(parse_u64("0x10", v));
+  EXPECT_FALSE(engine::parse_u64_strict(nullptr, v));
+  EXPECT_FALSE(engine::parse_u64_strict("", v));
+  EXPECT_FALSE(engine::parse_u64_strict(" 5", v));
+  EXPECT_FALSE(engine::parse_u64_strict("+5", v));
+  // The strtoull 2^64-1 wrap case.
+  EXPECT_FALSE(engine::parse_u64_strict("-1", v));
+  EXPECT_FALSE(engine::parse_u64_strict("0x10", v));
   EXPECT_EQ(v, 99u);
 }
 
 TEST(ParseU64, RejectsOverflow) {
   std::uint64_t v = 99;
-  EXPECT_FALSE(parse_u64("18446744073709551616", v));  // 2^64
-  EXPECT_FALSE(parse_u64("99999999999999999999999", v));
+  EXPECT_FALSE(engine::parse_u64_strict("18446744073709551616", v));  // 2^64
+  EXPECT_FALSE(engine::parse_u64_strict("99999999999999999999999", v));
   EXPECT_EQ(v, 99u);
 }
 

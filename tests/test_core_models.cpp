@@ -1,14 +1,17 @@
 // Tests for the modeling layers added during calibration: the
 // well-conditioned channel regime, effective-SNR calibration of the
-// sample-level system, and the slave-correction ablation switch.
+// sample-level system, the slave-correction ablation switch, and the
+// closed-form link states the MAC benches draw from (SinrPool).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/link_model.h"
 #include "dsp/stats.h"
 #include "engine/system.h"
 #include "linalg/pinv.h"
+#include "phy/workspace.h"
 
 namespace jmb::core {
 namespace {
@@ -167,6 +170,131 @@ TEST(LinkModel, PrecoderCachedOverloadMatches) {
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_NEAR(a.sinr[c], b.sinr[c], a.sinr[c] * 1e-12);
   }
+}
+
+bool same_bits(const rvec& a, const rvec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SinrPool, EntriesAreInOrderCallsOfJmbSubcarrierSinrs) {
+  Rng rng(21);
+  const ChannelMatrixSet h = well_conditioned_channel_set(
+      std::vector<std::vector<double>>(3, std::vector<double>(3, 100.0)), rng);
+  const auto p = Precoder::build(h);
+  ASSERT_TRUE(p.has_value());
+  Rng pool_rng(5);
+  Rng hand_rng(5);
+  const SinrPool pool(h, *p, 6, pool_rng);
+  ASSERT_EQ(pool.size(), 6u);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const std::vector<rvec> hand =
+        jmb_subcarrier_sinrs(h, *p, kCalibratedPhaseSigma, 1.0, hand_rng);
+    ASSERT_EQ(pool.entry(i).size(), hand.size());
+    for (std::size_t c = 0; c < hand.size(); ++c) {
+      EXPECT_TRUE(same_bits(pool.entry(i)[c], hand[c])) << i << "," << c;
+    }
+  }
+  EXPECT_EQ(pool_rng.next_u64(), hand_rng.next_u64());
+}
+
+TEST(SinrPool, LookupNumberDrawReturnsEntryDrawOverStreams) {
+  Rng rng(22);
+  const ChannelMatrixSet h = random_channel_set(3, 4, rng);
+  const auto p = Precoder::build(h);
+  ASSERT_TRUE(p.has_value());
+  ASSERT_EQ(p->n_streams(), 3u);
+  SinrPool pool(h, *p, 4, rng);
+  for (std::size_t draw = 0; draw < 30; ++draw) {
+    const std::size_t c = (draw * 2) % 3;
+    EXPECT_EQ(&pool.next(c), &pool.entry((draw / 3) % 4)[c]) << draw;
+  }
+  // A measurement epoch shifts later lookups by whole entries.
+  pool.set_offset(3);
+  for (std::size_t draw = 30; draw < 42; ++draw) {
+    EXPECT_EQ(&pool.next(1), &pool.entry((3 + draw / 3) % 4)[1]) << draw;
+  }
+}
+
+TEST(SinrPool, InterferenceDividesEveryEntry) {
+  Rng rng(23);
+  const ChannelMatrixSet h = random_channel_set(2, 2, rng);
+  const auto p = Precoder::build(h);
+  ASSERT_TRUE(p.has_value());
+  const rvec interference{0.5, 1.0, 3.0};
+  Rng a(8);
+  Rng b(8);
+  const SinrPool plain(h, *p, 3, a);
+  const SinrPool shaded(h, *p, 3, b, interference);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      const rvec& x = plain.entry(i)[c];
+      const rvec& y = shaded.entry(i)[c];
+      ASSERT_EQ(x.size(), y.size());
+      for (std::size_t k = 0; k < x.size(); ++k) {
+        EXPECT_EQ(y[k], x[k] / (1.0 + interference[k % 3]));
+      }
+    }
+  }
+}
+
+TEST(MaskedSinrPool, FailedMaskIsZeroSnrAndKeepsTheCursor) {
+  Rng rng(24);
+  const ChannelMatrixSet h = random_channel_set(3, 4, rng);
+  const std::vector<std::uint8_t> all{1, 1, 1, 1};
+  const std::vector<std::uint8_t> two_up{1, 0, 0, 1};  // < 3 streams
+  Workspace ws;
+  MaskedSinrPool masked(h, ws, 4, Rng(9));
+  Rng ref_rng(9);
+  const auto p = Precoder::build_masked(h, all, ws, 1.0);
+  ASSERT_TRUE(p.has_value());
+  const SinrPool ref(h, *p, 4, ref_rng);
+
+  EXPECT_TRUE(same_bits(masked.next(0, all), ref.entry(0)[0]));
+  EXPECT_TRUE(same_bits(masked.next(1, all), ref.entry(0)[1]));
+  for (int i = 0; i < 4; ++i) {
+    const rvec& out = masked.next(2, two_up);
+    EXPECT_EQ(out, rvec(phy::kNumDataCarriers, 0.0));
+  }
+  // Lookups 2 and 3: the outages above did not advance the cursor.
+  EXPECT_TRUE(same_bits(masked.next(2, all), ref.entry(0)[2]));
+  EXPECT_TRUE(same_bits(masked.next(0, all), ref.entry(1)[0]));
+}
+
+TEST(MaskedSinrPool, MasksDifferingAtAp0OrAp64GetDistinctPools) {
+  Rng rng(25);
+  const ChannelMatrixSet h = random_channel_set(2, 65, rng);
+  std::vector<std::uint8_t> all(65, 1);
+  std::vector<std::uint8_t> no_ap0 = all;
+  no_ap0[0] = 0;
+  std::vector<std::uint8_t> no_ap64 = all;
+  no_ap64[64] = 0;
+  Workspace ws;
+  MaskedSinrPool masked(h, ws, 2, Rng(10));
+  // Pools are built in first-request order from one stream.
+  Rng ref_rng(10);
+  std::vector<SinrPool> ref;
+  for (const auto* mask : {&all, &no_ap0, &no_ap64}) {
+    const auto p = Precoder::build_masked(h, *mask, ws, 1.0);
+    ASSERT_TRUE(p.has_value());
+    ref.emplace_back(h, *p, 2, ref_rng);
+  }
+  EXPECT_TRUE(same_bits(masked.next(0, all), ref[0].entry(0)[0]));
+  EXPECT_TRUE(same_bits(masked.next(1, no_ap0), ref[1].entry(0)[1]));
+  EXPECT_TRUE(same_bits(masked.next(0, no_ap64), ref[2].entry(1)[0]));
+  // The masks really price differently (so the lookups above tell the
+  // pools apart).
+  EXPECT_FALSE(same_bits(ref[0].entry(0)[1], ref[1].entry(0)[1]));
+  EXPECT_FALSE(same_bits(ref[0].entry(1)[0], ref[2].entry(1)[0]));
+}
+
+TEST(BestApSnrs, FlatAtTheBestUpAp) {
+  const std::vector<double> gains{4.0, 9.0, 6.0};
+  EXPECT_EQ(best_ap_snrs(gains), rvec(phy::kNumDataCarriers, 9.0));
+  const std::vector<std::uint8_t> up{1, 0, 1};
+  EXPECT_EQ(best_ap_snrs(gains, up), rvec(phy::kNumDataCarriers, 6.0));
+  const std::vector<std::uint8_t> none{0, 0, 0};
+  EXPECT_EQ(best_ap_snrs(gains, none), rvec(phy::kNumDataCarriers, 0.0));
 }
 
 }  // namespace

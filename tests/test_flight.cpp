@@ -91,7 +91,7 @@ TEST(FlightRing, SnapshotIsSafeAgainstConcurrentWriter) {
   std::thread writer([&] {
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      ring.write(flight::EventType::kCounter, 7, /*tsc=*/i, /*flow=*/i,
+      ring.write(flight::EventType::kInstant, 7, /*tsc=*/i, /*flow=*/i,
                  /*value=*/i);
       wrote.store(++i, std::memory_order_relaxed);
     }
@@ -153,19 +153,18 @@ TEST(FlightRecorder, DisableSwitchStopsRecording) {
     flight::SpanScope span(std::uint32_t{0});
   }
   flight::instant(std::string_view("test/disabled"));
-  flight::counter("test/disabled_counter", 1.0);
   EXPECT_EQ(ring->written(), before);
   rec.set_enabled_for_test(true);
   EXPECT_EQ(rec.local_ring(), ring);
 }
 
-TEST(FlightExport, ChromeTraceCarriesSpansFlowsAndCounters) {
+TEST(FlightExport, ChromeTraceCarriesSpansFlowsAndInstants) {
   auto& rec = flight::FlightRecorder::instance();
   if (rec.local_ring() == nullptr) {
     GTEST_SKIP() << "flight recording disabled by env";
   }
   // One flow crossing two spans (so the exporter emits s/t flow
-  // events), an instant and a counter sample.
+  // events) and an instant.
   const std::uint64_t flow = flight::make_flow(5, 77);
   {
     flight::SpanScope a(rec.intern("test/export_stage_a"), flow);
@@ -174,7 +173,6 @@ TEST(FlightExport, ChromeTraceCarriesSpansFlowsAndCounters) {
     flight::SpanScope b(rec.intern("test/export_stage_b"), flow);
   }
   flight::instant(std::string_view("test/export_instant"), flow, 3);
-  flight::counter("test/export_depth", 2.5);
 
   const std::string json = flight::chrome_trace_json();
   std::string err;
@@ -187,7 +185,6 @@ TEST(FlightExport, ChromeTraceCarriesSpansFlowsAndCounters) {
   bool saw_a = false;
   bool saw_b = false;
   bool saw_instant = false;
-  bool saw_counter = false;
   int flow_starts = 0;
   int flow_steps = 0;
   for (const jmb::obs::JsonValue& ev : events->as_array()) {
@@ -199,21 +196,12 @@ TEST(FlightExport, ChromeTraceCarriesSpansFlowsAndCounters) {
     if (n == "test/export_stage_a" && p == "X") saw_a = true;
     if (n == "test/export_stage_b" && p == "X") saw_b = true;
     if (n == "test/export_instant" && p == "i") saw_instant = true;
-    if (n == "test/export_depth" && p == "C") {
-      const jmb::obs::JsonValue* args = ev.get("args");
-      ASSERT_NE(args, nullptr);
-      const jmb::obs::JsonValue* value = args->get("value");
-      ASSERT_NE(value, nullptr);
-      EXPECT_DOUBLE_EQ(value->as_number(), 2.5);
-      saw_counter = true;
-    }
     if (ev.get("id") != nullptr && p == "s") ++flow_starts;
     if (ev.get("id") != nullptr && (p == "t" || p == "f")) ++flow_steps;
   }
   EXPECT_TRUE(saw_a);
   EXPECT_TRUE(saw_b);
   EXPECT_TRUE(saw_instant);
-  EXPECT_TRUE(saw_counter);
   // At least our two-span flow got stitched.
   EXPECT_GE(flow_starts, 1);
   EXPECT_GE(flow_steps, 1);

@@ -9,6 +9,8 @@
 //     per flow id, measured from its first span start to its last span
 //     end;
 //   - the slowest item's self vs untracked decomposition.
+// Other events (instants, flow stitches, and the "C" counter samples of
+// traces from older builds) count only toward the event total.
 // Exit 0 on success, 1 when the trace holds no span events, 2 on
 // usage/parse errors.
 #include <algorithm>
@@ -96,7 +98,6 @@ int main(int argc, char** argv) {
   std::uint64_t n_events = 0;
   std::uint64_t n_spans = 0;
   std::uint64_t n_instants = 0;
-  std::uint64_t n_counters = 0;
 
   for (const JsonValue& ev : events->as_array()) {
     if (!ev.is_object()) continue;
@@ -104,7 +105,6 @@ int main(int argc, char** argv) {
     const JsonValue* ph = ev.get("ph");
     if (ph == nullptr || !ph->is_string()) continue;
     if (ph->as_string() == "i") ++n_instants;
-    if (ph->as_string() == "C") ++n_counters;
     if (ph->as_string() != "X") continue;
     const JsonValue* name = ev.get("name");
     const JsonValue* ts = ev.get("ts");
@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
 
   std::printf("trace: %s\n", argv[1]);
   std::printf(
-      "events: %" PRIu64 " (%" PRIu64 " spans, %" PRIu64 " instants, %" PRIu64
-      " counter samples), %zu item flows\n\n",
-      n_events, n_spans, n_instants, n_counters, flows.size());
+      "events: %" PRIu64 " (%" PRIu64 " spans, %" PRIu64
+      " instants), %zu item flows\n\n",
+      n_events, n_spans, n_instants, flows.size());
 
   std::printf("%-28s %10s %14s %8s\n", "span", "count", "total ms",
               "share");
