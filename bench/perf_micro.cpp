@@ -416,6 +416,45 @@ void BM_FrameErrorProb(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameErrorProb)->Arg(5)->Arg(15)->Arg(30);
 
+// The rate pick through the cross-state memo the MAC owns, at a mean SNR
+// of range(0) dB. range(1) picks the leg:
+//   0  hit: one state, drawn again and again as a pool entry is;
+//   1  miss: cycles through more distinct states than the memo has slots,
+//      keeping only states that share their slot with another, so every
+//      call misses;
+//   2  the miss leg's states without a memo: leg 1 minus leg 2 is what a
+//      miss costs (BM_SelectRate prices a single, different state).
+void BM_EffectiveSnrMemo(benchmark::State& state) {
+  constexpr std::size_t kSlots = rate::EffectiveSnrMemo::kSlots;
+  const double mean_db = static_cast<double>(state.range(0));
+  const std::int64_t leg = state.range(1);
+  Rng rng(23);
+  std::vector<rvec> states;
+  std::array<std::size_t, kSlots> in_slot{};
+  for (std::size_t i = 0; i < (leg == 0 ? 1 : 2 * kSlots); ++i) {
+    rvec snr(phy::kNumDataCarriers);
+    for (double& s : snr) s = from_db(mean_db) * std::norm(rng.cgaussian());
+    ++in_slot[rate::EffectiveSnrMemo::slot(snr)];
+    states.push_back(std::move(snr));
+  }
+  if (leg != 0) {
+    std::erase_if(states, [&](const rvec& s) {
+      return in_slot[rate::EffectiveSnrMemo::slot(s)] < 2;
+    });
+  }
+  rate::EffectiveSnrMemo memo;
+  rate::EffectiveSnrMemo* const use = leg == 2 ? nullptr : &memo;
+  rate::EffectiveSnrs link;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    link.assign(states[i], use);
+    auto r = rate::select_rate(link);
+    benchmark::DoNotOptimize(r);
+    if (++i == states.size()) i = 0;
+  }
+}
+BENCHMARK(BM_EffectiveSnrMemo)->ArgsProduct({{5, 15, 30}, {0, 1, 2}});
+
 void BM_BeamformingSinr10x10(benchmark::State& state) {
   Rng rng(7);
   const core::ChannelMatrixSet h = core::random_channel_set(10, 10, rng);

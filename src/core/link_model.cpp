@@ -169,15 +169,19 @@ SinrReport beamforming_sinr(const ChannelMatrixSet& h,
   rep.snr_no_interference.assign(nc, 0.0);
   rep.sinr_per_subcarrier.assign(nc, rvec(h.n_subcarriers(), 0.0));
 
+  // One phasor per transmitter, and one H_err and G buffer reused across
+  // subcarriers (multiply_into rounds exactly as operator*).
+  cvec rot(h.n_tx());
+  for (std::size_t a = 0; a < h.n_tx(); ++a) rot[a] = phasor(phase_err[a]);
+  CMatrix h_err;
+  CMatrix g;
   for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
     // Effective matrix G = H_err * W where H_err = H diag(e^{j phi}).
-    CMatrix h_err = h.at(k);
+    h_err = h.at(k);
     for (std::size_t c = 0; c < nc; ++c) {
-      for (std::size_t a = 0; a < h.n_tx(); ++a) {
-        h_err(c, a) *= phasor(phase_err[a]);
-      }
+      for (std::size_t a = 0; a < h.n_tx(); ++a) h_err(c, a) *= rot[a];
     }
-    const CMatrix g = h_err * precoder->weights(k);
+    multiply_into(h_err, precoder->weights(k), g);
     for (std::size_t c = 0; c < nc; ++c) {
       const double sig = std::norm(g(c, c));
       double interf = 0.0;

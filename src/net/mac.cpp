@@ -52,6 +52,16 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
           "MacParams::coherence_time_s must be > 0 on a JMB run");
   require(params.saturated || params.traffic != nullptr,
           "MacParams::saturated = false needs a MacParams::traffic source");
+  // A negative or non-finite airtime would run the clock backwards or
+  // stall it; a bad feedback rate would index past rate_set().
+  require(std::isfinite(params.airtime.sample_rate_hz) &&
+              params.airtime.sample_rate_hz > 0.0,
+          "MacParams::airtime.sample_rate_hz must be finite and > 0");
+  require(std::isfinite(params.airtime.turnaround_s) &&
+              params.airtime.turnaround_s >= 0.0,
+          "MacParams::airtime.turnaround_s must be finite and >= 0");
+  require(params.airtime.feedback_rate_index < phy::rate_set().size(),
+          "MacParams::airtime.feedback_rate_index must index rate_set()");
 
   // Traffic-source properties (DESIGN.md tabulates why each holds).
   TrafficSource* const src = params.traffic;
@@ -104,10 +114,14 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
     for (std::size_t a = 0; fault && a < n_aps; ++a) up[a] = !fault->ap_down(a);
     return up;
   };
+  // Every link state this run prices goes through one memo: the pools
+  // hand out the same states again and again, so each is priced ~once.
+  rate::EffectiveSnrMemo memo;
   // Achievable PHY rate (Mb/s) for rate-aware policies.
+  rate::EffectiveSnrs hint_link;
   const RateHintFn rate_hint = [&](std::size_t client) {
-    const auto r =
-        rate::select_rate(link_state(client, believed_up()).subcarrier_snr);
+    hint_link.assign(link_state(client, believed_up()).subcarrier_snr, &memo);
+    const auto r = rate::select_rate(hint_link);
     if (!r) return 0.0;
     return static_cast<double>(phy::rate_set()[*r].n_dbps()) *
            params.airtime.sample_rate_hz /
@@ -264,7 +278,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
     links.resize(ends.size());
     for (std::size_t i = 0; reachable && i < ends.size(); ++i) {
       const std::size_t client = mpdus[i == 0 ? 0 : ends[i - 1]].client;
-      links[i].assign(link_state(client, mask).subcarrier_snr);
+      links[i].assign(link_state(client, mask).subcarrier_snr, &memo);
       const std::optional<std::size_t> r = rate::select_rate(links[i]);
       reachable = r.has_value();
       rate_idx = std::min(rate_idx, r.value_or(rate_idx));

@@ -1,5 +1,7 @@
 #include "rate/airtime.h"
 
+#include <stdexcept>
+
 #include "phy/frame.h"
 
 namespace jmb::rate {
@@ -23,6 +25,10 @@ double joint_frame_airtime_s(std::size_t psdu_bytes, const phy::Mcs& mcs,
 
 double measurement_airtime_s(std::size_t n_aps, std::size_t n_clients,
                              const AirtimeParams& p) {
+  if (p.feedback_rate_index >= phy::rate_set().size()) {
+    throw std::invalid_argument(
+        "measurement_airtime_s: feedback_rate_index past rate_set()");
+  }
   // Over-the-air measurement: sync header, then `rounds` interleaved sweeps
   // of one 80-sample measurement symbol per AP.
   const std::size_t meas_samples =

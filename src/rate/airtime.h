@@ -35,7 +35,8 @@ struct AirtimeParams {
 
 /// Airtime of one JMB channel-measurement phase with `n_aps` APs and
 /// `n_clients` clients: sync header + interleaved measurement symbols +
-/// per-client feedback frames.
+/// per-client feedback frames. Throws std::invalid_argument when
+/// p.feedback_rate_index is not a rate_set() index.
 [[nodiscard]] double measurement_airtime_s(std::size_t n_aps,
                                            std::size_t n_clients,
                                            const AirtimeParams& p);

@@ -1,7 +1,9 @@
 #include "rate/effective_snr.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -33,10 +35,45 @@ double effective_snr_db(phy::Modulation m, const rvec& subcarrier_snr) {
   return to_db(effective_snr(m, subcarrier_snr));
 }
 
+std::size_t EffectiveSnrMemo::slot(const rvec& subcarrier_snr) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double s : subcarrier_snr) {
+    h ^= std::bit_cast<std::uint64_t>(s);
+    h *= 0x100000001b3ull;
+  }
+  return static_cast<std::size_t>(h >> (64 - kSlotBits));
+}
+
+double EffectiveSnrMemo::db(phy::Modulation m, const rvec& subcarrier_snr,
+                            std::size_t slot) {
+  const std::size_t mi = static_cast<std::size_t>(m);
+  std::uint32_t& index = slots_[slot];
+  Entry* e = index == kEmpty ? nullptr : &entries_[index];
+  const bool hit = e && !subcarrier_snr.empty() &&
+                   e->snr.size() == subcarrier_snr.size() &&
+                   std::memcmp(e->snr.data(), subcarrier_snr.data(),
+                               subcarrier_snr.size() * sizeof(double)) == 0;
+  if (hit && e->db[mi]) return *e->db[mi];
+  // Evaluate before touching the memo, so a throw cannot poison it.
+  const double db = effective_snr_db(m, subcarrier_snr);
+  if (!hit) {
+    if (!e) {
+      index = static_cast<std::uint32_t>(entries_.size());
+      e = &entries_.emplace_back();
+    }
+    e->snr = subcarrier_snr;
+    e->db.fill(std::nullopt);
+  }
+  e->db[mi] = db;
+  return db;
+}
+
 double EffectiveSnrs::db(phy::Modulation m) {
-  std::optional<double>& slot = db_[static_cast<std::size_t>(m)];
-  if (!slot) slot = effective_snr_db(m, snr_);
-  return *slot;
+  std::optional<double>& cached = db_[static_cast<std::size_t>(m)];
+  if (!cached) {
+    cached = memo_ ? memo_->db(m, snr_, slot_) : effective_snr_db(m, snr_);
+  }
+  return *cached;
 }
 
 const rvec& rate_thresholds_db() {

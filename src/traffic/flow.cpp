@@ -63,14 +63,12 @@ PacketSource::PacketSource(std::uint64_t base_seed, std::size_t n_users,
   flows_.reserve(n_users * profile.flows.size());
   for (std::size_t u = 0; u < n_users; ++u) {
     for (std::size_t fi = 0; fi < profile.flows.size(); ++fi) {
-      FlowState f;
-      f.user = u;
-      f.flow = static_cast<std::uint32_t>(fi);
-      f.spec = profile.flows[fi];
-      // ISSUE-mandated per-flow stream: independent of every other flow
-      // and of thread count.
-      f.rng = Rng(base_seed ^ static_cast<std::uint64_t>(u) ^
-                  (static_cast<std::uint64_t>(fi) << 16));
+      // Per-flow stream: independent of every other flow and of thread
+      // count.
+      FlowState& f = flows_.emplace_back(
+          u, static_cast<std::uint32_t>(fi), profile.flows[fi],
+          base_seed ^ static_cast<std::uint64_t>(u) ^
+              (static_cast<std::uint64_t>(fi) << 16));
       const double gap =
           mean_gap_s(f.spec.rate_mbps,
                      static_cast<double>(f.spec.packet_bytes) *
@@ -91,7 +89,6 @@ PacketSource::PacketSource(std::uint64_t base_seed, std::size_t n_users,
           f.burst_left = pareto_burst(f.rng, f.spec);
           break;
       }
-      flows_.push_back(std::move(f));
     }
   }
 }

@@ -73,6 +73,12 @@ class PacketSource final : public net::TrafficSource {
 
  private:
   struct FlowState {
+    /// Seeds the stream in place: a default Rng would be seeded, then
+    /// reseeded and copied (2.5 KB of engine state each time).
+    FlowState(std::size_t u, std::uint32_t f, const FlowSpec& s,
+              std::uint64_t seed)
+        : user(u), flow(f), spec(s), rng(seed) {}
+
     std::size_t user = 0;
     std::uint32_t flow = 0;
     FlowSpec spec;

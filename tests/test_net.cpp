@@ -13,6 +13,7 @@
 
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "dsp/rng.h"
 #include "fault/resilience.h"
 #include "golden_digest.h"
 #include "net/mac.h"
@@ -299,6 +300,45 @@ TEST(MacValidation, UnsaturatedWithoutTrafficThrows) {
                  "saturated");
   expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
                  "saturated");
+}
+
+TEST(MacValidation, NegativeOrNonFiniteTurnaroundThrows) {
+  // -1 ms used to hang: every joint frame's airtime went negative, so the
+  // clock ran backwards.
+  for (const double turn : {-1e-3, std::nan(""), HUGE_VAL}) {
+    MacParams p;
+    p.duration_s = 0.01;
+    p.airtime.turnaround_s = turn;
+    expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
+                   "turnaround_s");
+    expect_rejects([&] { return run_baseline_mac(2, flat_links(25.0), p); },
+                   "turnaround_s");
+  }
+}
+
+TEST(MacValidation, NonPositiveOrNonFiniteSampleRateThrows) {
+  // -10 MHz used to hang: every airtime came out negative.
+  for (const double fs : {-10e6, 0.0, std::nan(""), HUGE_VAL}) {
+    MacParams p;
+    p.duration_s = 0.01;
+    p.airtime.sample_rate_hz = fs;
+    expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
+                   "sample_rate_hz");
+    expect_rejects([&] { return run_baseline_mac(2, flat_links(25.0), p); },
+                   "sample_rate_hz");
+  }
+}
+
+TEST(MacValidation, FeedbackRatePastRateSetThrows) {
+  // 1000000 used to segfault indexing rate_set() in the measurement
+  // airtime.
+  for (const std::size_t idx : {phy::rate_set().size(), std::size_t{1000000}}) {
+    MacParams p;
+    p.duration_s = 0.01;
+    p.airtime.feedback_rate_index = idx;
+    expect_rejects([&] { return run_jmb_mac(2, 2, 2, flat_links(25.0), p); },
+                   "feedback_rate_index");
+  }
 }
 
 // ------------------------------------------------------------ MAC golden
@@ -601,6 +641,103 @@ TEST(MacGolden, Resilient) {
     expect_golden(want, "jmb_ctrl" + tag, report_digest(jmb_ctrl));
     expect_golden(want, "jmb_ctrl_churn" + tag,
                   report_digest(jmb_churn, epochs));
+  }
+}
+
+// ------------------------------------------------------- link_state calls
+//
+// Every MAC caller draws its link states from a pool whose cursor advances
+// on each link_state call, so caching anything derived from a state must
+// not skip, add or reorder calls. Each case pins the call count, an FNV-1a
+// digest of the (client, mask) sequence and the report, over a pool of
+// faded states that repeat as the real pools do. The table was recorded
+// before the MAC cached effective SNRs across link states.
+
+/// Sixteen Rayleigh-faded states around 5..30 dB, handed out in call
+/// order; every call is folded into the sequence digest.
+class RecordingPool {
+ public:
+  RecordingPool() {
+    Rng rng(515);
+    for (std::size_t i = 0; i < 16; ++i) {
+      const double mean = from_db(5.0 + 25.0 * rng.uniform());
+      rvec snr(phy::kNumDataCarriers);
+      for (double& s : snr) s = mean * std::norm(rng.cgaussian());
+      states_.push_back(std::move(snr));
+    }
+  }
+
+  LinkState next(std::size_t client, const std::vector<std::uint8_t>& up) {
+    calls_.add(static_cast<std::uint64_t>(client));
+    calls_.add(static_cast<std::uint64_t>(up.size()));
+    for (const std::uint8_t u : up) calls_.add(static_cast<std::uint64_t>(u));
+    return LinkState{states_[count_++ % states_.size()]};
+  }
+
+  [[nodiscard]] std::size_t count() const { return count_; }
+  [[nodiscard]] std::uint64_t sequence() const { return calls_.value(); }
+
+ private:
+  std::vector<rvec> states_;
+  std::size_t count_ = 0;
+  Fnv calls_;
+};
+
+void expect_calls(const GoldenTable& want, const std::string& name,
+                  const RecordingPool& pool, const MacReport& r) {
+  expect_golden(want, name + "/count", pool.count());
+  expect_golden(want, name + "/sequence", pool.sequence());
+  expect_golden(want, name + "/report", report_digest(r));
+}
+
+TEST(MacLinkStateCalls, SequenceIsPinned) {
+  const GoldenTable want = {
+      {"jmb_saturated/count", 137},
+      {"jmb_saturated/sequence", 0xc6a716fad1f5ad64ull},
+      {"jmb_saturated/report", 0x45880c6be7d46914ull},
+      {"jmb_pf_traffic/count", 458},
+      {"jmb_pf_traffic/sequence", 0xd5becf4e80a890e1ull},
+      {"jmb_pf_traffic/report", 0x924df697752f500cull},
+      {"jmb_resilient/count", 117},
+      {"jmb_resilient/sequence", 0x1a59ab541e5a6623ull},
+      {"jmb_resilient/report", 0xf689abdbdee573d8ull},
+  };
+  const auto plain = [](RecordingPool& pool) -> LinkStateFn {
+    return [&pool](std::size_t c) { return pool.next(c, {}); };
+  };
+  {
+    RecordingPool pool;
+    const MacReport r = run_jmb_mac(4, 6, 4, plain(pool), golden_params(400));
+    expect_calls(want, "jmb_saturated", pool, r);
+  }
+  {
+    // PF asks the rate hint of every backlogged client before each pick.
+    RecordingPool pool;
+    traffic::PacketSource src(78, 5, traffic::make_profile("mixed", 8.0),
+                              0.25);
+    const std::unique_ptr<Scheduler> pf = traffic::make_scheduler("pf");
+    MacParams p = golden_params(401);
+    p.duration_s = 0.25;
+    p.saturated = false;
+    p.traffic = &src;
+    p.scheduler = pf.get();
+    const MacReport r = run_jmb_mac(4, 5, 4, plain(pool), p);
+    expect_calls(want, "jmb_pf_traffic", pool, r);
+  }
+  {
+    RecordingPool pool;
+    const fault::FaultPlan plan =
+        fault::FaultPlan::random_crashes(25.0, 0.3, 5, 0.04, 9);
+    fault::FaultSession session(plan, 5, 402);
+    fault::ResilienceController ctrl(5);
+    const MaskedLinkStateFn masked =
+        [&pool](std::size_t c, const std::vector<std::uint8_t>& up) {
+          return pool.next(c, up);
+        };
+    const MacReport r = run_jmb_mac_resilient(5, 4, 4, masked,
+                                              golden_params(402), &session,
+                                              &ctrl);
+    expect_calls(want, "jmb_resilient", pool, r);
   }
 }
 

@@ -350,6 +350,143 @@ TEST(EffSnr, NanSubcarrierIsRejectedWithItsIndex) {
   EXPECT_THROW((void)frame_error_prob(snr, 0), std::invalid_argument);
 }
 
+// ------------------------------------------------------ cross-state memo
+
+rvec faded_state(Rng& rng, double mean_db) {
+  rvec snr(phy::kNumDataCarriers);
+  for (double& s : snr) s = from_db(mean_db) * std::norm(rng.cgaussian());
+  return snr;
+}
+
+/// Everything the MAC asks of a state, through `memo` and fresh, compared
+/// bit for bit: every modulation's effective SNR, the rate pick, and the
+/// PER at every rate.
+void expect_memo_matches_fresh(EffectiveSnrMemo& memo, const rvec& snr) {
+  EffectiveSnrs link(snr, &memo);
+  EXPECT_EQ(select_rate(link), select_rate(snr));
+  for (std::size_t ri = 0; ri < phy::rate_set().size(); ++ri) {
+    EXPECT_TRUE(same_bits(frame_error_prob(link, ri, 1500),
+                          frame_error_prob(snr, ri, 1500)))
+        << "rate " << ri;
+  }
+  for (Modulation m : kModulations) {
+    EXPECT_TRUE(same_bits(link.db(m), effective_snr_db(m, snr)))
+        << phy::to_string(m);
+  }
+}
+
+TEST(EffSnrMemo, MatchesFreshEvaluationBitwise) {
+  Rng rng(4242);
+  EffectiveSnrMemo memo;
+  std::vector<rvec> states;
+  for (const double mean_db : {5.0, 15.0, 30.0}) {
+    for (int i = 0; i < 20; ++i) states.push_back(faded_state(rng, mean_db));
+  }
+  // First pass fills the memo, the second reads it back.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const rvec& snr : states) expect_memo_matches_fresh(memo, snr);
+  }
+}
+
+TEST(EffSnrMemo, CollidingStatesEvictAndRehit) {
+  Rng rng(77);
+  EffectiveSnrMemo memo;
+  // Twice as many states as slots: collisions are certain.
+  std::vector<rvec> states;
+  for (std::size_t i = 0; i < 2 * EffectiveSnrMemo::kSlots; ++i) {
+    states.push_back(faded_state(rng, 12.0 + static_cast<double>(i % 7)));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const rvec& snr : states) {
+      EffectiveSnrs link(snr, &memo);
+      EXPECT_EQ(select_rate(link), select_rate(snr));
+      EXPECT_TRUE(same_bits(link.db(Modulation::kQam16),
+                            effective_snr_db(Modulation::kQam16, snr)));
+    }
+  }
+  // Two states sharing one slot, alternated: each evicts the other.
+  rvec twin = faded_state(rng, 12.0);
+  const std::size_t slot0 = EffectiveSnrMemo::slot(states[0]);
+  while (EffectiveSnrMemo::slot(twin) != slot0) twin = faded_state(rng, 12.0);
+  for (int round = 0; round < 3; ++round) {
+    expect_memo_matches_fresh(memo, states[0]);
+    expect_memo_matches_fresh(memo, twin);
+  }
+  // And two that share a slot and differ only in the last subcarrier, so
+  // a hit must compare every element.
+  rvec head = faded_state(rng, 8.0);
+  head.back() = from_db(5.0);
+  rvec tail = head;
+  const std::size_t head_slot = EffectiveSnrMemo::slot(head);
+  for (int i = 0; i == 0 || EffectiveSnrMemo::slot(tail) != head_slot; ++i) {
+    tail.back() = from_db(5.0) * (2.0 + 1e-6 * i);
+  }
+  for (int round = 0; round < 3; ++round) {
+    expect_memo_matches_fresh(memo, head);
+    expect_memo_matches_fresh(memo, tail);
+  }
+}
+
+TEST(EffSnrMemo, SignedZerosAreDistinctKeysWithOneValue) {
+  rvec pos(phy::kNumDataCarriers, from_db(20.0));
+  pos[5] = 0.0;
+  rvec neg = pos;
+  neg[5] = -0.0;
+  EXPECT_NE(EffectiveSnrMemo::slot(pos), EffectiveSnrMemo::slot(neg));
+  EffectiveSnrMemo memo;
+  for (int round = 0; round < 2; ++round) {
+    expect_memo_matches_fresh(memo, pos);
+    expect_memo_matches_fresh(memo, neg);
+  }
+  for (Modulation m : kModulations) {
+    EXPECT_TRUE(same_bits(EffectiveSnrs(pos, &memo).db(m),
+                          EffectiveSnrs(neg, &memo).db(m)));
+  }
+}
+
+TEST(EffSnrMemo, NanStateThrowsWithoutPoisoningItsSlot) {
+  Rng rng(9);
+  rvec nan_state = faded_state(rng, 20.0);
+  nan_state[31] = std::numeric_limits<double>::quiet_NaN();
+  // A good state in the NaN state's slot, and the state that follows it.
+  rvec good = faded_state(rng, 20.0);
+  const std::size_t nan_slot = EffectiveSnrMemo::slot(nan_state);
+  while (EffectiveSnrMemo::slot(good) != nan_slot) {
+    good = faded_state(rng, 20.0);
+  }
+  const rvec next = faded_state(rng, 8.0);
+
+  EffectiveSnrMemo memo;
+  expect_memo_matches_fresh(memo, good);
+  for (int round = 0; round < 2; ++round) {
+    EffectiveSnrs bad(nan_state, &memo);
+    EXPECT_THROW((void)select_rate(bad), std::invalid_argument);
+    for (Modulation m : kModulations) {
+      EXPECT_THROW((void)bad.db(m), std::invalid_argument);
+    }
+    expect_memo_matches_fresh(memo, good);
+  }
+  EXPECT_THROW((void)EffectiveSnrs(nan_state, &memo).db(Modulation::kBpsk),
+               std::invalid_argument);
+  expect_memo_matches_fresh(memo, next);
+}
+
+TEST(EffSnrMemo, EmptyStateStillThrows) {
+  EffectiveSnrMemo memo;
+  EffectiveSnrs empty(rvec{}, &memo);
+  EXPECT_THROW((void)select_rate(empty), std::invalid_argument);
+  EXPECT_THROW((void)frame_error_prob(empty, 0), std::invalid_argument);
+  EXPECT_THROW((void)empty.db(Modulation::kQam64), std::invalid_argument);
+}
+
+TEST(Airtime, MeasurementRejectsFeedbackRatePastRateSet) {
+  AirtimeParams p;
+  p.feedback_rate_index = phy::rate_set().size();
+  EXPECT_THROW((void)measurement_airtime_s(2, 2, p), std::invalid_argument);
+  p.feedback_rate_index = 1000000;
+  EXPECT_THROW((void)measurement_airtime_s(2, 2, p), std::invalid_argument);
+}
+
 TEST(Ber, NanTargetIsRejected) {
   EXPECT_THROW(
       (void)snr_for_ber(Modulation::kBpsk,
