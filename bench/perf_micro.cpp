@@ -504,6 +504,67 @@ void BM_MediumReceive(benchmark::State& state) {
 }
 BENCHMARK(BM_MediumReceive);
 
+// The joint-frame shape: the lead AP sends a 320-sample header, then all
+// four APs (up to 20 ppm apart, 4-tap multipath) a data burst each, and
+// four clients read the whole 5k-sample window (items = received samples
+// over all four clients). Arg 0 renders the clients with four receive()
+// calls, arg 1 with one receive_into(), which walks each oscillator's
+// phase noise once instead of once per client.
+void BM_MediumReceiveJointWindow(benchmark::State& state) {
+  constexpr std::size_t kWindow = 5000;
+  constexpr double kFs = 10e6;
+  constexpr double kStart = 1e-3;
+  const auto osc = [](double ppm, std::uint64_t seed) {
+    return chan::OscillatorParams{.ppm = ppm, .carrier_hz = 2.4e9,
+                                  .sample_rate_hz = kFs,
+                                  .phase_noise_linewidth_hz = 0.1,
+                                  .seed = seed};
+  };
+  chan::Medium medium({});
+  const std::array<double, 4> ap_ppm{3.0, -17.0, 19.5, -8.0};
+  const std::array<double, 4> client_ppm{-19.0, 20.0, 0.5, -4.0};
+  std::vector<chan::NodeId> aps, clients;
+  for (std::size_t k = 0; k < 4; ++k) {
+    aps.push_back(medium.add_node(osc(ap_ppm[k], 1 + k), 1e-3));
+  }
+  for (std::size_t k = 0; k < 4; ++k) {
+    clients.push_back(medium.add_node(osc(client_ppm[k], 5 + k), 1e-3));
+  }
+  for (std::size_t a = 0; a < aps.size(); ++a) {
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      medium.set_link(aps[a], clients[c],
+                      {.gain = 1.0, .n_taps = 4, .tap_decay = 0.5,
+                       .rice_k = 0.0,
+                       .delay_s = (10.0 + 7.0 * double(a) + 3.0 * double(c)) *
+                                  1e-9,
+                       .coherence_time_s = 0.25, .sample_rate_hz = kFs,
+                       .seed = 10 + 4 * a + c});
+    }
+  }
+  Rng rng(3);
+  medium.transmit(aps[0], kStart + 100.0 / kFs, rng.cgaussian_vec(320, 1.0));
+  for (std::size_t a = 0; a < aps.size(); ++a) {
+    medium.transmit(aps[a], kStart + (500.0 + 0.3 * double(a)) / kFs,
+                    rng.cgaussian_vec(kWindow - 700, 1.0));
+  }
+  const bool batched = state.range(0) != 0;
+  std::vector<cvec> out(clients.size());
+  for (auto _ : state) {
+    if (batched) {
+      medium.receive_into(clients, kStart, kWindow, out);
+    } else {
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        out[c] = medium.receive(clients[c], kStart, kWindow);
+      }
+    }
+    for (cvec& y : out) benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kWindow * clients.size()));
+}
+BENCHMARK(BM_MediumReceiveJointWindow)->Arg(0)->Arg(1);
+
 // One phase-noise run of range(0) samples (items = samples): every
 // iteration restarts at the run's first index, so this is the cost of the
 // walk itself, one Gaussian increment per sample.

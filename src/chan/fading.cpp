@@ -1,5 +1,6 @@
 #include "chan/fading.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -91,6 +92,20 @@ cvec FadingChannel::apply(const cvec& x) const {
     for (std::size_t n = 0; n < x.size(); ++n) out[n + l] += h * x[n];
   }
   return out;
+}
+
+void FadingChannel::apply_range(std::span<const cplx> x, std::size_t k0,
+                                std::size_t k1, std::span<cplx> out) const {
+  std::fill_n(out.begin(), k1 - k0, cplx{});
+  for (std::size_t l = 0; l < taps_.size(); ++l) {
+    const cplx h = taps_[l];
+    if (h == cplx{}) continue;
+    // out[k - k0] += h * x[k - l] over the k in [k0, k1) with 0 <= k - l
+    // < x.size().
+    const std::size_t lo = std::max(k0, l);
+    const std::size_t hi = std::min(k1, x.size() + l);
+    for (std::size_t k = lo; k < hi; ++k) out[k - k0] += h * x[k - l];
+  }
 }
 
 cvec FadingChannel::frequency_response(std::size_t nfft) const {

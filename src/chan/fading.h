@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "dsp/rng.h"
 #include "dsp/types.h"
@@ -51,6 +52,12 @@ class FadingChannel {
   /// n_taps - 1). Delay is NOT applied here — the Medium applies it when
   /// resampling onto the receiver's clock.
   [[nodiscard]] cvec apply(const cvec& x) const;
+
+  /// Samples [k0, k1) of apply(x), bit for bit, into out[0 .. k1 - k0):
+  /// each one accumulates the taps in apply's order. Requires k0 <= k1 <=
+  /// apply(x).size() and out.size() >= k1 - k0.
+  void apply_range(std::span<const cplx> x, std::size_t k0, std::size_t k1,
+                   std::span<cplx> out) const;
 
   /// Frequency response on a given FFT bin count (diagnostics, and the
   /// "true channel" oracle used by tests and the link-level model).

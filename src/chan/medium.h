@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chan/fading.h"
@@ -36,7 +37,8 @@ class Medium {
   explicit Medium(MediumParams p, std::uint64_t noise_seed = 99);
 
   /// Register a node; returns its id. `noise_var` is the receiver's noise
-  /// power per complex sample (the "noise floor" in linear units).
+  /// power per complex sample (the "noise floor" in linear units). Throws
+  /// std::invalid_argument if noise_var is negative or not finite.
   NodeId add_node(OscillatorParams osc, double noise_var = 1.0);
 
   [[nodiscard]] std::size_t n_nodes() const { return nodes_.size(); }
@@ -46,6 +48,7 @@ class Medium {
   [[nodiscard]] Oscillator& oscillator_mutable(NodeId id);
   [[nodiscard]] double noise_var(NodeId id) const;
   /// Adjust a receiver's noise floor (used to calibrate operating SNR).
+  /// Throws std::invalid_argument as add_node does.
   void set_noise_var(NodeId id, double noise_var);
 
   /// Install a per-subcarrier interference profile at receiver `rx`:
@@ -55,6 +58,8 @@ class Medium {
   /// as shaped Gaussian noise, one psd.size()-bin block at a time. An
   /// empty vector removes the profile: receive() then takes no draws for
   /// it, so every later draw from the shared noise stream is unshifted.
+  /// Throws std::invalid_argument if an entry is negative or not finite,
+  /// or if a non-empty psd's size is not a power of two.
   void set_interference(NodeId rx, std::vector<double> psd);
   [[nodiscard]] const std::vector<double>& interference(NodeId rx) const;
 
@@ -75,8 +80,19 @@ class Medium {
 
   /// What `rx` hears over n samples of ITS OWN clock, the first taken at
   /// true time ~ start_s. Includes AWGN and both oscillators' rotations.
-  /// Throws std::invalid_argument if start_s is not finite.
+  /// Throws std::invalid_argument if start_s is not finite. The
+  /// one-receiver form of receive_into.
   [[nodiscard]] cvec receive(NodeId rx, double start_s, std::size_t n);
+
+  /// What each of `rxs` hears over one shared window: out[r] becomes
+  /// receive(rxs[r], start_s, n), bit for bit, and the shared noise stream
+  /// ends where those calls in order would leave it. Each oscillator's
+  /// phase noise is walked once per window, not once per receiver.
+  /// Duplicate ids are allowed (each entry draws its own noise). Throws
+  /// std::invalid_argument, before any draw, on an unknown id, a
+  /// non-finite start_s or out.size() != rxs.size().
+  void receive_into(std::span<const NodeId> rxs, double start_s,
+                    std::size_t n, std::span<cvec> out);
 
   /// Drop all scheduled transmissions (between experiment phases).
   void clear_transmissions();
@@ -103,11 +119,41 @@ class Medium {
     cvec samples;
   };
 
+  /// One (transmission, receiver) pair of a receive_into call that adds
+  /// something: receiver samples [m_lo, m_hi) fall inside the burst, and
+  /// read phase noise at nominal indices [idx_lo, idx_hi].
+  struct Pair {
+    const Transmission* t = nullptr;
+    const FadingChannel* ch = nullptr;
+    std::size_t r = 0;  ///< position in rxs
+    double t0 = 0.0;    ///< true time of the burst's first sample at rx
+    double fs_tx = 0.0;
+    double delta_cfo = 0.0;
+    std::size_t len = 0;  ///< multipath output length
+    std::size_t m_lo = 0, m_hi = 0;
+    std::uint64_t idx_lo = 0, idx_hi = 0;
+  };
+  /// receive_into's working memory, kept between calls. Its size follows
+  /// the node, transmission and receiver counts and the 256-index block,
+  /// never the window length.
+  struct Scratch {
+    std::vector<Pair> pairs;
+    std::vector<double> theta;  ///< one block of phase noise per node
+    std::vector<char> walked;   ///< theta holds this block, per node
+    std::vector<std::size_t> m_begin, m_end;  ///< block's samples, per rx
+    cvec conv;  ///< one pair's multipath output over one block
+    cvec bins;  ///< one interference block
+  };
+
+  /// Thermal noise plus any interference of `rxn`, n samples, into y.
+  void draw_floor(const Node& rxn, std::size_t n, cvec& y);
+
   MediumParams params_;
   std::vector<Node> nodes_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<FadingChannel>> links_;
   std::vector<Transmission> transmissions_;
   Rng noise_rng_;
+  Scratch scratch_;
 };
 
 }  // namespace jmb::chan

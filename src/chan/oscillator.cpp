@@ -15,11 +15,11 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// One standard Gaussian from two hashed uniforms (Box-Muller). The seed is
-// pre-mixed so that distinct seeds yield independent streams even for
-// overlapping counter ranges (nodes must not share phase noise).
-double hashed_gaussian(std::uint64_t seed, std::uint64_t n) {
-  const std::uint64_t key = splitmix64(seed);
+// One standard Gaussian from two hashed uniforms (Box-Muller). `key` is
+// the pre-mixed seed, splitmix64(seed), so that distinct seeds yield
+// independent streams even for overlapping counter ranges (nodes must not
+// share phase noise).
+double hashed_gaussian(std::uint64_t key, std::uint64_t n) {
   const std::uint64_t a = splitmix64(key ^ splitmix64(2 * n + 1));
   const std::uint64_t b = splitmix64(key ^ splitmix64(2 * n + 2));
   const double u1 = (static_cast<double>(a >> 11) + 0.5) * 0x1.0p-53;
@@ -29,7 +29,8 @@ double hashed_gaussian(std::uint64_t seed, std::uint64_t n) {
 
 }  // namespace
 
-Oscillator::Oscillator(OscillatorParams p) : params_(p) {
+Oscillator::Oscillator(OscillatorParams p)
+    : params_(p), key_(splitmix64(p.seed)) {
   // Wiener phase noise with linewidth B: Var[theta(t+dt) - theta(t)] =
   // 2 pi B dt. Per nominal sample: sigma^2 = 2 pi B / fs.
   sigma_per_sample_ = std::sqrt(kTwoPi * params_.phase_noise_linewidth_hz /
@@ -38,7 +39,7 @@ Oscillator::Oscillator(OscillatorParams p) : params_(p) {
 }
 
 double Oscillator::increment(std::uint64_t n) const {
-  return sigma_per_sample_ * hashed_gaussian(params_.seed, n);
+  return sigma_per_sample_ * hashed_gaussian(key_, n);
 }
 
 // theta(n) is the left fold ((0 + inc(1)) + inc(2)) + ... + inc(n), so a
@@ -53,9 +54,9 @@ Oscillator::WalkPoint Oscillator::walk_start(std::uint64_t n) const {
   return w;
 }
 
-void Oscillator::step(WalkPoint& w) const {
+void Oscillator::step(WalkPoint& w, double inc) const {
   ++w.idx;
-  w.phase += increment(w.idx);
+  w.phase += inc;
   if (w.idx == checkpoints_.size() * kCheckpointStride) {
     checkpoints_.push_back(w.phase);
   }
@@ -64,7 +65,7 @@ void Oscillator::step(WalkPoint& w) const {
 double Oscillator::phase_noise_at(std::uint64_t n) const {
   if (sigma_per_sample_ == 0.0) return 0.0;
   WalkPoint w = walk_start(n);
-  while (w.idx < n) step(w);
+  while (w.idx < n) step(w, increment(w.idx + 1));
   last_ = w;
   return w.phase;
 }
@@ -77,15 +78,18 @@ void Oscillator::phase_noise_run(std::uint64_t first,
     return;
   }
   WalkPoint w = walk_start(first);
-  while (w.idx < first) step(w);
+  while (w.idx < first) step(w, increment(w.idx + 1));
   // A run that starts inside the stretch walked since run_ (the next
   // receiver of the same window, or the next block of a cut-up walk)
   // keeps run_, so a later restart anywhere in that stretch still begins
   // at run_ rather than at a checkpoint.
   if (!(run_.idx <= first && first <= last_.idx + 1)) run_ = w;
+  // The increments do not depend on each other, so they are computed in
+  // one loop first; the fold then adds them in order.
+  for (std::size_t i = 1; i < out.size(); ++i) out[i] = increment(first + i);
   out[0] = w.phase;
   for (std::size_t i = 1; i < out.size(); ++i) {
-    step(w);
+    step(w, out[i]);
     out[i] = w.phase;
   }
   last_ = w;

@@ -79,6 +79,7 @@ class Oscillator {
 
  private:
   OscillatorParams params_;
+  std::uint64_t key_ = 0;          ///< splitmix64(seed), hoisted
   double sigma_per_sample_ = 0.0;  ///< phase-noise increment std dev
   double injected_phase_rad_ = 0.0;
   double injected_cfo_hz_ = 0.0;
@@ -103,8 +104,9 @@ class Oscillator {
   [[nodiscard]] double increment(std::uint64_t n) const;
   /// The latest known point at or below n: its checkpoint, last_ or run_.
   [[nodiscard]] WalkPoint walk_start(std::uint64_t n) const;
-  /// One step of the walk, recording the checkpoint it may land on.
-  void step(WalkPoint& w) const;
+  /// One step of the walk by `inc` (the increment of index w.idx + 1),
+  /// recording the checkpoint it may land on.
+  void step(WalkPoint& w, double inc) const;
 };
 
 }  // namespace jmb::chan

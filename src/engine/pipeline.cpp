@@ -104,14 +104,23 @@ SyncOutcome run_sync_header(SystemState& sys) {
   if (!lead_down) {
     sys.medium.transmit(sys.ap_nodes[0], out.header_t, phy::preamble_time());
   }
+  // A crashed slave neither listens nor reports; with the lead down there
+  // is no header on the air to measure. Nothing below changes who is down,
+  // so every listener renders the header window in one pass.
+  const auto listens = [&](std::size_t a) {
+    return !lead_down && !(sys.fault && sys.fault->ap_down(a));
+  };
+  std::vector<chan::NodeId> listeners;
   for (std::size_t a = 1; a < sys.params.n_aps; ++a) {
-    // A crashed slave neither listens nor reports; with the lead down
-    // there is no header on the air to measure.
-    const bool slave_down = sys.fault && sys.fault->ap_down(a);
-    if (!lead_down && !slave_down) {
-      const cvec buf = sys.medium.receive(sys.ap_nodes[a],
-                                          out.header_t - kRxMargin / fs,
-                                          kRxMargin + phy::kPreambleLen + 180);
+    if (listens(a)) listeners.push_back(sys.ap_nodes[a]);
+  }
+  std::vector<cvec> bufs(listeners.size());
+  sys.medium.receive_into(listeners, out.header_t - kRxMargin / fs,
+                          kRxMargin + phy::kPreambleLen + 180, bufs);
+  std::size_t next_buf = 0;
+  for (std::size_t a = 1; a < sys.params.n_aps; ++a) {
+    if (listens(a)) {
+      const cvec& buf = bufs[next_buf++];
       auto pm = sys.rx.measure_preamble(buf);
       if (pm && sys.fault && sys.fault->sync_header_lost(a)) pm.reset();
       if (pm && sys.fault) {
@@ -438,10 +447,8 @@ void PropagationStage::run(StageContext& stage_ctx) {
       static_cast<std::size_t>(sys.params.turnaround_s * fs) + ctx.wave_len +
       300;
   ctx.client_bufs.resize(sys.params.n_clients);
-  for (std::size_t c = 0; c < sys.params.n_clients; ++c) {
-    ctx.client_bufs[c] = sys.medium.receive(
-        sys.client_nodes[c], ctx.sync.header_t - kRxMargin / fs, total);
-  }
+  sys.medium.receive_into(sys.client_nodes, ctx.sync.header_t - kRxMargin / fs,
+                          total, ctx.client_bufs);
   sys.now = ctx.sync.tx_start + static_cast<double>(ctx.wave_len + 400) / fs;
 }
 

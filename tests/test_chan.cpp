@@ -8,12 +8,14 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "chan/fading.h"
 #include "chan/medium.h"
 #include "chan/oscillator.h"
 #include "chan/topology.h"
+#include "dsp/fft.h"
 #include "dsp/resampler.h"
 #include "dsp/stats.h"
 #include "phy/receiver.h"
@@ -164,6 +166,35 @@ TEST(Fading, ApplyIsLinearConvolution) {
   EXPECT_NEAR(std::abs(y[0] - h[0] * x[0]), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(y[1] - (h[1] * x[0] + h[0] * x[1])), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(y[3] - h[2] * x[1]), 0.0, 1e-12);
+}
+
+TEST(FadingChannel, ApplyRangeMatchesApply) {
+  // Every range [k0, k1) of the output, including empty ones and ones
+  // touching either edge, for 1-6 taps and for an all-zero delay line
+  // (gain 0: apply skips every tap).
+  Rng rng(21);
+  const cvec x = rng.cgaussian_vec(9, 1.0);
+  for (std::size_t taps = 0; taps <= 6; ++taps) {
+    const FadingChannel ch({.gain = taps == 0 ? 0.0 : 1.0,
+                            .n_taps = std::max<std::size_t>(taps, 3),
+                            .tap_decay = 0.5, .rice_k = 0.0, .delay_s = 0.0,
+                            .coherence_time_s = 0.25, .sample_rate_hz = 10e6,
+                            .seed = 30 + taps});
+    const cvec full = ch.apply(x);
+    ASSERT_EQ(full.size(), x.size() + ch.taps().size() - 1);
+    for (std::size_t k0 = 0; k0 <= full.size(); ++k0) {
+      for (std::size_t k1 = k0; k1 <= full.size(); ++k1) {
+        cvec part(k1 - k0 + 1, cplx{7.0, 7.0});
+        ch.apply_range(x, k0, k1, part);
+        EXPECT_EQ(std::memcmp(part.data(), full.data() + k0,
+                              (k1 - k0) * sizeof(cplx)),
+                  0)
+            << taps << " taps, [" << k0 << ", " << k1 << ")";
+        // Nothing past k1 - k0 is written.
+        EXPECT_EQ(part.back(), (cplx{7.0, 7.0}));
+      }
+    }
+  }
 }
 
 TEST(Topology, PlacementRespectsRoom) {
@@ -429,6 +460,78 @@ TEST(Medium, NonFiniteTimesThrow) {
   EXPECT_GT(mean_power(medium.receive(b, 1e-3, 200)), 0.01);
 }
 
+/// The message of the std::invalid_argument `f` throws ("" if none).
+template <class F>
+std::string invalid_argument_message(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+OscillatorParams quiet_osc(std::uint64_t seed) {
+  return {.ppm = 0.0, .carrier_hz = 2.4e9, .sample_rate_hz = 10e6,
+          .phase_noise_linewidth_hz = 0.0, .seed = seed};
+}
+
+TEST(Medium, AddNodeRejectsBadNoiseVar) {
+  Medium medium({});
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -1e-3}) {
+    const std::string what = invalid_argument_message(
+        [&] { (void)medium.add_node(quiet_osc(1), v); });
+    EXPECT_NE(what.find("noise_var"), std::string::npos) << v << ": " << what;
+  }
+  EXPECT_EQ(medium.n_nodes(), 0u);
+  // Zero is a valid (noiseless) floor.
+  EXPECT_EQ(medium.add_node(quiet_osc(1), 0.0), 0u);
+}
+
+TEST(Medium, SetNoiseVarRejectsBadNoiseVar) {
+  Medium medium({});
+  const NodeId rx = medium.add_node(quiet_osc(1), 1e-3);
+  for (const double v : {std::nan(""), -std::numeric_limits<double>::infinity(),
+                         -2.0}) {
+    const std::string what =
+        invalid_argument_message([&] { medium.set_noise_var(rx, v); });
+    EXPECT_NE(what.find("noise_var"), std::string::npos) << v << ": " << what;
+  }
+  EXPECT_EQ(medium.noise_var(rx), 1e-3);
+  for (const cplx& v : medium.receive(rx, 0.0, 64)) {
+    EXPECT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
+  }
+}
+
+TEST(Medium, SetInterferenceRejectsBadPsd) {
+  Medium medium({});
+  const NodeId rx = medium.add_node(quiet_osc(1), 1e-3);
+  medium.set_interference(rx, std::vector<double>(64, 1e-3));
+  std::vector<std::vector<double>> bad;
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -1e-3}) {
+    std::vector<double> psd(64, 1e-3);
+    psd[17] = v;
+    bad.push_back(psd);
+  }
+  bad.emplace_back(48, 1e-3);  // 48 used subcarriers: not a power of two
+  bad.emplace_back(3, 1e-3);
+  for (const std::vector<double>& psd : bad) {
+    const std::string what =
+        invalid_argument_message([&] { medium.set_interference(rx, psd); });
+    EXPECT_NE(what.find("psd"), std::string::npos) << psd.size() << ": "
+                                                   << what;
+  }
+  // The rejected profiles left the installed one in place.
+  EXPECT_EQ(medium.interference(rx), std::vector<double>(64, 1e-3));
+  // Sizes 1 and 2 are powers of two; empty removes the profile.
+  medium.set_interference(rx, {1e-3});
+  medium.set_interference(rx, {1e-3, 0.0});
+  medium.set_interference(rx, {});
+  EXPECT_TRUE(medium.interference(rx).empty());
+}
+
 TEST(Medium, EndToEndPacketThroughMediumDecodes) {
   // A real 802.11 frame from a +1.5 ppm AP to a -1.2 ppm client across a
   // fading link at ~25 dB SNR, with phase noise — the standard receiver
@@ -662,6 +765,40 @@ class ParityRig {
     }
     return ::testing::AssertionSuccess();
   }
+  /// receive_into() over `rxs` against the reference loop per receiver,
+  /// then one more receive() of `next`: it matches only if the joint call
+  /// left the noise stream where consecutive receive() calls leave it.
+  ::testing::AssertionResult joint_matches(const std::vector<NodeId>& rxs,
+                                           double start_s, std::size_t n,
+                                           NodeId next) {
+    std::vector<Oscillator> oscs;
+    for (NodeId i = 0; i < medium_.n_nodes(); ++i) {
+      oscs.emplace_back(medium_.oscillator(i).params());
+    }
+    std::vector<cvec> ref;
+    for (const NodeId rx : rxs) {
+      ref.push_back(reference_receive(medium_, oscs, bursts_, rx, start_s,
+                                      twin_.receive(rx, start_s, n)));
+    }
+    // Stale contents and sizes must not leak into the result.
+    std::vector<cvec> got(rxs.size(), cvec(n / 2 + 3, cplx{5.0, 5.0}));
+    medium_.receive_into(rxs, start_s, n, got);
+    for (std::size_t r = 0; r < rxs.size(); ++r) {
+      if (got[r].size() != n) {
+        return ::testing::AssertionFailure()
+               << "entry " << r << " has " << got[r].size() << " samples";
+      }
+      for (std::size_t m = 0; m < n; ++m) {
+        if (std::memcmp(&got[r][m], &ref[r][m], sizeof(cplx)) != 0) {
+          return ::testing::AssertionFailure()
+                 << "entry " << r << " (rx " << rxs[r] << ") sample " << m
+                 << ": " << got[r][m] << " != " << ref[r][m];
+        }
+      }
+    }
+    return matches(next, start_s, std::max<std::size_t>(n, 64));
+  }
+  Medium& medium() { return medium_; }
 
  private:
   Medium medium_{{}, 77};
@@ -790,6 +927,173 @@ TEST(MediumParity, ReceiveEarlierThanThePreviousOne) {
   EXPECT_TRUE(rig.matches(rx1, kWin, 2500));
   EXPECT_TRUE(rig.matches(rx2, kWin + 1000.0 / kFs, 2500));
   EXPECT_TRUE(rig.matches(rx2, kWin - 200.0 / kFs, 7000));
+}
+
+/// The joint-frame rig of FourReceiversReadTheSameWindow: 4 APs, the
+/// lead's header plus a data burst per AP, and 4 clients.
+struct JointFrame {
+  ParityRig rig;
+  std::vector<NodeId> aps, clients;
+
+  JointFrame() {
+    const std::array<double, 4> ap_ppm{3.0, -17.0, 19.5, -8.0};
+    const std::array<double, 4> client_ppm{-19.0, 20.0, 0.5, -4.0};
+    for (const double ppm : ap_ppm) aps.push_back(rig.add_node(ppm));
+    for (const double ppm : client_ppm) clients.push_back(rig.add_node(ppm));
+    for (std::size_t a = 0; a < aps.size(); ++a) {
+      for (std::size_t c = 0; c < clients.size(); ++c) {
+        rig.set_link(aps[a], clients[c], 1 + (a + c) % 6,
+                     (10.0 + 7.0 * double(a) + 3.0 * double(c)) * 1e-9);
+      }
+    }
+    // The lead reaches the slaves too, as the sync header does.
+    for (std::size_t a = 1; a < aps.size(); ++a) {
+      rig.set_link(aps[0], aps[a], 2, (5.0 + 4.0 * double(a)) * 1e-9);
+    }
+    rig.transmit(aps[0], kWin + 100.0 / kFs, 320);
+    for (std::size_t a = 0; a < aps.size(); ++a) {
+      rig.transmit(aps[a], kWin + (1900.0 + 0.3 * double(a)) / kFs, 2400);
+    }
+  }
+};
+
+TEST(MediumParity, JointWindowMatchesConsecutiveReceives) {
+  JointFrame f;
+  EXPECT_TRUE(f.rig.joint_matches(f.clients, kWin, 4700, f.clients[2]));
+  // A second frame's worth: the same window again, clients reversed.
+  const std::vector<NodeId> rev(f.clients.rbegin(), f.clients.rend());
+  EXPECT_TRUE(f.rig.joint_matches(rev, kWin, 4700, f.clients[0]));
+}
+
+TEST(MediumParity, JointWindowWithAReceiverThatAlsoTransmits) {
+  // The slaves hear the lead's header while sending their own bursts:
+  // each skips its own transmissions but not the lead's.
+  JointFrame f;
+  const std::vector<NodeId> rxs{f.aps[1], f.clients[0], f.aps[3], f.aps[0]};
+  EXPECT_TRUE(f.rig.joint_matches(rxs, kWin, 4700, f.aps[2]));
+}
+
+TEST(MediumParity, JointWindowWithDuplicateIds) {
+  JointFrame f;
+  const std::vector<NodeId> rxs{f.clients[1], f.clients[1], f.clients[3],
+                                f.clients[1]};
+  EXPECT_TRUE(f.rig.joint_matches(rxs, kWin, 4700, f.clients[1]));
+}
+
+TEST(MediumParity, JointWindowWithInterferencePsdReceivers) {
+  JointFrame f;
+  std::vector<double> psd(64);
+  for (std::size_t k = 0; k < psd.size(); ++k) {
+    psd[k] = 1e-3 * double(1 + k % 5);
+  }
+  f.rig.set_interference(f.clients[0], psd);
+  f.rig.set_interference(f.clients[2], std::vector<double>(16, 2e-3));
+  // 4700 is not a multiple of either block size.
+  EXPECT_TRUE(f.rig.joint_matches(f.clients, kWin, 4700, f.clients[2]));
+}
+
+TEST(MediumParity, JointWindowWithClippedAndOutOfOrderBursts) {
+  ParityRig rig;
+  const NodeId a = rig.add_node(11.0);
+  const NodeId b = rig.add_node(-9.0);
+  const NodeId rx1 = rig.add_node(4.0);
+  const NodeId rx2 = rig.add_node(-18.5);
+  for (const NodeId r : {rx1, rx2}) {
+    rig.set_link(a, r, 3, 55e-9);
+    rig.set_link(b, r, 4, 12e-9);
+  }
+  rig.transmit(b, kWin + 1200.0 / kFs, 1500);  // runs past the window end
+  rig.transmit(a, kWin - 700.0 / kFs, 1500);   // clips the window start
+  rig.transmit(b, kWin + 300.0 / kFs, 400);    // listed after a later one
+  rig.transmit(a, kWin + 5000.0 / kFs, 500);   // after the window
+  rig.transmit(b, kWin - 3000.0 / kFs, 500);   // before the window
+  EXPECT_TRUE(rig.joint_matches({rx1, rx2}, kWin, 2000, rx1));
+  // A window that starts before time zero clamps the phase-noise index.
+  EXPECT_TRUE(rig.joint_matches({rx2, rx1}, -600.0 / kFs, 900, rx2));
+}
+
+TEST(MediumParity, JointWindowWithZeroLinewidthNodes) {
+  ParityRig rig;
+  const NodeId quiet_tx = rig.add_node(9.0, 0.0);
+  const NodeId noisy_tx = rig.add_node(-12.0);
+  const NodeId rx = rig.add_node(2.0);
+  const NodeId quiet_rx = rig.add_node(-2.0, 0.0);
+  const NodeId unlinked_rx = rig.add_node(7.0);
+  for (const NodeId r : {rx, quiet_rx}) {
+    rig.set_link(quiet_tx, r, 2, 40e-9);
+    rig.set_link(noisy_tx, r, 3, 15e-9);
+  }
+  rig.transmit(quiet_tx, kWin + 50.0 / kFs, 1000);
+  rig.transmit(noisy_tx, kWin + 70.0 / kFs, 1000);
+  EXPECT_TRUE(
+      rig.joint_matches({quiet_rx, unlinked_rx, rx}, kWin, 1300, quiet_rx));
+}
+
+TEST(MediumParity, JointNoiseFloorFollowsTheSharedStream) {
+  // The rig takes its noise floor from a twin medium; this pins the floor
+  // itself to the shared stream: per entry, n thermal draws, then one
+  // block of psd.size() shaped bins per started block, inverse-FFT'd.
+  Medium medium({}, 77);
+  const NodeId plain = medium.add_node(quiet_osc(1), 2e-3);
+  const NodeId shaped = medium.add_node(quiet_osc(2), 1e-3);
+  std::vector<double> psd(16);
+  for (std::size_t k = 0; k < psd.size(); ++k) psd[k] = 1e-4 * double(k + 1);
+  medium.set_interference(shaped, psd);
+  const std::size_t n = 100;  // not a multiple of 16
+  const std::vector<NodeId> rxs{shaped, plain, shaped};
+  std::vector<cvec> got(rxs.size());
+  medium.receive_into(rxs, 0.0, n, got);
+
+  Rng rng(77);
+  for (std::size_t r = 0; r < rxs.size(); ++r) {
+    cvec ref(n);
+    for (cplx& v : ref) v = rng.cgaussian(medium.noise_var(rxs[r]));
+    if (rxs[r] == shaped) {
+      for (std::size_t start = 0; start < n; start += psd.size()) {
+        cvec bins(psd.size());
+        for (std::size_t k = 0; k < psd.size(); ++k) {
+          bins[k] = rng.cgaussian(16.0 * psd[k]);
+        }
+        const cvec block = ifft(bins);
+        for (std::size_t i = 0; i < psd.size() && start + i < n; ++i) {
+          ref[start + i] += block[i];
+        }
+      }
+    }
+    ASSERT_EQ(got[r].size(), n);
+    EXPECT_EQ(std::memcmp(got[r].data(), ref.data(), n * sizeof(cplx)), 0)
+        << "entry " << r;
+  }
+}
+
+TEST(MediumParity, JointWindowOfZeroSamples) {
+  JointFrame f;
+  std::vector<cvec> out(2, cvec(5, cplx{1.0, 1.0}));
+  const std::vector<NodeId> two{f.clients[0], f.clients[1]};
+  f.rig.medium().receive_into(two, kWin, 0, out);
+  EXPECT_TRUE(out[0].empty());
+  EXPECT_TRUE(out[1].empty());
+  f.rig.medium().receive_into({}, kWin, 100, {});
+  EXPECT_TRUE(f.rig.joint_matches(f.clients, kWin, 0, f.clients[3]));
+}
+
+TEST(MediumParity, JointWindowWithAnUnknownIdThrowsAndDrawsNothing) {
+  JointFrame f;
+  Medium& medium = f.rig.medium();
+  const std::vector<NodeId> rxs{f.clients[0], f.clients[1], 99, f.clients[2]};
+  std::vector<cvec> out(rxs.size(), cvec(3, cplx{1.0, 1.0}));
+  EXPECT_THROW(medium.receive_into(rxs, kWin, 4700, out),
+               std::invalid_argument);
+  for (const cvec& y : out) EXPECT_EQ(y, cvec(3, cplx{1.0, 1.0}));
+  // One output too few, and a non-finite start, throw the same way.
+  out.pop_back();
+  EXPECT_THROW(medium.receive_into(f.clients, kWin, 4700, out),
+               std::invalid_argument);
+  out.resize(f.clients.size());
+  EXPECT_THROW(medium.receive_into(f.clients, std::nan(""), 4700, out),
+               std::invalid_argument);
+  // No draw was taken: the noise stream still lines up with the twin's.
+  EXPECT_TRUE(f.rig.matches(f.clients[0], kWin, 4700));
 }
 
 }  // namespace
