@@ -28,6 +28,7 @@
 #include "simd/aligned.h"
 #include "simd/backend.h"
 #include "simd/kernels.h"
+#include "traffic/flow.h"
 #include "traffic/policy.h"
 
 namespace {
@@ -455,16 +456,58 @@ void BM_EffectiveSnrMemo(benchmark::State& state) {
 }
 BENCHMARK(BM_EffectiveSnrMemo)->ArgsProduct({{5, 15, 30}, {0, 1, 2}});
 
-void BM_BeamformingSinr10x10(benchmark::State& state) {
+// The closed-form link model's per-draw cost: one beamforming_sinr over
+// an N x N well-conditioned channel with a prebuilt ZF precoder (what each
+// SinrPool entry costs; BM_ZfPrecoderBuild prices the build).
+void BM_BeamformingSinr(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
-  const core::ChannelMatrixSet h = core::random_channel_set(10, 10, rng);
-  rvec phase(10, 0.01);
+  const core::ChannelMatrixSet h = core::well_conditioned_channel_set(
+      std::vector<std::vector<double>>(n, std::vector<double>(n, 100.0)),
+      rng);
+  const auto precoder = core::Precoder::build(h);
+  rvec phase(n, 0.01);
+  phase[0] = 0.0;
   for (auto _ : state) {
-    auto rep = core::beamforming_sinr(h, phase, 1.0);
+    auto rep = core::beamforming_sinr(h, *precoder, phase, 1.0);
     benchmark::DoNotOptimize(rep.sinr.data());
   }
 }
-BENCHMARK(BM_BeamformingSinr10x10);
+BENCHMARK(BM_BeamformingSinr)->Arg(2)->Arg(4)->Arg(10);
+
+// One well-conditioned N x N channel draw (the i.i.d. draw plus in-place
+// Gram-Schmidt on every subcarrier), as each saturated-scaling case makes.
+void BM_WellConditionedChannelSet(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::vector<double>> gains(n,
+                                               std::vector<double>(n, 100.0));
+  Rng rng(8);
+  for (auto _ : state) {
+    auto h = core::well_conditioned_channel_set(gains, rng);
+    benchmark::DoNotOptimize(&h.at(0)(0, 0));
+  }
+}
+BENCHMARK(BM_WellConditionedChannelSet)->Arg(4)->Arg(10);
+
+// Building the overload workload's arrival source: 12 users of the "mixed"
+// profile, each flow seeding its own Rng and taking its first draws.
+void BM_PacketSourceBuild(benchmark::State& state) {
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    traffic::PacketSource src(seed++, 12, traffic::make_profile("mixed", 10.0),
+                              0.1);
+    benchmark::DoNotOptimize(src.next_arrival_s());
+  }
+}
+BENCHMARK(BM_PacketSourceBuild);
+
+// One raw 64-bit draw from the library Rng (its Mersenne Twister),
+// amortizing the 312-word twist over every 312th call.
+void BM_RngDraw(benchmark::State& state) {
+  Rng rng(9);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());
+}
+BENCHMARK(BM_RngDraw);
 
 // The sample-level medium: one receive() of a 10k-sample window in which
 // four transmitters overlap, each with its own SFO and CFO (up to 20 ppm),

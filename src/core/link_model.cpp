@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "simd/kernels.h"
 
 namespace jmb::core {
 
@@ -30,6 +33,12 @@ ChannelMatrixSet random_channel_set_with_gains(
     }
   }
   ChannelMatrixSet h(n_clients, n_tx);
+  // The second tap's phasor per subcarrier, shared by every link.
+  const auto& used = used_subcarriers();
+  cvec tilt(h.n_subcarriers());
+  for (std::size_t k = 0; k < tilt.size(); ++k) {
+    tilt[k] = phasor(-kTwoPi * static_cast<double>(used[k]) / 64.0);
+  }
   // Draw one flat response per link (block-fading across the band keeps
   // Fig. 6's "random channel matrix" semantics), with light frequency
   // selectivity from a second tap.
@@ -44,10 +53,8 @@ ChannelMatrixSet random_channel_set_with_gains(
                        std::sqrt(p0 * rice_k / (rice_k + 1.0));
       const cplx tap0 = los + rng.cgaussian(p0 / (rice_k + 1.0));
       const cplx tap1 = rng.cgaussian(0.2 * gains[c][a]);
-      const auto& used = used_subcarriers();
-      for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
-        const double ang = -kTwoPi * static_cast<double>(used[k]) / 64.0;
-        h.at(k)(c, a) = tap0 + tap1 * phasor(ang);
+      for (std::size_t k = 0; k < tilt.size(); ++k) {
+        h.at(k)(c, a) = tap0 + tap1 * tilt[k];
       }
     }
   }
@@ -92,56 +99,45 @@ ChannelMatrixSet well_conditioned_channel_set(
   }
   ChannelMatrixSet h = random_channel_set_with_gains(
       std::vector<std::vector<double>>(nc, std::vector<double>(nt, 1.0)), rng);
+  // Row power anchored to the client's best link: joint beamforming
+  // delivers "the same rate ... similar to traditional 802.11" per client
+  // (Section 9), not an aggregated-power bonus.
+  rvec target(nc, 0.0);
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::size_t a = 0; a < nt && a < gains[c].size(); ++a) {
+      target[c] = std::max(target[c], gains[c][a]);
+    }
+  }
+  const auto scale_row = [nt](cplx* row, double power) {
+    double norm2 = 0.0;
+    for (std::size_t a = 0; a < nt; ++a) norm2 += std::norm(row[a]);
+    const double s = norm2 > 1e-30 ? std::sqrt(power / norm2) : 0.0;
+    for (std::size_t a = 0; a < nt; ++a) row[a] *= s;
+  };
   for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
     CMatrix& m = h.at(k);
-    // Gram-Schmidt on client rows.
+    // Gram-Schmidt on client rows, in place. Every row but the last is
+    // left at unit power for the later projections (scaled to its target,
+    // then by 1/sqrt(target)).
     for (std::size_t c = 0; c < nc; ++c) {
-      cvec row = m.row(c);
+      cplx* const row = &m(c, 0);
       for (std::size_t p = 0; p < c; ++p) {
-        const cvec prev = m.row(p);
+        const cplx* const prev = &m(p, 0);
         cplx proj{};
         for (std::size_t a = 0; a < nt; ++a) {
           proj += std::conj(prev[a]) * row[a];
         }
         for (std::size_t a = 0; a < nt; ++a) row[a] -= proj * prev[a];
       }
-      double norm2 = 0.0;
-      for (const cplx& v : row) norm2 += std::norm(v);
-      // Row power anchored to the client's best link: joint beamforming
-      // delivers "the same rate ... similar to traditional 802.11" per
-      // client (Section 9), not an aggregated-power bonus.
-      double target = 0.0;
-      for (std::size_t a = 0; a < nt && a < gains[c].size(); ++a) {
-        target = std::max(target, gains[c][a]);
-      }
-      const double s = norm2 > 1e-30 ? std::sqrt(target / norm2) : 0.0;
-      for (cplx& v : row) v *= s;
-      m.set_row(c, row);
-      // Re-normalize to unit for the next projections, then restore: keep
-      // a unit copy via scaling bookkeeping — simpler: orthogonalize on
-      // unit rows first. Store unit row back for projection purposes.
+      scale_row(row, target[c]);
       if (c + 1 < nc) {
-        cvec unit = row;
         const double inv =
-            std::sqrt(target) > 1e-30 ? 1.0 / std::sqrt(target) : 0.0;
-        for (cplx& v : unit) v *= inv;
-        m.set_row(c, unit);
+            std::sqrt(target[c]) > 1e-30 ? 1.0 / std::sqrt(target[c]) : 0.0;
+        for (std::size_t a = 0; a < nt; ++a) row[a] *= inv;
       }
     }
-    // Second pass: restore the target row powers (rows are currently unit
-    // except the last).
-    for (std::size_t c = 0; c < nc; ++c) {
-      double target = 0.0;
-      for (std::size_t a = 0; a < nt && a < gains[c].size(); ++a) {
-        target = std::max(target, gains[c][a]);
-      }
-      cvec row = m.row(c);
-      double norm2 = 0.0;
-      for (const cplx& v : row) norm2 += std::norm(v);
-      const double s = norm2 > 1e-30 ? std::sqrt(target / norm2) : 0.0;
-      for (cplx& v : row) v *= s;
-      m.set_row(c, row);
-    }
+    // Second pass: restore the target row powers.
+    for (std::size_t c = 0; c < nc; ++c) scale_row(&m(c, 0), target[c]);
   }
   return h;
 }
@@ -156,46 +152,61 @@ SinrReport beamforming_sinr(const ChannelMatrixSet& h, const rvec& phase_err,
 }
 
 SinrReport beamforming_sinr(const ChannelMatrixSet& h,
-                            const Precoder& precoder_ref,
-                            const rvec& phase_err, double noise_power) {
+                            const Precoder& precoder, const rvec& phase_err,
+                            double noise_power) {
   if (phase_err.size() != h.n_tx()) {
     throw std::invalid_argument("beamforming_sinr: phase_err size != n_tx");
   }
-  const Precoder* precoder = &precoder_ref;
+  if (precoder.n_subcarriers() != h.n_subcarriers()) {
+    throw std::invalid_argument(
+        "beamforming_sinr: precoder n_subcarriers != channel n_subcarriers");
+  }
+  if (precoder.n_tx() != h.n_tx()) {
+    throw std::invalid_argument(
+        "beamforming_sinr: precoder n_tx != channel n_tx");
+  }
+  if (precoder.n_streams() != h.n_clients()) {
+    throw std::invalid_argument(
+        "beamforming_sinr: precoder n_streams != channel n_clients");
+  }
   const std::size_t nc = h.n_clients();
+  const std::size_t nt = h.n_tx();
+  const std::size_t n_sc = h.n_subcarriers();
 
   SinrReport rep;
   rep.sinr.assign(nc, 0.0);
   rep.snr_no_interference.assign(nc, 0.0);
-  rep.sinr_per_subcarrier.assign(nc, rvec(h.n_subcarriers(), 0.0));
+  rep.sinr_per_subcarrier.assign(nc, rvec(n_sc, 0.0));
 
-  // One phasor per transmitter, and one H_err and G buffer reused across
-  // subcarriers (multiply_into rounds exactly as operator*).
-  cvec rot(h.n_tx());
-  for (std::size_t a = 0; a < h.n_tx(); ++a) rot[a] = phasor(phase_err[a]);
-  CMatrix h_err;
-  CMatrix g;
-  for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
-    // Effective matrix G = H_err * W where H_err = H diag(e^{j phi}).
-    h_err = h.at(k);
-    for (std::size_t c = 0; c < nc; ++c) {
-      for (std::size_t a = 0; a < h.n_tx(); ++a) h_err(c, a) *= rot[a];
+  // Row c of G = H diag(e^{j phi}) W on every subcarrier at once: row c
+  // of H packed into one run per AP across subcarriers, W read in place
+  // from the precoder's weight rows (the same layout). `scratch` holds
+  // the nt phasors, then the packed row.
+  cvec scratch(nt + nt * n_sc);
+  cplx* const rot = scratch.data();
+  cplx* const row = rot + nt;
+  for (std::size_t a = 0; a < nt; ++a) rot[a] = phasor(phase_err[a]);
+  rvec interf(n_sc);
+  const simd::Kernels& kern = simd::active_kernels();
+  const double inv = 1.0 / static_cast<double>(n_sc);
+  for (std::size_t c = 0; c < nc; ++c) {
+    for (std::size_t k = 0; k < n_sc; ++k) {
+      const CMatrix& hk = h.at(k);
+      for (std::size_t a = 0; a < nt; ++a) row[a * n_sc + k] = hk(c, a);
     }
-    multiply_into(h_err, precoder->weights(k), g);
-    for (std::size_t c = 0; c < nc; ++c) {
-      const double sig = std::norm(g(c, c));
-      double interf = 0.0;
-      for (std::size_t j = 0; j < nc; ++j) {
-        if (j != c) interf += std::norm(g(c, j));
-      }
-      const double sinr = sig / (interf + noise_power);
-      rep.sinr_per_subcarrier[c][k] = sinr;
-      rep.sinr[c] += sinr;
+    // |G(c, c)|^2 lands in the report's row and becomes the SINR in place.
+    rvec& sinr = rep.sinr_per_subcarrier[c];
+    kern.beam_gains(reinterpret_cast<const double*>(row),
+                    reinterpret_cast<const double*>(rot),
+                    reinterpret_cast<const double*>(
+                        precoder.weight_row(0, 0).data()),
+                    c, nc, nt, n_sc, sinr.data(), interf.data());
+    for (std::size_t k = 0; k < n_sc; ++k) {
+      const double sig = sinr[k];
+      sinr[k] = sig / (interf[k] + noise_power);
+      rep.sinr[c] += sinr[k];
       rep.snr_no_interference[c] += sig / noise_power;
     }
-  }
-  const double inv = 1.0 / static_cast<double>(h.n_subcarriers());
-  for (std::size_t c = 0; c < nc; ++c) {
     rep.sinr[c] *= inv;
     rep.snr_no_interference[c] *= inv;
   }
@@ -272,8 +283,8 @@ std::vector<rvec> jmb_subcarrier_sinrs(const ChannelMatrixSet& h,
   for (std::size_t a = 1; a < h.n_tx(); ++a) {
     phase[a] = rng.gaussian(phase_err_sigma);
   }
-  const SinrReport rep = beamforming_sinr(h, precoder, phase, noise_power);
-  return rep.sinr_per_subcarrier;
+  SinrReport rep = beamforming_sinr(h, precoder, phase, noise_power);
+  return std::move(rep.sinr_per_subcarrier);
 }
 
 SinrPool::SinrPool(const ChannelMatrixSet& h, const Precoder& precoder,

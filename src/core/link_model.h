@@ -80,6 +80,12 @@ struct SinrReport {
 
 /// Same, with a precomputed precoder (avoids re-inverting H per call —
 /// use this inside MAC simulations that query SINRs per transmission).
+/// The precoder must fit `h`: the same subcarrier count and n_tx, and one
+/// stream per client (a greedy-selected precoder serving fewer streams
+/// than `h` has clients does not); otherwise std::invalid_argument names
+/// the field. All subcarriers go through one dispatched kernel
+/// (simd::Kernels::beam_gains) with the per-subcarrier loop's exact
+/// arithmetic.
 [[nodiscard]] SinrReport beamforming_sinr(const ChannelMatrixSet& h,
                                           const Precoder& precoder,
                                           const rvec& phase_err,

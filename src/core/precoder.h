@@ -148,8 +148,9 @@ class Precoder {
   /// Packed SoA view of the scaled weights for one (AP antenna, stream)
   /// pair: element k is weights(k)(a, j), contiguous across all used
   /// subcarriers. This is the layout the subcarrier-batched SIMD
-  /// synthesis kernels consume — same values as weights(), just
-  /// transposed into cache-line-aligned runs.
+  /// synthesis and link-gain kernels consume — same values as weights(),
+  /// just transposed into cache-line-aligned runs, and the runs are
+  /// themselves contiguous in (a, j) order.
   [[nodiscard]] std::span<const cplx> weight_row(std::size_t a,
                                                  std::size_t j) const {
     const std::size_t n_sc = w_.size();
@@ -189,6 +190,7 @@ class Precoder {
   [[nodiscard]] std::size_t n_streams() const {
     return w_.empty() ? 0 : w_[0].cols();
   }
+  [[nodiscard]] std::size_t n_subcarriers() const { return w_.size(); }
 
  private:
   /// Single implementation behind both build() overloads.

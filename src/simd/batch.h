@@ -66,8 +66,11 @@ struct ScalarArch {
   static void rstore(double* p, RReg a) { *p = a; }
   static RReg rbroadcast(double v) { return v; }
   static RReg radd(RReg a, RReg b) { return a + b; }
+  static RReg rsub(RReg a, RReg b) { return a - b; }
   static RReg rmul(RReg a, RReg b) { return a * b; }
   static MReg rcmp_gt(RReg a, RReg b) { return a > b; }
+  static MReg rcmp_eq(RReg a, RReg b) { return a == b; }
+  static MReg mand(MReg a, MReg b) { return a && b; }
   static RReg rselect(MReg m, RReg a, RReg b) { return m ? a : b; }
   static unsigned mask_bits(MReg m) { return m ? 1u : 0u; }
   static void deinterleave(const double* p, RReg& even, RReg& odd) {
@@ -116,8 +119,11 @@ struct Sse2Arch {
   static void rstore(double* p, RReg a) { _mm_storeu_pd(p, a); }
   static RReg rbroadcast(double v) { return _mm_set1_pd(v); }
   static RReg radd(RReg a, RReg b) { return _mm_add_pd(a, b); }
+  static RReg rsub(RReg a, RReg b) { return _mm_sub_pd(a, b); }
   static RReg rmul(RReg a, RReg b) { return _mm_mul_pd(a, b); }
   static MReg rcmp_gt(RReg a, RReg b) { return _mm_cmpgt_pd(a, b); }
+  static MReg rcmp_eq(RReg a, RReg b) { return _mm_cmpeq_pd(a, b); }
+  static MReg mand(MReg a, MReg b) { return _mm_and_pd(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) {
     return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
   }
@@ -185,10 +191,15 @@ struct Avx2Arch {
   static void rstore(double* p, RReg a) { _mm256_storeu_pd(p, a); }
   static RReg rbroadcast(double v) { return _mm256_set1_pd(v); }
   static RReg radd(RReg a, RReg b) { return _mm256_add_pd(a, b); }
+  static RReg rsub(RReg a, RReg b) { return _mm256_sub_pd(a, b); }
   static RReg rmul(RReg a, RReg b) { return _mm256_mul_pd(a, b); }
   static MReg rcmp_gt(RReg a, RReg b) {
     return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
   }
+  static MReg rcmp_eq(RReg a, RReg b) {
+    return _mm256_cmp_pd(a, b, _CMP_EQ_OQ);
+  }
+  static MReg mand(MReg a, MReg b) { return _mm256_and_pd(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) {
     return _mm256_blendv_pd(b, a, m);
   }
@@ -276,10 +287,15 @@ struct Avx512Arch {
   static void rstore(double* p, RReg a) { _mm512_storeu_pd(p, a); }
   static RReg rbroadcast(double v) { return _mm512_set1_pd(v); }
   static RReg radd(RReg a, RReg b) { return _mm512_add_pd(a, b); }
+  static RReg rsub(RReg a, RReg b) { return _mm512_sub_pd(a, b); }
   static RReg rmul(RReg a, RReg b) { return _mm512_mul_pd(a, b); }
   static MReg rcmp_gt(RReg a, RReg b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
   }
+  static MReg rcmp_eq(RReg a, RReg b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ);
+  }
+  static MReg mand(MReg a, MReg b) { return static_cast<MReg>(a & b); }
   static RReg rselect(MReg m, RReg a, RReg b) {
     return _mm512_mask_blend_pd(m, b, a);
   }
@@ -344,8 +360,11 @@ struct NeonArch {
   static void rstore(double* p, RReg a) { vst1q_f64(p, a); }
   static RReg rbroadcast(double v) { return vdupq_n_f64(v); }
   static RReg radd(RReg a, RReg b) { return vaddq_f64(a, b); }
+  static RReg rsub(RReg a, RReg b) { return vsubq_f64(a, b); }
   static RReg rmul(RReg a, RReg b) { return vmulq_f64(a, b); }
   static MReg rcmp_gt(RReg a, RReg b) { return vcgtq_f64(a, b); }
+  static MReg rcmp_eq(RReg a, RReg b) { return vceqq_f64(a, b); }
+  static MReg mand(MReg a, MReg b) { return vandq_u64(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) { return vbslq_f64(m, a, b); }
   static unsigned mask_bits(MReg m) {
     return static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1u) |

@@ -73,6 +73,21 @@ struct Kernels {
   void (*hermitian)(const double* a, std::size_t rows, std::size_t cols,
                     double* out);
 
+  /// Row c of the closed-form link model's gains, batched across
+  /// subcarriers (one lane per subcarrier). For each subcarrier k in
+  /// [0, n_sc) it forms row c of G = (H_k diag(rot)) W_k and writes
+  ///   sig[k]    = |G(c, c)|^2,
+  ///   interf[k] = sum over j != c, ascending, of |G(c, j)|^2.
+  /// `h` holds nt runs of n_sc complex, run a being H_k(c, a) across k;
+  /// `w` holds nt * nc runs, run a * nc + j being W_k(a, j) across k
+  /// (Precoder::weight_row's layout); `rot` holds nt complex phasors. Each
+  /// lane runs the scalar sequence of rotating H, then multiply_into:
+  /// G(c, j) accumulates from zero over a ascending, skipping an exactly
+  /// zero H_k(c, a) * rot[a].
+  void (*beam_gains)(const double* h, const double* rot, const double* w,
+                     std::size_t c, std::size_t nc, std::size_t nt,
+                     std::size_t n_sc, double* sig, double* interf);
+
   /// One add-compare-select trellis step over kViterbiStates states,
   /// batched across the independent next-states. `signs` is the 256-entry
   /// table from viterbi.cpp: for input bit b in {0,1}, four blocks of 32

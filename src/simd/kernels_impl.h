@@ -4,8 +4,9 @@
 // Every kernel mirrors the scalar reference loop it replaces (named in
 // each comment) operation for operation within a lane; vector lanes only
 // batch across independent elements, and every tail falls back to
-// ScalarArch running the same body. That is what makes the dispatch
-// bitwise-invisible.
+// ScalarArch running the same body (beam_gains instead reruns its last
+// full block over the tail, or hands a run shorter than one block to the
+// scalar table). That is what makes the dispatch bitwise-invisible.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +14,7 @@
 
 #include "simd/batch.h"
 #include "simd/kernels.h"
+#include "simd/tables.h"
 
 namespace jmb::simd {
 
@@ -285,6 +287,129 @@ void hermitian(const double* a, std::size_t rows, std::size_t cols,
   }
 }
 
+/// Columns [j0, j0 + NJ) of row c of G for the A::kRealLanes subcarriers
+/// starting at k (`h` holds row c of H), folded into client c's
+/// |G(c, c)|^2 (`sig`) and running interference sum (`interf`). Lane i is
+/// subcarrier k + i and runs, in split re/im registers, the scalar loop
+/// core::beamforming_sinr used to run one subcarrier at a time (kept as
+/// reference_beamforming_sinr in tests/test_core_models.cpp):
+/// H_err(c, a) = H(c, a) * rot[a]; G(c, j) += H_err(c, a) * W(a, j) over a
+/// ascending from zero, unless H_err(c, a) == 0 (multiply_into's
+/// zero-skip, a per-lane select); then std::norm's re*re + im*im, added to
+/// the interference in j order. NJ is a compile-time width so the
+/// accumulators stay in registers.
+template <class A, std::size_t NJ>
+void beam_gains_cols(const double* h, const double* rot, const double* w,
+                     std::size_t nc, std::size_t nt, std::size_t n_sc,
+                     std::size_t k, std::size_t c, std::size_t j0,
+                     typename A::RReg& sig, typename A::RReg& interf) {
+  using R = typename A::RReg;
+  const R zero = A::rbroadcast(0.0);
+  R gre[NJ];
+  R gim[NJ];
+  for (std::size_t j = 0; j < NJ; ++j) gre[j] = gim[j] = zero;
+  for (std::size_t a = 0; a < nt; ++a) {
+    R hr, hi;
+    A::deinterleave(h + 2 * (a * n_sc + k), hr, hi);
+    const R rr = A::rbroadcast(rot[2 * a]);
+    const R ri = A::rbroadcast(rot[2 * a + 1]);
+    const R er = A::rsub(A::rmul(hr, rr), A::rmul(hi, ri));
+    const R ei = A::radd(A::rmul(hr, ri), A::rmul(hi, rr));
+    const auto skip = A::mand(A::rcmp_eq(er, zero), A::rcmp_eq(ei, zero));
+    const double* const wa = w + 2 * ((a * nc + j0) * n_sc + k);
+    if (A::mask_bits(skip) == 0) {
+      // No lane skips (the usual case): plain accumulation.
+      for (std::size_t j = 0; j < NJ; ++j) {
+        R wr, wi;
+        A::deinterleave(wa + 2 * j * n_sc, wr, wi);
+        gre[j] = A::radd(gre[j], A::rsub(A::rmul(er, wr), A::rmul(ei, wi)));
+        gim[j] = A::radd(gim[j], A::radd(A::rmul(er, wi), A::rmul(ei, wr)));
+      }
+      continue;
+    }
+    for (std::size_t j = 0; j < NJ; ++j) {
+      R wr, wi;
+      A::deinterleave(wa + 2 * j * n_sc, wr, wi);
+      const R pr = A::rsub(A::rmul(er, wr), A::rmul(ei, wi));
+      const R pi = A::radd(A::rmul(er, wi), A::rmul(ei, wr));
+      gre[j] = A::rselect(skip, gre[j], A::radd(gre[j], pr));
+      gim[j] = A::rselect(skip, gim[j], A::radd(gim[j], pi));
+    }
+  }
+  for (std::size_t j = 0; j < NJ; ++j) {
+    const R p = A::radd(A::rmul(gre[j], gre[j]), A::rmul(gim[j], gim[j]));
+    if (j0 + j == c) {
+      sig = p;
+    } else {
+      interf = A::radd(interf, p);
+    }
+  }
+}
+
+/// beam_gains_cols with NJ = nj <= N, picked at run time.
+template <class A, std::size_t N>
+void beam_gains_cols_upto(std::size_t nj, const double* h, const double* rot,
+                          const double* w, std::size_t nc, std::size_t nt,
+                          std::size_t n_sc, std::size_t k, std::size_t c,
+                          std::size_t j0, typename A::RReg& sig,
+                          typename A::RReg& interf) {
+  if constexpr (N > 1) {
+    if (nj < N) {
+      beam_gains_cols_upto<A, N - 1>(nj, h, rot, w, nc, nt, n_sc, k, c, j0,
+                                     sig, interf);
+      return;
+    }
+  }
+  beam_gains_cols<A, N>(h, rot, w, nc, nt, n_sc, k, c, j0, sig, interf);
+}
+
+/// beam_gains for the A::kRealLanes subcarriers starting at k. Row c of G
+/// is built in column blocks of up to kCols (as many accumulators as the
+/// arch's registers hold), so a wider client set rotates H(c, a) once per
+/// column block — the same product each time.
+template <class A>
+void beam_gains_block(const double* h, const double* rot, const double* w,
+                      std::size_t c, std::size_t nc, std::size_t nt,
+                      std::size_t n_sc, std::size_t k, double* sig,
+                      double* interf) {
+  using R = typename A::RReg;
+  constexpr std::size_t kCols = A::kRealLanes >= 8 ? 8 : 4;
+  R sig_v = A::rbroadcast(0.0);
+  R interf_v = A::rbroadcast(0.0);
+  for (std::size_t j0 = 0; j0 < nc; j0 += kCols) {
+    beam_gains_cols_upto<A, kCols>(nc - j0, h, rot, w, nc, nt, n_sc, k, c,
+                                   j0, sig_v, interf_v);
+  }
+  A::rstore(sig + k, sig_v);
+  A::rstore(interf + k, interf_v);
+}
+
+/// See Kernels::beam_gains.
+template <class A>
+void beam_gains(const double* h, const double* rot, const double* w,
+                std::size_t c, std::size_t nc, std::size_t nt,
+                std::size_t n_sc, double* sig, double* interf) {
+  if constexpr (A::kRealLanes > 1) {
+    if (n_sc < A::kRealLanes) {
+      // Shorter than one block: the scalar table runs the same sequence
+      // (and the vector TUs carry no scalar copy of this kernel).
+      scalar_kernels()->beam_gains(h, rot, w, c, nc, nt, n_sc, sig, interf);
+      return;
+    }
+  }
+  std::size_t k = 0;
+  for (; k + A::kRealLanes <= n_sc; k += A::kRealLanes) {
+    beam_gains_block<A>(h, rot, w, c, nc, nt, n_sc, k, sig, interf);
+  }
+  if (k < n_sc) {
+    // Tail: one more full block ending at n_sc. Its leading lanes redo
+    // subcarriers already written, and lanes are independent, so they
+    // store the same values again.
+    beam_gains_block<A>(h, rot, w, c, nc, nt, n_sc, n_sc - A::kRealLanes,
+                        sig, interf);
+  }
+}
+
 /// One ACS step of viterbi_decode_into (phy/viterbi.cpp), batched across
 /// the 2*kRealLanes independent next-states of the butterfly: next state
 /// ns = (b << 5) | m has exactly two predecessors 2m (even) and 2m + 1
@@ -347,6 +472,7 @@ constexpr Kernels make_kernels(const char* name) {
                  &impl::cmul_ew<A>,
                  &impl::cmatvec<A>,
                  &impl::hermitian<A>,
+                 &impl::beam_gains<A>,
                  &impl::viterbi_acs<A>};
 }
 

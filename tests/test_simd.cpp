@@ -7,6 +7,7 @@
 // outputs, so they compare raw memory, not values-within-epsilon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -361,6 +362,115 @@ TEST_P(SimdParity, MatvecAndHermitian) {
       k->hermitian(a.data(), rows, cols, g2.data());
       EXPECT_EQ(std::memcmp(g2.data(), w2.data(), bytes), 0)
           << k->name << " hermitian " << rows << "x" << cols;
+    }
+  }
+}
+
+/// Inputs of beam_gains calls for every row c: H (row c's nt runs at
+/// offset c * nt runs) and W as runs across n_sc subcarriers
+/// (Kernels::beam_gains's layout), a few exact +-0 entries in H, and W
+/// set to infinity wherever every client's H entry for that AP is zero on
+/// that subcarrier, so a lane that failed to skip would turn NaN.
+struct BeamGainsCase {
+  std::size_t nc, nt, n_sc;
+  std::vector<double> h, rot, w;
+};
+
+BeamGainsCase beam_gains_case(std::mt19937_64& rng, std::size_t nc,
+                              std::size_t nt, std::size_t n_sc) {
+  BeamGainsCase in{nc, nt, n_sc, random_doubles(rng, 2 * nc * nt * n_sc),
+                   random_doubles(rng, 2 * nt), random_doubles(rng,
+                                                              2 * nt * nc *
+                                                                  n_sc)};
+  const auto hi = [&](std::size_t c, std::size_t a, std::size_t k) {
+    return 2 * ((c * nt + a) * n_sc + k);
+  };
+  for (std::size_t k = 0; k < n_sc; ++k) {
+    for (std::size_t a = 0; a < nt; ++a) {
+      const std::size_t pick = (k * 7 + a * 3) % 5;
+      if (pick == 0) {
+        // The whole column is zero (mixed signs): a skip on every client.
+        for (std::size_t c = 0; c < nc; ++c) {
+          in.h[hi(c, a, k)] = (c % 2) ? -0.0 : 0.0;
+          in.h[hi(c, a, k) + 1] = (c % 3) ? 0.0 : -0.0;
+        }
+        for (std::size_t j = 0; j < nc; ++j) {
+          in.w[2 * ((a * nc + j) * n_sc + k)] =
+              std::numeric_limits<double>::infinity();
+        }
+      } else if (pick == 1) {
+        in.h[hi(a % nc, a, k)] = -0.0;  // one client only: real part
+      }
+    }
+  }
+  return in;
+}
+
+/// Every row's outputs: |G(c, c)|^2 for all c, then the interference.
+std::vector<double> run_beam_gains(const Kernels& k, const BeamGainsCase& in) {
+  std::vector<double> out(2 * in.nc * in.n_sc, -1.0);
+  for (std::size_t c = 0; c < in.nc; ++c) {
+    k.beam_gains(in.h.data() + 2 * c * in.nt * in.n_sc, in.rot.data(),
+                 in.w.data(), c, in.nc, in.nt, in.n_sc,
+                 out.data() + c * in.n_sc,
+                 out.data() + (in.nc + c) * in.n_sc);
+  }
+  return out;
+}
+
+/// The per-subcarrier loop beam_gains replaces, one subcarrier and one
+/// matrix at a time: H_err = H rot, then multiply_into's accumulation
+/// (from zero, a ascending, skipping a zero H_err entry), then std::norm.
+std::vector<double> reference_beam_gains(const BeamGainsCase& in) {
+  const auto at = [](const std::vector<double>& v, std::size_t i) {
+    return cplx{v[2 * i], v[2 * i + 1]};
+  };
+  const auto mul = [](cplx a, cplx b) {
+    return cplx{a.real() * b.real() - a.imag() * b.imag(),
+                a.real() * b.imag() + a.imag() * b.real()};
+  };
+  const std::size_t nc = in.nc, nt = in.nt, n_sc = in.n_sc;
+  std::vector<double> out(2 * nc * n_sc);
+  std::vector<cplx> g(nc);
+  for (std::size_t k = 0; k < n_sc; ++k) {
+    for (std::size_t c = 0; c < nc; ++c) {
+      std::fill(g.begin(), g.end(), cplx{});
+      for (std::size_t a = 0; a < nt; ++a) {
+        const cplx e = mul(at(in.h, (c * nt + a) * n_sc + k), at(in.rot, a));
+        if (e == cplx{}) continue;
+        for (std::size_t j = 0; j < nc; ++j) {
+          g[j] += mul(e, at(in.w, (a * nc + j) * n_sc + k));
+        }
+      }
+      double interf = 0.0;
+      for (std::size_t j = 0; j < nc; ++j) {
+        if (j != c) interf += std::norm(g[j]);
+      }
+      out[c * n_sc + k] = std::norm(g[c]);
+      out[nc * n_sc + c * n_sc + k] = interf;
+    }
+  }
+  return out;
+}
+
+TEST_P(SimdParity, BeamGainsMatchThePerSubcarrierLoop) {
+  std::mt19937_64 rng(GetParam() + 606);
+  // n_sc covers every backend's block tail (52 is not a multiple of 8);
+  // nc > 8 splits G's row into column blocks.
+  for (const std::size_t n_sc : {1u, 3u, 4u, 7u, 9u, 52u}) {
+    for (const std::size_t nc : {1u, 2u, 3u, 8u, 9u, 10u}) {
+      for (const std::size_t nt : {nc, nc + 2}) {
+        const BeamGainsCase in = beam_gains_case(rng, nc, nt, n_sc);
+        const std::vector<double> want = reference_beam_gains(in);
+        for (const double v : want) ASSERT_FALSE(std::isnan(v));
+        for (const Kernels* k : runnable_tables()) {
+          const std::vector<double> got = run_beam_gains(*k, in);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(double)),
+                    0)
+              << k->name << " nc=" << nc << " nt=" << nt << " n_sc=" << n_sc;
+        }
+      }
     }
   }
 }
