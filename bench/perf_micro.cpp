@@ -404,8 +404,9 @@ void BM_SelectRate(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectRate)->Arg(5)->Arg(15)->Arg(30);
 
-// One PER draw's model evaluation at the rate the state selects (the base
-// rate when none decodes).
+// The exact PER at the rate the state selects (the base rate when none
+// decodes): the 48-erfc mean plus the ~60-step bisection, which is what
+// rate::delivered's fallback pays when a draw lands inside the bracket.
 void BM_FrameErrorProb(benchmark::State& state) {
   const rvec snr = faded_link_snrs(static_cast<double>(state.range(0)));
   const std::size_t ri = rate::select_rate(snr).value_or(0);
@@ -422,9 +423,12 @@ BENCHMARK(BM_FrameErrorProb)->Arg(5)->Arg(15)->Arg(30);
 //   0  hit: one state, drawn again and again as a pool entry is;
 //   1  miss: cycles through more distinct states than the memo has slots,
 //      keeping only states that share their slot with another, so every
-//      call misses;
-//   2  the miss leg's states without a memo: leg 1 minus leg 2 is what a
-//      miss costs (BM_SelectRate prices a single, different state).
+//      call misses. A miss prices certified brackets (the 48-erfc mean,
+//      the closed-form root and two certifying ber calls per modulation
+//      asked), not the bisection, unless a threshold lands inside one;
+//   2  the miss leg's states without a memo: leg 1 minus leg 2 is the
+//      memo's own cost on a miss (BM_SelectRate prices a single,
+//      different state).
 void BM_EffectiveSnrMemo(benchmark::State& state) {
   constexpr std::size_t kSlots = rate::EffectiveSnrMemo::kSlots;
   const double mean_db = static_cast<double>(state.range(0));
@@ -455,6 +459,46 @@ void BM_EffectiveSnrMemo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EffectiveSnrMemo)->ArgsProduct({{5, 15, 30}, {0, 1, 2}});
+
+// The certified effective-SNR bracket of one faded state at a mean SNR of
+// range(0) dB, at the modulation of the rate the state selects. range(1)
+// picks the leg:
+//   0  fresh: no memo, so every call prices the bracket (the MAC's first
+//      pricing of a state);
+//   1  memo hit: the same state through a memo that holds it.
+// Both legs copy the 48 SNRs into the link state, as the MAC does.
+void BM_EffectiveSnrBound(benchmark::State& state) {
+  const rvec snr = faded_link_snrs(static_cast<double>(state.range(0)));
+  const phy::Modulation m =
+      phy::rate_set()[rate::select_rate(snr).value_or(0)].modulation;
+  rate::EffectiveSnrMemo memo;
+  rate::EffectiveSnrMemo* const use = state.range(1) == 1 ? &memo : nullptr;
+  rate::EffectiveSnrs link;
+  for (auto _ : state) {
+    link.assign(snr, use);
+    benchmark::DoNotOptimize(link.bound(m));
+  }
+}
+BENCHMARK(BM_EffectiveSnrBound)->ArgsProduct({{5, 15, 30}, {0, 1}});
+
+// One MPDU's delivery decision, rate::delivered, at the rate the state
+// selects and a fresh uniform draw per call. Legs as BM_EffectiveSnrBound:
+// range(1) = 0 prices the bracket each call, 1 reads it from the memo.
+// A draw inside the bracket's PER bounds settles the value by bisection.
+void BM_Delivered(benchmark::State& state) {
+  const rvec snr = faded_link_snrs(static_cast<double>(state.range(0)));
+  const std::size_t ri = rate::select_rate(snr).value_or(0);
+  rate::EffectiveSnrMemo memo;
+  rate::EffectiveSnrMemo* const use = state.range(1) == 1 ? &memo : nullptr;
+  rate::EffectiveSnrs link;
+  Rng rng(29);
+  for (auto _ : state) {
+    link.assign(snr, use);
+    const bool ok = rate::delivered(link, ri, 1500, rng.uniform());
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_Delivered)->ArgsProduct({{5, 15, 30}, {0, 1}});
 
 // The closed-form link model's per-draw cost: one beamforming_sinr over
 // an N x N well-conditioned channel with a prebuilt ZF precoder (what each

@@ -304,8 +304,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
         const Packet& p = mpdus[k];
         const bool ok =
             reachable &&
-            rng.uniform() >=
-                rate::frame_error_prob(links[i], rate_idx, p.bytes);
+            rate::delivered(links[i], rate_idx, p.bytes, rng.uniform());
         if (!ok) {
           all_delivered = false;
           ++stats.failed_attempts;

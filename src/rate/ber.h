@@ -19,4 +19,12 @@ namespace jmb::rate {
 /// std::invalid_argument unless 0 < target_ber < 0.5 (so also on NaN).
 [[nodiscard]] double snr_for_ber(phy::Modulation m, double target_ber);
 
+/// Closed-form estimate of snr_for_ber(m, target_ber), unclamped: inverts
+/// ber = c_m·Q(√(k_m·snr)) through Acklam's normal quantile (relative
+/// error below 1.2e-9, so ~2.3e-9 in SNR). NaN when no SNR ≥ 0 reaches
+/// the target (target ≥ c_m/2) or the target is not positive. Cheap, but
+/// not the bisection's double: effective_snr_bound certifies it.
+[[nodiscard]] double snr_for_ber_estimate(phy::Modulation m,
+                                          double target_ber);
+
 }  // namespace jmb::rate

@@ -11,7 +11,10 @@
 
 namespace jmb::rate {
 
-double effective_snr(phy::Modulation m, const rvec& subcarrier_snr) {
+namespace {
+
+/// The clamped mean BER over the subcarriers: effective_snr's target.
+double mean_ber_target(phy::Modulation m, const rvec& subcarrier_snr) {
   if (subcarrier_snr.empty()) {
     throw std::invalid_argument("effective_snr: no subcarriers");
   }
@@ -27,12 +30,44 @@ double effective_snr(phy::Modulation m, const rvec& subcarrier_snr) {
   }
   mean_ber /= static_cast<double>(subcarrier_snr.size());
   // Clamp away from the solver's domain edges.
-  mean_ber = std::clamp(mean_ber, 1e-15, 0.499);
-  return snr_for_ber(m, mean_ber);
+  return std::clamp(mean_ber, 1e-15, 0.499);
+}
+
+/// Replace `b` by the exact double its mean BER defines.
+void make_exact(phy::Modulation m, EffectiveSnrBound& b) {
+  b.lo_db = b.hi_db = to_db(snr_for_ber(m, b.mean_ber));
+  b.exact = true;
+}
+
+}  // namespace
+
+double effective_snr(phy::Modulation m, const rvec& subcarrier_snr) {
+  return snr_for_ber(m, mean_ber_target(m, subcarrier_snr));
 }
 
 double effective_snr_db(phy::Modulation m, const rvec& subcarrier_snr) {
   return to_db(effective_snr(m, subcarrier_snr));
+}
+
+EffectiveSnrBound effective_snr_bound(phy::Modulation m,
+                                      const rvec& subcarrier_snr) {
+  EffectiveSnrBound b;
+  b.mean_ber = mean_ber_target(m, subcarrier_snr);
+  const double t = b.mean_ber;
+  const double x = snr_for_ber_estimate(m, t);  // NaN fails every test
+  const double lo = x * (1.0 - kBoundHalfWidth);
+  const double hi = x * (1.0 + kBoundHalfWidth);
+  // snr_for_ber's nodes below `lo` all see ber > t and move lo up, those
+  // above `hi` all see ber <= t and move hi down, so its result lies in
+  // [lo, hi] (to within the final sqrt's rounding, which g covers).
+  if (lo > 1e-6 && hi < 1e9 && ber(m, lo) > t * (1.0 + kBoundBerGuard) &&
+      ber(m, hi) < t * (1.0 - kBoundBerGuard)) {
+    b.lo_db = to_db(lo) - kBoundDbGuard;
+    b.hi_db = to_db(hi) + kBoundDbGuard;
+  } else {
+    make_exact(m, b);
+  }
+  return b;
 }
 
 std::size_t EffectiveSnrMemo::slot(const rvec& subcarrier_snr) {
@@ -44,36 +79,76 @@ std::size_t EffectiveSnrMemo::slot(const rvec& subcarrier_snr) {
   return static_cast<std::size_t>(h >> (64 - kSlotBits));
 }
 
-double EffectiveSnrMemo::db(phy::Modulation m, const rvec& subcarrier_snr,
-                            std::size_t slot) {
+EffectiveSnrMemo::Entry* EffectiveSnrMemo::find(const rvec& subcarrier_snr,
+                                                std::size_t slot) {
+  const std::uint32_t index = slots_[slot];
+  if (index == kEmpty || subcarrier_snr.empty()) return nullptr;
+  Entry& e = entries_[index];
+  const bool same = e.snr.size() == subcarrier_snr.size() &&
+                    std::memcmp(e.snr.data(), subcarrier_snr.data(),
+                                subcarrier_snr.size() * sizeof(double)) == 0;
+  return same ? &e : nullptr;
+}
+
+EffectiveSnrBound EffectiveSnrMemo::bound(phy::Modulation m,
+                                          const rvec& subcarrier_snr,
+                                          std::size_t slot) {
   const std::size_t mi = static_cast<std::size_t>(m);
-  std::uint32_t& index = slots_[slot];
-  Entry* e = index == kEmpty ? nullptr : &entries_[index];
-  const bool hit = e && !subcarrier_snr.empty() &&
-                   e->snr.size() == subcarrier_snr.size() &&
-                   std::memcmp(e->snr.data(), subcarrier_snr.data(),
-                               subcarrier_snr.size() * sizeof(double)) == 0;
-  if (hit && e->db[mi]) return *e->db[mi];
+  Entry* e = find(subcarrier_snr, slot);
+  if (e && (e->priced >> mi & 1u)) return e->bound[mi];
   // Evaluate before touching the memo, so a throw cannot poison it.
-  const double db = effective_snr_db(m, subcarrier_snr);
-  if (!hit) {
-    if (!e) {
+  const EffectiveSnrBound b = effective_snr_bound(m, subcarrier_snr);
+  if (!e) {
+    std::uint32_t& index = slots_[slot];
+    if (index == kEmpty) {
       index = static_cast<std::uint32_t>(entries_.size());
-      e = &entries_.emplace_back();
+      entries_.emplace_back();
     }
+    e = &entries_[index];
     e->snr = subcarrier_snr;
-    e->db.fill(std::nullopt);
+    e->priced = 0;
   }
-  e->db[mi] = db;
-  return db;
+  e->bound[mi] = b;
+  e->priced |= static_cast<std::uint8_t>(1u << mi);
+  return b;
+}
+
+void EffectiveSnrMemo::settle(phy::Modulation m, const rvec& subcarrier_snr,
+                              std::size_t slot,
+                              const EffectiveSnrBound& exact) {
+  const std::size_t mi = static_cast<std::size_t>(m);
+  Entry* e = find(subcarrier_snr, slot);
+  if (e && (e->priced >> mi & 1u)) e->bound[mi] = exact;
+}
+
+EffectiveSnrBound& EffectiveSnrs::priced(phy::Modulation m) {
+  const std::size_t mi = static_cast<std::size_t>(m);
+  EffectiveSnrBound& b = bound_[mi];
+  if (!(priced_ >> mi & 1u)) {
+    b = memo_ ? memo_->bound(m, snr_, slot_) : effective_snr_bound(m, snr_);
+    priced_ |= static_cast<std::uint8_t>(1u << mi);
+  }
+  return b;
+}
+
+const EffectiveSnrBound& EffectiveSnrs::bound(phy::Modulation m) {
+  return priced(m);
 }
 
 double EffectiveSnrs::db(phy::Modulation m) {
-  std::optional<double>& cached = db_[static_cast<std::size_t>(m)];
-  if (!cached) {
-    cached = memo_ ? memo_->db(m, snr_, slot_) : effective_snr_db(m, snr_);
+  EffectiveSnrBound& b = priced(m);
+  if (!b.exact) {
+    make_exact(m, b);
+    if (memo_) memo_->settle(m, snr_, slot_, b);
   }
-  return *cached;
+  return b.lo_db;
+}
+
+bool EffectiveSnrs::meets(phy::Modulation m, double thr_db) {
+  const EffectiveSnrBound& b = bound(m);
+  if (b.lo_db >= thr_db) return true;
+  if (b.hi_db < thr_db) return false;
+  return db(m) >= thr_db;  // the threshold lies inside the bracket
 }
 
 const rvec& rate_thresholds_db() {
@@ -90,7 +165,7 @@ std::optional<std::size_t> select_rate(EffectiveSnrs& link) {
   // Top down: the first rate that meets its threshold is the highest such
   // index. At good SNR that costs one modulation's evaluation, not eight.
   for (std::size_t i = rates.size(); i-- > 0;) {
-    if (link.db(rates[i].modulation) >= thr[i]) return i;
+    if (link.meets(rates[i].modulation, thr[i])) return i;
   }
   return std::nullopt;
 }
@@ -98,10 +173,6 @@ std::optional<std::size_t> select_rate(EffectiveSnrs& link) {
 std::optional<std::size_t> select_rate(const rvec& subcarrier_snr) {
   EffectiveSnrs link(subcarrier_snr);
   return select_rate(link);
-}
-
-std::optional<std::size_t> select_rate_flat(double snr_db) {
-  return select_rate(rvec(phy::kNumDataCarriers, from_db(snr_db)));
 }
 
 }  // namespace jmb::rate

@@ -2,14 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "chan/topology.h"
+#include "core/link_model.h"
+#include "core/precoder.h"
 #include "dsp/rng.h"
 
 #include "rate/airtime.h"
@@ -63,14 +69,18 @@ std::optional<std::size_t> select_rate(const rvec& subcarrier_snr) {
   return best;
 }
 
-double frame_error_prob(const rvec& subcarrier_snr, std::size_t rate_index,
-                        std::size_t psdu_bytes) {
-  const phy::Modulation m = phy::rate_set()[rate_index].modulation;
-  const double eff_db = ref::effective_snr_db(m, subcarrier_snr);
+double per_at(double eff_db, std::size_t rate_index, std::size_t psdu_bytes) {
   const double margin = eff_db - rate_thresholds_db()[rate_index];
   double per = 0.1 * std::pow(10.0, -margin);
   per *= static_cast<double>(psdu_bytes) / 1500.0;
   return std::clamp(per, 0.0, 1.0);
+}
+
+double frame_error_prob(const rvec& subcarrier_snr, std::size_t rate_index,
+                        std::size_t psdu_bytes) {
+  const phy::Modulation m = phy::rate_set()[rate_index].modulation;
+  return per_at(ref::effective_snr_db(m, subcarrier_snr), rate_index,
+                psdu_bytes);
 }
 
 }  // namespace ref
@@ -189,10 +199,11 @@ TEST(EffSnr, ThresholdsStrictlyIncreasing) {
 TEST(EffSnr, RateSelectionLadder) {
   // Sweep SNR: the selected rate must be monotone nondecreasing, reach the
   // top rate at high SNR, and be empty below the base threshold.
-  EXPECT_FALSE(select_rate_flat(0.0).has_value());
+  EXPECT_FALSE(
+      select_rate(rvec(phy::kNumDataCarriers, from_db(0.0))).has_value());
   std::size_t prev = 0;
   for (double db = 4.0; db <= 30.0; db += 0.5) {
-    const auto r = select_rate_flat(db);
+    const auto r = select_rate(rvec(phy::kNumDataCarriers, from_db(db)));
     ASSERT_TRUE(r.has_value()) << db;
     EXPECT_GE(*r, prev);
     prev = *r;
@@ -203,10 +214,12 @@ TEST(EffSnr, RateSelectionLadder) {
 TEST(EffSnr, SelectionMatchesThresholdEdges) {
   const rvec& thr = rate_thresholds_db();
   for (std::size_t i = 0; i < thr.size(); ++i) {
-    const auto just_above = select_rate_flat(thr[i] + 0.1);
+    const auto just_above =
+        select_rate(rvec(phy::kNumDataCarriers, from_db(thr[i] + 0.1)));
     ASSERT_TRUE(just_above.has_value());
     EXPECT_GE(*just_above, i);
-    const auto just_below = select_rate_flat(thr[i] - 0.1);
+    const auto just_below =
+        select_rate(rvec(phy::kNumDataCarriers, from_db(thr[i] - 0.1)));
     if (i == 0) {
       EXPECT_FALSE(just_below.has_value());
     } else {
@@ -248,24 +261,28 @@ TEST(Airtime, MeasurementScalesWithApsAndClients) {
 
 TEST(Per, WaterfallShape) {
   // Well above threshold: essentially error-free; below: lost.
-  EXPECT_LT(frame_error_prob_flat(30.0, 0), 1e-6);
-  EXPECT_GT(frame_error_prob_flat(1.0, 0), 0.5);
+  EXPECT_LT(frame_error_prob(rvec(phy::kNumDataCarriers, from_db(30.0)), 0),
+            1e-6);
+  EXPECT_GT(frame_error_prob(rvec(phy::kNumDataCarriers, from_db(1.0)), 0),
+            0.5);
   // At threshold: ~10%.
   const double thr = rate_thresholds_db()[3];
-  EXPECT_NEAR(frame_error_prob_flat(thr, 3), 0.1, 0.02);
+  EXPECT_NEAR(frame_error_prob(rvec(phy::kNumDataCarriers, from_db(thr)), 3),
+              0.1, 0.02);
   // Monotone in SNR.
   double prev = 1.0;
   for (double db = 0.0; db < 30.0; db += 0.5) {
-    const double per = frame_error_prob_flat(db, 4);
+    const double per =
+        frame_error_prob(rvec(phy::kNumDataCarriers, from_db(db)), 4);
     EXPECT_LE(per, prev + 1e-12);
     prev = per;
   }
 }
 
 TEST(Per, LongerFramesFailMore) {
-  EXPECT_GT(frame_error_prob_flat(15.0, 4, 3000),
-            frame_error_prob_flat(15.0, 4, 500));
-  EXPECT_THROW((void)frame_error_prob_flat(15.0, 99), std::invalid_argument);
+  const rvec flat(phy::kNumDataCarriers, from_db(15.0));
+  EXPECT_GT(frame_error_prob(flat, 4, 3000), frame_error_prob(flat, 4, 500));
+  EXPECT_THROW((void)frame_error_prob(flat, 99), std::invalid_argument);
 }
 
 TEST(RateParity, SnrForBerMatchesFullBisection) {
@@ -492,6 +509,425 @@ TEST(Ber, NanTargetIsRejected) {
       (void)snr_for_ber(Modulation::kBpsk,
                         std::numeric_limits<double>::quiet_NaN()),
       std::invalid_argument);
+}
+
+TEST(Ber, SnrEstimateTracksTheBisection) {
+  for (Modulation m : kModulations) {
+    for (double lg = -15.0; lg < std::log10(0.5); lg += 0.01) {
+      const double target = std::pow(10.0, lg);
+      const double exact = snr_for_ber(m, target);
+      if (exact < 1e-5) continue;  // the bisection's clamp, not a root
+      EXPECT_NEAR(snr_for_ber_estimate(m, target) / exact, 1.0, 1e-8)
+          << phy::to_string(m) << " target " << target;
+    }
+  }
+  // No SNR >= 0 reaches half the curve's scale or more.
+  EXPECT_TRUE(std::isnan(snr_for_ber_estimate(Modulation::kBpsk, 0.5)));
+  EXPECT_TRUE(std::isnan(snr_for_ber_estimate(Modulation::kQam16, 0.375)));
+  EXPECT_TRUE(std::isnan(snr_for_ber_estimate(Modulation::kQam64, 0.0)));
+  EXPECT_TRUE(std::isnan(snr_for_ber_estimate(
+      Modulation::kQpsk, std::numeric_limits<double>::quiet_NaN())));
+}
+
+// ------------------------------------------ certified brackets vs ref::
+
+/// One state's reference effective SNRs, each modulation's computed by
+/// ref::effective_snr_db on first use.
+class RefDbs {
+ public:
+  explicit RefDbs(const rvec& snr) : snr_(&snr) {}
+
+  double operator()(Modulation m) {
+    std::optional<double>& v = db_[static_cast<std::size_t>(m)];
+    if (!v) v = ref::effective_snr_db(m, *snr_);
+    return *v;
+  }
+
+  /// ref::select_rate's answer: the highest rate whose threshold its
+  /// modulation's reference effective SNR meets. Searched top down, so a
+  /// state at good SNR costs one reference evaluation, not eight.
+  std::optional<std::size_t> select_rate() {
+    const auto& rates = phy::rate_set();
+    for (std::size_t i = rates.size(); i-- > 0;) {
+      if ((*this)(rates[i].modulation) >= rate_thresholds_db()[i]) return i;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  const rvec* snr_;
+  std::array<std::optional<double>, kNumModulations> db_;
+};
+
+/// Counts failed checks and keeps the first few descriptions, so that a
+/// broken build reports a handful of cases instead of millions.
+class Mismatches {
+ public:
+  template <class Describe>
+  void check(bool ok, Describe&& describe) {
+    if (ok) return;
+    if (count_++ < 5) log_ += describe() + "\n";
+  }
+  [[nodiscard]] int count() const { return count_; }
+  [[nodiscard]] const std::string& log() const { return log_; }
+
+ private:
+  int count_ = 0;
+  std::string log_;
+};
+
+std::string describe(const rvec& snr) {
+  double lo = snr.empty() ? 0.0 : snr[0], hi = lo;
+  for (double s : snr) lo = std::min(lo, s), hi = std::max(hi, s);
+  return std::to_string(snr.size()) + " subcarriers in [" +
+         std::to_string(lo) + ", " + std::to_string(hi) + "]";
+}
+
+/// The bracket `link` holds for `m` contains the reference value.
+void check_bracket(EffectiveSnrs& link, RefDbs& ref, Modulation m,
+                   Mismatches& out) {
+  const EffectiveSnrBound& b = link.bound(m);
+  const double want = ref(m);
+  out.check(b.lo_db <= want && want <= b.hi_db, [&] {
+    return "bracket [" + std::to_string(b.lo_db) + ", " +
+           std::to_string(b.hi_db) + "] misses " + std::to_string(want) +
+           " (" + phy::to_string(m) + ")";
+  });
+}
+
+/// The reference PER of rate `ri` at `bytes`.
+double ref_per(RefDbs& ref, std::size_t ri, std::size_t bytes) {
+  return ref::per_at(ref(phy::rate_set()[ri].modulation), ri, bytes);
+}
+
+/// rate::delivered(draw, ri, bytes, u) == (u >= per) for each u in turn,
+/// all on `draw`.
+void check_draws(EffectiveSnrs& draw, double per, std::size_t ri,
+                 std::size_t bytes, std::initializer_list<double> us,
+                 Mismatches& out) {
+  for (const double u : us) {
+    out.check(delivered(draw, ri, bytes, u) == (u >= per), [&] {
+      return "delivered(rate " + std::to_string(ri) + ", " +
+             std::to_string(bytes) + " B, u " + std::to_string(u) +
+             ") disagrees with PER " + std::to_string(per);
+    });
+  }
+}
+
+/// Everything the MAC asks of `snr`, fresh and through `memo` (twice, the
+/// second a hit), against the reference: the rate pick, every
+/// modulation's bracket, and delivery at every rate and frame size.
+void check_state_fully(const rvec& snr, EffectiveSnrMemo& memo, Rng& rng,
+                       Mismatches& out) {
+  RefDbs ref(snr);
+  const std::optional<std::size_t> want = ref::select_rate(snr);
+  out.check(select_rate(snr) == want,
+            [&] { return "select_rate(rvec) on " + describe(snr); });
+  for (EffectiveSnrMemo* use : {static_cast<EffectiveSnrMemo*>(nullptr),
+                                &memo, &memo}) {
+    EffectiveSnrs link(snr, use);
+    out.check(select_rate(link) == want,
+              [&] { return "select_rate(link) on " + describe(snr); });
+    for (Modulation m : kModulations) check_bracket(link, ref, m, out);
+    // A random u, u at the PER and one step either side of it, each on a
+    // copy of the priced link, so each meets the bracket and not a value
+    // an earlier draw settled.
+    for (std::size_t ri = 0; ri < phy::rate_set().size(); ++ri) {
+      for (std::size_t bytes : {100, 1500, 3000}) {
+        const double per = ref_per(ref, ri, bytes);
+        for (const double u : {rng.uniform(), std::nextafter(per, 0.0), per,
+                               std::nextafter(per, 2.0)}) {
+          EffectiveSnrs draw = link;
+          check_draws(draw, per, ri, bytes, {u}, out);
+        }
+      }
+    }
+  }
+}
+
+// A Rayleigh-faded 48-subcarrier state around a mean drawn from -5..40 dB;
+// every third has a deep 20 dB notch over eight subcarriers.
+rvec random_faded_state(Rng& rng, int v) {
+  const double mean = from_db(rng.uniform(-5.0, 40.0));
+  rvec snr(phy::kNumDataCarriers);
+  for (double& s : snr) s = mean * std::norm(rng.cgaussian());
+  if (v % 3 == 0) {
+    const std::size_t at = static_cast<std::size_t>(rng.uniform(0.0, 40.0));
+    for (std::size_t k = at; k < at + 8; ++k) snr[k] *= from_db(-20.0);
+  }
+  return snr;
+}
+
+/// `n_states` random faded states from `seed`, through one memo and none.
+/// Each state checks one modulation (cycled), so it pays for one
+/// reference bisection; every eighth also checks the rate pick, which may
+/// need the reference at several modulations.
+void check_random_states(std::uint64_t seed, int n_states, Mismatches& out) {
+  constexpr std::size_t kBytes[] = {100, 1500, 3000};
+  Rng rng(seed);
+  EffectiveSnrMemo memo;
+  // Memo states seen earlier, revisited later: hits, or misses after a
+  // colliding state evicted them.
+  struct Seen {
+    rvec snr;
+    Modulation m;
+    double db;
+  };
+  std::vector<Seen> seen;
+  for (int v = 0; v < n_states; ++v) {
+    const rvec snr = random_faded_state(rng, v);
+    RefDbs ref(snr);
+    EffectiveSnrMemo* const use = (v / 4) % 2 ? &memo : nullptr;
+    EffectiveSnrs link(snr, use);
+    if (v % 8 == 0) {
+      out.check(select_rate(link) == ref.select_rate(),
+                [&] { return "select_rate on " + describe(snr); });
+    }
+    const std::size_t mi = static_cast<std::size_t>(v % 4);
+    const Modulation m = kModulations[mi];
+    check_bracket(link, ref, m, out);
+    // One random draw on the link, then the PER's edges on one copy: the
+    // first edge meets the bracket (below or above the PER, alternately),
+    // the rest the value it settled.
+    const std::size_t ri = 2 * mi + (v / 8) % 2;
+    const std::size_t bytes = kBytes[(v / 16) % 3];
+    const double per = ref_per(ref, ri, bytes);
+    check_draws(link, per, ri, bytes, {rng.uniform()}, out);
+    EffectiveSnrs draw = link;
+    const double below = std::nextafter(per, 0.0);
+    const double above = std::nextafter(per, 2.0);
+    if ((v / 2) % 2) {
+      check_draws(draw, per, ri, bytes, {below, per, above}, out);
+    } else {
+      check_draws(draw, per, ri, bytes, {above, per, below}, out);
+    }
+    if (!use) continue;
+    EffectiveSnrs again(snr, &memo);
+    check_bracket(again, ref, m, out);
+    const Seen now{snr, m, ref(m)};
+    if (seen.size() < 512) {
+      seen.push_back(now);
+      continue;
+    }
+    Seen& old = seen[static_cast<std::size_t>(v) % seen.size()];
+    EffectiveSnrs back(old.snr, &memo);
+    const EffectiveSnrBound& b = back.bound(old.m);
+    out.check(b.lo_db <= old.db && old.db <= b.hi_db,
+              [&] { return "revisit on " + describe(old.snr); });
+    old = now;
+  }
+}
+
+TEST(RateParity, BracketsDecideAsTheBisectionOnRandomStates) {
+  // 2·10⁵ states in four independent chunks, one thread each: a 200-step
+  // reference bisection costs ~15 us.
+  constexpr int kChunks = 4;
+  std::array<Mismatches, kChunks> out;
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kChunks; ++c) {
+    workers.emplace_back(check_random_states, 2121 + c, 50000,
+                         std::ref(out[c]));
+  }
+  for (std::thread& w : workers) w.join();
+  for (const Mismatches& o : out) EXPECT_EQ(o.count(), 0) << o.log();
+}
+
+/// Flat states whose reference effective SNR at each rate's modulation
+/// lies within 1e-12 dB of that rate's threshold: the two ends of a
+/// bisection on the flat SNR, and one ulp beyond each.
+std::vector<rvec> threshold_flat_states() {
+  std::vector<rvec> out;
+  for (std::size_t i = 0; i < phy::rate_set().size(); ++i) {
+    const Modulation m = phy::rate_set()[i].modulation;
+    const double thr = rate_thresholds_db()[i];
+    const auto eff = [&](double s) {
+      return ref::effective_snr_db(m, rvec(phy::kNumDataCarriers, s));
+    };
+    double lo = from_db(thr - 1.0), hi = from_db(thr + 1.0);
+    for (;;) {
+      const double mid = 0.5 * (lo + hi);
+      if (mid <= lo || mid >= hi) break;
+      (eff(mid) >= thr ? hi : lo) = mid;
+    }
+    EXPECT_NEAR(eff(lo), thr, 1e-12) << "rate " << i;
+    EXPECT_NEAR(eff(hi), thr, 1e-12) << "rate " << i;
+    EXPECT_LT(eff(lo), thr) << "rate " << i;
+    EXPECT_GE(eff(hi), thr) << "rate " << i;
+    for (double s : {std::nextafter(lo, 0.0), lo, hi,
+                     std::nextafter(hi, 2.0 * hi)}) {
+      out.emplace_back(phy::kNumDataCarriers, s);
+    }
+  }
+  return out;
+}
+
+TEST(RateParity, FlatStatesAtEveryThresholdDecideExactly) {
+  Rng rng(31);
+  EffectiveSnrMemo memo;
+  Mismatches out;
+  const std::vector<rvec> states = threshold_flat_states();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const rvec& snr : states) check_state_fully(snr, memo, rng, out);
+  }
+  // The same states forced through one slot: each evicts the last.
+  EffectiveSnrMemo tiny;
+  for (const rvec& snr : states) {
+    RefDbs ref(snr);
+    for (Modulation m : kModulations) {
+      EffectiveSnrs link(snr, &tiny);
+      check_bracket(link, ref, m, out);
+    }
+  }
+  EXPECT_EQ(out.count(), 0) << out.log();
+}
+
+/// Outage and out-of-range states: all zero, negative, ±∞, 1e-300 and
+/// 1e300 entries, and the partial outages whose mean BER sits just under
+/// half the curve's scale.
+std::vector<rvec> extreme_states() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t n = phy::kNumDataCarriers;
+  std::vector<rvec> out{
+      rvec(n, 0.0),   rvec(n, -0.0),  rvec(n, -1.0),   rvec(n, -kInf),
+      rvec(n, kInf),  rvec(n, 1e-300), rvec(n, 1e300),
+      rvec(n, std::numeric_limits<double>::denorm_min()),
+      rvec(n, std::numeric_limits<double>::max())};
+  for (const double db : {-40.0, -35.0, -30.0, -20.0}) {
+    out.emplace_back(n, from_db(db));
+  }
+  rvec mixed(n, 1e300);
+  for (std::size_t k = 0; k < n; k += 2) mixed[k] = k % 4 ? -kInf : 1e-300;
+  out.push_back(mixed);
+  for (std::size_t zeros : {1, 24, 46, 47}) {
+    rvec partial(n, kInf);
+    std::fill_n(partial.begin(), zeros, 0.0);
+    out.push_back(partial);
+  }
+  return out;
+}
+
+TEST(RateParity, ExtremeStatesDecideExactly) {
+  Rng rng(47);
+  EffectiveSnrMemo memo;
+  Mismatches out;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const rvec& snr : extreme_states()) {
+      check_state_fully(snr, memo, rng, out);
+    }
+  }
+  EXPECT_EQ(out.count(), 0) << out.log();
+}
+
+TEST(RateParity, NanAndEmptyStatesThrowEverywhere) {
+  rvec nan_state(phy::kNumDataCarriers, from_db(20.0));
+  nan_state[9] = std::numeric_limits<double>::quiet_NaN();
+  const rvec good(phy::kNumDataCarriers, from_db(20.0));
+  EffectiveSnrMemo memo;
+  for (const rvec& bad : {nan_state, rvec{}}) {
+    for (EffectiveSnrMemo* use :
+         {static_cast<EffectiveSnrMemo*>(nullptr), &memo}) {
+      for (Modulation m : kModulations) {
+        EXPECT_THROW((void)effective_snr_bound(m, bad), std::invalid_argument);
+        EffectiveSnrs link(bad, use);
+        EXPECT_THROW((void)link.bound(m), std::invalid_argument);
+        EXPECT_THROW((void)link.meets(m, 10.0), std::invalid_argument);
+        EXPECT_THROW((void)link.db(m), std::invalid_argument);
+      }
+      EffectiveSnrs link(bad, use);
+      EXPECT_THROW((void)select_rate(link), std::invalid_argument);
+      EXPECT_THROW((void)delivered(link, 0, 1500, 0.5),
+                   std::invalid_argument);
+    }
+  }
+  EffectiveSnrs link(good, &memo);
+  EXPECT_THROW((void)delivered(link, phy::rate_set().size(), 1500, 0.5),
+               std::invalid_argument);
+  EXPECT_EQ(select_rate(link), ref::select_rate(good));
+}
+
+TEST(RateParity, CertificatesKeepTheirGuardBand) {
+  // Every bracket the builder certifies keeps the documented margin at
+  // its ends: ber(lo) > t(1 + ε/2) and ber(hi) < t(1 − ε/2) (half ε
+  // absorbs the dB round trip). Outage states, where the curve is nearly
+  // flat, are where a smaller guard would certify.
+  std::vector<rvec> states = extreme_states();
+  for (rvec& s : threshold_flat_states()) states.push_back(std::move(s));
+  Rng rng(5);
+  for (int v = 0; v < 2000; ++v) states.push_back(random_faded_state(rng, v));
+  Mismatches out;
+  int certified = 0;
+  for (const rvec& snr : states) {
+    for (Modulation m : kModulations) {
+      const EffectiveSnrBound b = effective_snr_bound(m, snr);
+      if (b.exact) continue;
+      ++certified;
+      const double t = b.mean_ber;
+      const double lo = from_db(b.lo_db + kBoundDbGuard);
+      const double hi = from_db(b.hi_db - kBoundDbGuard);
+      out.check(lo > 1e-6 && hi < 1e9 && hi / lo < 1.0 + 3 * kBoundHalfWidth,
+                [&] { return "bracket out of range on " + describe(snr); });
+      out.check(ber(m, lo) > t * (1.0 + kBoundBerGuard / 2), [&] {
+        return std::string("low end without margin, ") + phy::to_string(m) +
+               " t " + std::to_string(t);
+      });
+      out.check(ber(m, hi) < t * (1.0 - kBoundBerGuard / 2), [&] {
+        return std::string("high end without margin, ") + phy::to_string(m) +
+               " t " + std::to_string(t);
+      });
+    }
+  }
+  EXPECT_GT(certified, 7000);
+  EXPECT_EQ(out.count(), 0) << out.log();
+}
+
+TEST(RateParity, GuardConstantsCoverTheRoundingBound) {
+  // DESIGN.md §7's inequality. A crossing at target t >= 1e-15 on a
+  // curve c·Q(√(k·snr)) with c <= 1 solves erfc(y) = 2t/c >= 2e-15, so its
+  // erfc argument y is below 8.1.
+  constexpr double ulp = std::numeric_limits<double>::epsilon();
+  const double y = 8.1;
+  EXPECT_LT(std::erfc(y), 2e-15);
+  // A ≤ 3-ulp argument error moves erfc by ≤ 2y²·3 ulp; glibc's erfc and
+  // the two constant multiplies add a few ulp more.
+  const double ber_error = 2.0 * y * y * 3.0 * ulp + 8.0 * ulp;
+  EXPECT_GE(kBoundBerGuard, 1e6 * ber_error);
+  // to_db: a few ulp of log10 on values up to 90 dB.
+  EXPECT_GE(kBoundDbGuard, 1e4 * 90.0 * 4.0 * ulp);
+  // PER: pow's < 1 ulp and three roundings.
+  EXPECT_GE(kBoundPerGuard, 1e4 * 8.0 * ulp);
+  // The certificate needs the estimate well inside the bracket.
+  EXPECT_GE(kBoundHalfWidth, 1e3 * 2.3e-9);
+}
+
+TEST(EffSnrBound, PoolStatesRarelyNeedTheBisection) {
+  // Pool-like states: post-beamforming SINRs of well-conditioned N x N
+  // channels (N = 2..10) precoded with ZF, over the three Section 11 SNR
+  // bands. A guard too tight would keep the bits but lose the fast path.
+  constexpr double kBands[3][2] = {{18.0, 28.0}, {12.0, 18.0}, {6.0, 12.0}};
+  Rng rng(808);
+  std::size_t states = 0, exact = 0;
+  while (states < 10000) {
+    for (const auto& band : kBands) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(2, 10));
+      const auto gains = chan::diverse_link_gains(n, n, band[0], band[1], rng);
+      const core::ChannelMatrixSet h =
+          core::well_conditioned_channel_set(gains, rng);
+      const auto precoder = core::Precoder::build(h);
+      ASSERT_TRUE(precoder.has_value());
+      for (int draw = 0; draw < 16; ++draw) {
+        for (const rvec& snr : core::jmb_subcarrier_sinrs(
+                 h, *precoder, core::kCalibratedPhaseSigma, 1.0, rng)) {
+          bool any = false;
+          for (Modulation m : kModulations) {
+            any = effective_snr_bound(m, snr).exact || any;
+          }
+          ++states;
+          exact += any ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_LT(exact * 1000, states) << exact << " of " << states;
 }
 
 }  // namespace
