@@ -4,7 +4,9 @@
 // histogram type, not just means).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -23,6 +25,7 @@
 #include "phy/transmitter.h"
 #include "phy/viterbi.h"
 #include "phy/workspace.h"
+#include "rate/ber.h"
 #include "rate/effective_snr.h"
 #include "rate/per.h"
 #include "simd/aligned.h"
@@ -423,9 +426,10 @@ BENCHMARK(BM_FrameErrorProb)->Arg(5)->Arg(15)->Arg(30);
 //   0  hit: one state, drawn again and again as a pool entry is;
 //   1  miss: cycles through more distinct states than the memo has slots,
 //      keeping only states that share their slot with another, so every
-//      call misses. A miss prices certified brackets (the 48-erfc mean,
-//      the closed-form root and two certifying ber calls per modulation
-//      asked), not the bisection, unless a threshold lands inside one;
+//      call misses. A miss prices certified brackets (the interval mean
+//      BER, the closed-form root and two certifying ber calls per
+//      modulation asked), not the exact mean or the bisection, unless a
+//      threshold lands inside one;
 //   2  the miss leg's states without a memo: leg 1 minus leg 2 is the
 //      memo's own cost on a miss (BM_SelectRate prices a single,
 //      different state).
@@ -480,6 +484,39 @@ void BM_EffectiveSnrBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EffectiveSnrBound)->ArgsProduct({{5, 15, 30}, {0, 1}});
+
+// The mean BER of one faded state at a mean SNR of range(0) dB, at the
+// modulation of the rate the state selects, two ways:
+//  - BM_MeanBerExact: one glibc-erfc ber() per subcarrier, summed in
+//    order, as effective_snr computes it (the fallback's cost);
+//  - BM_MeanBerInterval: rate::mean_ber_interval, the erfc_sqrt kernel on
+//    the active backend plus the in-order sum (a first pricing's cost).
+std::pair<rvec, phy::Modulation> mean_ber_case(const benchmark::State& state) {
+  rvec snr = faded_link_snrs(static_cast<double>(state.range(0)));
+  const phy::Modulation m =
+      phy::rate_set()[rate::select_rate(snr).value_or(0)].modulation;
+  return {std::move(snr), m};
+}
+
+void BM_MeanBerExact(benchmark::State& state) {
+  const auto [snr, m] = mean_ber_case(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snr.data());
+    double sum = 0.0;
+    for (const double s : snr) sum += rate::ber(m, std::max(s, 0.0));
+    benchmark::DoNotOptimize(sum / static_cast<double>(snr.size()));
+  }
+}
+BENCHMARK(BM_MeanBerExact)->Arg(5)->Arg(15)->Arg(30);
+
+void BM_MeanBerInterval(benchmark::State& state) {
+  const auto [snr, m] = mean_ber_case(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(snr.data());
+    benchmark::DoNotOptimize(rate::mean_ber_interval(m, snr));
+  }
+}
+BENCHMARK(BM_MeanBerInterval)->Arg(5)->Arg(15)->Arg(30);
 
 // One MPDU's delivery decision, rate::delivered, at the rate the state
 // selects and a fresh uniform draw per call. Legs as BM_EffectiveSnrBound:

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 #include "dsp/types.h"
 
@@ -82,9 +83,17 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Zero-mean real Gaussian with the given standard deviation.
+  /// Zero-mean real Gaussian with the given standard deviation; 0 gives
+  /// +0.0. Throws std::invalid_argument on a negative or NaN stddev.
   [[nodiscard]] double gaussian(double stddev = 1.0) {
-    return std::normal_distribution<double>(0.0, stddev)(engine_);
+    // Written so that a NaN stddev fails the check too.
+    if (!(stddev >= 0.0)) {
+      throw std::invalid_argument("Rng::gaussian: negative or NaN stddev");
+    }
+    // A standard draw, scaled as libstdc++ scales it (z * stddev + mean):
+    // the same draws and bits as normal_distribution(0, stddev), whose
+    // parameter check would reject stddev 0.
+    return std::normal_distribution<double>()(engine_) * stddev + 0.0;
   }
 
   /// Circularly-symmetric complex Gaussian with E[|x|^2] = variance.

@@ -153,9 +153,15 @@ class Parser {
       return JsonValue();
     }
     const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth_ == kMaxJsonDepth) {
+      static const std::string msg =
+          "nesting deeper than " + std::to_string(kMaxJsonDepth);
+      fail(msg.c_str());
+      return JsonValue();
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested([this] { return parse_object(); });
+      case '[': return nested([this] { return parse_array(); });
       case '"': return JsonValue(parse_string());
       case 't': return expect_literal("true") ? JsonValue(true) : JsonValue();
       case 'f': return expect_literal("false") ? JsonValue(false) : JsonValue();
@@ -253,6 +259,15 @@ class Parser {
     return JsonValue(v);
   }
 
+  /// `parse` one level deeper.
+  template <class Parse>
+  JsonValue nested(Parse parse) {
+    ++depth_;
+    JsonValue v = parse();
+    --depth_;
+    return v;
+  }
+
   JsonValue parse_array() {
     JsonArray arr;
     consume('[');
@@ -299,6 +314,7 @@ class Parser {
   bool failed_ = false;
   std::string message_;
   std::size_t err_pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

@@ -79,8 +79,13 @@ class JsonValue {
   JsonObject obj_;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so an unbounded depth would overflow the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parse a JSON document. On failure returns null (kind kNull) and, when
-/// `error` is non-null, stores a message with the byte offset.
+/// `error` is non-null, stores a message with the byte offset. Nesting
+/// deeper than kMaxJsonDepth fails ("nesting deeper than 256").
 JsonValue parse_json(std::string_view text, std::string* error = nullptr);
 
 }  // namespace jmb::obs

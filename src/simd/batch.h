@@ -12,8 +12,12 @@
 //  - No FMA anywhere (the TUs additionally compile with
 //    -ffp-contract=off so scalar tails cannot be contracted either).
 //  - Lanes are independent: no horizontal operations, no reassociation.
+//  - rsquare_root is the correctly rounded IEEE square root on every arch,
+//    and rindex truncates toward zero as a C++ cast to int does.
+//  - rgather and rgather_rows only move doubles (loads and shuffles).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,6 +40,7 @@ struct ScalarArch {
   };
   using RReg = double;
   using MReg = bool;
+  using IReg = std::int32_t;  ///< one table index per real lane
 
   static CReg cload(const double* p) { return {p[0], p[1]}; }
   static void cstore(double* p, CReg a) {
@@ -73,6 +78,19 @@ struct ScalarArch {
   static MReg mand(MReg a, MReg b) { return a && b; }
   static RReg rselect(MReg m, RReg a, RReg b) { return m ? a : b; }
   static unsigned mask_bits(MReg m) { return m ? 1u : 0u; }
+  static RReg rsquare_root(RReg a) { return std::sqrt(a); }
+  /// Truncate each lane to an index; the lanes must lie in (-2^31, 2^31).
+  static IReg rindex(RReg a) { return static_cast<IReg>(a); }
+  static RReg rindex_to_real(IReg i) { return static_cast<double>(i); }
+  /// Store each lane's index to out[lane].
+  static void istore(std::int32_t* out, IReg i) { *out = i; }
+  /// Lane l of the result is *p[l] (one pointer per real lane).
+  static RReg rgather(const double* const* p) { return *p[0]; }
+  /// Eight consecutive doubles per lane, transposed: lane l of out[d] is
+  /// p[l][d], for d in [0, 8).
+  static void rgather_rows(const double* const* p, RReg* out) {
+    for (std::size_t d = 0; d < 8; ++d) out[d] = p[0][d];
+  }
   static void deinterleave(const double* p, RReg& even, RReg& odd) {
     even = p[0];
     odd = p[1];
@@ -87,6 +105,7 @@ struct Sse2Arch {
   using CReg = __m128d;
   using RReg = __m128d;
   using MReg = __m128d;
+  using IReg = __m128i;  ///< two int32 indices in the low half
 
   static CReg cload(const double* p) { return _mm_loadu_pd(p); }
   static void cstore(double* p, CReg a) { _mm_storeu_pd(p, a); }
@@ -130,6 +149,23 @@ struct Sse2Arch {
   static unsigned mask_bits(MReg m) {
     return static_cast<unsigned>(_mm_movemask_pd(m));
   }
+  static RReg rsquare_root(RReg a) { return _mm_sqrt_pd(a); }
+  static IReg rindex(RReg a) { return _mm_cvttpd_epi32(a); }
+  static RReg rindex_to_real(IReg i) { return _mm_cvtepi32_pd(i); }
+  static void istore(std::int32_t* out, IReg i) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out), i);
+  }
+  static RReg rgather(const double* const* p) {
+    return _mm_loadh_pd(_mm_load_sd(p[0]), p[1]);
+  }
+  static void rgather_rows(const double* const* p, RReg* out) {
+    for (std::size_t d = 0; d < 8; d += 2) {
+      const __m128d a = _mm_loadu_pd(p[0] + d);
+      const __m128d b = _mm_loadu_pd(p[1] + d);
+      out[d] = _mm_unpacklo_pd(a, b);
+      out[d + 1] = _mm_unpackhi_pd(a, b);
+    }
+  }
   static void deinterleave(const double* p, RReg& even, RReg& odd) {
     const __m128d a = _mm_loadu_pd(p);
     const __m128d b = _mm_loadu_pd(p + 2);
@@ -147,6 +183,7 @@ struct Avx2Arch {
   using CReg = __m256d;
   using RReg = __m256d;
   using MReg = __m256d;
+  using IReg = __m128i;  ///< four int32 indices
 
   static CReg cload(const double* p) { return _mm256_loadu_pd(p); }
   static void cstore(double* p, CReg a) { _mm256_storeu_pd(p, a); }
@@ -206,6 +243,32 @@ struct Avx2Arch {
   static unsigned mask_bits(MReg m) {
     return static_cast<unsigned>(_mm256_movemask_pd(m));
   }
+  static RReg rsquare_root(RReg a) { return _mm256_sqrt_pd(a); }
+  static IReg rindex(RReg a) { return _mm256_cvttpd_epi32(a); }
+  static RReg rindex_to_real(IReg i) { return _mm256_cvtepi32_pd(i); }
+  static void istore(std::int32_t* out, IReg i) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), i);
+  }
+  static RReg rgather(const double* const* p) {
+    return _mm256_setr_pd(*p[0], *p[1], *p[2], *p[3]);
+  }
+  /// Two 4x4 transposes.
+  static void rgather_rows(const double* const* p, RReg* out) {
+    for (std::size_t h = 0; h < 8; h += 4) {
+      const __m256d r0 = _mm256_loadu_pd(p[0] + h);
+      const __m256d r1 = _mm256_loadu_pd(p[1] + h);
+      const __m256d r2 = _mm256_loadu_pd(p[2] + h);
+      const __m256d r3 = _mm256_loadu_pd(p[3] + h);
+      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // [00 10 02 12]
+      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // [01 11 03 13]
+      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);  // [20 30 22 32]
+      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);  // [21 31 23 33]
+      out[h] = _mm256_permute2f128_pd(t0, t2, 0x20);
+      out[h + 1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+      out[h + 2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+      out[h + 3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+    }
+  }
   static void deinterleave(const double* p, RReg& even, RReg& odd) {
     const __m256d a = _mm256_loadu_pd(p);      // [p0 p1 p2 p3]
     const __m256d b = _mm256_loadu_pd(p + 4);  // [p4 p5 p6 p7]
@@ -226,6 +289,7 @@ struct Avx512Arch {
   using CReg = __m512d;
   using RReg = __m512d;
   using MReg = __mmask8;
+  using IReg = __m256i;  ///< eight int32 indices
 
   static __m512d xor_pd(__m512d a, __m512d b) {
     return _mm512_castsi512_pd(_mm512_xor_epi64(_mm512_castpd_si512(a),
@@ -300,6 +364,40 @@ struct Avx512Arch {
     return _mm512_mask_blend_pd(m, b, a);
   }
   static unsigned mask_bits(MReg m) { return static_cast<unsigned>(m); }
+  static RReg rsquare_root(RReg a) { return _mm512_sqrt_pd(a); }
+  static IReg rindex(RReg a) { return _mm512_cvttpd_epi32(a); }
+  static RReg rindex_to_real(IReg i) { return _mm512_cvtepi32_pd(i); }
+  static void istore(std::int32_t* out, IReg i) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), i);
+  }
+  static RReg rgather(const double* const* p) {
+    return _mm512_setr_pd(*p[0], *p[1], *p[2], *p[3], *p[4], *p[5], *p[6],
+                          *p[7]);
+  }
+  /// An 8x8 transpose: pairs of rows interleaved, then 128-bit blocks
+  /// shuffled twice.
+  static void rgather_rows(const double* const* p, RReg* out) {
+    __m512d t[8];
+    for (std::size_t r = 0; r < 8; r += 2) {
+      const __m512d a = _mm512_loadu_pd(p[r]);
+      const __m512d b = _mm512_loadu_pd(p[r + 1]);
+      t[r] = _mm512_unpacklo_pd(a, b);      // columns 0 2 4 6 of rows r, r+1
+      t[r + 1] = _mm512_unpackhi_pd(a, b);  // columns 1 3 5 7
+    }
+    constexpr int kEven = _MM_SHUFFLE(2, 0, 2, 0);
+    constexpr int kOdd = _MM_SHUFFLE(3, 1, 3, 1);
+    for (std::size_t c = 0; c < 2; ++c) {  // even, then odd columns
+      // [col c, c+4 of rows 0-3] and [col c+2, c+6 of rows 0-3]; then 4-7.
+      const __m512d u0 = _mm512_shuffle_f64x2(t[c], t[2 + c], kEven);
+      const __m512d u1 = _mm512_shuffle_f64x2(t[c], t[2 + c], kOdd);
+      const __m512d u2 = _mm512_shuffle_f64x2(t[4 + c], t[6 + c], kEven);
+      const __m512d u3 = _mm512_shuffle_f64x2(t[4 + c], t[6 + c], kOdd);
+      out[c] = _mm512_shuffle_f64x2(u0, u2, kEven);
+      out[c + 4] = _mm512_shuffle_f64x2(u0, u2, kOdd);
+      out[c + 2] = _mm512_shuffle_f64x2(u1, u3, kEven);
+      out[c + 6] = _mm512_shuffle_f64x2(u1, u3, kOdd);
+    }
+  }
   static void deinterleave(const double* p, RReg& even, RReg& odd) {
     const __m512d a = _mm512_loadu_pd(p);
     const __m512d b = _mm512_loadu_pd(p + 8);
@@ -319,6 +417,7 @@ struct NeonArch {
   using CReg = float64x2_t;
   using RReg = float64x2_t;
   using MReg = uint64x2_t;
+  using IReg = int64x2_t;
 
   static float64x2_t xor_f64(float64x2_t a, uint64x2_t mask) {
     return vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(a), mask));
@@ -366,6 +465,23 @@ struct NeonArch {
   static MReg rcmp_eq(RReg a, RReg b) { return vceqq_f64(a, b); }
   static MReg mand(MReg a, MReg b) { return vandq_u64(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) { return vbslq_f64(m, a, b); }
+  static RReg rsquare_root(RReg a) { return vsqrtq_f64(a); }
+  static IReg rindex(RReg a) { return vcvtq_s64_f64(a); }
+  static RReg rindex_to_real(IReg i) { return vcvtq_f64_s64(i); }
+  static void istore(std::int32_t* out, IReg i) {
+    vst1_s32(out, vmovn_s64(i));
+  }
+  static RReg rgather(const double* const* p) {
+    return vsetq_lane_f64(*p[1], vdupq_n_f64(*p[0]), 1);
+  }
+  static void rgather_rows(const double* const* p, RReg* out) {
+    for (std::size_t d = 0; d < 8; d += 2) {
+      const float64x2_t a = vld1q_f64(p[0] + d);
+      const float64x2_t b = vld1q_f64(p[1] + d);
+      out[d] = vzip1q_f64(a, b);
+      out[d + 1] = vzip2q_f64(a, b);
+    }
+  }
   static unsigned mask_bits(MReg m) {
     return static_cast<unsigned>(vgetq_lane_u64(m, 0) & 1u) |
            (static_cast<unsigned>(vgetq_lane_u64(m, 1) & 1u) << 1);

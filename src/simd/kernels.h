@@ -17,6 +17,17 @@ namespace jmb::simd {
 /// Trellis width of the viterbi_acs kernel (the 802.11 K=7 code).
 inline constexpr std::size_t kViterbiStates = 64;
 
+/// The erfc_sqrt kernel's piecewise polynomial: kErfcSegments pieces of
+/// width 1/kErfcSegmentsPerUnit cover y in [0, kErfcEnd); piece j is a
+/// degree-kErfcDegree polynomial in u = kErfcSegmentsPerUnit·y − (j + ½),
+/// so u lies in [−½, ½).
+inline constexpr std::size_t kErfcSegmentsPerUnit = 32;
+inline constexpr std::size_t kErfcSegments = 272;
+inline constexpr std::size_t kErfcDegree = 8;
+inline constexpr std::size_t kErfcStride = kErfcDegree + 1;  ///< per piece
+inline constexpr double kErfcEnd =
+    static_cast<double>(kErfcSegments) / kErfcSegmentsPerUnit;  // 8.5
+
 struct Kernels {
   const char* name;
 
@@ -87,6 +98,18 @@ struct Kernels {
   void (*beam_gains)(const double* h, const double* rot, const double* w,
                      std::size_t c, std::size_t nc, std::size_t nt,
                      std::size_t n_sc, double* sig, double* interf);
+
+  /// A piecewise polynomial of y = √(max(x[i], 0)·scale), per lane, for
+  /// i in [0, n) (rate::erfc_table() makes it erfc). `table` holds
+  /// kErfcSegments runs of kErfcStride coefficients, entry
+  /// table[kErfcStride·j + d] being piece j's u^d coefficient b_d.
+  /// Each lane runs the scalar sequence:
+  ///   y32 = sqrt(max(x, 0)·scale)·32;  j = (int)y32;
+  ///   u = y32 − ((double)j + 0.5);  p = Horner from b_8 down to b_0;
+  /// and writes 0 where y32 ≥ 272 (y ≥ kErfcEnd) or is ∞, and NaN where
+  /// x is NaN. `out` must not alias `x`.
+  void (*erfc_sqrt)(const double* x, double scale, const double* table,
+                    std::size_t n, double* out);
 
   /// One add-compare-select trellis step over kViterbiStates states,
   /// batched across the independent next-states. `signs` is the 256-entry

@@ -4,9 +4,10 @@
 // Every kernel mirrors the scalar reference loop it replaces (named in
 // each comment) operation for operation within a lane; vector lanes only
 // batch across independent elements, and every tail falls back to
-// ScalarArch running the same body (beam_gains instead reruns its last
-// full block over the tail, or hands a run shorter than one block to the
-// scalar table). That is what makes the dispatch bitwise-invisible.
+// ScalarArch running the same body (beam_gains and erfc_sqrt instead
+// rerun their last full block over the tail, or hand a run shorter than
+// one block to the scalar table). That is what makes the dispatch
+// bitwise-invisible.
 #pragma once
 
 #include <cstddef>
@@ -410,6 +411,65 @@ void beam_gains(const double* h, const double* rot, const double* w,
   }
 }
 
+/// erfc_sqrt for the A::kRealLanes inputs starting at i. Each lane's
+/// piece is a row of the table: b_1..b_8 come in as one transposed row
+/// gather, b_0 (used last) as a one-per-lane gather.
+template <class A>
+void erfc_sqrt_block(const double* x, double scale, const double* table,
+                     std::size_t i, double* out) {
+  static_assert(kErfcDegree == 8, "rgather_rows yields b_1..b_8");
+  const auto zero = A::rbroadcast(0.0);
+  const auto xi = A::rload(x + i);
+  // max(x, 0) as std::max does it: a NaN or −0 passes through.
+  const auto s = A::rselect(A::rcmp_gt(zero, xi), zero, xi);
+  const auto y32 =
+      A::rmul(A::rsquare_root(A::rmul(s, A::rbroadcast(scale))),
+              A::rbroadcast(static_cast<double>(kErfcSegmentsPerUnit)));
+  // False for ∞ and NaN too; those lanes read piece 0 and write 0 (∞)
+  // or their NaN.
+  const auto in =
+      A::rcmp_gt(A::rbroadcast(static_cast<double>(kErfcSegments)), y32);
+  const auto yc = A::rselect(in, y32, zero);
+  const auto j = A::rindex(yc);
+  const auto u = A::rsub(yc, A::radd(A::rindex_to_real(j),
+                                     A::rbroadcast(0.5)));
+  std::int32_t piece[A::kRealLanes];
+  A::istore(piece, j);
+  const double* row[A::kRealLanes];
+  const double* high[A::kRealLanes];
+  for (std::size_t l = 0; l < A::kRealLanes; ++l) {
+    row[l] = table + kErfcStride * static_cast<std::size_t>(piece[l]);
+    high[l] = row[l] + 1;
+  }
+  typename A::RReg b[kErfcDegree];  // b[d] holds b_{d+1}
+  A::rgather_rows(high, b);
+  auto p = b[kErfcDegree - 1];
+  for (std::size_t d = kErfcDegree - 1; d-- > 0;) {
+    p = A::radd(A::rmul(p, u), b[d]);
+  }
+  p = A::radd(A::rmul(p, u), A::rgather(row));
+  const auto past = A::rselect(A::rcmp_eq(y32, y32), zero, y32);
+  A::rstore(out + i, A::rselect(in, p, past));
+}
+
+/// See Kernels::erfc_sqrt.
+template <class A>
+void erfc_sqrt(const double* x, double scale, const double* table,
+               std::size_t n, double* out) {
+  if constexpr (A::kRealLanes > 1) {
+    if (n < A::kRealLanes) {
+      scalar_kernels()->erfc_sqrt(x, scale, table, n, out);
+      return;
+    }
+  }
+  std::size_t i = 0;
+  for (; i + A::kRealLanes <= n; i += A::kRealLanes) {
+    erfc_sqrt_block<A>(x, scale, table, i, out);
+  }
+  // Tail: one more full block ending at n, as in beam_gains.
+  if (i < n) erfc_sqrt_block<A>(x, scale, table, n - A::kRealLanes, out);
+}
+
 /// One ACS step of viterbi_decode_into (phy/viterbi.cpp), batched across
 /// the 2*kRealLanes independent next-states of the butterfly: next state
 /// ns = (b << 5) | m has exactly two predecessors 2m (even) and 2m + 1
@@ -473,6 +533,7 @@ constexpr Kernels make_kernels(const char* name) {
                  &impl::cmatvec<A>,
                  &impl::hermitian<A>,
                  &impl::beam_gains<A>,
+                 &impl::erfc_sqrt<A>,
                  &impl::viterbi_acs<A>};
 }
 

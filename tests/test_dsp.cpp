@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <type_traits>
 
 #include "dsp/fft.h"
@@ -225,6 +228,32 @@ TEST(Rng, ComplexGaussianVariance) {
   RunningStats power;
   for (int i = 0; i < 20000; ++i) power.add(std::norm(rng.cgaussian(2.0)));
   EXPECT_NEAR(power.mean(), 2.0, 0.1);
+}
+
+TEST(Rng, GaussianKeepsTheStdStreamAndAcceptsZero) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::uint64_t seed : {3ull, 77ull}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (const double s : {1e-300, 0.02, 0.7, 1.0, 3.0, 1e300}) {
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(bits(rng.gaussian(s)),
+                  bits(std::normal_distribution<double>(0.0, s)(ref)))
+            << "stddev " << s << " draw " << i;
+      }
+    }
+    // stddev 0 draws (and discards) one standard value and returns +0.0.
+    for (const double zero : {0.0, -0.0}) {
+      EXPECT_EQ(bits(rng.gaussian(zero)), bits(0.0));
+      (void)std::normal_distribution<double>()(ref);
+    }
+    EXPECT_EQ(rng.next_u64(), ref());
+  }
+  Rng rng(5);
+  EXPECT_THROW((void)rng.gaussian(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)rng.gaussian(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)rng.cgaussian(-2.0), std::invalid_argument);
 }
 
 TEST(Rng, UniformIntBounds) {

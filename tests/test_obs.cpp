@@ -192,6 +192,28 @@ TEST(ObsJson, ParseFailureReportsError) {
   EXPECT_FALSE(err2.empty());
 }
 
+TEST(ObsJson, NestingPastTheLimitFailsWithItsPosition) {
+  const std::size_t limit = obs::kMaxJsonDepth;
+  // At the limit: parses, arrays and objects alike.
+  const std::string arrays = std::string(limit, '[') + std::string(limit, ']');
+  std::string err;
+  EXPECT_TRUE(obs::parse_json(arrays, &err).is_array()) << err;
+  std::string objects;
+  for (std::size_t i = 0; i < limit; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(limit, '}');
+  EXPECT_TRUE(obs::parse_json(objects, &err).is_object()) << err;
+  // One level more, and a document that opens 100,000 arrays: a
+  // diagnostic at the byte that opens level limit + 1.
+  for (const std::string& deep :
+       {std::string(limit + 1, '[') + std::string(limit + 1, ']'),
+        std::string(100000, '['), "{\"a\":" + std::string(100000, '[')}) {
+    err.clear();
+    EXPECT_TRUE(obs::parse_json(deep, &err).is_null());
+    const std::size_t at = deep[0] == '{' ? limit + 4 : limit;
+    EXPECT_EQ(err, "nesting deeper than 256 at byte " + std::to_string(at));
+  }
+}
+
 TEST(ObsSchema, ValidatorAcceptsAndRejects) {
   const obs::JsonValue schema = obs::parse_json(R"({
     "type": "object",

@@ -22,6 +22,8 @@
 #include "rate/ber.h"
 #include "rate/effective_snr.h"
 #include "rate/per.h"
+#include "simd/backend.h"
+#include "simd/kernels.h"
 
 namespace jmb::rate {
 namespace {
@@ -50,12 +52,20 @@ double snr_for_ber(Modulation m, double target_ber) {
   return std::sqrt(lo * hi);
 }
 
-double effective_snr_db(Modulation m, const rvec& subcarrier_snr) {
+/// The mean BER before the clamp.
+double raw_mean_ber(Modulation m, const rvec& subcarrier_snr) {
   double mean_ber = 0.0;
   for (double s : subcarrier_snr) mean_ber += ber(m, std::max(s, 0.0));
-  mean_ber /= static_cast<double>(subcarrier_snr.size());
-  mean_ber = std::clamp(mean_ber, 1e-15, 0.499);
-  return to_db(ref::snr_for_ber(m, mean_ber));
+  return mean_ber / static_cast<double>(subcarrier_snr.size());
+}
+
+/// The bisection's target: the mean BER clamped to [1e-15, 0.499].
+double mean_ber_target(Modulation m, const rvec& subcarrier_snr) {
+  return std::clamp(raw_mean_ber(m, subcarrier_snr), 1e-15, 0.499);
+}
+
+double effective_snr_db(Modulation m, const rvec& subcarrier_snr) {
+  return to_db(ref::snr_for_ber(m, ref::mean_ber_target(m, subcarrier_snr)));
 }
 
 std::optional<std::size_t> select_rate(const rvec& subcarrier_snr) {
@@ -847,9 +857,11 @@ TEST(RateParity, NanAndEmptyStatesThrowEverywhere) {
 
 TEST(RateParity, CertificatesKeepTheirGuardBand) {
   // Every bracket the builder certifies keeps the documented margin at
-  // its ends: ber(lo) > t(1 + ε/2) and ber(hi) < t(1 − ε/2) (half ε
-  // absorbs the dB round trip). Outage states, where the curve is nearly
-  // flat, are where a smaller guard would certify.
+  // its ends against the exact mean BER t (the reference loop's, not the
+  // interval it was certified from): ber(lo) > t(1 + ε/2) and ber(hi) <
+  // t(1 − ε/2) (half ε absorbs the dB round trip and the interval's
+  // width). Outage states, where the curve is nearly flat, are where a
+  // smaller guard would certify.
   std::vector<rvec> states = extreme_states();
   for (rvec& s : threshold_flat_states()) states.push_back(std::move(s));
   Rng rng(5);
@@ -861,7 +873,7 @@ TEST(RateParity, CertificatesKeepTheirGuardBand) {
       const EffectiveSnrBound b = effective_snr_bound(m, snr);
       if (b.exact) continue;
       ++certified;
-      const double t = b.mean_ber;
+      const double t = ref::mean_ber_target(m, snr);
       const double lo = from_db(b.lo_db + kBoundDbGuard);
       const double hi = from_db(b.hi_db - kBoundDbGuard);
       out.check(lo > 1e-6 && hi < 1e9 && hi / lo < 1.0 + 3 * kBoundHalfWidth,
@@ -928,6 +940,227 @@ TEST(EffSnrBound, PoolStatesRarelyNeedTheBisection) {
     }
   }
   EXPECT_LT(exact * 1000, states) << exact << " of " << states;
+}
+
+// ------------------------------------------------- the interval mean BER
+
+/// The erfc table's output at y = √x (x ≥ 0), through the active kernel.
+double table_erfc_sqrt(double x) {
+  double out = -1.0;
+  simd::active_kernels().erfc_sqrt(&x, 1.0, erfc_table(), 1, &out);
+  return out;
+}
+
+TEST(ErfcApprox, RemainderBoundsAreFarInsideTheTolerance) {
+  // Recomputed here, independently of the table builder and more loosely:
+  // on piece j = [a, b] about its centre, the degree-8 Taylor remainder
+  // relative to erfc is at most
+  //   (2/√π)·|H_8|max·e^{−a²}/erfc(b) · (h/2)⁹/9!,
+  // with H_8(ξ) = 256ξ⁸ − 3584ξ⁶ + 13440ξ⁴ − 13440ξ² + 1680 bounded by its
+  // absolute coefficients at b.
+  using Ld = long double;
+  const Ld h = 1.0L / simd::kErfcSegmentsPerUnit;
+  Ld worst = 0;
+  for (std::size_t j = 0; j < simd::kErfcSegments; ++j) {
+    const Ld a = static_cast<Ld>(j) * h, b = a + h;
+    const Ld b2 = b * b;
+    const Ld hermite =
+        (((256 * b2 + 3584) * b2 + 13440) * b2 + 13440) * b2 + 1680;
+    Ld taylor = 1;
+    for (int n = 1; n <= 9; ++n) taylor *= h / 2 / n;
+    const Ld bound = 2 / std::sqrt(3.14159265358979323846264338327950288L) *
+                     hermite * std::exp(-a * a) / std::erfc(b) * taylor;
+    worst = std::max(worst, bound);
+  }
+  RecordProperty("worst_remainder_bound",
+                 ::testing::PrintToString(static_cast<double>(worst)));
+  EXPECT_LT(worst, 1e-10L);
+  EXPECT_GE(kMeanBerTolerance, 100.0 * static_cast<double>(worst));
+  // α covers a dropped subcarrier at y ≥ 8.5 on any curve (scale ≤ 1).
+  EXPECT_GE(kMeanBerFloor, 0.5 * std::erfc(simd::kErfcEnd) * 1.01);
+  // Horner's rounding budget: Σ|bₙ|2⁻ⁿ over erfc at the piece's right end
+  // stays below 3 on every piece.
+  const double* table = erfc_table();
+  for (std::size_t j = 0; j < simd::kErfcSegments; ++j) {
+    double sum = 0.0, half = 1.0;
+    for (std::size_t d = 0; d <= simd::kErfcDegree; ++d, half *= 0.5) {
+      sum += std::fabs(table[simd::kErfcStride * j + d]) * half;
+    }
+    EXPECT_LT(sum / std::erfc(static_cast<double>(j + 1) /
+                              simd::kErfcSegmentsPerUnit),
+              3.0)
+        << "piece " << j;
+  }
+}
+
+TEST(ErfcApprox, DenseGridTracksGlibcErfc) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double per_unit = simd::kErfcSegmentsPerUnit;
+  std::vector<double> ys;
+  for (double y = 0.0; y < 8.6; y += 1.0 / (64.0 * per_unit)) ys.push_back(y);
+  for (std::size_t j = 0; j <= simd::kErfcSegments; ++j) {
+    const double end = static_cast<double>(j) / per_unit;
+    ys.insert(ys.end(), {std::nextafter(end, 0.0), end,
+                         std::nextafter(end, kInf)});
+  }
+  double worst = 0.0;
+  for (const double y : ys) {
+    // The kernel sees x = y², so compare at the y it computes.
+    const double x = y * y;
+    const double yk = std::sqrt(x);
+    const double got = table_erfc_sqrt(x);
+    if (yk >= simd::kErfcEnd) {
+      EXPECT_EQ(got, 0.0) << "y " << yk;
+      EXPECT_LE(0.5 * std::erfc(yk), kMeanBerFloor) << "y " << yk;
+      continue;
+    }
+    const double want = std::erfc(yk);
+    worst = std::max(worst, std::fabs(got - want) / want);
+  }
+  RecordProperty("worst_relative_error", ::testing::PrintToString(worst));
+  EXPECT_LT(worst, kErfcTableRemainder) << "worst relative error " << worst;
+  EXPECT_LT(worst, kMeanBerTolerance / 100.0);
+  // Just under 8.5 is the last piece, at 8.5 the zero tail.
+  const double under = std::nextafter(simd::kErfcEnd, 0.0);
+  const double y_under = std::sqrt(under * under);
+  EXPECT_NEAR(table_erfc_sqrt(under * under) / std::erfc(y_under), 1.0,
+              kErfcTableRemainder);
+  EXPECT_EQ(table_erfc_sqrt(simd::kErfcEnd * simd::kErfcEnd), 0.0);
+  // −0, 0, a subnormal and a negative SNR all sit at erfc(0) = 1 (or a
+  // hair below it); ∞ at erfc(∞) = 0.
+  for (const double x : {-0.0, 0.0, -1.0, -kInf,
+                         std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_NEAR(table_erfc_sqrt(x), 1.0, 1e-14) << x;
+  }
+  EXPECT_EQ(table_erfc_sqrt(kInf), 0.0);
+}
+
+/// States for the interval tests: random faded ones, the flat threshold
+/// and extreme ones, and states whose every subcarrier sits at or just
+/// past the table's end, where t̃ is 0 but the exact mean is not.
+std::vector<rvec> interval_states() {
+  std::vector<rvec> states = extreme_states();
+  for (rvec& s : threshold_flat_states()) states.push_back(std::move(s));
+  Rng rng(1717);
+  for (int v = 0; v < 3000; ++v) states.push_back(random_faded_state(rng, v));
+  constexpr std::size_t n = phy::kNumDataCarriers;
+  for (Modulation m : kModulations) {
+    // y = √(s·k) = 8.5·(1 + f): SNR 8.5²(1 + f)²·2·per_snr.
+    const double per_snr = ber_curve(m).per_snr;
+    for (const double f : {0.0, 1e-12, 1e-4, 1e-3, 0.02}) {
+      const double s = 72.25 * (1.0 + f) * (1.0 + f) * 2.0 * per_snr;
+      states.emplace_back(n, s);
+      rvec mixed(n, std::numeric_limits<double>::infinity());
+      mixed[7] = s;
+      states.push_back(mixed);
+    }
+  }
+  return states;
+}
+
+TEST(MeanBer, IntervalContainsTheExactMean) {
+  Mismatches out;
+  std::size_t positive_past_the_table = 0;
+  for (const rvec& snr : interval_states()) {
+    for (Modulation m : kModulations) {
+      const double t = ref::raw_mean_ber(m, snr);
+      const MeanBerInterval iv = mean_ber_interval(m, snr);
+      out.check(iv.lo <= t && t <= iv.hi, [&] {
+        return std::string(phy::to_string(m)) + " mean " + std::to_string(t) +
+               " outside [" + std::to_string(iv.lo) + ", " +
+               std::to_string(iv.hi) + "] on " + describe(snr);
+      });
+      // Tight: the interval is t̃(1 ± η) ± α around its centre.
+      const double mid = 0.5 * (iv.lo + iv.hi);
+      out.check(iv.hi - iv.lo <= 2.0 * kMeanBerTolerance * mid * (1 + 1e-6) +
+                                     2.0 * kMeanBerFloor * (1 + 1e-6),
+                [&] { return "interval too wide on " + describe(snr); });
+      if (t > 0.0 && iv.hi < 2.0 * kMeanBerFloor) ++positive_past_the_table;
+    }
+  }
+  EXPECT_EQ(out.count(), 0) << out.log();
+  // The states past the table's end did reach the α-only case.
+  EXPECT_GT(positive_past_the_table, 0u);
+}
+
+TEST(MeanBer, IntervalIsTheSameOnEveryBackend) {
+  Rng rng(2323);
+  std::vector<rvec> states = interval_states();
+  // Lengths that leave a tail on every backend and run past one chunk.
+  for (const std::size_t n : {1u, 3u, 9u, 52u, 64u, 65u, 200u}) {
+    rvec snr(n);
+    for (double& s : snr) s = from_db(rng.uniform(-10.0, 30.0));
+    states.push_back(std::move(snr));
+  }
+  std::vector<MeanBerInterval> want;
+  ASSERT_TRUE(simd::set_backend(simd::Backend::kScalar));
+  for (const rvec& snr : states) {
+    for (Modulation m : kModulations) want.push_back(mean_ber_interval(m, snr));
+  }
+  for (const simd::Backend b :
+       {simd::Backend::kSse2, simd::Backend::kAvx2, simd::Backend::kAvx512,
+        simd::Backend::kNeon}) {
+    if (!simd::set_backend(b)) continue;
+    std::size_t i = 0;
+    for (const rvec& snr : states) {
+      for (Modulation m : kModulations) {
+        const MeanBerInterval got = mean_ber_interval(m, snr);
+        EXPECT_TRUE(same_bits(got.lo, want[i].lo) &&
+                    same_bits(got.hi, want[i].hi))
+            << simd::backend_name(b) << " " << describe(snr);
+        ++i;
+      }
+    }
+  }
+  simd::reset_backend_cache();
+}
+
+TEST(MeanBer, NanAndEmptyStatesThrow) {
+  rvec nan_state(phy::kNumDataCarriers, from_db(20.0));
+  nan_state[40] = std::numeric_limits<double>::quiet_NaN();
+  for (Modulation m : kModulations) {
+    EXPECT_THROW((void)mean_ber_interval(m, nan_state), std::invalid_argument);
+    EXPECT_THROW((void)mean_ber_interval(m, rvec{}), std::invalid_argument);
+  }
+  try {
+    (void)mean_ber_interval(Modulation::kQam16, nan_state);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("subcarrier 40"), std::string::npos);
+  }
+}
+
+TEST(EffSnrMemo, PoolStatesRarelyShareASlot) {
+  // A 10-AP run draws its link states from a 16-entry pool: 160 distinct
+  // states. Count those that share a memo slot with another of the same
+  // pool, over 50 pools.
+  Rng rng(4096);
+  std::size_t states = 0, shared = 0;
+  for (int pool = 0; pool < 50; ++pool) {
+    const auto gains = chan::diverse_link_gains(10, 10, 12.0, 28.0, rng);
+    const core::ChannelMatrixSet h =
+        core::well_conditioned_channel_set(gains, rng);
+    const auto precoder = core::Precoder::build(h);
+    ASSERT_TRUE(precoder.has_value());
+    const core::SinrPool sinrs(h, *precoder, 16, rng);
+    std::vector<std::size_t> slots;
+    for (std::size_t e = 0; e < sinrs.size(); ++e) {
+      for (const rvec& snr : sinrs.entry(e)) {
+        slots.push_back(EffectiveSnrMemo::slot(snr));
+      }
+    }
+    std::vector<std::size_t> sorted = slots;
+    std::sort(sorted.begin(), sorted.end());
+    for (const std::size_t s : slots) {
+      const auto [lo, hi] = std::equal_range(sorted.begin(), sorted.end(), s);
+      shared += hi - lo > 1 ? 1 : 0;
+    }
+    states += slots.size();
+  }
+  // A uniform hash would put 1 − (1 − 1/4096)^159 ≈ 3.8% in shared slots.
+  const double share =
+      static_cast<double>(shared) / static_cast<double>(states);
+  RecordProperty("shared_slot_share", std::to_string(share));
+  EXPECT_LT(share, 0.08) << shared << " of " << states;
 }
 
 }  // namespace

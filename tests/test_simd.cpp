@@ -475,6 +475,69 @@ TEST_P(SimdParity, BeamGainsMatchThePerSubcarrierLoop) {
   }
 }
 
+/// The per-element loop erfc_sqrt batches, as the kernel's comment
+/// spells it out.
+std::vector<double> reference_erfc_sqrt(const std::vector<double>& x,
+                                        double scale,
+                                        const std::vector<double>& table) {
+  std::vector<double> out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double y32 = std::sqrt(std::max(x[i], 0.0) * scale) *
+                       static_cast<double>(kErfcSegmentsPerUnit);
+    if (!(y32 < static_cast<double>(kErfcSegments))) {
+      out[i] = std::isnan(y32) ? y32 : 0.0;
+      continue;
+    }
+    const auto j = static_cast<std::int32_t>(y32);
+    const double u = y32 - (static_cast<double>(j) + 0.5);
+    const double* piece =
+        table.data() + kErfcStride * static_cast<std::size_t>(j);
+    double p = piece[kErfcDegree];
+    for (std::size_t d = kErfcDegree; d-- > 0;) {
+      p = p * u + piece[d];
+    }
+    out[i] = p;
+  }
+  return out;
+}
+
+TEST_P(SimdParity, ErfcSqrtMatchesThePerElementLoop) {
+  std::mt19937_64 rng(GetParam() + 707);
+  const std::vector<double> table =
+      random_doubles(rng, kErfcStride * kErfcSegments);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::uniform_real_distribution<double> y(0.0, 9.0);
+  std::uniform_int_distribution<int> pick(0, 9);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 48u, 52u, 64u}) {
+    for (const double scale : {1.0, 0.5, 0.1, 1.0 / 42.0}) {
+      std::vector<double> x(n);
+      for (double& v : x) {
+        const double yy = y(rng);
+        switch (pick(rng)) {
+          case 0: v = -0.0; break;
+          case 1: v = -y(rng); break;
+          case 2: v = std::numeric_limits<double>::denorm_min(); break;
+          case 3: v = kInf; break;
+          case 4: v = std::numeric_limits<double>::quiet_NaN(); break;
+          case 5: {  // a piece's end, at y = j/32 exactly
+            const double end = std::floor(yy * 32.0) / 32.0;
+            v = end * end / scale;
+            break;
+          }
+          default: v = yy * yy / scale;
+        }
+      }
+      const std::vector<double> want = reference_erfc_sqrt(x, scale, table);
+      for (const Kernels* k : runnable_tables()) {
+        std::vector<double> got(n, -1.0);
+        k->erfc_sqrt(x.data(), scale, table.data(), n, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
+            << k->name << " n=" << n << " scale=" << scale;
+      }
+    }
+  }
+}
+
 TEST_P(SimdParity, ViterbiAcs) {
   std::mt19937_64 rng(GetParam() + 404);
   const Kernels* ref = scalar_kernels();
