@@ -148,7 +148,7 @@ void BM_ZfPrecoderBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(p->scale());
   }
 }
-BENCHMARK(BM_ZfPrecoderBuild)->Arg(2)->Arg(4)->Arg(10);
+BENCHMARK(BM_ZfPrecoderBuild)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
 
 // Workspace-fed build: same pseudoinverses, but every per-subcarrier
 // temporary lives in the reused PinvScratch instead of the heap.
@@ -207,6 +207,33 @@ void BM_PinvIntoWorkspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PinvIntoWorkspace)->Arg(2)->Arg(4);
+
+// The batched pseudo-inverse kernel alone on one block of kMaxRealLanes
+// subcarriers (one AVX-512 block, two AVX2 blocks) of N x N channels:
+// items are subcarriers, so the rate compares with BM_PinvIntoWorkspace.
+void BM_ZfPinvBlock(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kSc = simd::kMaxRealLanes;
+  Rng rng(9);
+  const core::ChannelMatrixSet h = core::random_channel_set(n, n, rng);
+  std::vector<CMatrix> w(kSc, CMatrix(n, n));
+  std::vector<const double*> in;
+  std::vector<double*> out;
+  for (std::size_t k = 0; k < kSc; ++k) {
+    in.push_back(reinterpret_cast<const double*>(&h.at(k)(0, 0)));
+    out.push_back(reinterpret_cast<double*>(&w[k](0, 0)));
+  }
+  simd::advec work(simd::zf_pinv_work_size(n, n));
+  const simd::Kernels& kern = simd::active_kernels();
+  for (auto _ : state) {
+    bool ok = kern.zf_pinv(in.data(), n, n, kSc, 0.0, out.data(), work.data());
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kSc));
+  state.SetLabel(kern.name);
+}
+BENCHMARK(BM_ZfPinvBlock)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
 
 void BM_PrecodeTransmitVector(benchmark::State& state) {
   Rng rng(8);

@@ -6,8 +6,8 @@
 #
 # The checked-in BENCH_baseline.json is intentionally NOT compared here:
 # cross-compiler FP divergence would make that flaky in the {gcc,clang}
-# test matrix. The baseline comparison runs in the toolchain-pinned
-# bench-artifacts CI job instead.
+# test matrix. The baseline comparisons are the baseline_* tests
+# (cmake/baseline_compare.cmake), registered for gcc on x86-64 only.
 #
 # Invoked by ctest (see bench/CMakeLists.txt) as:
 #   cmake -DBENCH=<exe> -DCOMPARE=<bench_compare exe> -DSEED=<n>

@@ -61,31 +61,6 @@ ChannelMatrixSet random_channel_set_with_gains(
   return h;
 }
 
-ChannelMatrixSet correlated_channel_set(
-    const std::vector<std::vector<double>>& gains, double corr, Rng& rng) {
-  if (corr < 0.0 || corr >= 1.0) {
-    throw std::invalid_argument("correlated_channel_set: corr must be [0,1)");
-  }
-  ChannelMatrixSet own = random_channel_set_with_gains(gains, rng);
-  if (corr == 0.0) return own;
-  // One unit-power shared row; every client leans on it by sqrt(corr),
-  // scaled to the client's own link gain so mean power is unchanged.
-  const ChannelMatrixSet shared = random_channel_set(1, own.n_tx(), rng);
-  const double w_own = std::sqrt(1.0 - corr);
-  const double w_shared = std::sqrt(corr);
-  for (std::size_t k = 0; k < own.n_subcarriers(); ++k) {
-    CMatrix& m = own.at(k);
-    const CMatrix& s = shared.at(k);
-    for (std::size_t c = 0; c < own.n_clients(); ++c) {
-      for (std::size_t a = 0; a < own.n_tx(); ++a) {
-        m(c, a) = w_own * m(c, a) +
-                  w_shared * std::sqrt(gains[c][a]) * s(0, a);
-      }
-    }
-  }
-  return own;
-}
-
 ChannelMatrixSet well_conditioned_channel_set(
     const std::vector<std::vector<double>>& gains, Rng& rng) {
   const std::size_t nc = gains.size();

@@ -53,16 +53,6 @@ inline constexpr double kCalibratedPhaseSigma = 0.02;
 [[nodiscard]] ChannelMatrixSet well_conditioned_channel_set(
     const std::vector<std::vector<double>>& gains, Rng& rng);
 
-/// Spatially correlated (ill-conditioned) channel set: each client row is
-/// the mix sqrt(1-corr) * own + sqrt(corr) * shared of the client's own
-/// random draw and one common random row, preserving per-link mean power
-/// gains[client][tx]. corr in [0, 1); corr -> 1 drives every subcarrier's
-/// H toward rank one — the regime where plain zero forcing's power
-/// normalization and leakage explode while regularized solves stay
-/// bounded. Use for conditioning-robustness studies.
-[[nodiscard]] ChannelMatrixSet correlated_channel_set(
-    const std::vector<std::vector<double>>& gains, double corr, Rng& rng);
-
 /// Per-client post-beamforming SINR given per-AP phase errors.
 struct SinrReport {
   rvec sinr;                ///< linear, per client (mean over subcarriers)

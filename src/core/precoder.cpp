@@ -7,6 +7,7 @@
 #include "linalg/pinv.h"
 #include "obs/bounds.h"
 #include "phy/workspace.h"
+#include "simd/kernels.h"
 
 namespace jmb::core {
 
@@ -40,6 +41,28 @@ double zf_leakage_db(const CMatrix& h, const CMatrix& w) {
   const double ratio = off / diag;
   if (ratio < 1e-32) return -320.0;
   return 10.0 * std::log10(ratio);
+}
+
+/// w[k] = pinv_into(h.at(k), ridge) for every subcarrier, through the
+/// subcarrier-batched simd::Kernels::zf_pinv, which runs pinv_into's
+/// operation sequence with one lane per subcarrier: the same bits, and
+/// false where the per-subcarrier loop would fail on a singular Gram
+/// matrix.
+bool batched_pinv(const ChannelMatrixSet& h, double ridge,
+                  PinvScratch& scratch, std::vector<CMatrix>& w) {
+  const std::size_t n_sc = h.n_subcarriers();
+  scratch.batch_a.resize(n_sc);
+  scratch.batch_w.resize(n_sc);
+  for (std::size_t k = 0; k < n_sc; ++k) {
+    w[k].resize(h.n_tx(), h.n_clients());
+    scratch.batch_a[k] = reinterpret_cast<const double*>(&h.at(k)(0, 0));
+    scratch.batch_w[k] = reinterpret_cast<double*>(&w[k](0, 0));
+  }
+  scratch.batch_work.resize(
+      simd::zf_pinv_work_size(h.n_clients(), h.n_tx()));
+  return simd::active_kernels().zf_pinv(
+      scratch.batch_a.data(), h.n_clients(), h.n_tx(), n_sc, ridge,
+      scratch.batch_w.data(), scratch.batch_work.data());
 }
 
 }  // namespace
@@ -145,32 +168,43 @@ std::optional<Precoder> Precoder::build_masked_impl(
   Precoder p;
   p.scale_ = small.scale_;
   p.kind_ = small.kind_;
-  p.w_.resize(h.n_subcarriers());
-  for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
+  const std::size_t n_sc = h.n_subcarriers();
+  const std::size_t ns = h.n_clients();
+  p.w_.resize(n_sc);
+  for (std::size_t k = 0; k < n_sc; ++k) {
     CMatrix& w = p.w_[k];
-    w.resize(h.n_tx(), h.n_clients());
+    w.resize(h.n_tx(), ns);
     std::size_t j = 0;
     for (std::size_t i = 0; i < h.n_tx(); ++i) {
       if (active_tx[i] == 0) continue;
-      for (std::size_t c = 0; c < h.n_clients(); ++c) {
-        w(i, c) = small.w_[k](j, c);
-      }
+      for (std::size_t c = 0; c < ns; ++c) w(i, c) = small.w_[k](j, c);
       ++j;
     }
   }
-  p.pack();
+  // The packed rows expand the same way: an active antenna's runs are the
+  // reduced build's, an excluded one's stay zero.
+  p.packed_.assign(h.n_tx() * ns * n_sc, cplx{});
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < h.n_tx(); ++i) {
+    if (active_tx[i] == 0) continue;
+    std::copy_n(small.packed_.data() + j * ns * n_sc, ns * n_sc,
+                p.packed_.data() + i * ns * n_sc);
+    ++j;
+  }
   return p;
 }
 
-void Precoder::pack() {
+void Precoder::scale_and_pack() {
+  const cplx s{scale_, 0.0};
   const std::size_t n_sc = w_.size();
   const std::size_t nt = n_tx();
   const std::size_t ns = n_streams();
   packed_.resize(nt * ns * n_sc);
-  for (std::size_t a = 0; a < nt; ++a) {
-    for (std::size_t j = 0; j < ns; ++j) {
-      cplx* const row = packed_.data() + (a * ns + j) * n_sc;
-      for (std::size_t k = 0; k < n_sc; ++k) row[k] = w_[k](a, j);
+  for (std::size_t k = 0; k < n_sc; ++k) {
+    cplx* const w = &w_[k](0, 0);
+    for (std::size_t e = 0; e < nt * ns; ++e) {
+      w[e] *= s;
+      packed_[e * n_sc + k] = w[e];
     }
   }
 }
@@ -199,37 +233,40 @@ bool Precoder::rebuild_kind(const ChannelMatrixSet& h,
   kind_ = cfg.kind;
   selected_.clear();
   w_.resize(h.n_subcarriers());
-  for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
-    switch (cfg.kind) {
-      case phy::PrecoderKind::kZf:
-        if (!pinv_into(h.at(k), 0.0, scratch, w_[k])) return false;
-        break;
-      case phy::PrecoderKind::kRzf:
-        if (!pinv_into(h.at(k), cfg.ridge, scratch, w_[k])) return false;
-        break;
-      case phy::PrecoderKind::kConj:
+  switch (cfg.kind) {
+    case phy::PrecoderKind::kZf:
+      if (!batched_pinv(h, 0.0, scratch, w_)) return false;
+      break;
+    case phy::PrecoderKind::kRzf:
+      if (!batched_pinv(h, cfg.ridge, scratch, w_)) return false;
+      break;
+    case phy::PrecoderKind::kConj:
+      for (std::size_t k = 0; k < h.n_subcarriers(); ++k) {
         hermitian_into(h.at(k), w_[k]);
-        break;
-    }
+      }
+      break;
   }
   // One global scale: with unit-power stream symbols, AP antenna i spends
   // mean_k row_power(W_k, i) per subcarrier. Scale so the hungriest
-  // antenna hits its budget exactly.
+  // antenna hits its budget exactly. Each antenna's sum runs over k in
+  // order; one pass over the matrices keeps the n_tx sums in flight
+  // together.
+  std::vector<double>& power = scratch.batch_power;
+  power.assign(h.n_tx(), 0.0);
+  for (const CMatrix& w : w_) {
+    for (std::size_t i = 0; i < h.n_tx(); ++i) power[i] += w.row_power(i);
+  }
   double worst = 0.0;
-  for (std::size_t i = 0; i < h.n_tx(); ++i) {
-    double mean_row = 0.0;
-    for (const CMatrix& w : w_) mean_row += w.row_power(i);
-    mean_row /= static_cast<double>(w_.size());
-    worst = std::max(worst, mean_row);
+  for (const double sum : power) {
+    worst = std::max(worst, sum / static_cast<double>(w_.size()));
   }
   if (worst <= 0.0) return false;
   scale_ = std::sqrt(cfg.per_antenna_power / worst);
-  for (CMatrix& w : w_) w *= cplx{scale_, 0.0};
-  pack();
+  scale_and_pack();
 
   if (obs) {
     // Probe a handful of strided subcarriers — cheap relative to the
-    // n_subcarriers pinv calls above, and enough for the distributions.
+    // batched pseudo-inverses above, and enough for the distributions.
     constexpr std::size_t kMaxProbes = 8;
     const std::size_t stride =
         std::max<std::size_t>(1, h.n_subcarriers() / kMaxProbes);

@@ -209,8 +209,9 @@ class Precoder {
       std::span<const std::uint8_t> active_tx, Workspace& ws,
       const obs::ObsSink* obs);
 
-  /// Re-fill packed_ from w_ (call whenever w_ changes).
-  void pack();
+  /// Multiply every weight by scale_ (as `w *= cplx{scale_, 0}` does) and
+  /// fill packed_ from the result in the same pass.
+  void scale_and_pack();
 
   std::vector<CMatrix> w_;
   simd::acvec packed_;  ///< SoA copy behind weight_row()

@@ -8,11 +8,6 @@
 
 namespace jmb {
 
-namespace {
-// Relative threshold below which a pivot counts as zero.
-constexpr double kPivotEps = 1e-13;
-}  // namespace
-
 Lu::Lu(const CMatrix& a) { factorize(a); }
 
 bool Lu::factorize(const CMatrix& a) {
@@ -21,7 +16,6 @@ bool Lu::factorize(const CMatrix& a) {
   const std::size_t n = a.rows();
   piv_.resize(n);
   for (std::size_t i = 0; i < n; ++i) piv_[i] = i;
-  pivot_sign_ = 1;
 
   // Pivot on squared magnitudes: std::norm is one mul+add where a
   // correctly-rounded cabs() is a library call, and |z|^2 ranks
@@ -33,7 +27,9 @@ bool Lu::factorize(const CMatrix& a) {
       scale2 = std::max(scale2, std::norm(lu_(r, c)));
     }
   }
-  const double thr2 = kPivotEps * kPivotEps * std::max(scale2, 1e-300);
+  // The threshold is shared with the batched simd::Kernels::zf_pinv.
+  const double thr2 =
+      simd::kLuPivotEps * simd::kLuPivotEps * std::max(scale2, 1e-300);
   ok_ = true;
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot: find the largest magnitude in column k at/below row k.
@@ -53,7 +49,6 @@ bool Lu::factorize(const CMatrix& a) {
     if (p != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(lu_(p, c), lu_(k, c));
       std::swap(piv_[p], piv_[k]);
-      pivot_sign_ = -pivot_sign_;
     }
     // Eliminate below the pivot. The dispatched caxpy_sub kernel runs
     // row[c] -= f * krow[c] in the same operation order as
@@ -71,13 +66,6 @@ bool Lu::factorize(const CMatrix& a) {
     }
   }
   return ok_;
-}
-
-cplx Lu::determinant() const {
-  if (!ok_) return {0.0, 0.0};
-  cplx det = static_cast<double>(pivot_sign_);
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 void Lu::substitute(std::span<const cplx> b, std::span<cplx> x,

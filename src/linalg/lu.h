@@ -34,9 +34,6 @@ class Lu {
   /// False if a pivot collapsed to (numerical) zero — A is singular.
   [[nodiscard]] bool ok() const { return ok_; }
 
-  /// |det(A)|'s magnitude and phase, from the product of pivots.
-  [[nodiscard]] cplx determinant() const;
-
   /// Solve A x = b. Requires ok().
   [[nodiscard]] cvec solve(const cvec& b) const;
 
@@ -61,7 +58,6 @@ class Lu {
 
   CMatrix lu_;                   // packed L (unit diagonal) and U
   std::vector<std::size_t> piv_; // row permutation
-  int pivot_sign_ = 1;
   bool ok_ = false;
 };
 

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "linalg/cmatrix.h"
 #include "linalg/lu.h"
+#include "simd/aligned.h"
 
 namespace jmb {
 
@@ -20,6 +22,13 @@ struct PinvScratch {
   CMatrix gram_inv;  ///< inverse of the Gram matrix
   Lu lu;
   LuScratch lu_scratch;
+  // Scratch of core::Precoder's build: the operands of
+  // simd::Kernels::zf_pinv, the subcarrier-batched pseudo-inverse behind
+  // its ZF and RZF weights, and the sums behind its global power scale.
+  std::vector<const double*> batch_a;  ///< each subcarrier's channel
+  std::vector<double*> batch_w;        ///< each subcarrier's weights
+  simd::advec batch_work;              ///< kernel scratch
+  std::vector<double> batch_power;     ///< per-antenna power sums
 };
 
 /// Moore-Penrose pseudo-inverse.

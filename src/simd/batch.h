@@ -15,6 +15,8 @@
 //  - rsquare_root is the correctly rounded IEEE square root on every arch,
 //    and rindex truncates toward zero as a C++ cast to int does.
 //  - rgather and rgather_rows only move doubles (loads and shuffles).
+//  - rdiv is the correctly rounded IEEE quotient; rabs and rneg only
+//    clear or flip the sign bit.
 #pragma once
 
 #include <cmath>
@@ -73,9 +75,14 @@ struct ScalarArch {
   static RReg radd(RReg a, RReg b) { return a + b; }
   static RReg rsub(RReg a, RReg b) { return a - b; }
   static RReg rmul(RReg a, RReg b) { return a * b; }
+  static RReg rdiv(RReg a, RReg b) { return a / b; }
+  static RReg rabs(RReg a) { return std::fabs(a); }
+  static RReg rneg(RReg a) { return -a; }
   static MReg rcmp_gt(RReg a, RReg b) { return a > b; }
+  static MReg rcmp_le(RReg a, RReg b) { return a <= b; }
   static MReg rcmp_eq(RReg a, RReg b) { return a == b; }
   static MReg mand(MReg a, MReg b) { return a && b; }
+  static MReg mor(MReg a, MReg b) { return a || b; }
   static RReg rselect(MReg m, RReg a, RReg b) { return m ? a : b; }
   static unsigned mask_bits(MReg m) { return m ? 1u : 0u; }
   static RReg rsquare_root(RReg a) { return std::sqrt(a); }
@@ -140,9 +147,14 @@ struct Sse2Arch {
   static RReg radd(RReg a, RReg b) { return _mm_add_pd(a, b); }
   static RReg rsub(RReg a, RReg b) { return _mm_sub_pd(a, b); }
   static RReg rmul(RReg a, RReg b) { return _mm_mul_pd(a, b); }
+  static RReg rdiv(RReg a, RReg b) { return _mm_div_pd(a, b); }
+  static RReg rabs(RReg a) { return _mm_andnot_pd(_mm_set1_pd(-0.0), a); }
+  static RReg rneg(RReg a) { return _mm_xor_pd(a, _mm_set1_pd(-0.0)); }
   static MReg rcmp_gt(RReg a, RReg b) { return _mm_cmpgt_pd(a, b); }
+  static MReg rcmp_le(RReg a, RReg b) { return _mm_cmple_pd(a, b); }
   static MReg rcmp_eq(RReg a, RReg b) { return _mm_cmpeq_pd(a, b); }
   static MReg mand(MReg a, MReg b) { return _mm_and_pd(a, b); }
+  static MReg mor(MReg a, MReg b) { return _mm_or_pd(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) {
     return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
   }
@@ -230,13 +242,22 @@ struct Avx2Arch {
   static RReg radd(RReg a, RReg b) { return _mm256_add_pd(a, b); }
   static RReg rsub(RReg a, RReg b) { return _mm256_sub_pd(a, b); }
   static RReg rmul(RReg a, RReg b) { return _mm256_mul_pd(a, b); }
+  static RReg rdiv(RReg a, RReg b) { return _mm256_div_pd(a, b); }
+  static RReg rabs(RReg a) {
+    return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+  }
+  static RReg rneg(RReg a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
   static MReg rcmp_gt(RReg a, RReg b) {
     return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
+  }
+  static MReg rcmp_le(RReg a, RReg b) {
+    return _mm256_cmp_pd(a, b, _CMP_LE_OQ);
   }
   static MReg rcmp_eq(RReg a, RReg b) {
     return _mm256_cmp_pd(a, b, _CMP_EQ_OQ);
   }
   static MReg mand(MReg a, MReg b) { return _mm256_and_pd(a, b); }
+  static MReg mor(MReg a, MReg b) { return _mm256_or_pd(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) {
     return _mm256_blendv_pd(b, a, m);
   }
@@ -353,13 +374,20 @@ struct Avx512Arch {
   static RReg radd(RReg a, RReg b) { return _mm512_add_pd(a, b); }
   static RReg rsub(RReg a, RReg b) { return _mm512_sub_pd(a, b); }
   static RReg rmul(RReg a, RReg b) { return _mm512_mul_pd(a, b); }
+  static RReg rdiv(RReg a, RReg b) { return _mm512_div_pd(a, b); }
+  static RReg rabs(RReg a) { return _mm512_abs_pd(a); }
+  static RReg rneg(RReg a) { return xor_pd(a, _mm512_set1_pd(-0.0)); }
   static MReg rcmp_gt(RReg a, RReg b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
+  }
+  static MReg rcmp_le(RReg a, RReg b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ);
   }
   static MReg rcmp_eq(RReg a, RReg b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ);
   }
   static MReg mand(MReg a, MReg b) { return static_cast<MReg>(a & b); }
+  static MReg mor(MReg a, MReg b) { return static_cast<MReg>(a | b); }
   static RReg rselect(MReg m, RReg a, RReg b) {
     return _mm512_mask_blend_pd(m, b, a);
   }
@@ -461,9 +489,14 @@ struct NeonArch {
   static RReg radd(RReg a, RReg b) { return vaddq_f64(a, b); }
   static RReg rsub(RReg a, RReg b) { return vsubq_f64(a, b); }
   static RReg rmul(RReg a, RReg b) { return vmulq_f64(a, b); }
+  static RReg rdiv(RReg a, RReg b) { return vdivq_f64(a, b); }
+  static RReg rabs(RReg a) { return vabsq_f64(a); }
+  static RReg rneg(RReg a) { return vnegq_f64(a); }
   static MReg rcmp_gt(RReg a, RReg b) { return vcgtq_f64(a, b); }
+  static MReg rcmp_le(RReg a, RReg b) { return vcleq_f64(a, b); }
   static MReg rcmp_eq(RReg a, RReg b) { return vceqq_f64(a, b); }
   static MReg mand(MReg a, MReg b) { return vandq_u64(a, b); }
+  static MReg mor(MReg a, MReg b) { return vorrq_u64(a, b); }
   static RReg rselect(MReg m, RReg a, RReg b) { return vbslq_f64(m, a, b); }
   static RReg rsquare_root(RReg a) { return vsqrtq_f64(a); }
   static IReg rindex(RReg a) { return vcvtq_s64_f64(a); }

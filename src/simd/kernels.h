@@ -28,6 +28,22 @@ inline constexpr std::size_t kErfcStride = kErfcDegree + 1;  ///< per piece
 inline constexpr double kErfcEnd =
     static_cast<double>(kErfcSegments) / kErfcSegmentsPerUnit;  // 8.5
 
+/// Lu's relative singularity threshold: a pivot p fails when
+/// |p|^2 <= kLuPivotEps^2 * max(max_ij |a_ij|^2, 1e-300). One copy for
+/// linalg::Lu and the zf_pinv kernel, which must agree on it bit for bit.
+inline constexpr double kLuPivotEps = 1e-13;
+
+/// Real lanes of the widest backend (AVX-512); zf_pinv's scratch is sized
+/// for it so callers need not know the active backend.
+inline constexpr std::size_t kMaxRealLanes = 8;
+
+/// Doubles of scratch zf_pinv needs for rows x cols matrices: planar A^H,
+/// the Gram/LU matrix, the inverse, one row of W and the pivot rows,
+/// kMaxRealLanes lanes each.
+constexpr std::size_t zf_pinv_work_size(std::size_t rows, std::size_t cols) {
+  return kMaxRealLanes * (2 * cols * rows + 4 * rows * rows + 3 * rows);
+}
+
 struct Kernels {
   const char* name;
 
@@ -110,6 +126,34 @@ struct Kernels {
   /// x is NaN. `out` must not alias `x`.
   void (*erfc_sqrt)(const double* x, double scale, const double* table,
                     std::size_t n, double* out);
+
+  /// out[i] = num[i] / den[i] (complex, interleaved) for i in [0, n),
+  /// bitwise equal to std::complex<double> division (libgcc's __divdc3):
+  /// Smith's method with __divdc3's case split, scale-up and
+  /// subnormal-ratio branches per lane; a lane that needs the
+  /// near-overflow halving or yields a NaN is recomputed with the scalar
+  /// division. `out` must not alias the inputs.
+  void (*cdiv)(const double* num, const double* den, std::size_t n,
+               double* out);
+
+  /// Pseudo-inverses W_k = A_k^H (A_k A_k^H + ridge I)^-1 of n_sc fat
+  /// matrices A_k (rows <= cols), one lane per subcarrier k. Each lane runs
+  /// pinv_into's exact operation sequence (linalg/pinv.cpp): A^H; the Gram
+  /// product with multiply_into's zero-skip; the ridge on the real
+  /// diagonal; Lu::factorize's partial pivoting (strict > on |z|^2, the
+  /// kLuPivotEps test) and elimination; Lu::inverse_into's unit-vector
+  /// substitutions; then W = A^H * inverse, again with the zero-skip.
+  /// Complex divisions go through cdiv's per-lane __divdc3 and the
+  /// elimination factor's multiply keeps std::complex's NaN recovery.
+  /// a[k] points at A_k (rows x cols, row-major interleaved complex, as
+  /// CMatrix stores it) and w[k] at W_k's storage (cols x rows, likewise),
+  /// for k in [0, n_sc). `work` holds zf_pinv_work_size(rows, cols)
+  /// doubles (64-byte aligned keeps each load within a cache line).
+  /// Returns false if any subcarrier's Gram matrix is singular by Lu's
+  /// test (the w[k] are then unspecified).
+  bool (*zf_pinv)(const double* const* a, std::size_t rows, std::size_t cols,
+                  std::size_t n_sc, double ridge, double* const* w,
+                  double* work);
 
   /// One add-compare-select trellis step over kViterbiStates states,
   /// batched across the independent next-states. `signs` is the 256-entry

@@ -16,8 +16,11 @@
 #include <string>
 #include <vector>
 
+#include <complex>
+
 #include "dsp/fft_plan.h"
 #include "dsp/types.h"
+#include "linalg/pinv.h"
 #include "simd/aligned.h"
 #include "simd/backend.h"
 #include "simd/kernels.h"
@@ -583,7 +586,8 @@ TEST_P(SimdParity, PlannedFftUnderForcedBackends) {
     const std::vector<double> d0 = random_doubles(rng, 2 * n);
     acvec buf(n);
     auto load = [&] {
-      std::memcpy(buf.data(), d0.data(), 2 * n * sizeof(double));
+      std::memcpy(reinterpret_cast<double*>(buf.data()), d0.data(),
+                  2 * n * sizeof(double));
     };
     ASSERT_TRUE(set_backend(Backend::kScalar));
     load();
@@ -606,6 +610,226 @@ TEST_P(SimdParity, PlannedFftUnderForcedBackends) {
           << backend_name(b) << " round trip n=" << n;
     }
     reset_backend_cache();
+  }
+}
+
+/// Doubles that steer std::complex division (libgcc's __divdc3) into each
+/// of its branches: zeros, subnormals, the DBL_MIN, DBL_EPSILON and
+/// DBL_MAX / 2 * DBL_EPSILON scaling thresholds and their neighbours,
+/// huge values past DBL_MAX / 2, infinities and NaN.
+std::vector<double> division_edge_values() {
+  using L = std::numeric_limits<double>;
+  const double eps = L::epsilon();
+  const double rmax2 = L::max() / 2 * eps;
+  std::vector<double> v = {0.0,
+                           1.0,
+                           3.0,
+                           0.7,
+                           L::denorm_min(),
+                           1e-310,
+                           L::min(),
+                           L::min() * 0.75,
+                           std::nextafter(L::min(), 1.0),
+                           1e-300,
+                           1e-160,
+                           eps,
+                           eps * 0.5,
+                           std::nextafter(eps, 0.0),
+                           std::nextafter(eps, 1.0),
+                           1e-20,
+                           rmax2,
+                           std::nextafter(rmax2, 0.0),
+                           rmax2 * 2,
+                           1e200,
+                           L::max() / 2,
+                           std::nextafter(L::max() / 2, 0.0),
+                           L::max(),
+                           L::infinity(),
+                           L::quiet_NaN()};
+  const std::size_t n = v.size();
+  for (std::size_t i = 0; i < n; ++i) v.push_back(-v[i]);
+  return v;
+}
+
+TEST_P(SimdParity, ComplexDivisionMatchesStdComplex) {
+  std::mt19937_64 rng(GetParam() + 808);
+  std::vector<double> num;
+  std::vector<double> den;
+  // Every (a, b) / (c, d) over the edge values: equal magnitudes, zero
+  // and real divisors, and each scaling and NaN-recovery branch.
+  const std::vector<double> edge = division_edge_values();
+  std::uniform_int_distribution<std::size_t> pick(0, edge.size() - 1);
+  for (const double a : edge) {
+    for (const double c : edge) {
+      for (int rep = 0; rep < 8; ++rep) {
+        num.insert(num.end(), {a, edge[pick(rng)]});
+        den.insert(den.end(), {c, edge[pick(rng)]});
+        num.insert(num.end(), {edge[pick(rng)], a});
+        den.insert(den.end(), {edge[pick(rng)], c});
+      }
+    }
+  }
+  // Random values over the whole exponent range, and ordinary ones.
+  std::uniform_real_distribution<double> mant(-2.0, 2.0);
+  std::uniform_int_distribution<int> expo(-1074, 1023);
+  for (int i = 0; i < 20000; ++i) {
+    for (int part = 0; part < 2; ++part) {
+      num.push_back(std::ldexp(mant(rng), i % 2 == 0 ? expo(rng) : 0));
+      den.push_back(std::ldexp(mant(rng), i % 2 == 0 ? expo(rng) : 0));
+    }
+  }
+  const std::size_t n = num.size() / 2;
+  std::vector<double> want(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::complex<double> q =
+        std::complex<double>(num[2 * i], num[2 * i + 1]) /
+        std::complex<double>(den[2 * i], den[2 * i + 1]);
+    want[2 * i] = q.real();
+    want[2 * i + 1] = q.imag();
+  }
+  for (const Kernels* k : runnable_tables()) {
+    // Whole run, and short runs through every tail length.
+    for (const std::size_t len : {n, std::size_t{1}, std::size_t{3},
+                                  std::size_t{13}}) {
+      std::vector<double> got(2 * len);
+      k->cdiv(num.data(), den.data(), len, got.data());
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(std::memcmp(&got[2 * i], &want[2 * i], 2 * sizeof(double)),
+                  0)
+            << k->name << " (" << num[2 * i] << ", " << num[2 * i + 1]
+            << ") / (" << den[2 * i] << ", " << den[2 * i + 1] << ") gave ("
+            << got[2 * i] << ", " << got[2 * i + 1] << ") want ("
+            << want[2 * i] << ", " << want[2 * i + 1] << ")";
+      }
+    }
+  }
+}
+
+/// One complex channel entry: continuous, a small Gaussian integer (exact
+/// zeros, and |z|^2 ties the pivot search must break as Lu does), or
+/// continuous with a one-in-five chance of an exact zero.
+cplx zf_entry(std::mt19937_64& rng, int mode) {
+  std::uniform_real_distribution<double> u(-2.0, 2.0);
+  std::uniform_int_distribution<int> gi(-2, 2);
+  std::uniform_int_distribution<int> fifth(0, 4);
+  switch (mode) {
+    case 0:
+      return {u(rng), u(rng)};
+    case 1:
+      return {static_cast<double>(gi(rng)), static_cast<double>(gi(rng))};
+    default:
+      return fifth(rng) == 0 ? cplx{} : cplx{u(rng), u(rng)};
+  }
+}
+
+/// Runs zf_pinv on table `k` over the per-subcarrier matrices `a`; `w`
+/// receives the weights.
+bool run_zf_pinv(const Kernels& k, const std::vector<CMatrix>& a,
+                 double ridge, std::vector<CMatrix>& w) {
+  const std::size_t rows = a[0].rows();
+  const std::size_t cols = a[0].cols();
+  std::vector<const double*> in;
+  std::vector<double*> out;
+  w.assign(a.size(), CMatrix(cols, rows));
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    in.push_back(reinterpret_cast<const double*>(&a[s](0, 0)));
+    out.push_back(reinterpret_cast<double*>(&w[s](0, 0)));
+  }
+  advec work(zf_pinv_work_size(rows, cols));
+  return k.zf_pinv(in.data(), rows, cols, a.size(), ridge, out.data(),
+                   work.data());
+}
+
+/// Runs zf_pinv on table `k` and checks it against pinv_into subcarrier
+/// by subcarrier: the same verdict, and on success every W entry bit for
+/// bit.
+void expect_zf_pinv_matches(const Kernels& k, const std::vector<CMatrix>& a,
+                            double ridge, const std::string& what) {
+  const std::size_t n_sc = a.size();
+  PinvScratch scratch;
+  std::vector<CMatrix> want(n_sc);
+  bool want_ok = true;
+  for (std::size_t s = 0; s < n_sc && want_ok; ++s) {
+    want_ok = pinv_into(a[s], ridge, scratch, want[s]);
+  }
+  std::vector<CMatrix> w;
+  const bool ok = run_zf_pinv(k, a, ridge, w);
+  ASSERT_EQ(ok, want_ok) << k.name << " " << what;
+  if (!ok) return;
+  for (std::size_t s = 0; s < n_sc; ++s) {
+    for (std::size_t r = 0; r < want[s].rows(); ++r) {
+      for (std::size_t c = 0; c < want[s].cols(); ++c) {
+        ASSERT_EQ(std::memcmp(&w[s](r, c), &want[s](r, c), sizeof(cplx)), 0)
+            << k.name << " " << what << " subcarrier " << s << " W(" << r
+            << ", " << c << ") = " << w[s](r, c) << " want "
+            << want[s](r, c);
+      }
+    }
+  }
+}
+
+TEST_P(SimdParity, ZfPinvMatchesPinvIntoPerSubcarrier) {
+  std::mt19937_64 rng(GetParam() + 909);
+  // 52 is the used-subcarrier count (not a multiple of 8); 1 and 3 are
+  // shorter than the AVX2 and AVX-512 blocks; 13 leaves a tail on all.
+  for (const std::size_t n_sc : {52u, 1u, 3u, 13u}) {
+    for (std::size_t rows = 1; rows <= 12; ++rows) {
+      for (const std::size_t cols : {rows, rows + 1, rows + 3}) {
+        for (int mode = 0; mode < 3; ++mode) {
+          std::vector<CMatrix> a(n_sc, CMatrix(rows, cols));
+          for (CMatrix& m : a) {
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t c = 0; c < cols; ++c) {
+                m(r, c) = zf_entry(rng, mode);
+              }
+            }
+          }
+          for (const double ridge : {0.0, 0.37}) {
+            const std::string what = "n_sc=" + std::to_string(n_sc) +
+                                     " rows=" + std::to_string(rows) +
+                                     " cols=" + std::to_string(cols) +
+                                     " mode=" + std::to_string(mode) +
+                                     " ridge=" + std::to_string(ridge);
+            for (const Kernels* k : runnable_tables()) {
+              expect_zf_pinv_matches(*k, a, ridge, what);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdParity, ZfPinvFailsOnASingularSubcarrierInAnyBlock) {
+  std::mt19937_64 rng(GetParam() + 1010);
+  constexpr std::size_t kSc = 52;
+  for (const std::size_t rows : {2u, 4u, 7u}) {
+    const std::size_t cols = rows + 1;
+    std::vector<CMatrix> good(kSc, CMatrix(rows, cols));
+    for (CMatrix& m : good) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) m(r, c) = zf_entry(rng, 0);
+      }
+    }
+    for (const Kernels* k : runnable_tables()) {
+      expect_zf_pinv_matches(*k, good, 0.0, "well conditioned");
+    }
+    // First block, middle block, and the tail every backend reruns.
+    for (const std::size_t bad : {0u, 1u, 21u, 50u, 51u}) {
+      std::vector<CMatrix> a = good;
+      // Row 1 a copy of row 0 makes A A^H exactly singular (rows == 1:
+      // an all-zero row).
+      for (std::size_t c = 0; c < cols; ++c) {
+        a[bad](rows - 1, c) = rows > 1 ? a[bad](0, c) : cplx{};
+      }
+      for (const Kernels* k : runnable_tables()) {
+        std::vector<CMatrix> w;
+        EXPECT_FALSE(run_zf_pinv(*k, a, 0.0, w))
+            << k->name << " rows=" << rows << " singular subcarrier " << bad;
+        expect_zf_pinv_matches(*k, a, 0.0,
+                               "singular at " + std::to_string(bad));
+      }
+    }
   }
 }
 

@@ -5,7 +5,10 @@
 // The repo's determinism contract says physics metrics are byte-stable:
 // same figure, same seed => the physics-class entries (and the run
 // header: figure, seed, params, faults) must serialize *identically*,
-// and any drift is a regression to explain, not noise to tolerate.
+// and any drift is a regression to explain, not noise to tolerate. The
+// one exception is faults.plan, a file path: only its final component is
+// compared, so a plan given by an absolute path matches the baseline's
+// relative one.
 // Timing-class entries are machine-dependent wall-clock; they are
 // ignored unless --timing-tol=REL is given, in which case every numeric
 // leaf must agree within that relative tolerance
@@ -29,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -53,6 +57,26 @@ bool read_file(const char* path, std::string& out) {
 }
 
 std::string dump_of(const JsonValue* v) { return v ? v->dump() : "<absent>"; }
+
+/// Run-header field `key` as compared. `faults.plan` names the fault-plan
+/// file, and the same plan reached by another path (relative from the
+/// repo root, absolute from a build tree) is the same experiment, so only
+/// its final path component takes part; every other field is compared
+/// verbatim.
+std::string header_of(const JsonValue& doc, const char* key) {
+  const JsonValue* v = doc.get(key);
+  if (v == nullptr || std::strcmp(key, "faults") != 0 || !v->is_object()) {
+    return dump_of(v);
+  }
+  jmb::obs::JsonObject fields = v->as_object();
+  for (auto& [name, value] : fields) {
+    if (name != "plan" || !value.is_string()) continue;
+    const std::string& path = value.as_string();
+    const std::size_t slash = path.find_last_of('/');
+    if (slash != std::string::npos) value = path.substr(slash + 1);
+  }
+  return JsonValue(std::move(fields)).dump();
+}
 
 /// Recursive compare with a relative tolerance on numbers; everything
 /// else must match exactly. Fills `where` with the first mismatch path.
@@ -192,8 +216,8 @@ int main(int argc, char** argv) {
   // the physics comparison meaningless — it is structural, not a physics
   // value regression.
   for (const char* key : {"schema", "figure", "seed", "params", "faults"}) {
-    const std::string a = dump_of(base.get(key));
-    const std::string b = dump_of(cand.get(key));
+    const std::string a = header_of(base, key);
+    const std::string b = header_of(cand, key);
     if (a != b) {
       drift(std::string(key) + ": " + a + " vs " + b);
     }
