@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -377,11 +378,13 @@ void BM_PopAggregateDeepQueue(benchmark::State& state) {
   const auto per_client = static_cast<std::size_t>(state.range(1));
   const net::AggLimits lim{4, 8000};
   net::DownlinkQueue q = deep_queue(n_clients, per_client);
+  std::vector<net::Packet> mpdus;  // the MAC's reused per-slot buffer
   std::size_t c = 0;
   for (auto _ : state) {
-    auto frame = q.pop_aggregate(c, lim);
-    benchmark::DoNotOptimize(frame.mpdus.data());
-    for (const auto& p : frame.mpdus) q.push(p);
+    mpdus.clear();
+    q.pop_aggregate_into(c, lim, mpdus);
+    benchmark::DoNotOptimize(mpdus.data());
+    for (const auto& p : mpdus) q.push(p);
     c = (c + 1) % n_clients;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -399,13 +402,16 @@ void BM_PfSelectDeepQueue(benchmark::State& state) {
   const net::RateHintFn hint = [](std::size_t client) {
     return 6.0 + static_cast<double>(client % 8) * 6.0;
   };
+  std::vector<net::Packet> mpdus;
   for (auto _ : state) {
     auto picks = pf.select(q, kStreams, 0.0, &hint);
     benchmark::DoNotOptimize(picks.data());
     for (const std::size_t c : picks) {
-      auto batch = q.pop_aggregate(c, net::AggLimits{});
-      pf.on_served(c, batch.total_bytes, 1e-3);
-      for (const auto& p : batch.mpdus) q.push(p);
+      mpdus.clear();
+      const std::size_t bytes =
+          q.pop_aggregate_into(c, net::AggLimits{}, mpdus);
+      pf.on_served(c, static_cast<double>(bytes), 1e-3);
+      for (const auto& p : mpdus) q.push(p);
     }
     pf.on_slot(1e-3);
   }
@@ -608,6 +614,40 @@ void BM_PacketSourceBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PacketSourceBuild);
+
+// The overload workload's arrival path: 12 "mixed" users offering 0.4x,
+// 1x and 2x a 120 Mb/s cell, drained over a 0.1 s horizon in 0.5 ms steps
+// (about one A-MPDU slot), with next_arrival_s() after each step as an
+// idle MAC asks it (items = packets; the source is built untimed).
+void BM_PacketSourceDrain(benchmark::State& state, double load) {
+  constexpr std::size_t kUsers = 12;
+  constexpr double kHorizonS = 0.1;
+  constexpr int kSteps = 200;
+  const traffic::Profile profile =
+      traffic::make_profile("mixed", load * 120.0 / kUsers);
+  std::uint64_t seed = 1;
+  std::int64_t packets = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::optional<traffic::PacketSource> src(std::in_place, seed++, kUsers,
+                                             profile, kHorizonS);
+    std::optional<net::DownlinkQueue> q(std::in_place);
+    state.ResumeTiming();
+    for (int k = 1; k <= kSteps; ++k) {
+      packets += static_cast<std::int64_t>(
+          src->drain_until(kHorizonS * k / kSteps, *q));
+      benchmark::DoNotOptimize(src->next_arrival_s());
+    }
+    state.PauseTiming();
+    src.reset();
+    q.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(packets);
+}
+BENCHMARK_CAPTURE(BM_PacketSourceDrain, 0.4, 0.4);
+BENCHMARK_CAPTURE(BM_PacketSourceDrain, 1, 1.0);
+BENCHMARK_CAPTURE(BM_PacketSourceDrain, 2, 2.0);
 
 // One raw 64-bit draw from the library Rng (its Mersenne Twister),
 // amortizing the 312-word twist over every 312th call.

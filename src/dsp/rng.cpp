@@ -1,5 +1,7 @@
 #include "dsp/rng.h"
 
+#include <stdexcept>
+
 namespace jmb {
 
 void Mt19937_64::twist() {
@@ -7,11 +9,62 @@ void Mt19937_64::twist() {
   for (; i < kWords - kShift; ++i) {
     x_[i] = mix(x_[i], x_[i + 1], x_[i + kShift]);
   }
-  for (; i < kWords - 1; ++i) {
+  // Stops one word early: an even trip count (154) lets the compiler
+  // vectorize this loop without a scalar epilogue, as it does the one above.
+  for (; i < kWords - 2; ++i) {
     x_[i] = mix(x_[i], x_[i + 1], x_[i + kShift - kWords]);
   }
+  x_[kWords - 2] = mix(x_[kWords - 2], x_[kWords - 1], x_[kShift - 2]);
   x_[kWords - 1] = mix(x_[kWords - 1], x_[0], x_[kShift - 1]);
   i_ = 0;
+}
+
+void Mt19937_64::seed_lanes(Mt19937_64* const* engines,
+                            const result_type* seeds) {
+  static_assert(kSeedLanes == 4, "one named register per lane below");
+  result_type* const x0 = engines[0]->x_;
+  result_type* const x1 = engines[1]->x_;
+  result_type* const x2 = engines[2]->x_;
+  result_type* const x3 = engines[3]->x_;
+  result_type w0 = x0[0] = seeds[0];
+  result_type w1 = x1[0] = seeds[1];
+  result_type w2 = x2[0] = seeds[2];
+  result_type w3 = x3[0] = seeds[3];
+  for (std::size_t i = 1; i < kWords; ++i) {
+    x0[i] = w0 = seed_word(w0, i);
+    x1[i] = w1 = seed_word(w1, i);
+    x2[i] = w2 = seed_word(w2, i);
+    x3[i] = w3 = seed_word(w3, i);
+  }
+  for (std::size_t l = 0; l < kSeedLanes; ++l) engines[l]->twist();
+}
+
+void Mt19937_64::seed_many(std::span<Mt19937_64* const> engines,
+                           std::span<const result_type> seeds) {
+  if (engines.size() != seeds.size()) {
+    throw std::invalid_argument("Mt19937_64::seed_many: one seed per engine");
+  }
+  std::size_t k = 0;
+  for (; k + kSeedLanes <= engines.size(); k += kSeedLanes) {
+    seed_lanes(&engines[k], &seeds[k]);
+  }
+  for (; k < engines.size(); ++k) {
+    engines[k]->seed(seeds[k]);
+    engines[k]->twist();
+  }
+}
+
+std::vector<Rng> Rng::many(std::span<const std::uint64_t> seeds) {
+  // Built unseeded in place, then seeded together: no seeding is thrown
+  // away and no engine is copied.
+  std::vector<Rng> out;
+  out.reserve(seeds.size());
+  std::vector<Mt19937_64*> engines(seeds.size());
+  for (Mt19937_64*& e : engines) {
+    e = &out.emplace_back(Mt19937_64::Unseeded{}).engine_;
+  }
+  Mt19937_64::seed_many(engines, seeds);
+  return out;
 }
 
 }  // namespace jmb

@@ -241,11 +241,12 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
             continue;  // invalid, idle or duplicate pick
           }
           picked.push_back(c);
-          const AggFrame f = queue.pop_aggregate(c, params.agg);
-          report.aggregated_mpdus += f.mpdus.size() - 1;
-          frame_bytes = std::max(
-              frame_bytes, f.total_bytes + delimiter_bytes * f.mpdus.size());
-          mpdus.insert(mpdus.end(), f.mpdus.begin(), f.mpdus.end());
+          const std::size_t first = mpdus.size();
+          const std::size_t bytes =
+              queue.pop_aggregate_into(c, params.agg, mpdus);
+          const std::size_t n = mpdus.size() - first;
+          report.aggregated_mpdus += n - 1;
+          frame_bytes = std::max(frame_bytes, bytes + delimiter_bytes * n);
           ends.push_back(mpdus.size());
         }
       };

@@ -87,15 +87,15 @@ std::optional<Packet> DownlinkQueue::pop() {
 }
 
 std::vector<std::size_t> DownlinkQueue::clients_fifo() const {
-  std::vector<std::pair<std::int64_t, std::size_t>> fronts;
-  fronts.reserve(subs_.size());
-  for (std::size_t c = 0; c < subs_.size(); ++c) {
-    if (!subs_[c].empty()) fronts.emplace_back(subs_[c].front().seq, c);
-  }
-  std::sort(fronts.begin(), fronts.end());
   std::vector<std::size_t> out;
-  out.reserve(fronts.size());
-  for (const auto& [seq, c] : fronts) out.push_back(c);
+  out.reserve(subs_.size());
+  for (std::size_t c = 0; c < subs_.size(); ++c) {
+    if (!subs_[c].empty()) out.push_back(c);
+  }
+  // Front sequences are unique, so the order is total without a tie-break.
+  std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+    return subs_[a].front().seq < subs_[b].front().seq;
+  });
   return out;
 }
 
@@ -108,25 +108,33 @@ std::size_t DownlinkQueue::backlog(std::size_t client) const {
   return client < subs_.size() ? subs_[client].size() : 0;
 }
 
+std::size_t DownlinkQueue::pop_aggregate_into(std::size_t client,
+                                              const AggLimits& lim,
+                                              std::vector<Packet>& out) {
+  if (client >= subs_.size()) return 0;
+  std::deque<Entry>& sub = subs_[client];
+  const std::size_t max_frames = std::max<std::size_t>(lim.max_frames, 1);
+  std::size_t frames = 0;
+  std::size_t bytes = 0;
+  while (!sub.empty() && frames < max_frames) {
+    const Packet& p = sub.front().pkt;
+    // The head packet always ships (a frame must carry something); later
+    // packets only join while the byte budget holds.
+    if (frames > 0 && bytes + p.bytes > lim.max_bytes) break;
+    bytes += p.bytes;
+    out.push_back(p);
+    ++frames;
+    sub.pop_front();
+    --size_;
+  }
+  return bytes;
+}
+
 AggFrame DownlinkQueue::pop_aggregate(std::size_t client,
                                       const AggLimits& lim) {
   AggFrame frame;
   frame.client = client;
-  if (client >= subs_.size()) return frame;
-  std::deque<Entry>& sub = subs_[client];
-  const std::size_t max_frames = std::max<std::size_t>(lim.max_frames, 1);
-  while (!sub.empty() && frame.mpdus.size() < max_frames) {
-    const Packet& p = sub.front().pkt;
-    // The head packet always ships (a frame must carry something); later
-    // packets only join while the byte budget holds.
-    if (!frame.mpdus.empty() && frame.total_bytes + p.bytes > lim.max_bytes) {
-      break;
-    }
-    frame.total_bytes += p.bytes;
-    frame.mpdus.push_back(p);
-    sub.pop_front();
-    --size_;
-  }
+  frame.total_bytes = pop_aggregate_into(client, lim, frame.mpdus);
   return frame;
 }
 

@@ -88,7 +88,12 @@ class DownlinkQueue {
 
   /// Pop a front run of `client`'s subqueue: up to lim.max_frames packets
   /// whose payload bytes fit lim.max_bytes (the first packet is always
-  /// taken). Empty subqueue yields an empty frame.
+  /// taken), appended to `out`. Returns their payload bytes; an empty
+  /// subqueue appends nothing and returns 0.
+  std::size_t pop_aggregate_into(std::size_t client, const AggLimits& lim,
+                                 std::vector<Packet>& out);
+
+  /// pop_aggregate_into as one AggFrame.
   [[nodiscard]] AggFrame pop_aggregate(std::size_t client,
                                        const AggLimits& lim);
 

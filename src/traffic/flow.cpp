@@ -5,12 +5,12 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace jmb::traffic {
 
 namespace {
 
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 /// Burst-size cap: the Pareto tail is heavy (infinite variance for
 /// alpha <= 2), so one unlucky draw must not freeze a trial.
 constexpr std::size_t kMaxBurstPkts = 1024;
@@ -40,6 +40,10 @@ std::size_t pareto_burst(Rng& rng, const FlowSpec& spec) {
 }  // namespace
 
 Profile make_profile(std::string_view name, double per_user_mbps) {
+  if (!(std::isfinite(per_user_mbps) && per_user_mbps > 0.0)) {
+    throw std::invalid_argument(
+        "make_profile: per_user_mbps must be finite and > 0");
+  }
   Profile p;
   if (name == "poisson") {
     p.flows.push_back({FlowKind::kPoisson, per_user_mbps, 1500, 0.0});
@@ -58,98 +62,123 @@ Profile make_profile(std::string_view name, double per_user_mbps) {
 }
 
 PacketSource::PacketSource(std::uint64_t base_seed, std::size_t n_users,
-                           Profile profile, double horizon_s)
+                           const Profile& profile, double horizon_s)
     : horizon_s_(horizon_s) {
-  flows_.reserve(n_users * profile.flows.size());
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("PacketSource: ") + what);
+  };
+  for (const FlowSpec& s : profile.flows) {
+    require(std::isfinite(s.rate_mbps) && s.rate_mbps > 0.0,
+            "FlowSpec::rate_mbps must be finite and > 0");
+    require(s.packet_bytes > 0, "FlowSpec::packet_bytes must be > 0");
+    require(std::isfinite(s.deadline_s) && s.deadline_s >= 0.0,
+            "FlowSpec::deadline_s must be finite and >= 0");
+    require(std::isfinite(s.pareto_alpha) && s.pareto_alpha > 1.0,
+            "FlowSpec::pareto_alpha must be finite and > 1");
+    require(std::isfinite(s.mean_burst_pkts) && s.mean_burst_pkts >= 1.0,
+            "FlowSpec::mean_burst_pkts must be finite and >= 1");
+  }
+  require(horizon_s >= 0.0, "horizon_s must be >= 0");
+
+  // Per-flow stream: independent of every other flow and of thread count.
+  const std::size_t per_user = profile.flows.size();
+  std::vector<std::uint64_t> seeds(n_users * per_user);
+  flows_.resize(seeds.size());
   for (std::size_t u = 0; u < n_users; ++u) {
-    for (std::size_t fi = 0; fi < profile.flows.size(); ++fi) {
-      // Per-flow stream: independent of every other flow and of thread
-      // count.
-      FlowState& f = flows_.emplace_back(
-          u, static_cast<std::uint32_t>(fi), profile.flows[fi],
-          base_seed ^ static_cast<std::uint64_t>(u) ^
-              (static_cast<std::uint64_t>(fi) << 16));
-      const double gap =
-          mean_gap_s(f.spec.rate_mbps,
-                     static_cast<double>(f.spec.packet_bytes) *
-                         (f.spec.kind == FlowKind::kWeb
-                              ? f.spec.mean_burst_pkts
-                              : 1.0));
-      switch (f.spec.kind) {
-        case FlowKind::kCbr:
-          f.next_t = f.rng.uniform() * gap;  // random phase
-          f.burst_left = 1;
-          break;
-        case FlowKind::kPoisson:
-          f.next_t = exp_draw(f.rng, gap);
-          f.burst_left = 1;
-          break;
-        case FlowKind::kWeb:
-          f.next_t = exp_draw(f.rng, gap);
-          f.burst_left = pareto_burst(f.rng, f.spec);
-          break;
-      }
+    for (std::size_t fi = 0; fi < per_user; ++fi) {
+      const std::size_t i = u * per_user + fi;
+      seeds[i] = base_seed ^ static_cast<std::uint64_t>(u) ^
+                 (static_cast<std::uint64_t>(fi) << 16);
+      FlowState& f = flows_[i];
+      f.user = u;
+      f.flow = static_cast<std::uint32_t>(fi);
+      f.spec = profile.flows[fi];
+      const double pkt_gap = mean_gap_s(
+          f.spec.rate_mbps, static_cast<double>(f.spec.packet_bytes));
+      f.mean_step_s = f.spec.kind == FlowKind::kWeb
+                          ? pkt_gap * f.spec.mean_burst_pkts
+                          : pkt_gap;
     }
   }
+  rngs_ = Rng::many(seeds);
+
+  std::vector<double> first(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    FlowState& f = flows_[i];
+    Rng& rng = rngs_[i];
+    // The first gap is priced on one burst-sized payload, which rounds
+    // differently from mean_step_s; the arrival sequence depends on it.
+    const double gap =
+        mean_gap_s(f.spec.rate_mbps,
+                   static_cast<double>(f.spec.packet_bytes) *
+                       (f.spec.kind == FlowKind::kWeb ? f.spec.mean_burst_pkts
+                                                      : 1.0));
+    switch (f.spec.kind) {
+      case FlowKind::kCbr:
+        first[i] = rng.uniform() * gap;  // random phase
+        break;
+      case FlowKind::kPoisson:
+        first[i] = exp_draw(rng, gap);
+        break;
+      case FlowKind::kWeb:
+        first[i] = exp_draw(rng, gap);
+        f.burst_left = pareto_burst(rng, f.spec);
+        break;
+    }
+  }
+  next_ = ArrivalTree(std::move(first));
 }
 
-void PacketSource::advance(FlowState& f) {
+void PacketSource::advance(std::size_t i) {
+  FlowState& f = flows_[i];
   if (f.burst_left > 1) {
-    --f.burst_left;  // next packet of the burst, same instant
+    --f.burst_left;  // next packet of the burst, same instant: no replay
     return;
   }
-  const double pkt_gap = mean_gap_s(
-      f.spec.rate_mbps, static_cast<double>(f.spec.packet_bytes));
+  double next = next_.key(i);
   switch (f.spec.kind) {
     case FlowKind::kCbr:
-      f.next_t += pkt_gap;
-      f.burst_left = 1;
+      next += f.mean_step_s;
       break;
     case FlowKind::kPoisson:
-      f.next_t += exp_draw(f.rng, pkt_gap);
-      f.burst_left = 1;
+      next += exp_draw(rngs_[i], f.mean_step_s);
       break;
     case FlowKind::kWeb:
-      f.next_t += exp_draw(f.rng, pkt_gap * f.spec.mean_burst_pkts);
-      f.burst_left = pareto_burst(f.rng, f.spec);
+      next += exp_draw(rngs_[i], f.mean_step_s);
+      f.burst_left = pareto_burst(rngs_[i], f.spec);
       break;
   }
+  next_.set(i, next);
 }
 
 std::size_t PacketSource::drain_until(double t, net::DownlinkQueue& q) {
   std::size_t pushed = 0;
-  for (;;) {
-    // Global arrival order with a (time, user, flow) tie-break: flows_ is
-    // ordered by (user, flow), and the strict < keeps the first minimum.
-    std::size_t best = kNpos;
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-      if (best == kNpos || flows_[i].next_t < flows_[best].next_t) best = i;
-    }
-    if (best == kNpos) break;
-    FlowState& f = flows_[best];
-    if (f.next_t > t || f.next_t >= horizon_s_) break;
+  // The tree's root is the global arrival order's next packet: earliest
+  // time, then lowest (user, flow) index.
+  for (double at = next_.top_key(); at <= t && at < horizon_s_;
+       at = next_.top_key()) {
+    const std::size_t i = next_.top();
+    const FlowState& f = flows_[i];
     net::Packet p;
     p.client = f.user;
     p.bytes = f.spec.packet_bytes;
     p.designated_ap = 0;
-    p.enqueue_s = f.next_t;
+    p.enqueue_s = at;
     p.retries = 0;
     p.id = next_id_++;
     p.flow = f.flow;
-    p.deadline_s =
-        f.spec.deadline_s > 0.0 ? f.next_t + f.spec.deadline_s : 0.0;
+    p.deadline_s = f.spec.deadline_s > 0.0 ? at + f.spec.deadline_s : 0.0;
     q.push(p);
     ++pushed;
     ++offered_packets_;
     offered_bytes_ += p.bytes;
-    advance(f);
+    advance(i);
   }
   return pushed;
 }
 
 double PacketSource::next_arrival_s() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const FlowState& f : flows_) best = std::min(best, f.next_t);
+  const double best = next_.top_key();
   return best >= horizon_s_ ? std::numeric_limits<double>::infinity() : best;
 }
 

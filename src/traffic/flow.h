@@ -15,6 +15,7 @@
 #include "dsp/rng.h"
 #include "net/queue.h"
 #include "net/traffic_api.h"
+#include "traffic/arrival_tree.h"
 
 namespace jmb::traffic {
 
@@ -50,19 +51,29 @@ struct Profile {
 ///   "web"     — one Pareto-burst web flow;
 ///   "video"   — one CBR flow with a 30 ms delivery deadline;
 ///   "mixed"   — 60% web + 40% deadline CBR video.
-/// Throws std::invalid_argument for an unknown name.
+/// Throws std::invalid_argument for an unknown name or a per_user_mbps
+/// that is not finite and > 0.
 [[nodiscard]] Profile make_profile(std::string_view name,
                                    double per_user_mbps);
 
 /// Deterministic packet arrival process over n_users identical Profile
 /// instances. Packets are emitted in global arrival order with a strict
 /// (time, user, flow) tie-break; generation stops at horizon_s.
+///
+/// Throws std::invalid_argument, naming the field, unless every FlowSpec
+/// has rate_mbps finite and > 0, packet_bytes > 0, deadline_s finite and
+/// >= 0, pareto_alpha finite and > 1 and mean_burst_pkts finite and >= 1,
+/// and horizon_s >= 0. Outside these a flow can emit packets without end
+/// at one instant or reach an undefined float-to-integer cast.
 class PacketSource final : public net::TrafficSource {
  public:
-  PacketSource(std::uint64_t base_seed, std::size_t n_users, Profile profile,
-               double horizon_s);
+  PacketSource(std::uint64_t base_seed, std::size_t n_users,
+               const Profile& profile, double horizon_s);
 
+  /// O(1) when nothing is due; O(log flows) per emitted packet that ends
+  /// its burst, O(1) per packet inside one.
   std::size_t drain_until(double t, net::DownlinkQueue& q) override;
+  /// O(1): the arrival tree's root.
   [[nodiscard]] double next_arrival_s() const override;
 
   /// Arrival-side accounting (what was offered, not what was served).
@@ -72,26 +83,23 @@ class PacketSource final : public net::TrafficSource {
   [[nodiscard]] std::size_t offered_bytes() const { return offered_bytes_; }
 
  private:
+  /// One flow's cold state; its next arrival lives in next_ and its
+  /// stream in rngs_, at the same index.
   struct FlowState {
-    /// Seeds the stream in place: a default Rng would be seeded, then
-    /// reseeded and copied (2.5 KB of engine state each time).
-    FlowState(std::size_t u, std::uint32_t f, const FlowSpec& s,
-              std::uint64_t seed)
-        : user(u), flow(f), spec(s), rng(seed) {}
-
     std::size_t user = 0;
     std::uint32_t flow = 0;
     FlowSpec spec;
-    Rng rng;
-    double next_t = 0.0;          ///< next packet emission instant
-    std::size_t burst_left = 1;   ///< packets left at next_t (kWeb bursts)
+    double mean_step_s = 0.0;    ///< mean gap to the next packet (burst)
+    std::size_t burst_left = 1;  ///< packets left at this arrival (kWeb)
   };
 
-  /// Advance `f` past the packet just emitted: same-instant burst packets
-  /// first, then the next scheduled arrival.
-  void advance(FlowState& f);
+  /// Advance flow i past the packet just emitted: same-instant burst
+  /// packets first, then the next scheduled arrival (one tree replay).
+  void advance(std::size_t i);
 
-  std::vector<FlowState> flows_;
+  std::vector<FlowState> flows_;  ///< in (user, flow) order
+  std::vector<Rng> rngs_;
+  ArrivalTree next_;              ///< next arrival per flow, earliest first
   double horizon_s_ = 0.0;
   std::uint64_t next_id_ = 0;
   std::size_t offered_packets_ = 0;

@@ -1,6 +1,7 @@
 #include "traffic/policy.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,28 @@ namespace {
 /// Floor for the PF denominator: a never-served client gets a huge but
 /// finite priority instead of a division blow-up.
 constexpr double kMinEwmaMbps = 1e-6;
+
+/// Cut `items` to the first k of their std::stable_sort order (`before`
+/// ranks first, ties keep their input order): an insertion sort into a
+/// k-long prefix, O(items * k) with no temporary buffer. A policy passes
+/// at most one item per backlogged client and k = the stream count.
+template <class Before>
+void keep_first_stable(std::vector<std::size_t>& items, std::size_t k,
+                       Before before) {
+  k = std::min(k, items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::size_t v = items[i];
+    std::size_t j = i;  // the prefix is still filling
+    if (i >= k) {
+      // A full prefix: v must beat its last item, which it displaces.
+      if (k == 0 || !before(v, items[k - 1])) continue;
+      j = k - 1;
+    }
+    for (; j > 0 && before(v, items[j - 1]); --j) items[j] = items[j - 1];
+    items[j] = v;
+  }
+  items.resize(k);
+}
 }  // namespace
 
 std::vector<std::size_t> FifoScheduler::select(
@@ -26,7 +49,8 @@ std::vector<std::size_t> PfScheduler::select(
     const net::RateHintFn* rate_hint) {
   // clients_fifo order is the tie-break: equal priorities keep FIFO.
   std::vector<std::size_t> out = q.clients_fifo();
-  std::vector<double> prio(out.size());
+  prio_.resize(out.size());
+  order_.resize(out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const std::size_t c = out[i];
     double rate = 1.0;  // rate-blind PF degrades to max-min style fairness
@@ -34,21 +58,15 @@ std::vector<std::size_t> PfScheduler::select(
       const double hint = (*rate_hint)(c);
       if (hint > 0.0) rate = hint;
     }
-    prio[i] = rate / std::max(ewma_mbps(c), kMinEwmaMbps);
+    prio_[i] = rate / std::max(ewma_mbps(c), kMinEwmaMbps);
+    order_[i] = i;
   }
-  std::vector<std::size_t> order(out.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return prio[a] > prio[b];
-                   });
-  std::vector<std::size_t> picked;
-  picked.reserve(std::min(max_streams, out.size()));
-  for (std::size_t i : order) {
-    if (picked.size() >= max_streams) break;
-    picked.push_back(out[i]);
-  }
-  return picked;
+  keep_first_stable(order_, max_streams, [&](std::size_t a, std::size_t b) {
+    return prio_[a] > prio_[b];
+  });
+  for (std::size_t& i : order_) i = out[i];
+  out.assign(order_.begin(), order_.end());
+  return out;
 }
 
 void PfScheduler::on_served(std::size_t client, double bytes, double slot_s) {
@@ -83,11 +101,9 @@ std::vector<std::size_t> EdfScheduler::select(
     }
     return p->deadline_s;
   };
-  std::stable_sort(out.begin(), out.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return deadline_of(a) < deadline_of(b);
-                   });
-  if (out.size() > max_streams) out.resize(max_streams);
+  keep_first_stable(out, max_streams, [&](std::size_t a, std::size_t b) {
+    return deadline_of(a) < deadline_of(b);
+  });
   return out;
 }
 

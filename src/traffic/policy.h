@@ -50,11 +50,15 @@ class PfScheduler final : public net::Scheduler {
   /// (client, Mb/s served) feedback for the slot in flight, folded into
   /// the EWMA at on_slot().
   std::vector<std::pair<std::size_t, double>> pending_;
+  /// select()'s per-candidate priorities and rank order, kept between
+  /// slots so a selection allocates only the vector it returns.
+  std::vector<double> prio_;
+  std::vector<std::size_t> order_;
 };
 
 /// Earliest deadline first over head-of-line packets. Deadline-free
 /// packets (deadline_s == 0) rank after every deadline, and ties keep
-/// FIFO order (stable sort) — so two ready deadlines are never inverted.
+/// FIFO order (a stable sort) — so two ready deadlines are never inverted.
 class EdfScheduler final : public net::Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "edf"; }

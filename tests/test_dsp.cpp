@@ -9,6 +9,7 @@
 #include <random>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
@@ -394,6 +395,40 @@ TEST(Mt19937_64, TenThousandthDrawOfTheDefaultSeed) {
   Mt19937_64 e;
   for (int i = 1; i < 10000; ++i) (void)e();
   EXPECT_EQ(e(), 9981545732273789042ull);
+}
+
+TEST(Mt19937_64, SeedManyMatchesOneSeedingPerEngine) {
+  // Counts below, at and across the interleave width, and a reseeding of
+  // engines that have already been drawn from (state mid-twist).
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 17u, 24u}) {
+    std::vector<std::uint64_t> seeds(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      seeds[k] = (0x9E3779B97F4A7C15ull * (k + 1)) ^ (k << 16);
+    }
+    std::vector<Mt19937_64> engines(n, Mt19937_64(3));
+    std::vector<Mt19937_64*> ptrs;
+    for (Mt19937_64& e : engines) {
+      for (int i = 0; i < 400; ++i) (void)e();
+      ptrs.push_back(&e);
+    }
+    Mt19937_64::seed_many(ptrs, seeds);
+    std::vector<Rng> rngs = Rng::many(seeds);
+    ASSERT_EQ(rngs.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::mt19937_64 ref(seeds[k]);
+      Mt19937_64 one(0);
+      one.seed(seeds[k]);
+      for (int i = 0; i < 700; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(engines[k](), want) << "n " << n << " engine " << k;
+        ASSERT_EQ(rngs[k].next_u64(), want) << "n " << n << " rng " << k;
+        ASSERT_EQ(one(), want) << "seed() of engine " << k;
+      }
+    }
+  }
+  Mt19937_64 e;
+  Mt19937_64* const one[] = {&e};
+  EXPECT_THROW(Mt19937_64::seed_many(one, {}), std::invalid_argument);
 }
 
 TEST(Mt19937_64, RngDrawsMatchTheStdDistributionsOnTheStdEngine) {

@@ -3,14 +3,19 @@
 // EDF), and the traffic-mode MAC end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "net/mac.h"
 #include "net/queue.h"
 #include "rate/effective_snr.h"
+#include "traffic/arrival_tree.h"
 #include "traffic/flow.h"
 #include "traffic/policy.h"
 
@@ -21,6 +26,9 @@ using net::AggFrame;
 using net::AggLimits;
 using net::DownlinkQueue;
 using net::Packet;
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---- flow generators ----------------------------------------------------
 
@@ -42,6 +50,88 @@ TEST(Profile, NamedMixesScaleToPerUserRate) {
   EXPECT_NEAR(total, 10.0, 1e-12);
 
   EXPECT_THROW(make_profile("voip", 1.0), std::invalid_argument);
+}
+
+TEST(Profile, RejectsPerUserRateThatIsNotFiniteAndPositive) {
+  // A negative or NaN rate used to make drain_until push packets at one
+  // instant until the allocator gave up.
+  for (const char* name : {"poisson", "web", "video", "mixed"}) {
+    for (const double bad : {-1.0, 0.0, kNan, kInf}) {
+      EXPECT_THROW(make_profile(name, bad), std::invalid_argument)
+          << name << " at " << bad;
+    }
+  }
+}
+
+// A one-flow profile whose spec `edit` corrupts; PacketSource must refuse
+// it with a message naming `field`.
+template <class Edit>
+void expect_spec_rejected(const char* field, Edit edit) {
+  for (const char* name : {"poisson", "web", "video"}) {
+    Profile p = make_profile(name, 4.0);
+    edit(p.flows[0]);
+    try {
+      PacketSource src(1, 2, p, 0.1);
+      ADD_FAILURE() << name << ": " << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(PacketSource, RejectsBadRate) {
+  for (const double bad : {-1.0, 0.0, kNan, kInf}) {
+    expect_spec_rejected("rate_mbps", [&](FlowSpec& f) { f.rate_mbps = bad; });
+  }
+}
+
+TEST(PacketSource, RejectsZeroPacketBytes) {
+  // A zero gap: a CBR flow would emit forever at one instant.
+  expect_spec_rejected("packet_bytes", [](FlowSpec& f) { f.packet_bytes = 0; });
+}
+
+TEST(PacketSource, RejectsBadDeadline) {
+  for (const double bad : {-0.01, kNan, kInf}) {
+    expect_spec_rejected("deadline_s",
+                         [&](FlowSpec& f) { f.deadline_s = bad; });
+  }
+}
+
+TEST(PacketSource, RejectsBadParetoAlpha) {
+  // A NaN tail index reached pareto_burst's size_t cast (undefined).
+  for (const double bad : {1.0, 0.5, -2.0, kNan, kInf}) {
+    expect_spec_rejected("pareto_alpha",
+                         [&](FlowSpec& f) { f.pareto_alpha = bad; });
+  }
+}
+
+TEST(PacketSource, RejectsBadMeanBurst) {
+  for (const double bad : {0.0, 0.5, -8.0, kNan, kInf}) {
+    expect_spec_rejected("mean_burst_pkts",
+                         [&](FlowSpec& f) { f.mean_burst_pkts = bad; });
+  }
+}
+
+TEST(PacketSource, RejectsBadHorizon) {
+  for (const double bad : {-0.1, kNan}) {
+    EXPECT_THROW(PacketSource(1, 2, make_profile("mixed", 4.0), bad),
+                 std::invalid_argument);
+  }
+  // An unbounded horizon is valid: generation then ends only with t.
+  PacketSource src(1, 2, make_profile("mixed", 4.0), kInf);
+  DownlinkQueue q;
+  EXPECT_GT(src.drain_until(0.1, q), 0u);
+  EXPECT_GT(src.next_arrival_s(), 0.1);
+  EXPECT_LT(src.next_arrival_s(), kInf);
+}
+
+TEST(PacketSource, NoUsersIsAnEmptySource) {
+  PacketSource src(1, 0, make_profile("mixed", 4.0), 0.1);
+  DownlinkQueue q;
+  EXPECT_EQ(src.drain_until(1.0, q), 0u);
+  EXPECT_EQ(src.next_arrival_s(), kInf);
+  EXPECT_TRUE(q.empty());
 }
 
 // Drain a source completely and return the arrival sequence as
@@ -131,6 +221,260 @@ TEST(PacketSource, OfferedRateTracksProfile) {
   }
 }
 
+// ---- arrival order: tournament tree vs the linear scan ------------------
+
+// The first minimum a left-to-right scan with a strict < finds: the order
+// the tree must reproduce, ties to the lower index.
+std::size_t first_minimum(const std::vector<double>& keys) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i] < keys[best]) best = i;
+  }
+  return best;
+}
+
+TEST(ArrivalTree, TiesGoToTheLowerIndex) {
+  for (std::size_t n = 1; n <= 9; ++n) {
+    ArrivalTree tree(std::vector<double>(n, 2.0));
+    EXPECT_EQ(tree.top(), 0u) << n;
+    // Tie the last leaf with the current winner from below, then lower a
+    // middle leaf onto the same time: the lowest tied index wins each time.
+    tree.set(n - 1, 1.0);
+    EXPECT_EQ(tree.top(), n - 1) << n;
+    tree.set(n / 2, 1.0);
+    EXPECT_EQ(tree.top(), n / 2) << n;
+    tree.set(0, 1.0);
+    EXPECT_EQ(tree.top(), 0u) << n;
+    // Raising the winner hands the tie to the next-lowest index.
+    tree.set(0, 3.0);
+    EXPECT_EQ(tree.top(), n == 1 ? 0u : n / 2) << n;
+    EXPECT_EQ(tree.top_key(), n == 1 ? 3.0 : 1.0) << n;
+  }
+  // +infinity keys still beat the padding: a real leaf stays on top.
+  ArrivalTree inf(std::vector<double>(3, kInf));
+  EXPECT_EQ(inf.top(), 0u);
+  // No leaves: the root is a padding slot at +infinity.
+  ArrivalTree empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.top_key(), kInf);
+}
+
+TEST(ArrivalTree, MatchesTheLinearScanUnderUpdates) {
+  // Keys from a four-value set, so most matches are ties; every update
+  // must leave the root on the scan's first minimum.
+  Rng rng(17);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    std::vector<double> keys(n);
+    for (double& k : keys) k = rng.uniform_int(0, 3);
+    ArrivalTree tree(keys);
+    ASSERT_EQ(tree.size(), n);
+    for (int step = 0; step < 200; ++step) {
+      ASSERT_EQ(tree.top(), first_minimum(keys)) << n << " step " << step;
+      ASSERT_EQ(tree.top_key(), keys[first_minimum(keys)]);
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(n) - 1));
+      keys[i] = rng.uniform_int(0, 3);
+      tree.set(i, keys[i]);
+      ASSERT_EQ(tree.key(i), keys[i]);
+    }
+  }
+}
+
+// The arrival source before the tree: every drain step rescans all flows
+// once per packet. Kept verbatim (modulo names) as the parity reference.
+class LinearScanSource {
+ public:
+  LinearScanSource(std::uint64_t base_seed, std::size_t n_users,
+                   const Profile& profile, double horizon_s)
+      : horizon_s_(horizon_s) {
+    flows_.reserve(n_users * profile.flows.size());
+    for (std::size_t u = 0; u < n_users; ++u) {
+      for (std::size_t fi = 0; fi < profile.flows.size(); ++fi) {
+        Flow& f = flows_.emplace_back(
+            u, static_cast<std::uint32_t>(fi), profile.flows[fi],
+            base_seed ^ static_cast<std::uint64_t>(u) ^
+                (static_cast<std::uint64_t>(fi) << 16));
+        const double gap =
+            gap_s(f.spec.rate_mbps,
+                  static_cast<double>(f.spec.packet_bytes) *
+                      (f.spec.kind == FlowKind::kWeb ? f.spec.mean_burst_pkts
+                                                     : 1.0));
+        switch (f.spec.kind) {
+          case FlowKind::kCbr:
+            f.next_t = f.rng.uniform() * gap;
+            f.burst_left = 1;
+            break;
+          case FlowKind::kPoisson:
+            f.next_t = exp_draw(f.rng, gap);
+            f.burst_left = 1;
+            break;
+          case FlowKind::kWeb:
+            f.next_t = exp_draw(f.rng, gap);
+            f.burst_left = burst(f.rng, f.spec);
+            break;
+        }
+      }
+    }
+  }
+
+  std::size_t drain_until(double t, DownlinkQueue& q) {
+    std::size_t pushed = 0;
+    for (;;) {
+      std::size_t best = kNone;
+      for (std::size_t i = 0; i < flows_.size(); ++i) {
+        if (best == kNone || flows_[i].next_t < flows_[best].next_t) best = i;
+      }
+      if (best == kNone) break;
+      Flow& f = flows_[best];
+      if (f.next_t > t || f.next_t >= horizon_s_) break;
+      Packet p;
+      p.client = f.user;
+      p.bytes = f.spec.packet_bytes;
+      p.designated_ap = 0;
+      p.enqueue_s = f.next_t;
+      p.retries = 0;
+      p.id = next_id_++;
+      p.flow = f.flow;
+      p.deadline_s =
+          f.spec.deadline_s > 0.0 ? f.next_t + f.spec.deadline_s : 0.0;
+      q.push(p);
+      ++pushed;
+      ++offered_packets_;
+      offered_bytes_ += p.bytes;
+      advance(f);
+    }
+    return pushed;
+  }
+
+  double next_arrival_s() const {
+    double best = kInf;
+    for (const Flow& f : flows_) best = std::min(best, f.next_t);
+    return best >= horizon_s_ ? kInf : best;
+  }
+
+  std::size_t offered_packets() const { return offered_packets_; }
+  std::size_t offered_bytes() const { return offered_bytes_; }
+
+ private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  struct Flow {
+    Flow(std::size_t u, std::uint32_t fl, const FlowSpec& s,
+         std::uint64_t seed)
+        : user(u), flow(fl), spec(s), rng(seed) {}
+    std::size_t user = 0;
+    std::uint32_t flow = 0;
+    FlowSpec spec;
+    Rng rng;
+    double next_t = 0.0;
+    std::size_t burst_left = 1;
+  };
+
+  static double gap_s(double rate_mbps, double bytes) {
+    return bytes * 8.0 / (rate_mbps * 1e6);
+  }
+  static double exp_draw(Rng& rng, double mean_s) {
+    return -mean_s * std::log(1.0 - rng.uniform());
+  }
+  static std::size_t burst(Rng& rng, const FlowSpec& spec) {
+    const double a = std::max(spec.pareto_alpha, 1.001);
+    const double xm = spec.mean_burst_pkts * (a - 1.0) / a;
+    const double u = 1.0 - rng.uniform();
+    const double b = std::floor(xm / std::pow(u, 1.0 / a));
+    if (b < 1.0) return 1;
+    return std::min(static_cast<std::size_t>(b), std::size_t{1024});
+  }
+
+  void advance(Flow& f) {
+    if (f.burst_left > 1) {
+      --f.burst_left;
+      return;
+    }
+    const double pkt_gap =
+        gap_s(f.spec.rate_mbps, static_cast<double>(f.spec.packet_bytes));
+    switch (f.spec.kind) {
+      case FlowKind::kCbr:
+        f.next_t += pkt_gap;
+        f.burst_left = 1;
+        break;
+      case FlowKind::kPoisson:
+        f.next_t += exp_draw(f.rng, pkt_gap);
+        f.burst_left = 1;
+        break;
+      case FlowKind::kWeb:
+        f.next_t += exp_draw(f.rng, pkt_gap * f.spec.mean_burst_pkts);
+        f.burst_left = burst(f.rng, f.spec);
+        break;
+    }
+  }
+
+  std::vector<Flow> flows_;
+  double horizon_s_;
+  std::uint64_t next_id_ = 0;
+  std::size_t offered_packets_ = 0;
+  std::size_t offered_bytes_ = 0;
+};
+
+// Pop everything and check it field by field against `want`'s pops.
+void expect_same_packets(DownlinkQueue& got, DownlinkQueue& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  while (auto w = want.pop()) {
+    const auto g = got.pop();
+    ASSERT_TRUE(g.has_value()) << where;
+    ASSERT_EQ(g->client, w->client) << where;
+    ASSERT_EQ(g->bytes, w->bytes) << where;
+    ASSERT_EQ(g->designated_ap, w->designated_ap) << where;
+    ASSERT_EQ(g->enqueue_s, w->enqueue_s) << where;
+    ASSERT_EQ(g->retries, w->retries) << where;
+    ASSERT_EQ(g->id, w->id) << where;
+    ASSERT_EQ(g->flow, w->flow) << where;
+    ASSERT_EQ(g->deadline_s, w->deadline_s) << where;
+  }
+}
+
+TEST(PacketSourceParity, MatchesTheLinearScanSource) {
+  // Every profile, user counts 1..40 (flow counts 1..80, mostly not a power
+  // of two), three seeds each, drained in uneven steps: zero-length
+  // repeats, steps landing exactly on the next arrival, and steps running
+  // past the horizon.
+  constexpr double kHorizonS = 0.04;
+  Rng steps(2024);
+  for (const char* name : {"poisson", "web", "video", "mixed"}) {
+    const Profile profile = make_profile(name, 6.0);
+    for (std::size_t users = 1; users <= 40; ++users) {
+      for (const std::uint64_t seed : {1ull, 31ull, 0xDEADBEEFull}) {
+        const std::string where = std::string(name) + " users " +
+                                  std::to_string(users) + " seed " +
+                                  std::to_string(seed);
+        PacketSource tree(seed, users, profile, kHorizonS);
+        LinearScanSource scan(seed, users, profile, kHorizonS);
+        ASSERT_EQ(tree.next_arrival_s(), scan.next_arrival_s()) << where;
+        DownlinkQueue qt, qs;
+        double t = 0.0;
+        while (t < 1.5 * kHorizonS) {
+          const int roll = steps.uniform_int(0, 5);
+          if (roll == 0) {
+            // repeat the same instant
+          } else if (roll == 1 && scan.next_arrival_s() < kInf) {
+            t = scan.next_arrival_s();  // exactly on an arrival
+          } else {
+            t += steps.uniform(0.0, 3e-3);
+          }
+          ASSERT_EQ(tree.drain_until(t, qt), scan.drain_until(t, qs))
+              << where << " t " << t;
+          ASSERT_EQ(tree.next_arrival_s(), scan.next_arrival_s())
+              << where << " t " << t;
+          expect_same_packets(qt, qs, where);
+        }
+        EXPECT_EQ(tree.next_arrival_s(), kInf) << where;
+        EXPECT_EQ(tree.offered_packets(), scan.offered_packets()) << where;
+        EXPECT_EQ(tree.offered_bytes(), scan.offered_bytes()) << where;
+      }
+    }
+  }
+}
+
 // ---- aggregation --------------------------------------------------------
 
 TEST(Aggregation, FrameAndByteBoundsHold) {
@@ -164,6 +508,77 @@ TEST(Aggregation, DefaultLimitsReproduceSinglePacketPop) {
   ASSERT_EQ(f.mpdus.size(), 1u);
   EXPECT_EQ(f.mpdus[0].id, 1u);
   EXPECT_EQ(f.total_bytes, 700u);
+}
+
+// A queue of `n` packets over `clients` clients with mixed sizes, some
+// re-queued at the front (retries), so subqueues mix both sequence signs.
+DownlinkQueue scrambled_queue(Rng& rng, std::size_t n, int clients) {
+  DownlinkQueue q;
+  for (std::size_t i = 0; i < n; ++i) {
+    Packet p{static_cast<std::size_t>(rng.uniform_int(0, clients - 1)),
+             static_cast<std::size_t>(rng.uniform_int(40, 1500)), 0, 0.0, 0,
+             i};
+    p.deadline_s =
+        rng.uniform_int(0, 2) == 0 ? 0.0 : 0.01 * rng.uniform_int(1, 4);
+    if (rng.uniform_int(0, 4) == 0) {
+      q.push_front(p);
+    } else {
+      q.push(p);
+    }
+  }
+  return q;
+}
+
+TEST(Aggregation, PopAggregateIntoMatchesPopAggregate) {
+  Rng rng(77);
+  const std::vector<Packet> prefix{{9, 100, 0, 0.0, 0, 1000},
+                                   {9, 200, 0, 0.0, 0, 1001}};
+  for (int round = 0; round < 50; ++round) {
+    DownlinkQueue a = scrambled_queue(rng, 96, 6);
+    DownlinkQueue b = a;
+    while (!a.empty()) {
+      const auto client = static_cast<std::size_t>(rng.uniform_int(0, 7));
+      const AggLimits lim{static_cast<std::size_t>(rng.uniform_int(0, 5)),
+                          static_cast<std::size_t>(rng.uniform_int(0, 6000))};
+      const AggFrame f = a.pop_aggregate(client, lim);
+      std::vector<Packet> out = prefix;
+      const std::size_t bytes = b.pop_aggregate_into(client, lim, out);
+      ASSERT_EQ(f.client, client);
+      ASSERT_EQ(bytes, f.total_bytes);
+      ASSERT_EQ(out.size(), prefix.size() + f.mpdus.size());
+      for (std::size_t i = 0; i < prefix.size(); ++i) {
+        ASSERT_EQ(out[i].id, prefix[i].id);  // appended, never overwritten
+      }
+      for (std::size_t i = 0; i < f.mpdus.size(); ++i) {
+        const Packet& g = out[prefix.size() + i];
+        const Packet& w = f.mpdus[i];
+        ASSERT_EQ(g.client, w.client);
+        ASSERT_EQ(g.bytes, w.bytes);
+        ASSERT_EQ(g.id, w.id);
+        ASSERT_EQ(g.retries, w.retries);
+        ASSERT_EQ(g.deadline_s, w.deadline_s);
+      }
+      ASSERT_EQ(a.size(), b.size());
+      ASSERT_EQ(a.backlog(client), b.backlog(client));
+    }
+  }
+}
+
+TEST(Aggregation, ClientsFifoMatchesPopJointOrder) {
+  // pop_joint still ranks clients by sorting (sequence, client) pairs;
+  // clients_fifo must give the same order, retries at the front included.
+  Rng rng(78);
+  for (int round = 0; round < 100; ++round) {
+    const DownlinkQueue q = scrambled_queue(rng, 40, 12);
+    DownlinkQueue copy = q;
+    const std::vector<Packet> heads =
+        copy.pop_joint(static_cast<std::size_t>(-1));
+    const std::vector<std::size_t> order = q.clients_fifo();
+    ASSERT_EQ(order.size(), heads.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(order[i], heads[i].client) << "round " << round;
+    }
+  }
 }
 
 // ---- scheduling policies ------------------------------------------------
@@ -261,6 +676,92 @@ TEST(Policy, EdfNeverInvertsReadyDeadlines) {
       const double eff = d <= 0.0 ? kInf : d;
       EXPECT_GE(eff, prev);
       prev = eff;
+    }
+  }
+}
+
+// ---- policies vs their std::stable_sort versions ------------------------
+
+// The selections before the insertion sort, kept as parity references.
+std::vector<std::size_t> stable_sort_fifo(const DownlinkQueue& q,
+                                          std::size_t max_streams) {
+  std::vector<std::size_t> out = q.clients_fifo();
+  if (out.size() > max_streams) out.resize(max_streams);
+  return out;
+}
+
+std::vector<std::size_t> stable_sort_pf(const DownlinkQueue& q,
+                                        std::size_t max_streams,
+                                        const PfScheduler& pf,
+                                        const net::RateHintFn* rate_hint) {
+  std::vector<std::size_t> out = q.clients_fifo();
+  std::vector<double> prio(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double rate = 1.0;
+    if (rate_hint && *rate_hint) {
+      const double hint = (*rate_hint)(out[i]);
+      if (hint > 0.0) rate = hint;
+    }
+    prio[i] = rate / std::max(pf.ewma_mbps(out[i]), 1e-6);
+  }
+  std::vector<std::size_t> order(out.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return prio[a] > prio[b];
+                   });
+  std::vector<std::size_t> picked;
+  for (std::size_t i : order) {
+    if (picked.size() >= max_streams) break;
+    picked.push_back(out[i]);
+  }
+  return picked;
+}
+
+std::vector<std::size_t> stable_sort_edf(const DownlinkQueue& q,
+                                         std::size_t max_streams) {
+  std::vector<std::size_t> out = q.clients_fifo();
+  const auto deadline_of = [&](std::size_t c) {
+    const Packet* p = q.front_of(c);
+    return !p || p->deadline_s <= 0.0 ? kInf : p->deadline_s;
+  };
+  std::stable_sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+    return deadline_of(a) < deadline_of(b);
+  });
+  if (out.size() > max_streams) out.resize(max_streams);
+  return out;
+}
+
+TEST(PolicyParity, SelectionsMatchTheStableSortVersions) {
+  // Scrambled queues with few distinct deadlines (ties, deadline-free
+  // heads) and rate hints from a small set (equal PF priorities), served
+  // slot by slot so PF's EWMA state evolves between selections.
+  Rng rng(91);
+  FifoScheduler fifo;
+  EdfScheduler edf;
+  for (int round = 0; round < 40; ++round) {
+    DownlinkQueue q = scrambled_queue(rng, 120, 12);
+    PfScheduler pf(0.02);
+    const int rate_levels = 1 + round % 3;
+    const net::RateHintFn hint = [&](std::size_t c) {
+      return 12.0 * static_cast<double>(1 + static_cast<int>(c) % rate_levels);
+    };
+    const net::RateHintFn* hints[] = {nullptr, &hint};
+    // Stream counts from none to more than the 12 clients.
+    const std::size_t stream_counts[] = {0, 1, 2, 3, 4, 5, 16};
+    for (int slot = 0; !q.empty(); ++slot) {
+      const std::size_t streams = stream_counts[slot % 7];
+      const net::RateHintFn* h = hints[slot % 2];
+      ASSERT_EQ(fifo.select(q, streams, 0.0, h), stable_sort_fifo(q, streams));
+      ASSERT_EQ(edf.select(q, streams, 0.0, h), stable_sort_edf(q, streams));
+      const std::vector<std::size_t> picks = pf.select(q, streams, 0.0, h);
+      ASSERT_EQ(picks, stable_sort_pf(q, streams, pf, h))
+          << "round " << round << " slot " << slot;
+      for (const std::size_t c : picks) {
+        const AggFrame f = q.pop_aggregate(c, AggLimits{2, 3000});
+        pf.on_served(c, static_cast<double>(f.total_bytes), 1e-3);
+      }
+      pf.on_slot(1e-3);
     }
   }
 }
