@@ -657,6 +657,53 @@ void BM_RngDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RngDraw);
 
+// One uniform double on [-1, 3): a canonical draw, scaled.
+void BM_RngUniform(benchmark::State& state) {
+  Rng rng(10);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform(-1.0, 3.0));
+}
+BENCHMARK(BM_RngUniform);
+
+// One real Gaussian by the polar method: ~1.27 pairs of canonical draws,
+// one log and one sqrt.
+void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(11);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian(0.7));
+}
+BENCHMARK(BM_RngGaussian);
+
+// fill_cgaussian over runs of 1, 256 and 8000 complex samples
+// (items = samples).
+void BM_RngFillCgaussian(benchmark::State& state) {
+  Rng rng(12);
+  cvec y(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.fill_cgaussian(y, 1e-3);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RngFillCgaussian)->Arg(1)->Arg(256)->Arg(8000);
+
+// The noise floor alone: an 8000-sample receive() with no transmissions
+// (items = received samples).
+void BM_MediumFloor(benchmark::State& state) {
+  constexpr std::size_t kWindow = 8000;
+  chan::Medium medium({});
+  const chan::NodeId rx = medium.add_node(
+      chan::OscillatorParams{.ppm = 3.0, .carrier_hz = 2.4e9,
+                             .sample_rate_hz = 10e6,
+                             .phase_noise_linewidth_hz = 0.1, .seed = 1},
+      1e-3);
+  for (auto _ : state) {
+    cvec y = medium.receive(rx, 1e-3, kWindow);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kWindow));
+}
+BENCHMARK(BM_MediumFloor);
+
 // The sample-level medium: one receive() of a 10k-sample window in which
 // four transmitters overlap, each with its own SFO and CFO (up to 20 ppm),
 // phase noise and 4-tap multipath (items = received samples). The window

@@ -125,7 +125,7 @@ cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
 
 void Medium::draw_floor(const Node& rxn, std::size_t n, cvec& y) {
   y.resize(n);
-  for (cplx& v : y) v = noise_rng_.cgaussian(rxn.noise_var);
+  noise_rng_.fill_cgaussian(y, rxn.noise_var);
 
   // Inter-cell interference as shaped noise: draw each FFT bin at the
   // installed per-subcarrier power and transform one block at a time.
@@ -141,8 +141,13 @@ void Medium::draw_floor(const Node& rxn, std::size_t n, cvec& y) {
   cvec& bins = scratch_.bins;
   bins.resize(nfft);
   for (std::size_t start = 0; start < n; start += nfft) {
+    // Bin k is cgaussian(nfft * psd[k]): a standard pair (z1, z2) — what
+    // variance 2 draws, bit for bit — each part scaled as
+    // gaussian(s) scales it, z * s + 0.0 with s = sqrt(variance / 2).
+    noise_rng_.fill_cgaussian(bins, 2.0);
     for (std::size_t k = 0; k < nfft; ++k) {
-      bins[k] = noise_rng_.cgaussian(nfft_d * psd[k]);
+      const double s = std::sqrt(nfft_d * psd[k] / 2.0);
+      bins[k] = {bins[k].real() * s + 0.0, bins[k].imag() * s + 0.0};
     }
     ifft_inplace(bins);
     const std::size_t len = std::min(nfft, n - start);

@@ -1,5 +1,6 @@
 #include "dsp/rng.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace jmb {
@@ -65,6 +66,43 @@ std::vector<Rng> Rng::many(std::span<const std::uint64_t> seeds) {
   }
   Mt19937_64::seed_many(engines, seeds);
   return out;
+}
+
+void Rng::fill_cgaussian(std::span<cplx> out, double variance) {
+  // Each sample is gaussian(s) for its real part, then for its imaginary
+  // part: 2n normals, the k-th from the k-th accepted pair of the one
+  // stream of pairs that cgaussian would draw.
+  const double s = std::sqrt(variance / 2.0);
+  if (!(s >= 0.0)) {
+    throw std::invalid_argument("Rng::fill_cgaussian: negative or NaN variance");
+  }
+  constexpr std::size_t kBlock = 256;  // pairs per block
+  std::uint64_t words[2 * kBlock];
+  double ys[kBlock];
+  double r2s[kBlock];
+  // A complex<double> array may be read as its parts, real then imaginary
+  // ([complex.numbers]): normal k goes to part k.
+  double* next = reinterpret_cast<double*>(out.data());
+  std::size_t need = 2 * out.size();
+  while (need > 0) {
+    // Every accepted pair yields a normal, so k <= need pairs never run
+    // past the last one needed: a block that completes the run does so
+    // with its last pair, where the one-at-a-time loop would stop.
+    const std::size_t k = std::min(need, kBlock);
+    for (std::size_t i = 0; i < 2 * k; ++i) words[i] = engine_();
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      double y = 0.0, r2 = 0.0;
+      const bool ok = polar_pair(words[2 * i], words[2 * i + 1], y, r2);
+      ys[accepted] = y;
+      r2s[accepted] = r2;
+      accepted += ok ? 1 : 0;
+    }
+    for (std::size_t j = 0; j < accepted; ++j) {
+      *next++ = polar_value(ys[j], r2s[j], s);
+    }
+    need -= accepted;
+  }
 }
 
 }  // namespace jmb

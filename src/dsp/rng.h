@@ -1,9 +1,9 @@
 // Deterministic random number generation for reproducible experiments.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -96,6 +96,14 @@ class Mt19937_64 {
 /// Seeded random source. Every experiment object takes an Rng (or a seed)
 /// explicitly so that a bench rerun with the same seed reproduces the same
 /// topologies, channels and noise — a property the tests rely on.
+///
+/// The distributions are written here, not taken from <random>: each one
+/// reproduces libstdc++ 12's std distribution of the same name, draw for
+/// draw and bit for bit, over the same engine (uniform_real, uniform_int,
+/// bernoulli and normal; tests/test_dsp.cpp compares them). The pinned
+/// artifacts therefore depend on no standard library's choice of
+/// algorithm. Unlike the std versions, bad arguments throw
+/// std::invalid_argument in every build.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 1) : engine_(seed) {}
@@ -107,19 +115,62 @@ class Rng {
   [[nodiscard]] static std::vector<Rng> many(
       std::span<const std::uint64_t> seeds);
 
-  /// Uniform double in [lo, hi).
+  /// generate_canonical<double, 53> of one engine word, as libstdc++ 12
+  /// computes it: double(w) / 2^64, clamped to the largest double below 1
+  /// where that rounds up to 1. double(w) is summed from the word's two
+  /// halves, which convert exactly, so the sum rounds once to the same
+  /// nearest double. GCC's baseline x86-64 conversion of a full word
+  /// branches on its top bit, a coin flip the branch predictor misses
+  /// half the time; the halves convert as signed integers, without it.
+  [[nodiscard]] static double canonical(std::uint64_t w) {
+    const double d =
+        static_cast<double>(static_cast<std::int64_t>(w >> 32)) * 0x1p32 +
+        static_cast<double>(static_cast<std::int64_t>(w & 0xffffffffu));
+    const double u = d * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+  }
+
+  /// Uniform double in [lo, hi): u * (hi - lo) + lo, as
+  /// uniform_real_distribution computes it. Throws std::invalid_argument
+  /// unless lo <= hi (so also on a NaN bound).
   [[nodiscard]] double uniform(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    if (!(lo <= hi)) {
+      throw std::invalid_argument("Rng::uniform: need lo <= hi");
+    }
+    return canonical(engine_()) * (hi - lo) + lo;
   }
 
-  /// Uniform integer in [lo, hi] (inclusive).
+  /// Uniform integer in [lo, hi] (inclusive), by uniform_int_distribution's
+  /// 128-bit Lemire downscale. Throws std::invalid_argument if lo > hi.
   [[nodiscard]] int uniform_int(int lo, int hi) {
-    return std::uniform_int_distribution<int>(lo, hi)(engine_);
+    if (lo > hi) {
+      throw std::invalid_argument("Rng::uniform_int: need lo <= hi");
+    }
+    // hi - lo + 1 as the library forms it: both ends sign-extended to 64
+    // bits, so the range is exact and at most 2^32.
+    const std::uint64_t range = static_cast<std::uint64_t>(hi) -
+                                static_cast<std::uint64_t>(lo) + 1;
+    __extension__ using Wide = unsigned __int128;
+    Wide product = Wide{engine_()} * range;
+    auto low = static_cast<std::uint64_t>(product);
+    if (low < range) {
+      const std::uint64_t threshold = (0 - range) % range;
+      while (low < threshold) {
+        product = Wide{engine_()} * range;
+        low = static_cast<std::uint64_t>(product);
+      }
+    }
+    return static_cast<int>(static_cast<std::uint64_t>(product >> 64) +
+                            static_cast<std::uint64_t>(lo));
   }
 
-  /// One fair coin flip / biased Bernoulli draw.
+  /// One fair coin flip / biased Bernoulli draw: u < p, one engine word
+  /// whatever p is. Throws std::invalid_argument unless 0 <= p <= 1.
   [[nodiscard]] bool bernoulli(double p = 0.5) {
-    return std::bernoulli_distribution(p)(engine_);
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("Rng::bernoulli: need 0 <= p <= 1");
+    }
+    return canonical(engine_()) < p;
   }
 
   /// Zero-mean real Gaussian with the given standard deviation; 0 gives
@@ -129,10 +180,12 @@ class Rng {
     if (!(stddev >= 0.0)) {
       throw std::invalid_argument("Rng::gaussian: negative or NaN stddev");
     }
-    // A standard draw, scaled as libstdc++ scales it (z * stddev + mean):
-    // the same draws and bits as normal_distribution(0, stddev), whose
-    // parameter check would reject stddev 0.
-    return std::normal_distribution<double>()(engine_) * stddev + 0.0;
+    double y = 0.0, r2 = 0.0;
+    for (;;) {
+      const std::uint64_t wx = engine_();  // x's word first
+      const std::uint64_t wy = engine_();
+      if (polar_pair(wx, wy, y, r2)) return polar_value(y, r2, stddev);
+    }
   }
 
   /// Circularly-symmetric complex Gaussian with E[|x|^2] = variance.
@@ -141,10 +194,18 @@ class Rng {
     return {gaussian(s), gaussian(s)};
   }
 
+  /// out[i] = cgaussian(variance) for every i in turn: the same values and
+  /// the same engine position afterwards, at about half the cost per
+  /// sample. Pairs of uniforms are drawn a block at a time, never more
+  /// pairs than normals still needed, and the polar method's accept test
+  /// runs over the block before any log. Throws std::invalid_argument on
+  /// a negative or NaN variance, before drawing anything.
+  void fill_cgaussian(std::span<cplx> out, double variance);
+
   /// A run of n complex Gaussian samples with E[|x|^2] = variance.
   [[nodiscard]] cvec cgaussian_vec(std::size_t n, double variance = 1.0) {
     cvec out(n);
-    for (cplx& v : out) v = cgaussian(variance);
+    fill_cgaussian(out, variance);
     return out;
   }
 
@@ -159,6 +220,27 @@ class Rng {
   [[nodiscard]] std::uint64_t next_u64() { return engine_(); }
 
  private:
+  /// One attempt of normal_distribution's polar method: x and y uniform
+  /// on [-1, 1) from two words, in that order, and r2 = x^2 + y^2. The
+  /// pair is accepted unless r2 > 1 or r2 == 0; returns whether it is.
+  static bool polar_pair(std::uint64_t wx, std::uint64_t wy, double& y,
+                         double& r2) {
+    const double x = 2.0 * canonical(wx) - 1.0;
+    y = 2.0 * canonical(wy) - 1.0;
+    r2 = x * x + y * y;
+    return !(r2 > 1.0 || r2 == 0.0);
+  }
+
+  /// The normal from an accepted pair, scaled as Rng::gaussian(stddev)
+  /// scales it. libstdc++ keeps y * mult (x * mult is saved for the next
+  /// call of the same distribution object, which a fresh object never
+  /// makes), applies its own stddev 1 and mean 0, and the repo then
+  /// scales by stddev and adds +0.0 (so a zero stddev gives +0.0).
+  static double polar_value(double y, double r2, double stddev) {
+    const double z = y * std::sqrt(-2 * std::log(r2) / r2);
+    return (z * 1.0 + 0.0) * stddev + 0.0;
+  }
+
   Mt19937_64 engine_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -315,26 +316,25 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
     const std::size_t wave_at =
         header_pos + phy::kPreambleLen +
         static_cast<std::size_t>(state_.params.turnaround_s * fs);
-    // Workspace-backed scratch: full-buffer CFO correction plus the two
-    // per-pair FFT windows (measure_preamble is finished with these).
-    cvec& corrected = state_.ws.corrected;
-    corrected.resize(buf.size());
-    phy::correct_cfo_into(buf, pm->cfo_hz, fs, 0.0, corrected);
-
+    // Workspace-backed scratch: the two per-pair FFT windows, each
+    // CFO-corrected on its own. Correcting [at, at + 64) with offset `at`
+    // gives the same doubles as correcting the whole buffer, since
+    // double(n - at) + double(at) == double(n) for every n < 2^53.
+    const std::span<const cplx> heard(buf);
     cplx delta_acc{};
     for (std::size_t p = 0; p < kPairs; ++p) {
       const std::size_t lead_at =
           wave_at + 2 * p * phy::kSymbolLen + phy::kCpLen;
       const std::size_t slave_at = lead_at + phy::kSymbolLen;
-      if (corrected.size() < slave_at + phy::kNfft) break;
+      if (buf.size() < slave_at + phy::kNfft) break;
       cvec& fl = state_.ws.meas_win;
       cvec& fsv = state_.ws.meas_freq;
-      fl.assign(corrected.begin() + static_cast<std::ptrdiff_t>(lead_at),
-                corrected.begin() +
-                    static_cast<std::ptrdiff_t>(lead_at + phy::kNfft));
-      fsv.assign(corrected.begin() + static_cast<std::ptrdiff_t>(slave_at),
-                 corrected.begin() +
-                     static_cast<std::ptrdiff_t>(slave_at + phy::kNfft));
+      fl.resize(phy::kNfft);
+      fsv.resize(phy::kNfft);
+      phy::correct_cfo_into(heard.subspan(lead_at, phy::kNfft), pm->cfo_hz,
+                            fs, static_cast<double>(lead_at), fl);
+      phy::correct_cfo_into(heard.subspan(slave_at, phy::kNfft), pm->cfo_hz,
+                            fs, static_cast<double>(slave_at), fsv);
       const FftPlan& plan = state_.ws.fft_plan(phy::kNfft);
       plan.forward(fl);
       plan.forward(fsv);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "dsp/fft_plan.h"
 #include "phy/modulation.h"
@@ -23,13 +24,44 @@ const FftPlan& plan64() {
   return kPlan;
 }
 
-// FFT of a bare 64-sample window starting at `pos` (no CP handling),
-// written into `out`.
-void fft_window_into(const cvec& x, std::size_t pos, cvec& out) {
+// The receiver CFO-corrects only the samples it reads. Samples
+// [pos, pos + out.size()) of correct_cfo(rx, cfo_hz, fs) go to `out`:
+// the same doubles as correcting the whole buffer, because
+// double(n - pos) + double(pos) == double(n) for every n < 2^53, so each
+// sample's phase argument is the same product.
+void correct_window_into(const cvec& rx, std::size_t pos, double cfo_hz,
+                         double fs, std::span<cplx> out) {
+  correct_cfo_into(std::span(rx).subspan(pos, out.size()), cfo_hz, fs,
+                   static_cast<double>(pos), out);
+}
+
+// FFT of the bare 64-sample window of rx starting at `pos` (no CP
+// handling), CFO-corrected, written into `out`.
+void fft_window_into(const cvec& rx, std::size_t pos, double cfo_hz,
+                     double fs, cvec& out) {
   out.resize(kNfft);
-  std::copy(x.begin() + static_cast<std::ptrdiff_t>(pos),
-            x.begin() + static_cast<std::ptrdiff_t>(pos + kNfft), out.begin());
+  correct_window_into(rx, pos, cfo_hz, fs, out);
   plan64().forward(out);
+}
+
+// locate_ltf(corrected, from, to) over the corrected copy of rx, where
+// `corrected` holds the correction of exactly the samples that call reads:
+// [from, to' + 63) with to' = min(to, rx.size() - 64), or none when it
+// reads none. Samples outside that range are left as they were.
+std::optional<std::size_t> locate_ltf_corrected(const cvec& rx, double cfo_hz,
+                                                double fs, std::size_t from,
+                                                std::size_t to,
+                                                cvec& corrected) {
+  corrected.resize(rx.size());
+  if (rx.size() >= kNfft && from < rx.size()) {
+    const std::size_t last = std::min(to, rx.size() - kNfft);
+    if (from < last) {
+      correct_window_into(
+          rx, from, cfo_hz, fs,
+          std::span(corrected).subspan(from, last - from + kNfft - 1));
+    }
+  }
+  return locate_ltf(corrected, from, to);
 }
 
 // Noise variance estimate from the two (ideally identical) LTF symbols.
@@ -48,13 +80,14 @@ double ltf_noise_var(const cvec& f1, const cvec& f2) {
 
 // Demodulate/equalize one OFDM symbol whose 80 samples start at
 // `sym_start`, leaving the equalized data and per-carrier noise variances
-// in `freq`/`data48`/`noise48`.
-void decode_symbol(const cvec& corrected, std::size_t sym_start,
-                   std::size_t backoff, const ChannelEstimate& chan,
-                   double noise_var, std::size_t symbol_index, cvec& freq,
-                   cvec& data48, rvec& noise48) {
+// in `freq`/`data48`/`noise48`. Only the symbol's FFT window is corrected.
+void decode_symbol(const cvec& rx, double cfo_hz, double fs,
+                   std::size_t sym_start, std::size_t backoff,
+                   const ChannelEstimate& chan, double noise_var,
+                   std::size_t symbol_index, cvec& freq, cvec& data48,
+                   rvec& noise48) {
   const std::size_t win = sym_start + kCpLen - backoff;
-  fft_window_into(corrected, win, freq);
+  fft_window_into(rx, win, cfo_hz, fs, freq);
   const PilotPhase pp = track_pilots(freq, chan, symbol_index);
 
   data48.resize(kNumDataCarriers);
@@ -71,8 +104,10 @@ void decode_symbol(const cvec& corrected, std::size_t sym_start,
 }
 
 // Shared back half of reception: channel-estimate in pm, symbols start
-// right after the two LTF repetitions at pm.ltf_start.
-RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
+// right after the two LTF repetitions at pm.ltf_start, and each is
+// corrected with pm.cfo_hz.
+RxResult decode_after_ltf(const cvec& rx, double fs,
+                          const PreambleMeasurement& pm,
                           std::size_t timing_backoff, Workspace* ws) {
   RxResult res;
   res.preamble = pm;
@@ -86,12 +121,12 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
   rvec local_noise48;
   rvec& noise48 = ws ? ws->noise48 : local_noise48;
 
-  if (corrected.size() < payload + kSymbolLen) {
+  if (rx.size() < payload + kSymbolLen) {
     res.fail_reason = "buffer too short for SIGNAL";
     return res;
   }
-  decode_symbol(corrected, payload, backoff, pm.chan, pm.noise_var, 0, freq,
-                data48, noise48);
+  decode_symbol(rx, pm.cfo_hz, fs, payload, backoff, pm.chan, pm.noise_var, 0,
+                freq, data48, noise48);
   const auto sig = decode_signal_symbol(
       data48,
       std::max(pm.noise_var / std::max(pm.chan.mean_gain_power(), 1e-12),
@@ -105,7 +140,7 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
 
   const Mcs& mcs = rate_set()[sig->rate_index];
   const std::size_t n_sym = n_data_symbols(sig->length, mcs);
-  if (corrected.size() < payload + (1 + n_sym) * kSymbolLen) {
+  if (rx.size() < payload + (1 + n_sym) * kSymbolLen) {
     res.fail_reason = "buffer too short for payload";
     return res;
   }
@@ -122,8 +157,8 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
   double evm_err = 0.0, evm_sig = 0.0;
   for (std::size_t s = 0; s < n_sym; ++s) {
     const std::size_t sym_start = payload + (1 + s) * kSymbolLen;
-    decode_symbol(corrected, sym_start, backoff, pm.chan, pm.noise_var, s + 1,
-                  freq, data48, noise48);
+    decode_symbol(rx, pm.cfo_hz, fs, sym_start, backoff, pm.chan,
+                  pm.noise_var, s + 1, freq, data48, noise48);
     demodulate_soft_into(data48, mcs.modulation, noise48, llr_per_symbol[s]);
     // EVM against the nearest constellation points.
     demodulate_hard_into(data48, mcs.modulation, hard);
@@ -147,12 +182,6 @@ RxResult decode_after_ltf(const cvec& corrected, const PreambleMeasurement& pm,
   return res;
 }
 
-// correct_cfo over the whole buffer into a reusable destination.
-void correct_cfo_buf(const cvec& rx, double cfo_hz, double fs, cvec& out) {
-  out.resize(rx.size());
-  correct_cfo_into(rx, cfo_hz, fs, 0.0, out);
-}
-
 }  // namespace
 
 std::optional<PreambleMeasurement> Receiver::measure_preamble(
@@ -166,6 +195,7 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
   cvec local_freq;
   cvec& freq_scratch = ws_ ? ws_->sym_freq : local_freq;
 
+  const double fs = cfg_.sample_rate_hz;
   const auto det = detect_packet(rx, search_from);
   std::size_t stf = 0;
   double coarse = 0.0;
@@ -176,10 +206,10 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
     // Coarse CFO from the STF body (skip the detection edge).
     win_a.assign(rx.begin() + static_cast<std::ptrdiff_t>(stf + 8),
                  rx.begin() + static_cast<std::ptrdiff_t>(stf + 152));
-    coarse = coarse_cfo_hz(win_a, cfg_.sample_rate_hz);
-    correct_cfo_buf(rx, coarse, cfg_.sample_rate_hz, corrected);
+    coarse = coarse_cfo_hz(win_a, fs);
     // The first LTF symbol nominally starts at stf + 192; search around it.
-    ltf = locate_ltf(corrected, stf + 150, std::min(rx.size(), stf + 240));
+    ltf = locate_ltf_corrected(rx, coarse, fs, stf + 150,
+                               std::min(rx.size(), stf + 240), corrected);
   } else {
     // Low-SNR fallback: the STF autocorrelation plateau drowns near the
     // detection threshold, but a coherent cross-correlation against the
@@ -198,12 +228,12 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
     win_b.assign(rx.begin() + static_cast<std::ptrdiff_t>(*raw_ltf),
                  rx.begin() +
                      static_cast<std::ptrdiff_t>(*raw_ltf + 2 * kNfft));
-    coarse = fine_cfo_hz(win_b, cfg_.sample_rate_hz);
-    correct_cfo_buf(rx, coarse, cfg_.sample_rate_hz, corrected);
+    coarse = fine_cfo_hz(win_b, fs);
     // Refine the location post-correction; it may land on the (identical)
     // second repetition, which the symmetric +-window below tolerates.
-    ltf = locate_ltf(corrected, *raw_ltf - std::min<std::size_t>(*raw_ltf, 8),
-                     std::min(rx.size(), *raw_ltf + 8));
+    ltf = locate_ltf_corrected(
+        rx, coarse, fs, *raw_ltf - std::min<std::size_t>(*raw_ltf, 8),
+        std::min(rx.size(), *raw_ltf + 8), corrected);
     if (!ltf) ltf = raw_ltf;
     stf = *ltf - 192;
   }
@@ -211,17 +241,14 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
   const std::size_t ltf_start = *ltf;
   if (rx.size() < ltf_start + 2 * kNfft) return std::nullopt;
 
-  freq_scratch.assign(
-      corrected.begin() + static_cast<std::ptrdiff_t>(ltf_start),
-      corrected.begin() + static_cast<std::ptrdiff_t>(ltf_start + 2 * kNfft));
-  const double fine = fine_cfo_hz(freq_scratch, cfg_.sample_rate_hz);
+  freq_scratch.resize(2 * kNfft);
+  correct_window_into(rx, ltf_start, coarse, fs, freq_scratch);
+  const double fine = fine_cfo_hz(freq_scratch, fs);
   const double total_cfo = coarse + fine;
 
-  correct_cfo_buf(rx, total_cfo, cfg_.sample_rate_hz, corrected);
-
   const std::size_t w1 = ltf_start - std::min(ltf_start, kTimingBackoff);
-  fft_window_into(corrected, w1, win_a);
-  fft_window_into(corrected, w1 + kNfft, win_b);
+  fft_window_into(rx, w1, total_cfo, fs, win_a);
+  fft_window_into(rx, w1 + kNfft, total_cfo, fs, win_b);
 
   PreambleMeasurement pm;
   pm.stf_start = stf;
@@ -241,20 +268,17 @@ RxResult Receiver::receive(const cvec& rx, std::size_t search_from) const {
     res.fail_reason = "no preamble detected";
     return res;
   }
-  cvec local_corrected;
-  cvec& corrected = ws_ ? ws_->corrected : local_corrected;
-  correct_cfo_buf(rx, pm->cfo_hz, cfg_.sample_rate_hz, corrected);
   // Payload symbols start right after the second LTF repetition; the FFT
   // windows inside use the same back-off as the channel-estimate windows.
-  return decode_after_ltf(corrected, *pm, kTimingBackoff, ws_);
+  return decode_after_ltf(rx, cfg_.sample_rate_hz, *pm, kTimingBackoff, ws_);
 }
 
 RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
                                    double cfo_hz) const {
   RxResult res;
+  const double fs = cfg_.sample_rate_hz;
   cvec local_corrected;
   cvec& corrected = ws_ ? ws_->corrected : local_corrected;
-  correct_cfo_buf(rx, cfo_hz, cfg_.sample_rate_hz, corrected);
   cvec local_a;
   cvec& win_a = ws_ ? ws_->win_a : local_a;
   cvec local_b;
@@ -264,21 +288,22 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
   // two 64-sample symbols. Search a window wide enough for a few samples
   // of timing slop but short enough that the identical second repetition
   // (at +96) can never win the correlation.
-  const auto ltf = locate_ltf(corrected, payload_start,
-                              std::min(rx.size(), payload_start + kNfft));
+  const auto ltf =
+      locate_ltf_corrected(rx, cfo_hz, fs, payload_start,
+                           std::min(rx.size(), payload_start + kNfft), corrected);
   if (!ltf) {
     res.fail_reason = "payload LTF not found";
     return res;
   }
   const std::size_t ltf_start = *ltf;
-  if (corrected.size() < ltf_start + 2 * kNfft + kSymbolLen) {
+  if (rx.size() < ltf_start + 2 * kNfft + kSymbolLen) {
     res.fail_reason = "buffer too short for payload LTF";
     return res;
   }
   const std::size_t backoff = std::min(ltf_start, kTimingBackoff);
   const std::size_t w1 = ltf_start - backoff;
-  fft_window_into(corrected, w1, win_a);
-  fft_window_into(corrected, w1 + kNfft, win_b);
+  fft_window_into(rx, w1, cfo_hz, fs, win_a);
+  fft_window_into(rx, w1 + kNfft, cfo_hz, fs, win_b);
 
   PreambleMeasurement pm;
   pm.stf_start = payload_start;
@@ -288,7 +313,7 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
   pm.chan =
       average_estimates({estimate_from_ltf(win_a), estimate_from_ltf(win_b)});
   pm.snr_db = to_db(std::max(pm.chan.mean_gain_power(), 1e-12) / pm.noise_var);
-  return decode_after_ltf(corrected, pm, kTimingBackoff, ws_);
+  return decode_after_ltf(rx, fs, pm, kTimingBackoff, ws_);
 }
 
 }  // namespace jmb::phy

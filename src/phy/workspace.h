@@ -44,10 +44,10 @@ class Workspace {
   PinvScratch pinv;
 
   // ---- receiver scratch (phy::Receiver::set_workspace) -------------------
-  cvec corrected;    ///< CFO-corrected copy of the RX buffer
+  cvec corrected;    ///< RX buffer, CFO-corrected where an LTF search reads
   cvec win_a;        ///< first LTF FFT window
   cvec win_b;        ///< second LTF FFT window
-  cvec sym_freq;     ///< per-symbol FFT window
+  cvec sym_freq;     ///< per-symbol FFT window; the fine-CFO LTF pair
   cvec data48;       ///< equalized data subcarriers
   rvec noise48;      ///< post-equalization noise variance per carrier
   phy::BitVec hard_bits;  ///< EVM hard decisions
@@ -70,8 +70,8 @@ class Workspace {
   simd::acvec sym_time;  ///< kSymbolLen modulated symbol
 
   // ---- measurement scratch ------------------------------------------------
-  cvec meas_win;   ///< per-round CFO-corrected LTF window
-  cvec meas_freq;  ///< its FFT
+  cvec meas_win;   ///< per-round lead LTF window, CFO-corrected, then FFT'd
+  cvec meas_freq;  ///< the same for the slave's LTF window
 
  private:
   std::map<std::size_t, FftPlan> plans_;

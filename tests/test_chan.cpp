@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -1033,36 +1034,47 @@ TEST(MediumParity, JointNoiseFloorFollowsTheSharedStream) {
   // The rig takes its noise floor from a twin medium; this pins the floor
   // itself to the shared stream: per entry, n thermal draws, then one
   // block of psd.size() shaped bins per started block, inverse-FFT'd.
-  Medium medium({}, 77);
-  const NodeId plain = medium.add_node(quiet_osc(1), 2e-3);
-  const NodeId shaped = medium.add_node(quiet_osc(2), 1e-3);
-  std::vector<double> psd(16);
-  for (std::size_t k = 0; k < psd.size(); ++k) psd[k] = 1e-4 * double(k + 1);
-  medium.set_interference(shaped, psd);
-  const std::size_t n = 100;  // not a multiple of 16
-  const std::vector<NodeId> rxs{shaped, plain, shaped};
-  std::vector<cvec> got(rxs.size());
-  medium.receive_into(rxs, 0.0, n, got);
+  // 300 samples take 600 normals, past one 256-pair block of
+  // Rng::fill_cgaussian.
+  for (const std::size_t n : {100u, 300u}) {  // not multiples of 16
+    Medium medium({}, 77);
+    const NodeId plain = medium.add_node(quiet_osc(1), 2e-3);
+    const NodeId shaped = medium.add_node(quiet_osc(2), 1e-3);
+    std::vector<double> psd(16);
+    for (std::size_t k = 0; k < psd.size(); ++k) psd[k] = 1e-4 * double(k + 1);
+    medium.set_interference(shaped, psd);
+    const std::vector<NodeId> rxs{shaped, plain, shaped};
+    std::vector<cvec> got(rxs.size());
+    medium.receive_into(rxs, 0.0, n, got);
 
-  Rng rng(77);
-  for (std::size_t r = 0; r < rxs.size(); ++r) {
-    cvec ref(n);
-    for (cplx& v : ref) v = rng.cgaussian(medium.noise_var(rxs[r]));
-    if (rxs[r] == shaped) {
-      for (std::size_t start = 0; start < n; start += psd.size()) {
-        cvec bins(psd.size());
-        for (std::size_t k = 0; k < psd.size(); ++k) {
-          bins[k] = rng.cgaussian(16.0 * psd[k]);
-        }
-        const cvec block = ifft(bins);
-        for (std::size_t i = 0; i < psd.size() && start + i < n; ++i) {
-          ref[start + i] += block[i];
+    // The reference draws through a fresh std::normal_distribution per
+    // part on the std engine: the repo's rule, not Rng's code.
+    std::mt19937_64 engine(77);
+    const auto cgaussian = [&](double variance) {
+      const double s = std::sqrt(variance / 2.0);
+      const double re = std::normal_distribution<double>()(engine) * s + 0.0;
+      const double im = std::normal_distribution<double>()(engine) * s + 0.0;
+      return cplx{re, im};
+    };
+    for (std::size_t r = 0; r < rxs.size(); ++r) {
+      cvec ref(n);
+      for (cplx& v : ref) v = cgaussian(medium.noise_var(rxs[r]));
+      if (rxs[r] == shaped) {
+        for (std::size_t start = 0; start < n; start += psd.size()) {
+          cvec bins(psd.size());
+          for (std::size_t k = 0; k < psd.size(); ++k) {
+            bins[k] = cgaussian(16.0 * psd[k]);
+          }
+          const cvec block = ifft(bins);
+          for (std::size_t i = 0; i < psd.size() && start + i < n; ++i) {
+            ref[start + i] += block[i];
+          }
         }
       }
+      ASSERT_EQ(got[r].size(), n);
+      EXPECT_EQ(std::memcmp(got[r].data(), ref.data(), n * sizeof(cplx)), 0)
+          << "n " << n << " entry " << r;
     }
-    ASSERT_EQ(got[r].size(), n);
-    EXPECT_EQ(std::memcmp(got[r].data(), ref.data(), n * sizeof(cplx)), 0)
-        << "entry " << r;
   }
 }
 
