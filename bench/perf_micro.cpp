@@ -151,16 +151,20 @@ void BM_ZfPrecoderBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ZfPrecoderBuild)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
 
-// Workspace-fed build: same pseudoinverses, but every per-subcarrier
-// temporary lives in the reused PinvScratch instead of the heap.
+// The pipeline's warm path: the same pseudoinverses rebuilt in place into
+// one Precoder, with every per-subcarrier temporary in a reused
+// PinvScratch instead of the heap.
 void BM_ZfPrecoderBuildWs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(6);
   const core::ChannelMatrixSet h = core::random_channel_set(n, n, rng);
+  const core::PrecoderConfig cfg;
   Workspace ws;
+  core::Precoder p;
   for (auto _ : state) {
-    auto p = core::Precoder::build(h, ws);
-    benchmark::DoNotOptimize(p->scale());
+    const bool ok = p.rebuild_kind(h, cfg, ws.pinv);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(p.scale());
   }
 }
 BENCHMARK(BM_ZfPrecoderBuildWs)->Arg(2)->Arg(4)->Arg(10);
@@ -239,8 +243,7 @@ BENCHMARK(BM_ZfPinvBlock)->Arg(2)->Arg(4)->Arg(6)->Arg(8)->Arg(10);
 void BM_PrecodeTransmitVector(benchmark::State& state) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
-  Workspace ws;
-  const auto p = core::Precoder::build(h, ws);
+  const auto p = core::Precoder::build(h);
   cvec x(4);
   for (auto& v : x) v = rng.cgaussian();
   std::size_t k = 0;
@@ -255,8 +258,7 @@ BENCHMARK(BM_PrecodeTransmitVector);
 void BM_PrecodeTransmitVectorInto(benchmark::State& state) {
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
-  Workspace ws;
-  const auto p = core::Precoder::build(h, ws);
+  const auto p = core::Precoder::build(h);
   cvec x(4);
   for (auto& v : x) v = rng.cgaussian();
   cvec y(p->n_tx());
@@ -295,8 +297,7 @@ void BM_PrecoderApplyBackend(benchmark::State& state, simd::Backend be) {
   simd::set_backend(be);
   Rng rng(8);
   const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
-  Workspace ws;
-  const auto p = core::Precoder::build(h, ws);
+  const auto p = core::Precoder::build(h);
   const std::size_t n_sc = h.n_subcarriers();
   // Four per-stream symbol rows accumulated into one antenna row, exactly
   // the SynthesisStage data-symbol path over the packed weights.
@@ -902,11 +903,13 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
   {
     Rng rng(6);
     const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
+    const core::PrecoderConfig cfg;
     Workspace ws;
+    core::Precoder p;
     for (int i = 0; i < kReps; ++i) {
       const engine::ScopedStageTimer timer(&set, "zf_build_4x4_ws");
-      auto p = core::Precoder::build(h, ws);
-      benchmark::DoNotOptimize(p->scale());
+      const bool ok = p.rebuild_kind(h, cfg, ws.pinv);
+      benchmark::DoNotOptimize(ok);
     }
   }
   {

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/fft.h"
-
 namespace jmb::chan {
 
 namespace {
@@ -83,17 +81,6 @@ void FadingChannel::evolve_to(double t_seconds) {
   }
 }
 
-cvec FadingChannel::apply(const cvec& x) const {
-  if (x.empty()) return {};
-  cvec out(x.size() + taps_.size() - 1, cplx{});
-  for (std::size_t l = 0; l < taps_.size(); ++l) {
-    const cplx h = taps_[l];
-    if (h == cplx{}) continue;
-    for (std::size_t n = 0; n < x.size(); ++n) out[n + l] += h * x[n];
-  }
-  return out;
-}
-
 void FadingChannel::apply_range(std::span<const cplx> x, std::size_t k0,
                                 std::size_t k1, std::span<cplx> out) const {
   std::fill_n(out.begin(), k1 - k0, cplx{});
@@ -106,14 +93,6 @@ void FadingChannel::apply_range(std::span<const cplx> x, std::size_t k0,
     const std::size_t hi = std::min(k1, x.size() + l);
     for (std::size_t k = lo; k < hi; ++k) out[k - k0] += h * x[k - l];
   }
-}
-
-cvec FadingChannel::frequency_response(std::size_t nfft) const {
-  cvec padded(nfft, cplx{});
-  for (std::size_t l = 0; l < taps_.size() && l < nfft; ++l) {
-    padded[l] = taps_[l];
-  }
-  return fft(padded);
 }
 
 }  // namespace jmb::chan

@@ -48,20 +48,13 @@ class FadingChannel {
     return params_.delay_s * params_.sample_rate_hz;
   }
 
-  /// Convolve a burst with the current taps (output length x.size() +
-  /// n_taps - 1). Delay is NOT applied here — the Medium applies it when
-  /// resampling onto the receiver's clock.
-  [[nodiscard]] cvec apply(const cvec& x) const;
-
-  /// Samples [k0, k1) of apply(x), bit for bit, into out[0 .. k1 - k0):
-  /// each one accumulates the taps in apply's order. Requires k0 <= k1 <=
-  /// apply(x).size() and out.size() >= k1 - k0.
+  /// Samples [k0, k1) of the burst x convolved with the current taps (a
+  /// convolution of x.size() + n_taps - 1 samples) into out[0 .. k1 - k0),
+  /// each accumulating the taps in order. Requires k0 <= k1 <= x.size() +
+  /// n_taps - 1 and out.size() >= k1 - k0. Delay is NOT applied here —
+  /// the Medium applies it when resampling onto the receiver's clock.
   void apply_range(std::span<const cplx> x, std::size_t k0, std::size_t k1,
                    std::span<cplx> out) const;
-
-  /// Frequency response on a given FFT bin count (diagnostics, and the
-  /// "true channel" oracle used by tests and the link-level model).
-  [[nodiscard]] cvec frequency_response(std::size_t nfft) const;
 
   [[nodiscard]] const FadingParams& params() const { return params_; }
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "dsp/fft.h"
 #include "dsp/resampler.h"
 
 namespace jmb::chan {
@@ -45,39 +44,15 @@ Medium::Medium(MediumParams p, std::uint64_t noise_seed)
 NodeId Medium::add_node(OscillatorParams osc, double noise_var) {
   check_noise_var(noise_var, "Medium::add_node");
   osc.sample_rate_hz = params_.sample_rate_hz;
-  nodes_.push_back(Node{Oscillator(osc), noise_var, {}});
+  nodes_.push_back(Node{Oscillator(osc), noise_var});
   return nodes_.size() - 1;
-}
-
-const Oscillator& Medium::oscillator(NodeId id) const {
-  return nodes_.at(id).osc;
 }
 
 Oscillator& Medium::oscillator_mutable(NodeId id) { return nodes_.at(id).osc; }
 
-double Medium::noise_var(NodeId id) const { return nodes_.at(id).noise_var; }
-
 void Medium::set_noise_var(NodeId id, double noise_var) {
   check_noise_var(noise_var, "Medium::set_noise_var");
   nodes_.at(id).noise_var = noise_var;
-}
-
-void Medium::set_interference(NodeId rx, std::vector<double> psd) {
-  if (!psd.empty() && !is_pow2(psd.size())) {
-    throw std::invalid_argument(
-        "Medium::set_interference: psd size must be a power of two");
-  }
-  for (const double v : psd) {
-    if (!(std::isfinite(v) && v >= 0.0)) {
-      throw std::invalid_argument(
-          "Medium::set_interference: psd entries must be finite and >= 0");
-    }
-  }
-  nodes_.at(rx).interference_psd = std::move(psd);
-}
-
-const std::vector<double>& Medium::interference(NodeId rx) const {
-  return nodes_.at(rx).interference_psd;
 }
 
 void Medium::set_link(NodeId tx, NodeId rx, FadingParams fading) {
@@ -89,11 +64,6 @@ void Medium::set_link(NodeId tx, NodeId rx, FadingParams fading) {
 }
 
 FadingChannel* Medium::link(NodeId tx, NodeId rx) {
-  const auto it = links_.find({tx, rx});
-  return it == links_.end() ? nullptr : it->second.get();
-}
-
-const FadingChannel* Medium::link(NodeId tx, NodeId rx) const {
   const auto it = links_.find({tx, rx});
   return it == links_.end() ? nullptr : it->second.get();
 }
@@ -123,38 +93,6 @@ cvec Medium::receive(NodeId rx, double start_s, std::size_t n) {
   return y;
 }
 
-void Medium::draw_floor(const Node& rxn, std::size_t n, cvec& y) {
-  y.resize(n);
-  noise_rng_.fill_cgaussian(y, rxn.noise_var);
-
-  // Inter-cell interference as shaped noise: draw each FFT bin at the
-  // installed per-subcarrier power and transform one block at a time.
-  // Bin k of variance nfft * psd[k] lands in the time domain (ifft
-  // scales by 1/N) with per-sample variance mean(psd) — a flat psd of v
-  // raises the white floor by exactly v. Receivers without a profile
-  // skip this entirely: drawing zero-power bins from the shared noise_rng_
-  // would shift every later draw.
-  const std::vector<double>& psd = rxn.interference_psd;
-  if (psd.empty()) return;
-  const std::size_t nfft = psd.size();
-  const auto nfft_d = static_cast<double>(nfft);
-  cvec& bins = scratch_.bins;
-  bins.resize(nfft);
-  for (std::size_t start = 0; start < n; start += nfft) {
-    // Bin k is cgaussian(nfft * psd[k]): a standard pair (z1, z2) — what
-    // variance 2 draws, bit for bit — each part scaled as
-    // gaussian(s) scales it, z * s + 0.0 with s = sqrt(variance / 2).
-    noise_rng_.fill_cgaussian(bins, 2.0);
-    for (std::size_t k = 0; k < nfft; ++k) {
-      const double s = std::sqrt(nfft_d * psd[k] / 2.0);
-      bins[k] = {bins[k].real() * s + 0.0, bins[k].imag() * s + 0.0};
-    }
-    ifft_inplace(bins);
-    const std::size_t len = std::min(nfft, n - start);
-    for (std::size_t i = 0; i < len; ++i) y[start + i] += bins[i];
-  }
-}
-
 void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
                           std::size_t n, std::span<cvec> out) {
   if (out.size() != rxs.size()) {
@@ -173,7 +111,8 @@ void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
   // Every draw first, in rxs order: the noise stream advances exactly as
   // consecutive receive() calls would advance it.
   for (std::size_t r = 0; r < rxs.size(); ++r) {
-    draw_floor(nodes_[rxs[r]], n, out[r]);
+    out[r].resize(n);
+    noise_rng_.fill_cgaussian(out[r], nodes_[rxs[r]].noise_var);
   }
   if (n == 0) return;
 
@@ -297,7 +236,7 @@ void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
       const auto len = static_cast<std::ptrdiff_t>(p.len);
 
       // The multipath samples this stretch reads: every position's four
-      // cubic neighbours, clamped to the burst as interp_cubic clamps.
+      // cubic neighbours, clamped to the burst's first and last sample.
       const auto floor_pos = [&](std::size_t m) {
         return static_cast<std::ptrdiff_t>(
             std::floor((time_at(fs_rx, m) - t0) * fs_tx));
@@ -337,25 +276,6 @@ void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
       }
     }
   }
-}
-
-cvec Medium::true_channel(NodeId tx, NodeId rx, std::size_t nfft) const {
-  const FadingChannel* ch = link(tx, rx);
-  if (ch == nullptr) {
-    throw std::invalid_argument("Medium::true_channel: no such link");
-  }
-  cvec h = ch->frequency_response(nfft);
-  // Fractional-delay phase ramp: delay d samples multiplies bin k by
-  // e^{-j 2 pi k d / nfft} (k interpreted as signed logical index).
-  const double d = ch->delay_samples();
-  for (std::size_t b = 0; b < nfft; ++b) {
-    const int k = (b <= nfft / 2)
-                      ? static_cast<int>(b)
-                      : static_cast<int>(b) - static_cast<int>(nfft);
-    h[b] *= phasor(-kTwoPi * static_cast<double>(k) * d /
-                   static_cast<double>(nfft));
-  }
-  return h;
 }
 
 }  // namespace jmb::chan

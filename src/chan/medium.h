@@ -42,31 +42,15 @@ class Medium {
   NodeId add_node(OscillatorParams osc, double noise_var = 1.0);
 
   [[nodiscard]] std::size_t n_nodes() const { return nodes_.size(); }
-  [[nodiscard]] const Oscillator& oscillator(NodeId id) const;
-  /// Mutable oscillator handle for fault injection (phase jumps / CFO
-  /// steps); everything else should use the const accessor.
+  /// Oscillator handle for fault injection (phase jumps / CFO steps).
   [[nodiscard]] Oscillator& oscillator_mutable(NodeId id);
-  [[nodiscard]] double noise_var(NodeId id) const;
   /// Adjust a receiver's noise floor (used to calibrate operating SNR).
   /// Throws std::invalid_argument as add_node does.
   void set_noise_var(NodeId id, double noise_var);
 
-  /// Install a per-subcarrier interference profile at receiver `rx`:
-  /// psd[k] is the extra noise power per complex sample contributed by
-  /// neighboring cells' leakage on FFT bin k (noise-rise units — a flat
-  /// psd of v raises the white floor by exactly v). Rendered in receive()
-  /// as shaped Gaussian noise, one psd.size()-bin block at a time. An
-  /// empty vector removes the profile: receive() then takes no draws for
-  /// it, so every later draw from the shared noise stream is unshifted.
-  /// Throws std::invalid_argument if an entry is negative or not finite,
-  /// or if a non-empty psd's size is not a power of two.
-  void set_interference(NodeId rx, std::vector<double> psd);
-  [[nodiscard]] const std::vector<double>& interference(NodeId rx) const;
-
   /// Install / replace the directed link tx -> rx.
   void set_link(NodeId tx, NodeId rx, FadingParams fading);
   [[nodiscard]] FadingChannel* link(NodeId tx, NodeId rx);
-  [[nodiscard]] const FadingChannel* link(NodeId tx, NodeId rx) const;
 
   /// Advance all links' fading processes to time t (seconds, monotone).
   /// Throws std::invalid_argument if t is not finite.
@@ -97,21 +81,12 @@ class Medium {
   /// Drop all scheduled transmissions (between experiment phases).
   void clear_transmissions();
 
-  /// True channel frequency response tx -> rx on the 64 FFT bins right
-  /// now, including the fractional-delay phase ramp — the oracle tests and
-  /// the link-level model compare against. Does not include oscillator
-  /// rotations (those are time-varying by nature).
-  [[nodiscard]] cvec true_channel(NodeId tx, NodeId rx,
-                                  std::size_t nfft = 64) const;
-
   [[nodiscard]] double sample_rate_hz() const { return params_.sample_rate_hz; }
 
  private:
   struct Node {
     Oscillator osc;
     double noise_var = 1.0;
-    /// Empty = no inter-cell interference (and no noise draws for it).
-    std::vector<double> interference_psd;
   };
   struct Transmission {
     NodeId tx = 0;
@@ -142,11 +117,7 @@ class Medium {
     std::vector<char> walked;   ///< theta holds this block, per node
     std::vector<std::size_t> m_begin, m_end;  ///< block's samples, per rx
     cvec conv;  ///< one pair's multipath output over one block
-    cvec bins;  ///< one interference block
   };
-
-  /// Thermal noise plus any interference of `rxn`, n samples, into y.
-  void draw_floor(const Node& rxn, std::size_t n, cvec& y);
 
   MediumParams params_;
   std::vector<Node> nodes_;

@@ -95,11 +95,4 @@ void Oscillator::phase_noise_run(std::uint64_t first,
   last_ = w;
 }
 
-cplx Oscillator::rotation_at(double t_seconds) const {
-  const double det = kTwoPi * cfo_hz() * t_seconds;
-  const auto n = static_cast<std::uint64_t>(
-      std::max(0.0, t_seconds * params_.sample_rate_hz));
-  return phasor(det + phase_noise_at(n) + injected_phase_rad_);
-}
-
 }  // namespace jmb::chan

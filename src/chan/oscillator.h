@@ -57,15 +57,11 @@ class Oscillator {
   /// to the window once.
   void phase_noise_run(std::uint64_t first, std::span<double> out) const;
 
-  /// Total oscillator rotation at true time t seconds (index n = t * fs):
-  /// e^{j(2 pi cfo t + theta(n))}.
-  [[nodiscard]] cplx rotation_at(double t_seconds) const;
-
   [[nodiscard]] const OscillatorParams& params() const { return params_; }
 
   /// Fault injection (fault/injector.h): an instantaneous carrier-phase
   /// jump — a micro phase-hit such as a PLL cycle slip or a supply glitch.
-  /// Accumulates across calls; affects rotation_at() from now on.
+  /// Accumulates across calls into injected_phase_rad().
   void inject_phase_jump(double radians) { injected_phase_rad_ += radians; }
   /// Fault injection: a drift-rate step — the crystal's frequency walks to
   /// a new operating point (temperature shock, aging step). Accumulates

@@ -12,11 +12,6 @@ double Position::distance_to(const Position& o) const {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-double propagation_delay_s(double distance_m) {
-  constexpr double kC = 299792458.0;
-  return distance_m / kC;
-}
-
 namespace {
 
 Link make_link(const Position& ap, const Position& cl,

@@ -66,9 +66,6 @@ struct RoomParams {
                                                double lo_db, double hi_db,
                                                int max_tries = 200);
 
-/// Propagation delay over distance d (speed of light), in seconds.
-[[nodiscard]] double propagation_delay_s(double distance_m);
-
 /// Dense-deployment link gains: every client has a distinct nearby AP
 /// whose SNR lands in [lo_db, hi_db], with the remaining APs a few dB
 /// below (clients scatter across the room, so each is close to *some*

@@ -70,35 +70,18 @@ bool batched_pinv(const ChannelMatrixSet& h, double ridge,
 std::optional<Precoder> Precoder::build(const ChannelMatrixSet& h,
                                         double per_antenna_power,
                                         const obs::ObsSink* obs) {
+  PrecoderConfig cfg;
+  cfg.per_antenna_power = per_antenna_power;
   PinvScratch scratch;
-  return build_impl(h, scratch, per_antenna_power, obs);
-}
-
-std::optional<Precoder> Precoder::build(const ChannelMatrixSet& h,
-                                        Workspace& ws,
-                                        double per_antenna_power,
-                                        const obs::ObsSink* obs) {
-  return build_impl(h, ws.pinv, per_antenna_power, obs);
-}
-
-std::optional<Precoder> Precoder::build_kind(const ChannelMatrixSet& h,
-                                             const PrecoderConfig& cfg,
-                                             Workspace& ws,
-                                             const obs::ObsSink* obs) {
-  return build_kind_impl(h, cfg, ws.pinv, obs);
+  Precoder p;
+  if (!p.rebuild_kind(h, cfg, scratch, obs)) return std::nullopt;
+  return p;
 }
 
 std::optional<Precoder> Precoder::build_kind(const ChannelMatrixSet& h,
                                              const PrecoderConfig& cfg,
                                              const obs::ObsSink* obs) {
   PinvScratch scratch;
-  return build_kind_impl(h, cfg, scratch, obs);
-}
-
-std::optional<Precoder> Precoder::build_kind_impl(const ChannelMatrixSet& h,
-                                                  const PrecoderConfig& cfg,
-                                                  PinvScratch& scratch,
-                                                  const obs::ObsSink* obs) {
   Precoder p;
   if (h.n_clients() > h.n_tx()) {
     // More users than streams: serve the greedy semi-orthogonal subset.
@@ -207,17 +190,6 @@ void Precoder::scale_and_pack() {
       packed_[e * n_sc + k] = w[e];
     }
   }
-}
-
-std::optional<Precoder> Precoder::build_impl(const ChannelMatrixSet& h,
-                                             PinvScratch& scratch,
-                                             double per_antenna_power,
-                                             const obs::ObsSink* obs) {
-  PrecoderConfig cfg;
-  cfg.per_antenna_power = per_antenna_power;
-  Precoder p;
-  if (!p.rebuild_kind(h, cfg, scratch, obs)) return std::nullopt;
-  return p;
 }
 
 bool Precoder::rebuild_kind(const ChannelMatrixSet& h,
@@ -396,17 +368,6 @@ MrtPrecoder MrtPrecoder::build(const std::vector<cvec>& h_per_sc,
     p.w_.push_back(std::move(w));
   }
   return p;
-}
-
-cplx MrtPrecoder::combined_gain(std::size_t used_idx,
-                                const cvec& h_subcarrier) const {
-  const cvec& w = w_.at(used_idx);
-  if (w.size() != h_subcarrier.size()) {
-    throw std::invalid_argument("MrtPrecoder::combined_gain: size mismatch");
-  }
-  cplx acc{};
-  for (std::size_t i = 0; i < w.size(); ++i) acc += h_subcarrier[i] * w[i];
-  return acc;
 }
 
 }  // namespace jmb::core

@@ -72,23 +72,12 @@ class Precoder {
       const ChannelMatrixSet& h, double per_antenna_power = 1.0,
       const obs::ObsSink* obs = nullptr);
 
-  /// Workspace-backed build: the per-subcarrier pseudo-inverses run through
-  /// `ws.pinv` scratch, so a warm workspace makes the build allocation-free
-  /// apart from first-time growth of `w_`. Bitwise-identical to build().
-  [[nodiscard]] static std::optional<Precoder> build(
-      const ChannelMatrixSet& h, Workspace& ws, double per_antenna_power = 1.0,
-      const obs::ObsSink* obs = nullptr);
-
   /// Zoo entry point: build weights for `cfg.kind`. When the channel has
   /// more clients than AP antennas the spatially most separable n_tx users
   /// are greedy-selected first (see greedy_select); selected_users() then
   /// reports who made the cut. With cfg.kind == kZf and n_clients <= n_tx
-  /// this is bitwise-identical to build().
-  [[nodiscard]] static std::optional<Precoder> build_kind(
-      const ChannelMatrixSet& h, const PrecoderConfig& cfg, Workspace& ws,
-      const obs::ObsSink* obs = nullptr);
-
-  /// build_kind with its own scratch (the non-workspace twin of build()).
+  /// this is bitwise-identical to build(). Warm rebuilds go through
+  /// rebuild_kind().
   [[nodiscard]] static std::optional<Precoder> build_kind(
       const ChannelMatrixSet& h, const PrecoderConfig& cfg,
       const obs::ObsSink* obs = nullptr);
@@ -193,16 +182,6 @@ class Precoder {
   [[nodiscard]] std::size_t n_subcarriers() const { return w_.size(); }
 
  private:
-  /// Single implementation behind both build() overloads.
-  [[nodiscard]] static std::optional<Precoder> build_impl(
-      const ChannelMatrixSet& h, PinvScratch& scratch,
-      double per_antenna_power, const obs::ObsSink* obs);
-
-  /// Single implementation behind both build_kind() overloads.
-  [[nodiscard]] static std::optional<Precoder> build_kind_impl(
-      const ChannelMatrixSet& h, const PrecoderConfig& cfg,
-      PinvScratch& scratch, const obs::ObsSink* obs);
-
   /// Shared reduce/expand masked build for any kind.
   [[nodiscard]] static std::optional<Precoder> build_masked_impl(
       const ChannelMatrixSet& h, const PrecoderConfig& cfg,
@@ -237,10 +216,6 @@ class MrtPrecoder {
   [[nodiscard]] const cvec& weights(std::size_t used_idx) const {
     return w_[used_idx];
   }
-
-  /// Post-combining signal amplitude gain per subcarrier: sum_i h_i w_i.
-  [[nodiscard]] cplx combined_gain(std::size_t used_idx,
-                                   const cvec& h_subcarrier) const;
 
  private:
   std::vector<cvec> w_;

@@ -1,6 +1,5 @@
 #include "core/types.h"
 
-#include <stdexcept>
 
 namespace jmb::core {
 
@@ -13,16 +12,6 @@ const std::vector<int>& used_subcarriers() {
     return v;
   }();
   return kUsed;
-}
-
-std::size_t used_index(int logical) {
-  if (logical >= -26 && logical <= -1) {
-    return static_cast<std::size_t>(logical + 26);
-  }
-  if (logical >= 1 && logical <= 26) {
-    return static_cast<std::size_t>(logical + 25);
-  }
-  throw std::invalid_argument("used_index: subcarrier not in use");
 }
 
 ChannelMatrixSet::ChannelMatrixSet(std::size_t n_clients, std::size_t n_tx)

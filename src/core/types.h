@@ -12,10 +12,6 @@ namespace jmb::core {
 /// The 52 used logical subcarriers in ascending order (-26..-1, 1..26).
 [[nodiscard]] const std::vector<int>& used_subcarriers();
 
-/// Index of a logical subcarrier within used_subcarriers(); throws for
-/// DC / out-of-band.
-[[nodiscard]] std::size_t used_index(int logical);
-
 /// One channel matrix per used subcarrier: H[k](client, ap_antenna).
 /// Invariant: size() == used_subcarriers().size() and all matrices share
 /// one shape.

@@ -60,12 +60,4 @@ cvec ifft(cvec x) {
   return x;
 }
 
-cvec fftshift(const cvec& x) {
-  const std::size_t n = x.size();
-  cvec out(n);
-  const std::size_t half = (n + 1) / 2;
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[(i + half) % n];
-  return out;
-}
-
 }  // namespace jmb

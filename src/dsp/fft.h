@@ -21,7 +21,4 @@ void ifft_inplace(cvec& x);
 [[nodiscard]] cvec fft(cvec x);
 [[nodiscard]] cvec ifft(cvec x);
 
-/// Circular shift that moves DC to the middle (plotting / diagnostics).
-[[nodiscard]] cvec fftshift(const cvec& x);
-
 }  // namespace jmb

@@ -36,12 +36,6 @@ void ApCrashInjector::on_edge(const FaultEvent& ev, bool begin,
   }
 }
 
-std::size_t ApCrashInjector::n_down() const {
-  std::size_t n = 0;
-  for (const std::uint8_t d : down_) n += d;
-  return n;
-}
-
 void SyncHeaderInjector::on_edge(const FaultEvent& ev, bool begin,
                                  FaultHost& host) {
   (void)host;

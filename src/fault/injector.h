@@ -70,7 +70,6 @@ class ApCrashInjector final : public Injector {
   [[nodiscard]] bool down(std::size_t ap) const {
     return ap < down_.size() && down_[ap] != 0;
   }
-  [[nodiscard]] std::size_t n_down() const;
 
  private:
   std::vector<std::uint8_t> down_;
@@ -174,7 +173,6 @@ class FaultSession {
   [[nodiscard]] bool ap_down(std::size_t ap) const {
     return crash_.down(ap);
   }
-  [[nodiscard]] std::size_t n_aps_down() const { return crash_.n_down(); }
   [[nodiscard]] bool sync_header_lost(std::size_t ap) {
     return sync_.header_lost(ap, rng_);
   }

@@ -34,14 +34,14 @@ bool set_error(std::string* error, std::string msg) {
   return false;
 }
 
-}  // namespace
-
 std::string_view fault_kind_name(FaultKind k) {
   for (const KindName& kn : kKindNames) {
     if (kn.kind == k) return kn.name;
   }
   return "unknown";
 }
+
+}  // namespace
 
 bool fault_kind_from_name(std::string_view name, FaultKind& out) {
   for (const KindName& kn : kKindNames) {
@@ -232,18 +232,6 @@ FaultPlan FaultPlan::random_crashes(double rate_hz, double duration_s,
       const auto ap = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(n_aps) - 1));
       events.push_back({FaultKind::kApCrash, t, ap, outage_s, 0.0, 1.0});
-    }
-  }
-  return FaultPlan(std::move(events), seed);
-}
-
-FaultPlan FaultPlan::periodic_stale(double first_s, double period_s,
-                                    double stale_s, double duration_s,
-                                    std::uint64_t seed) {
-  std::vector<FaultEvent> events;
-  if (period_s > 0.0 && stale_s > 0.0) {
-    for (double t = first_s; t < duration_s; t += period_s) {
-      events.push_back({FaultKind::kStaleChannel, t, 0, stale_s, 0.0, 1.0});
     }
   }
   return FaultPlan(std::move(events), seed);

@@ -41,8 +41,8 @@ enum class FaultKind {
   kBackhaulDelay,  ///< window: downlink packets delayed by `magnitude` s
 };
 
-[[nodiscard]] std::string_view fault_kind_name(FaultKind k);
-/// Reverse lookup; returns false when `name` matches no kind.
+/// The kind named `name` in a plan file; returns false when `name` matches
+/// no kind.
 [[nodiscard]] bool fault_kind_from_name(std::string_view name, FaultKind& out);
 /// True for kinds whose effect spans [t_s, t_s + duration_s].
 [[nodiscard]] bool fault_kind_is_window(FaultKind k);
@@ -101,17 +101,6 @@ class FaultPlan {
                                                 std::size_t n_aps,
                                                 double outage_s,
                                                 std::uint64_t seed);
-
-  /// Recurring stale-CSI windows: starting at `first_s`, a kStaleChannel
-  /// window of `stale_s` seconds opens every `period_s` until
-  /// `duration_s`. The distribution system re-delivers the previous H
-  /// snapshot inside each window, so every precoder ages by a known
-  /// amount — the fault-side twin of phy::CsiImpairment::staleness.
-  [[nodiscard]] static FaultPlan periodic_stale(double first_s,
-                                               double period_s,
-                                               double stale_s,
-                                               double duration_s,
-                                               std::uint64_t seed = 1);
 
  private:
   std::vector<FaultEvent> events_;

@@ -139,12 +139,6 @@ void ResilienceController::on_recovered(double t_s) {
   }
 }
 
-std::size_t ResilienceController::active_count() const {
-  std::size_t n = 0;
-  for (const std::uint8_t a : active_) n += a;
-  return n;
-}
-
 bool ResilienceController::any_quarantined() const {
   return std::any_of(active_.begin(), active_.end(),
                      [](std::uint8_t a) { return a == 0; });

@@ -93,7 +93,6 @@ class ResilienceController {
   [[nodiscard]] const std::vector<std::uint8_t>& active() const {
     return active_;
   }
-  [[nodiscard]] std::size_t active_count() const;
   [[nodiscard]] bool any_quarantined() const;
 
   /// A quarantine (or probation readmission) happened since the last

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "simd/kernels.h"
@@ -30,18 +29,6 @@ CMatrix CMatrix::identity(std::size_t n) {
   return m;
 }
 
-CMatrix CMatrix::diagonal(const cvec& d) {
-  CMatrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
-CMatrix CMatrix::column(const cvec& v) {
-  CMatrix m(v.size(), 1);
-  for (std::size_t i = 0; i < v.size(); ++i) m(i, 0) = v[i];
-  return m;
-}
-
 void CMatrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
@@ -54,41 +41,6 @@ CMatrix CMatrix::hermitian() const {
     for (std::size_t c = 0; c < cols_; ++c)
       out(c, r) = std::conj((*this)(r, c));
   return out;
-}
-
-CMatrix CMatrix::transpose() const {
-  CMatrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
-CMatrix CMatrix::conj() const {
-  CMatrix out = *this;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(r, c) = std::conj(out(r, c));
-  return out;
-}
-
-CMatrix& CMatrix::operator+=(const CMatrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("CMatrix+: shape mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-CMatrix& CMatrix::operator-=(const CMatrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("CMatrix-: shape mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-CMatrix& CMatrix::operator*=(cplx s) {
-  for (cplx& v : data_) v *= s;
-  return *this;
 }
 
 CMatrix CMatrix::operator*(const CMatrix& rhs) const {
@@ -121,12 +73,6 @@ cvec CMatrix::operator*(const cvec& v) const {
   return out;
 }
 
-double CMatrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (const cplx& v : data_) acc += std::norm(v);
-  return std::sqrt(acc);
-}
-
 double CMatrix::max_abs() const {
   double m = 0.0;
   for (const cplx& v : data_) m = std::max(m, std::abs(v));
@@ -136,12 +82,6 @@ double CMatrix::max_abs() const {
 double CMatrix::row_power(std::size_t r) const {
   double acc = 0.0;
   for (std::size_t c = 0; c < cols_; ++c) acc += std::norm((*this)(r, c));
-  return acc;
-}
-
-double CMatrix::col_power(std::size_t c) const {
-  double acc = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) acc += std::norm((*this)(r, c));
   return acc;
 }
 
@@ -157,25 +97,9 @@ cvec CMatrix::col(std::size_t c) const {
   return out;
 }
 
-void CMatrix::set_row(std::size_t r, const cvec& v) {
-  if (v.size() != cols_) throw std::invalid_argument("set_row: size mismatch");
-  for (std::size_t c = 0; c < cols_; ++c) (*this)(r, c) = v[c];
-}
-
 void CMatrix::set_col(std::size_t c, const cvec& v) {
   if (v.size() != rows_) throw std::invalid_argument("set_col: size mismatch");
   for (std::size_t r = 0; r < rows_; ++r) (*this)(r, c) = v[r];
-}
-
-double CMatrix::max_abs_diff(const CMatrix& other) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("max_abs_diff: shape mismatch");
-  }
-  double m = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::abs(data_[i] - other.data_[i]));
-  }
-  return m;
 }
 
 void multiply_into(const CMatrix& a, const CMatrix& b, CMatrix& out) {
@@ -242,20 +166,6 @@ cplx row_hdot(const CMatrix& a, std::size_t ra, const CMatrix& b,
     acc += std::conj(a(ra, c)) * b(rb, c);
   }
   return acc;
-}
-
-std::string CMatrix::str() const {
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const cplx& v = (*this)(r, c);
-      os << "(" << v.real() << (v.imag() >= 0 ? "+" : "") << v.imag() << "j)";
-      if (c + 1 < cols_) os << ", ";
-    }
-    os << (r + 1 == rows_ ? "]" : ";\n");
-  }
-  return os.str();
 }
 
 }  // namespace jmb

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dsp/types.h"
@@ -24,14 +23,11 @@ class CMatrix {
   /// rows x cols zero matrix.
   CMatrix(std::size_t rows, std::size_t cols);
 
-  /// Build from nested initializer lists; all rows must be equal length.
+  /// Build from nested initializer lists (matrix literals in tests); all
+  /// rows must be equal length.
   CMatrix(std::initializer_list<std::initializer_list<cplx>> rows);
 
   [[nodiscard]] static CMatrix identity(std::size_t n);
-  /// n x n matrix with the given diagonal entries.
-  [[nodiscard]] static CMatrix diagonal(const cvec& d);
-  /// Column vector from a sample run.
-  [[nodiscard]] static CMatrix column(const cvec& v);
 
   /// Reshape to rows x cols and zero every entry. Keeps the underlying
   /// capacity, so repeated resize() to the same (or smaller) shape never
@@ -55,50 +51,22 @@ class CMatrix {
 
   /// Conjugate transpose A^H.
   [[nodiscard]] CMatrix hermitian() const;
-  /// Plain transpose A^T.
-  [[nodiscard]] CMatrix transpose() const;
-  /// Elementwise complex conjugate.
-  [[nodiscard]] CMatrix conj() const;
-
-  CMatrix& operator+=(const CMatrix& rhs);
-  CMatrix& operator-=(const CMatrix& rhs);
-  CMatrix& operator*=(cplx s);
-
-  [[nodiscard]] friend CMatrix operator+(CMatrix a, const CMatrix& b) {
-    return a += b;
-  }
-  [[nodiscard]] friend CMatrix operator-(CMatrix a, const CMatrix& b) {
-    return a -= b;
-  }
-  [[nodiscard]] friend CMatrix operator*(CMatrix a, cplx s) { return a *= s; }
-  [[nodiscard]] friend CMatrix operator*(cplx s, CMatrix a) { return a *= s; }
 
   /// Matrix product; dimensions must agree.
   [[nodiscard]] CMatrix operator*(const CMatrix& rhs) const;
   /// Matrix-vector product; v.size() must equal cols().
   [[nodiscard]] cvec operator*(const cvec& v) const;
 
-  /// Frobenius norm sqrt(sum |a_ij|^2).
-  [[nodiscard]] double frobenius_norm() const;
   /// Largest |a_ij|.
   [[nodiscard]] double max_abs() const;
   /// Squared 2-norm of one row (per-antenna transmit power of a precoder row).
   [[nodiscard]] double row_power(std::size_t r) const;
-  /// Squared 2-norm of one column.
-  [[nodiscard]] double col_power(std::size_t c) const;
 
   /// Extract row r as a vector.
   [[nodiscard]] cvec row(std::size_t r) const;
   /// Extract column c as a vector.
   [[nodiscard]] cvec col(std::size_t c) const;
-  void set_row(std::size_t r, const cvec& v);
   void set_col(std::size_t c, const cvec& v);
-
-  /// Max |a_ij - b_ij|; matrices must be the same shape.
-  [[nodiscard]] double max_abs_diff(const CMatrix& other) const;
-
-  /// Human-readable dump for diagnostics.
-  [[nodiscard]] std::string str() const;
 
  private:
   std::size_t rows_ = 0;

@@ -117,16 +117,6 @@ void Lu::substitute(std::span<const cplx> b, std::span<cplx> x,
   }
 }
 
-void Lu::solve_into(std::span<const cplx> b, std::span<cplx> x,
-                    LuScratch& scratch) const {
-  if (!ok_) throw std::logic_error("Lu::solve on singular matrix");
-  const std::size_t n = lu_.rows();
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("Lu::solve: size mismatch");
-  }
-  substitute(b, x, scratch);
-}
-
 void Lu::inverse_into(CMatrix& out, LuScratch& scratch) const {
   if (!ok_) throw std::logic_error("Lu::solve on singular matrix");
   const std::size_t n = lu_.rows();
@@ -168,12 +158,6 @@ std::optional<CMatrix> inverse(const CMatrix& a) {
   const Lu lu(a);
   if (!lu.ok()) return std::nullopt;
   return lu.inverse();
-}
-
-std::optional<cvec> solve(const CMatrix& a, const cvec& b) {
-  const Lu lu(a);
-  if (!lu.ok()) return std::nullopt;
-  return lu.solve(b);
 }
 
 }  // namespace jmb

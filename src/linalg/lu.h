@@ -43,11 +43,6 @@ class Lu {
   /// A^{-1}. Requires ok().
   [[nodiscard]] CMatrix inverse() const;
 
-  /// Solve A x = b into a caller-owned span (x.size() == b.size() == n).
-  /// `b` and `x` may alias only fully (same span). Requires ok().
-  void solve_into(std::span<const cplx> b, std::span<cplx> x,
-                  LuScratch& scratch) const;
-
   /// A^{-1} into a preallocated matrix. Requires ok(). Bitwise-identical
   /// to inverse().
   void inverse_into(CMatrix& out, LuScratch& scratch) const;
@@ -63,8 +58,5 @@ class Lu {
 
 /// Convenience: A^{-1} or nullopt if singular.
 [[nodiscard]] std::optional<CMatrix> inverse(const CMatrix& a);
-
-/// Convenience: solve A x = b or nullopt if singular.
-[[nodiscard]] std::optional<cvec> solve(const CMatrix& a, const cvec& b);
 
 }  // namespace jmb

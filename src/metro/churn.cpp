@@ -166,10 +166,4 @@ bool CellChurn::active(std::size_t user, double t_s) const {
   return std::prev(pos)->attach;
 }
 
-std::size_t CellChurn::active_count(double t_s) const {
-  std::size_t n = 0;
-  for (std::size_t u = 0; u < per_user_.size(); ++u) n += active(u, t_s);
-  return n;
-}
-
 }  // namespace jmb::metro

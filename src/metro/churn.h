@@ -72,7 +72,6 @@ class CellChurn {
 
   /// Is user slot `user` attached at virtual time t?
   [[nodiscard]] bool active(std::size_t user, double t_s) const;
-  [[nodiscard]] std::size_t active_count(double t_s) const;
 
   /// Hand-off arrival instants (sorted): each newcomer forces a channel
   /// re-measurement epoch (MacParams::remeasure_at).

@@ -1,7 +1,6 @@
 #include "net/queue.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace jmb::net {
 
@@ -44,12 +43,6 @@ std::size_t DownlinkQueue::head_client() const {
     }
   }
   return best;
-}
-
-const Packet& DownlinkQueue::head() const {
-  const std::size_t c = head_client();
-  if (c == kNpos) throw std::logic_error("DownlinkQueue::head: empty");
-  return subs_[c].front().pkt;
 }
 
 std::vector<Packet> DownlinkQueue::pop_joint(std::size_t max_streams) {
@@ -104,10 +97,6 @@ const Packet* DownlinkQueue::front_of(std::size_t client) const {
   return &subs_[client].front().pkt;
 }
 
-std::size_t DownlinkQueue::backlog(std::size_t client) const {
-  return client < subs_.size() ? subs_[client].size() : 0;
-}
-
 std::size_t DownlinkQueue::pop_aggregate_into(std::size_t client,
                                               const AggLimits& lim,
                                               std::vector<Packet>& out) {
@@ -128,14 +117,6 @@ std::size_t DownlinkQueue::pop_aggregate_into(std::size_t client,
     --size_;
   }
   return bytes;
-}
-
-AggFrame DownlinkQueue::pop_aggregate(std::size_t client,
-                                      const AggLimits& lim) {
-  AggFrame frame;
-  frame.client = client;
-  frame.total_bytes = pop_aggregate_into(client, lim, frame.mpdus);
-  return frame;
 }
 
 }  // namespace jmb::net

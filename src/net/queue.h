@@ -42,14 +42,6 @@ struct AggLimits {
   std::size_t max_bytes = static_cast<std::size_t>(-1);
 };
 
-/// One client's aggregated allocation within a (joint) transmission: a
-/// front run of its subqueue, in arrival order.
-struct AggFrame {
-  std::size_t client = 0;
-  std::vector<Packet> mpdus;
-  std::size_t total_bytes = 0;  ///< sum of mpdu payload bytes
-};
-
 class DownlinkQueue {
  public:
   void push(Packet p);
@@ -61,9 +53,6 @@ class DownlinkQueue {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  /// Globally oldest packet. Throws std::logic_error on an empty queue
-  /// (reading a dangling reference would be UB).
-  [[nodiscard]] const Packet& head() const;
 
   /// Pop the head packet plus up to max_streams-1 further packets for
   /// *distinct other clients* (first match per client, preserving order) —
@@ -83,19 +72,12 @@ class DownlinkQueue {
   /// Oldest queued packet for `client`, or nullptr when it has none.
   [[nodiscard]] const Packet* front_of(std::size_t client) const;
 
-  /// Queued packets for `client`.
-  [[nodiscard]] std::size_t backlog(std::size_t client) const;
-
   /// Pop a front run of `client`'s subqueue: up to lim.max_frames packets
   /// whose payload bytes fit lim.max_bytes (the first packet is always
   /// taken), appended to `out`. Returns their payload bytes; an empty
   /// subqueue appends nothing and returns 0.
   std::size_t pop_aggregate_into(std::size_t client, const AggLimits& lim,
                                  std::vector<Packet>& out);
-
-  /// pop_aggregate_into as one AggFrame.
-  [[nodiscard]] AggFrame pop_aggregate(std::size_t client,
-                                       const AggLimits& lim);
 
  private:
   /// Per-client subqueue; packets kept in ascending seq order, so front()

@@ -35,7 +35,7 @@ class Scheduler {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Pick up to max_streams distinct backlogged clients, in stream order.
-  /// `q` exposes the candidates via clients_fifo()/front_of()/backlog();
+  /// `q` exposes the candidates via clients_fifo()/front_of();
   /// selections of unqueued clients are ignored by the caller.
   [[nodiscard]] virtual std::vector<std::size_t> select(
       const DownlinkQueue& q, std::size_t max_streams, double now,

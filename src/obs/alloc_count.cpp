@@ -63,8 +63,6 @@ void set_alloc_counting(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-bool alloc_counting_enabled() { return counting(); }
-
 void reset_alloc_counts() {
   g_allocs.store(0, std::memory_order_relaxed);
   g_deallocs.store(0, std::memory_order_relaxed);
@@ -75,16 +73,6 @@ AllocCounts alloc_counts() {
   return {g_allocs.load(std::memory_order_relaxed),
           g_deallocs.load(std::memory_order_relaxed),
           g_bytes.load(std::memory_order_relaxed)};
-}
-
-void export_alloc_metrics(MetricRegistry& reg) {
-  const AllocCounts c = alloc_counts();
-  reg.gauge("alloc/new_calls", MetricClass::kTiming)
-      .set(static_cast<double>(c.allocs));
-  reg.gauge("alloc/delete_calls", MetricClass::kTiming)
-      .set(static_cast<double>(c.deallocs));
-  reg.gauge("alloc/bytes", MetricClass::kTiming)
-      .set(static_cast<double>(c.bytes));
 }
 
 }  // namespace jmb::obs

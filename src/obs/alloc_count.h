@@ -14,8 +14,6 @@
 
 #include <cstdint>
 
-#include "obs/registry.h"
-
 namespace jmb::obs {
 
 /// Snapshot of the global allocation counters.
@@ -28,18 +26,10 @@ struct AllocCounts {
 /// Turn counting on/off. Thread-safe; affects all threads.
 void set_alloc_counting(bool on);
 
-/// True while counting is enabled (explicitly or via JMB_COUNT_ALLOCS).
-[[nodiscard]] bool alloc_counting_enabled();
-
 /// Zero all counters.
 void reset_alloc_counts();
 
 /// Read the counters (racy snapshots are fine: each field is atomic).
 [[nodiscard]] AllocCounts alloc_counts();
-
-/// Record the current counters as kTiming gauges (alloc/new_calls,
-/// alloc/delete_calls, alloc/bytes) so a run's allocation profile rides
-/// along in --metrics-timing exports without touching physics output.
-void export_alloc_metrics(MetricRegistry& reg);
 
 }  // namespace jmb::obs

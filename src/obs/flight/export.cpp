@@ -183,12 +183,6 @@ std::string trigger_dump(const char* reason) {
   return path;
 }
 
-std::size_t dumps_written() {
-  DumpState& st = dump_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  return st.written;
-}
-
 void set_dump_dir_for_test(std::string dir) {
   DumpState& st = dump_state();
   std::lock_guard<std::mutex> lock(st.mu);

@@ -35,9 +35,6 @@ bool write_chrome_trace_file(const std::string& path, std::size_t last_n = 0);
 /// trace metadata instant, so a dump directory tells the story by itself.
 std::string trigger_dump(const char* reason);
 
-/// Dumps written so far this process (test/report hook).
-[[nodiscard]] std::size_t dumps_written();
-
 /// Test hooks: override the dump directory (empty string restores the
 /// environment-driven default) and reset the dump budget.
 void set_dump_dir_for_test(std::string dir);

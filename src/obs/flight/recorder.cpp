@@ -167,12 +167,4 @@ void instant(std::string_view name, std::uint64_t flow, std::uint64_t value) {
   }
 }
 
-SpanScope::SpanScope(std::string_view name, std::uint64_t flow)
-    : ring_(FlightRecorder::instance().local_ring()), flow_(flow) {
-  if (ring_ != nullptr) {
-    name_ = FlightRecorder::instance().intern(name);
-    t0_ = now_ticks();
-  }
-}
-
 }  // namespace jmb::obs::flight

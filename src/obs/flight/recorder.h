@@ -221,7 +221,6 @@ class SpanScope {
         name_(name),
         flow_(flow),
         t0_(ring_ ? now_ticks() : 0) {}
-  explicit SpanScope(std::string_view name, std::uint64_t flow = kNoFlow);
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
   ~SpanScope() {

@@ -1,6 +1,5 @@
 #include "phy/bits.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace jmb::phy {
@@ -25,15 +24,6 @@ ByteVec bits_to_bytes(const BitVec& bits) {
     if (bits[i] & 1u) bytes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
   }
   return bytes;
-}
-
-std::size_t hamming_distance(const BitVec& a, const BitVec& b) {
-  const std::size_t n = std::min(a.size(), b.size());
-  std::size_t d = (a.size() > b.size() ? a.size() : b.size()) - n;
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((a[i] ^ b[i]) & 1u) ++d;
-  }
-  return d;
 }
 
 }  // namespace jmb::phy

@@ -1,18 +1,19 @@
 // Byte/bit conversions (802.11 serializes bytes LSB-first).
 #pragma once
 
-#include "phy/crc32.h"      // ByteVec
+#include <cstdint>
+#include <vector>
+
 #include "phy/scrambler.h"  // BitVec
 
 namespace jmb::phy {
+
+using ByteVec = std::vector<std::uint8_t>;
 
 /// Bytes -> bits, LSB of each byte first.
 [[nodiscard]] BitVec bytes_to_bits(const ByteVec& bytes);
 
 /// Bits -> bytes; size must be a multiple of 8.
 [[nodiscard]] ByteVec bits_to_bytes(const BitVec& bits);
-
-/// Number of differing bits (diagnostics / BER counting).
-[[nodiscard]] std::size_t hamming_distance(const BitVec& a, const BitVec& b);
 
 }  // namespace jmb::phy

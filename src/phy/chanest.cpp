@@ -33,12 +33,6 @@ double ChannelEstimate::mean_gain_power() const {
   return n ? acc / n : 0.0;
 }
 
-double ChannelEstimate::mean_phase() const {
-  cplx acc{};
-  for_used([&](int k) { acc += h[bin_of(k)]; });
-  return std::arg(acc);
-}
-
 void ChannelEstimate::rotate(double phi) {
   const cplx r = phasor(phi);
   for (cplx& v : h) v *= r;

@@ -26,10 +26,6 @@ struct ChannelEstimate {
   /// Mean gain power over the used subcarriers.
   [[nodiscard]] double mean_gain_power() const;
 
-  /// Average phase (power-weighted) over used subcarriers — the scalar
-  /// phase JMB slaves compare between h_lead(t) and h_lead(0).
-  [[nodiscard]] double mean_phase() const;
-
   /// Rotate every subcarrier by e^{j phi}.
   void rotate(double phi);
 

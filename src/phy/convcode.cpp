@@ -87,11 +87,4 @@ void depuncture_into(std::span<const double> llr, std::size_t n_info,
   }
 }
 
-std::vector<double> depuncture(const std::vector<double>& llr,
-                               std::size_t n_info, CodeRate rate) {
-  std::vector<double> out;
-  depuncture_into(llr, n_info, rate, out);
-  return out;
-}
-
 }  // namespace jmb::phy

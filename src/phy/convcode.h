@@ -29,14 +29,10 @@ constexpr unsigned kGenB = 0b1111001;
 /// Number of coded bits after puncturing `n_in` information bits.
 [[nodiscard]] std::size_t punctured_length(std::size_t n_in, CodeRate rate);
 
-/// Re-insert erasures (LLR 0) where puncturing removed bits, returning a
-/// soft stream aligned with the mother code. `llr.size()` must equal
-/// punctured_length(n_info, rate).
-[[nodiscard]] std::vector<double> depuncture(const std::vector<double>& llr,
-                                             std::size_t n_info, CodeRate rate);
-
-/// depuncture() into a reused vector (resized/zeroed in place;
-/// allocation-free once the buffer is warm).
+/// Re-insert erasures (LLR 0) where puncturing removed bits, into a soft
+/// stream aligned with the mother code. `llr.size()` must equal
+/// punctured_length(n_info, rate). `out` is resized/zeroed in place, so
+/// the call is allocation-free once the buffer is warm.
 void depuncture_into(std::span<const double> llr, std::size_t n_info,
                      CodeRate rate, std::vector<double>& out);
 

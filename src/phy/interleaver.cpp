@@ -52,16 +52,6 @@ BitVec interleave(const BitVec& bits, const Mcs& mcs) {
   return out;
 }
 
-BitVec deinterleave(const BitVec& bits, const Mcs& mcs) {
-  if (bits.size() != mcs.n_cbps()) {
-    throw std::invalid_argument("deinterleave: need exactly n_cbps bits");
-  }
-  const auto& perm = cached_interleave_permutation(mcs);
-  BitVec out(bits.size());
-  for (std::size_t k = 0; k < bits.size(); ++k) out[k] = bits[perm[k]];
-  return out;
-}
-
 void deinterleave_soft_into(std::span<const double> llr, const Mcs& mcs,
                             std::vector<double>& out) {
   if (llr.size() != mcs.n_cbps()) {

@@ -14,10 +14,7 @@ namespace jmb::phy {
 /// Interleave one OFDM symbol of coded bits (size must equal n_cbps).
 [[nodiscard]] BitVec interleave(const BitVec& bits, const Mcs& mcs);
 
-/// Inverse permutation on hard bits.
-[[nodiscard]] BitVec deinterleave(const BitVec& bits, const Mcs& mcs);
-
-/// Inverse permutation on soft values (LLRs), same indices.
+/// Inverse permutation on soft values (LLRs).
 [[nodiscard]] std::vector<double> deinterleave_soft(
     const std::vector<double>& llr, const Mcs& mcs);
 

@@ -125,12 +125,6 @@ void demodulate_hard_into(std::span<const cplx> symbols, Modulation m,
   }
 }
 
-BitVec demodulate_hard(const cvec& symbols, Modulation m) {
-  BitVec out;
-  demodulate_hard_into(symbols, m, out);
-  return out;
-}
-
 void demodulate_soft_into(std::span<const cplx> symbols, Modulation m,
                           std::span<const double> noise_var_per_symbol,
                           std::vector<double>& out) {

@@ -21,9 +21,6 @@ namespace jmb::phy {
 /// Map bits (size divisible by bits_per_symbol) to symbols, MSB first.
 [[nodiscard]] cvec modulate(const BitVec& bits, Modulation m);
 
-/// Nearest-point hard decision back to bits.
-[[nodiscard]] BitVec demodulate_hard(const cvec& symbols, Modulation m);
-
 /// Exact max-log LLRs: for each bit, llr = (min_{b=1} d^2 - min_{b=0} d^2)
 /// / noise_var, positive when bit 0 is more likely — matching the Viterbi
 /// decoder's convention. `noise_var` scales confidence; per-symbol noise
@@ -42,8 +39,9 @@ namespace jmb::phy {
 void modulate_into(std::span<const std::uint8_t> bits, Modulation m,
                    std::span<cplx> out);
 
-/// demodulate_hard() into a reused vector (cleared first; capacity kept,
-/// so the call is allocation-free once the buffer is warm).
+/// Nearest-point hard decision back to bits, into a reused vector
+/// (cleared first; capacity kept, so the call is allocation-free once the
+/// buffer is warm).
 void demodulate_hard_into(std::span<const cplx> symbols, Modulation m,
                           BitVec& out);
 

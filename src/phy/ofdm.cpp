@@ -67,67 +67,4 @@ cvec ofdm_modulate(const cvec& freq_symbol) {
   return out;
 }
 
-void ofdm_demodulate_into(std::span<const cplx> time_symbol,
-                          std::span<cplx> freq, std::size_t cp_skip) {
-  if (time_symbol.size() < kSymbolLen) {
-    throw std::invalid_argument("ofdm_demodulate: need kSymbolLen samples");
-  }
-  if (cp_skip > kCpLen) {
-    throw std::invalid_argument("ofdm_demodulate: cp_skip beyond the CP");
-  }
-  if (freq.size() != kNfft) {
-    throw std::invalid_argument("ofdm_demodulate: need a kNfft output");
-  }
-  std::copy(time_symbol.begin() + static_cast<std::ptrdiff_t>(cp_skip),
-            time_symbol.begin() + static_cast<std::ptrdiff_t>(cp_skip + kNfft),
-            freq.begin());
-  plan64().forward(freq);
-}
-
-cvec ofdm_demodulate(const cvec& time_symbol, std::size_t cp_skip) {
-  cvec freq(kNfft);
-  ofdm_demodulate_into(time_symbol, freq, cp_skip);
-  return freq;
-}
-
-void extract_data_into(std::span<const cplx> freq_symbol,
-                       std::span<cplx> out) {
-  if (freq_symbol.size() != kNfft) {
-    throw std::invalid_argument("extract_data: need kNfft values");
-  }
-  if (out.size() != kNumDataCarriers) {
-    throw std::invalid_argument("extract_data: need a 48-entry output");
-  }
-  const auto& dc = data_carriers();
-  for (std::size_t i = 0; i < kNumDataCarriers; ++i) {
-    out[i] = freq_symbol[bin_of(dc[i])];
-  }
-}
-
-cvec extract_data(const cvec& freq_symbol) {
-  cvec out(kNumDataCarriers);
-  extract_data_into(freq_symbol, out);
-  return out;
-}
-
-void extract_pilots_into(std::span<const cplx> freq_symbol,
-                         std::span<cplx> out) {
-  if (freq_symbol.size() != kNfft) {
-    throw std::invalid_argument("extract_pilots: need kNfft values");
-  }
-  if (out.size() != kNumPilots) {
-    throw std::invalid_argument("extract_pilots: need a 4-entry output");
-  }
-  const auto& pc = pilot_carriers();
-  for (std::size_t i = 0; i < kNumPilots; ++i) {
-    out[i] = freq_symbol[bin_of(pc[i])];
-  }
-}
-
-cvec extract_pilots(const cvec& freq_symbol) {
-  cvec out(kNumPilots);
-  extract_pilots_into(freq_symbol, out);
-  return out;
-}
-
 }  // namespace jmb::phy

@@ -1,11 +1,11 @@
-// OFDM symbol assembly: subcarrier mapping, IFFT + cyclic prefix on the
-// transmit side; FFT + subcarrier extraction on the receive side.
+// OFDM symbol assembly on the transmit side: subcarrier mapping, then
+// IFFT + cyclic prefix. The receiver strips the prefix, transforms and
+// reads the subcarriers back inside its own per-symbol loop
+// (phy/receiver.cpp).
 //
-// Each operation exists twice: an allocating convenience API (below) and a
-// `_into` span kernel that writes caller-owned buffers (typically from the
-// per-trial jmb::Workspace) without touching the heap. The convenience
-// APIs are thin wrappers over the kernels, so there is a single
-// implementation of the arithmetic and results are bitwise identical.
+// The allocating functions wrap the `_into` span kernels, which write
+// caller-owned buffers (typically from the per-trial jmb::Workspace)
+// without touching the heap, so results are bitwise identical.
 #pragma once
 
 #include <span>
@@ -23,21 +23,6 @@ namespace jmb::phy {
 /// IFFT + cyclic prefix: kNfft-point frequency symbol -> kSymbolLen samples.
 [[nodiscard]] cvec ofdm_modulate(const cvec& freq_symbol);
 
-/// Strip CP and FFT: kSymbolLen samples -> kNfft frequency-domain values.
-/// `cp_skip` positions the FFT window inside the CP (a small back-off makes
-/// the receiver robust to +-few-sample timing error at the cost of a phase
-/// ramp the channel estimate absorbs).
-[[nodiscard]] cvec ofdm_demodulate(const cvec& time_symbol,
-                                   std::size_t cp_skip = kCpLen);
-
-/// Extract the 48 data subcarriers from a frequency-domain symbol.
-[[nodiscard]] cvec extract_data(const cvec& freq_symbol);
-
-/// Extract the 4 pilot subcarriers.
-[[nodiscard]] cvec extract_pilots(const cvec& freq_symbol);
-
-// ---- Allocation-free span kernels ----------------------------------------
-
 /// map_subcarriers() into a caller-owned kNfft span (zeroed here first).
 void map_subcarriers_into(std::span<const cplx> data48,
                           std::size_t symbol_index, std::span<cplx> freq);
@@ -47,18 +32,5 @@ void map_subcarriers_into(std::span<const cplx> data48,
 /// alias `freq_symbol`.
 void ofdm_modulate_into(std::span<const cplx> freq_symbol,
                         std::span<cplx> out);
-
-/// ofdm_demodulate() into a caller-owned kNfft span. `freq` must not
-/// alias `time_symbol`.
-void ofdm_demodulate_into(std::span<const cplx> time_symbol,
-                          std::span<cplx> freq, std::size_t cp_skip = kCpLen);
-
-/// extract_data() into a caller-owned kNumDataCarriers span.
-void extract_data_into(std::span<const cplx> freq_symbol,
-                       std::span<cplx> out);
-
-/// extract_pilots() into a caller-owned kNumPilots span.
-void extract_pilots_into(std::span<const cplx> freq_symbol,
-                         std::span<cplx> out);
 
 }  // namespace jmb::phy

@@ -52,34 +52,6 @@ std::size_t bits_per_symbol(Modulation m) {
   throw std::logic_error("bits_per_symbol: bad modulation");
 }
 
-std::string to_string(Modulation m) {
-  switch (m) {
-    case Modulation::kBpsk: return "BPSK";
-    case Modulation::kQpsk: return "QPSK";
-    case Modulation::kQam16: return "16-QAM";
-    case Modulation::kQam64: return "64-QAM";
-  }
-  return "?";
-}
-
-double code_rate_value(CodeRate r) {
-  switch (r) {
-    case CodeRate::kHalf: return 0.5;
-    case CodeRate::kTwoThirds: return 2.0 / 3.0;
-    case CodeRate::kThreeQuarters: return 0.75;
-  }
-  throw std::logic_error("code_rate_value: bad rate");
-}
-
-std::string to_string(CodeRate r) {
-  switch (r) {
-    case CodeRate::kHalf: return "1/2";
-    case CodeRate::kTwoThirds: return "2/3";
-    case CodeRate::kThreeQuarters: return "3/4";
-  }
-  return "?";
-}
-
 std::size_t Mcs::n_dbps() const {
   // N_CBPS * code rate; all combinations used by 802.11 divide exactly.
   const std::size_t cbps = n_cbps();
@@ -89,17 +61,6 @@ std::size_t Mcs::n_dbps() const {
     case CodeRate::kThreeQuarters: return cbps * 3 / 4;
   }
   throw std::logic_error("n_dbps: bad rate");
-}
-
-double Mcs::rate_mbps(double bandwidth_hz) const {
-  // Symbol duration scales inversely with bandwidth: 4us at 20 MHz,
-  // 8us at 10 MHz.
-  const double sym_s = static_cast<double>(kSymbolLen) / bandwidth_hz;
-  return static_cast<double>(n_dbps()) / sym_s / 1e6;
-}
-
-std::string Mcs::name() const {
-  return to_string(modulation) + " " + to_string(code_rate);
 }
 
 const std::vector<Mcs>& rate_set() {

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "dsp/types.h"
@@ -50,13 +49,9 @@ constexpr std::size_t kPreambleLen = kStfLen + kLtfLen;  // 320 samples
 enum class Modulation { kBpsk, kQpsk, kQam16, kQam64 };
 
 [[nodiscard]] std::size_t bits_per_symbol(Modulation m);
-[[nodiscard]] std::string to_string(Modulation m);
 
 /// Convolutional code rates after puncturing.
 enum class CodeRate { kHalf, kTwoThirds, kThreeQuarters };
-
-[[nodiscard]] double code_rate_value(CodeRate r);
-[[nodiscard]] std::string to_string(CodeRate r);
 
 /// One entry of the 802.11 OFDM rate set.
 struct Mcs {
@@ -73,11 +68,6 @@ struct Mcs {
   }
   /// Data bits per OFDM symbol (N_DBPS).
   [[nodiscard]] std::size_t n_dbps() const;
-
-  /// PHY bit rate in Mb/s for the given channel bandwidth.
-  [[nodiscard]] double rate_mbps(double bandwidth_hz) const;
-
-  [[nodiscard]] std::string name() const;
 
   friend bool operator==(const Mcs&, const Mcs&) = default;
 };

@@ -181,11 +181,4 @@ void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
   }
 }
 
-cvec correct_cfo(const cvec& x, double cfo_hz, double sample_rate_hz,
-                 double n0) {
-  cvec out(x.size());
-  correct_cfo_into(x, cfo_hz, sample_rate_hz, n0, out);
-  return out;
-}
-
 }  // namespace jmb::phy

@@ -54,13 +54,9 @@ struct Detection {
 /// used to disambiguate the two identical LTF repetitions.
 [[nodiscard]] double ltf_metric_at(const cvec& rx, std::size_t pos);
 
-/// Remove a frequency offset: y[n] = x[n] * e^{-j 2 pi f (n + n0) / fs}.
-[[nodiscard]] cvec correct_cfo(const cvec& x, double cfo_hz,
-                               double sample_rate_hz, double n0 = 0.0);
-
-/// correct_cfo() into a caller-owned span of exactly x.size() entries.
-/// `out` may alias `x` (the transform is elementwise). The allocating API
-/// wraps this kernel, so results are bitwise identical.
+/// Remove a frequency offset: out[n] = x[n] * e^{-j 2 pi f (n + n0) / fs},
+/// into a caller-owned span of exactly x.size() entries. `out` may alias
+/// `x` (the transform is elementwise).
 void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
                       double sample_rate_hz, double n0, std::span<cplx> out);
 

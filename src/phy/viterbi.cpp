@@ -145,13 +145,4 @@ BitVec viterbi_decode(const std::vector<double>& llr, std::size_t n_info,
   return bits;
 }
 
-BitVec viterbi_decode_hard(const BitVec& coded, std::size_t n_info,
-                           bool terminated) {
-  std::vector<double> llr(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    llr[i] = coded[i] ? -1.0 : 1.0;
-  }
-  return viterbi_decode(llr, n_info, terminated);
-}
-
 }  // namespace jmb::phy

@@ -24,9 +24,9 @@ struct ViterbiScratch {
 /// Decode `2*n_info` mother-rate soft bits into `n_info` information bits.
 ///
 /// LLR convention: llr[i] = log P(bit=0)/P(bit=1); 0 is an erasure (as
-/// produced by depuncture()). If `terminated` is true the trellis is forced
-/// to end in the all-zero state (the framer always appends 6 zero tail
-/// bits), otherwise the best end state wins.
+/// produced by depuncture_into()). If `terminated` is true the trellis is
+/// forced to end in the all-zero state (the framer always appends 6 zero
+/// tail bits), otherwise the best end state wins.
 [[nodiscard]] BitVec viterbi_decode(const std::vector<double>& llr,
                                     std::size_t n_info,
                                     bool terminated = true);
@@ -37,10 +37,5 @@ struct ViterbiScratch {
 void viterbi_decode_into(std::span<const double> llr, std::size_t n_info,
                          bool terminated, ViterbiScratch& scratch,
                          BitVec& out);
-
-/// Hard-decision convenience wrapper: bits -> +-1 LLRs -> decode.
-[[nodiscard]] BitVec viterbi_decode_hard(const BitVec& coded,
-                                         std::size_t n_info,
-                                         bool terminated = true);
 
 }  // namespace jmb::phy

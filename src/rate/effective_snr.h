@@ -18,18 +18,14 @@
 
 namespace jmb::rate {
 
-/// Effective SNR (linear) for a constellation given per-subcarrier SNRs.
-/// Throws std::invalid_argument on no subcarriers or a NaN SNR (naming the
-/// subcarrier).
-[[nodiscard]] double effective_snr(phy::Modulation m,
-                                   const rvec& subcarrier_snr);
+// The effective SNR of per-subcarrier SNRs (linear) for a constellation
+// is snr_for_ber(m, t) at their mean BER t, clamped to [1e-15, 0.499];
+// EffectiveSnrs::db returns it in dB, exactly. Every entry point below
+// throws std::invalid_argument on no subcarriers or a NaN SNR (naming the
+// subcarrier).
 
-/// Effective SNR in dB from per-subcarrier SNRs in linear units.
-[[nodiscard]] double effective_snr_db(phy::Modulation m,
-                                      const rvec& subcarrier_snr);
-
-/// A certified bracket on effective_snr_db(m, subcarrier_snr): the exact
-/// double lies in [lo_db, hi_db]. Either a narrow certified bracket
+/// A certified bracket on the effective SNR in dB: the exact double lies
+/// in [lo_db, hi_db]. Either a narrow certified bracket
 /// (~8.7e-5 dB wide) or, with `exact`, the exact double itself (lo_db ==
 /// hi_db). Rate and delivery decisions need only the bracket unless a
 /// threshold or a delivery draw falls inside it. 24 bytes.
@@ -86,9 +82,8 @@ inline constexpr double kMeanBerFloor = 2e-33;     ///< α, absolute
 static_assert(kMeanBerTolerance >= 100 * kErfcTableRemainder);
 
 /// An interval [lo, hi] that contains the unclamped mean BER over the
-/// subcarriers (the target of effective_snr before its clamp to
-/// [1e-15, 0.499]) as effective_snr computes it: t̃(1 ∓ η) ∓ α from the
-/// erfc_sqrt kernel. Throws as effective_snr does.
+/// subcarriers (the effective SNR's target before its clamp to
+/// [1e-15, 0.499]): t̃(1 ∓ η) ∓ α from the erfc_sqrt kernel.
 struct MeanBerInterval {
   double lo = 0.0;
   double hi = 0.0;
@@ -96,12 +91,12 @@ struct MeanBerInterval {
 [[nodiscard]] MeanBerInterval mean_ber_interval(phy::Modulation m,
                                                 const rvec& subcarrier_snr);
 
-/// The certified bracket of effective_snr_db(m, subcarrier_snr): the
+/// The certified bracket of the effective SNR in dB: the
 /// clamped mean_ber_interval, the closed-form root estimate at its centre,
 /// and two certifying ber() calls against its ends. When that certificate
 /// fails, or the bracket leaves snr_for_ber's domain (1e-6, 1e9), computes
 /// the exact mean BER (one ber() call per subcarrier), runs the bisection
-/// and returns the exact double (`exact`). Throws as effective_snr does.
+/// and returns the exact double (`exact`).
 [[nodiscard]] EffectiveSnrBound effective_snr_bound(
     phy::Modulation m, const rvec& subcarrier_snr);
 
@@ -136,10 +131,9 @@ class EffectiveSnrMemo {
   [[nodiscard]] static std::size_t slot(const rvec& subcarrier_snr);
 
   /// effective_snr_bound(m, subcarrier_snr), or with `exact` the exact
-  /// double (effective_snr_db), computed only if slot `slot` (=
-  /// slot(subcarrier_snr)) does not already hold it; an exact value
-  /// replaces a held bracket. Throws as effective_snr does; a throw leaves
-  /// the memo unchanged.
+  /// double, computed only if slot `slot` (= slot(subcarrier_snr)) does
+  /// not already hold it; an exact value replaces a held bracket. A throw
+  /// leaves the memo unchanged.
   [[nodiscard]] EffectiveSnrBound bound(phy::Modulation m,
                                         const rvec& subcarrier_snr,
                                         std::size_t slot, bool exact = false);
@@ -182,7 +176,7 @@ class EffectiveSnrs {
   /// effective_snr_bound(m, ...) of the held SNRs, priced on first use.
   [[nodiscard]] const EffectiveSnrBound& bound(phy::Modulation m);
 
-  /// effective_snr_db(m, ...) of the held SNRs, exactly: settles the
+  /// The effective SNR in dB of the held SNRs, exactly: settles the
   /// bracket (and the memo's copy) if it is not exact yet, and prices no
   /// bracket on first use.
   [[nodiscard]] double db(phy::Modulation m);

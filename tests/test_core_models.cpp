@@ -387,6 +387,10 @@ ChannelMatrixSet reference_channel_set(
   return h;
 }
 
+void set_row(CMatrix& m, std::size_t r, const cvec& v) {
+  for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = v[c];
+}
+
 ChannelMatrixSet reference_well_conditioned(
     const std::vector<std::vector<double>>& gains, Rng& rng) {
   const std::size_t nc = gains.size();
@@ -413,13 +417,13 @@ ChannelMatrixSet reference_well_conditioned(
       }
       const double s = norm2 > 1e-30 ? std::sqrt(target / norm2) : 0.0;
       for (cplx& v : row) v *= s;
-      m.set_row(c, row);
+      set_row(m, c, row);
       if (c + 1 < nc) {
         cvec unit = row;
         const double inv =
             std::sqrt(target) > 1e-30 ? 1.0 / std::sqrt(target) : 0.0;
         for (cplx& v : unit) v *= inv;
-        m.set_row(c, unit);
+        set_row(m, c, unit);
       }
     }
     for (std::size_t c = 0; c < nc; ++c) {
@@ -432,7 +436,7 @@ ChannelMatrixSet reference_well_conditioned(
       for (const cplx& v : row) norm2 += std::norm(v);
       const double s = norm2 > 1e-30 ? std::sqrt(target / norm2) : 0.0;
       for (cplx& v : row) v *= s;
-      m.set_row(c, row);
+      set_row(m, c, row);
     }
   }
   return h;

@@ -365,16 +365,17 @@ TEST(Compat11n, JointBeatsBaselinePerStream) {
     EXPECT_TRUE(rate::select_rate(s).has_value());
   }
   // Baseline gets only 2 concurrent streams (one client at a time); the
-  // JMB aggregate rate must exceed the baseline's time-shared aggregate.
+  // JMB aggregate rate (data bits per symbol, proportional to the PHY
+  // rate) must exceed the baseline's time-shared aggregate.
   double jmb_rate = 0.0, base_rate = 0.0;
   for (const rvec& s : r.jmb_stream_sinr) {
     if (const auto ri = rate::select_rate(s)) {
-      jmb_rate += phy::rate_set()[*ri].rate_mbps(20e6);
+      jmb_rate += static_cast<double>(phy::rate_set()[*ri].n_dbps());
     }
   }
   for (const rvec& s : r.baseline_stream_snr) {
     if (const auto ri = rate::select_rate(s)) {
-      base_rate += phy::rate_set()[*ri].rate_mbps(20e6);
+      base_rate += static_cast<double>(phy::rate_set()[*ri].n_dbps());
     }
   }
   base_rate /= 2.0;  // two clients time-share the medium

@@ -123,23 +123,6 @@ TEST(Fft, LinearityProperty) {
   }
 }
 
-TEST(Fft, FftShiftMovesDcToCenter) {
-  cvec x(8);
-  for (std::size_t i = 0; i < 8; ++i) x[i] = static_cast<double>(i);
-  const cvec s = fftshift(x);
-  EXPECT_NEAR(s[4].real(), 0.0, kTol);  // DC (index 0) lands at n/2
-  EXPECT_NEAR(s[0].real(), 4.0, kTol);
-}
-
-TEST(Stats, MeanVarianceStddev) {
-  const rvec x{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(mean(x), 5.0, kTol);
-  EXPECT_NEAR(variance(x), 32.0 / 7.0, kTol);
-  EXPECT_NEAR(stddev(x), std::sqrt(32.0 / 7.0), kTol);
-  EXPECT_EQ(mean(rvec{}), 0.0);
-  EXPECT_EQ(variance(rvec{1.0}), 0.0);
-}
-
 TEST(Stats, PercentileInterpolates) {
   const rvec x{1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_NEAR(percentile(x, 0.0), 1.0, kTol);
@@ -152,33 +135,18 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_THROW((void)percentile(rvec{1.0}, 1.5), std::invalid_argument);
 }
 
-TEST(Stats, EmpiricalCdfIsMonotone) {
-  Rng rng(3);
-  rvec x(100);
-  for (double& v : x) v = rng.gaussian();
-  const auto cdf = empirical_cdf(x);
-  ASSERT_EQ(cdf.size(), 100u);
-  EXPECT_NEAR(cdf.back().fraction, 1.0, kTol);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].value, cdf[i - 1].value);
-    EXPECT_GT(cdf[i].fraction, cdf[i - 1].fraction);
-  }
-}
-
 TEST(Stats, RunningStatsMatchesBatch) {
   Rng rng(11);
   rvec x(1000);
   RunningStats rs;
+  double sum = 0.0;
   for (double& v : x) {
     v = rng.gaussian(2.5) + 1.0;
     rs.add(v);
+    sum += v;
   }
   EXPECT_EQ(rs.count(), 1000u);
-  EXPECT_NEAR(rs.mean(), mean(x), 1e-9);
-  EXPECT_NEAR(rs.variance(), variance(x), 1e-9);
-  rs.reset();
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_EQ(rs.variance(), 0.0);
+  EXPECT_NEAR(rs.mean(), sum / 1000.0, 1e-9);
 }
 
 TEST(Stats, EwmaConvergesToConstant) {
@@ -221,10 +189,14 @@ TEST(Rng, ForkIndependence) {
 
 TEST(Rng, GaussianMoments) {
   Rng rng(77);
-  RunningStats rs;
-  for (int i = 0; i < 20000; ++i) rs.add(rng.gaussian(3.0));
+  RunningStats rs, power;
+  for (int i = 0; i < 20000; ++i) {
+    const double g = rng.gaussian(3.0);
+    rs.add(g);
+    power.add(g * g);
+  }
   EXPECT_NEAR(rs.mean(), 0.0, 0.1);
-  EXPECT_NEAR(rs.stddev(), 3.0, 0.1);
+  EXPECT_NEAR(std::sqrt(power.mean()), 3.0, 0.1);
 }
 
 TEST(Rng, ComplexGaussianVariance) {
@@ -394,20 +366,27 @@ TEST(Rng, UniformIntBounds) {
   }
 }
 
+// cubic_segment is the interpolation Medium applies for sampling-frequency
+// offset; each check feeds it the four neighbours of a position.
+cplx cubic_at(const cvec& x, double pos) {
+  const auto i1 = static_cast<std::size_t>(std::floor(pos));
+  return cubic_segment(x[i1 - 1], x[i1], x[i1 + 1], x[i1 + 2],
+                       pos - static_cast<double>(i1));
+}
+
 TEST(Resampler, IdentityRatioPreservesSamples) {
   Rng rng(21);
   const cvec x = rng.cgaussian_vec(64);
-  const cvec y = resample(x, 1.0);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-12);
+  for (std::size_t i = 1; i + 2 < x.size(); ++i) {
+    EXPECT_NEAR(std::abs(cubic_at(x, static_cast<double>(i)) - x[i]), 0.0,
+                1e-12);
   }
 }
 
 TEST(Resampler, RecoversSmoothToneWithSmallPpm) {
-  // A 100 kHz tone at 10 MHz sampling, resampled by 20 ppm, should match
-  // the analytically resampled tone closely (interpolation error << phase
-  // errors the system cares about).
+  // A 100 kHz tone at 10 MHz sampling, read at the positions of a clock
+  // 20 ppm fast, should match the analytically resampled tone closely
+  // (interpolation error << phase errors the system cares about).
   const double fs = 10e6, f0 = 100e3;
   const std::size_t n = 4096;
   cvec x(n);
@@ -415,10 +394,10 @@ TEST(Resampler, RecoversSmoothToneWithSmallPpm) {
     x[t] = phasor(kTwoPi * f0 * static_cast<double>(t) / fs);
   }
   const double ratio = 1.0 + 20e-6;
-  const cvec y = resample(x, ratio);
-  for (std::size_t t = 8; t + 8 < y.size(); ++t) {
-    const cplx ref = phasor(kTwoPi * f0 * static_cast<double>(t) * ratio / fs);
-    EXPECT_NEAR(std::abs(y[t] - ref), 0.0, 1e-4);
+  for (std::size_t t = 8; t + 8 < n; ++t) {
+    const double pos = static_cast<double>(t) * ratio;
+    const cplx ref = phasor(kTwoPi * f0 * pos / fs);
+    EXPECT_NEAR(std::abs(cubic_at(x, pos) - ref), 0.0, 1e-4);
   }
 }
 
@@ -426,24 +405,10 @@ TEST(Resampler, FractionalOffsetShiftsSamples) {
   // Linear ramp: interpolating at +0.5 lands halfway between samples.
   cvec x(16);
   for (std::size_t i = 0; i < 16; ++i) x[i] = static_cast<double>(i);
-  const cvec y = resample(x, 1.0, 0.5);
-  ASSERT_GE(y.size(), 10u);
   for (std::size_t i = 2; i < 10; ++i) {
-    EXPECT_NEAR(y[i].real(), static_cast<double>(i) + 0.5, 1e-9);
+    EXPECT_NEAR(cubic_at(x, static_cast<double>(i) + 0.5).real(),
+                static_cast<double>(i) + 0.5, 1e-9);
   }
-}
-
-TEST(Resampler, OutOfRangeIsSilence) {
-  const cvec x{{1.0, 0.0}, {2.0, 0.0}};
-  EXPECT_EQ(interp_cubic(x, -0.5), (cplx{0.0, 0.0}));
-  EXPECT_EQ(interp_cubic(x, 5.0), (cplx{0.0, 0.0}));
-  EXPECT_EQ(interp_cubic(cvec{}, 0.0), (cplx{0.0, 0.0}));
-}
-
-TEST(Resampler, NaNPositionIsSilence) {
-  // floor(NaN) has no integer value: NaN must be turned away before it.
-  const cvec x{{1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}, {4.0, 0.0}};
-  EXPECT_EQ(interp_cubic(x, std::nan("")), (cplx{0.0, 0.0}));
 }
 
 // The FftPlan contract is BITWISE identity with the naive transform —

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,11 +132,6 @@ TEST(FlightRecorder, SpanScopeWritesOneSpanRecord) {
   EXPECT_EQ(tail[0].type, flight::EventType::kSpan);
   EXPECT_EQ(tail[0].name, name);
   EXPECT_EQ(tail[0].flow, flight::make_flow(1, 2));
-  // string_view convenience path resolves to the same interned id.
-  {
-    flight::SpanScope span2(std::string_view("test/span_scope"));
-  }
-  EXPECT_EQ(ring->snapshot(1)[0].name, name);
 }
 
 TEST(FlightRecorder, DisableSwitchStopsRecording) {
@@ -223,7 +219,11 @@ TEST(FlightExport, TriggerDumpWritesBudgetedFiles) {
   const std::string p0 = flight::trigger_dump("unit_test");
   ASSERT_FALSE(p0.empty());
   EXPECT_TRUE(fs::exists(p0));
-  EXPECT_EQ(flight::dumps_written(), 1u);
+  const auto files_in_dir = [&] {
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator(dir), fs::directory_iterator{}));
+  };
+  EXPECT_EQ(files_in_dir(), 1u);
 
   // The dump parses as a trace and carries the reason instant.
   std::string text;
@@ -248,7 +248,7 @@ TEST(FlightExport, TriggerDumpWritesBudgetedFiles) {
     if (!flight::trigger_dump("unit_test").empty()) ++written;
   }
   EXPECT_LE(written, 4u);
-  EXPECT_EQ(written, flight::dumps_written());
+  EXPECT_EQ(written, files_in_dir());
 
   flight::set_dump_dir_for_test("");
   flight::reset_dump_count_for_test();

@@ -1,6 +1,7 @@
 // Unit and property tests for the complex linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/rng.h"
@@ -20,6 +21,29 @@ CMatrix random_matrix(Rng& rng, std::size_t r, std::size_t c) {
   return m;
 }
 
+CMatrix diagonal(const cvec& d) {
+  CMatrix m(d.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
+  return m;
+}
+
+double frobenius_norm(const CMatrix& a) {
+  double acc = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r) acc += a.row_power(r);
+  return std::sqrt(acc);
+}
+
+/// Max |a_ij - b_ij| of two matrices of one shape.
+double max_abs_diff(const CMatrix& a, const CMatrix& b) {
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_EQ(a.cols(), b.cols());
+  double m = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c)
+      m = std::max(m, std::abs(a(r, c) - b(r, c)));
+  return m;
+}
+
 TEST(CMatrixTest, ConstructionAndAccess) {
   CMatrix m{{cplx{1, 0}, cplx{2, 0}}, {cplx{3, 0}, cplx{4, 5}}};
   EXPECT_EQ(m.rows(), 2u);
@@ -32,8 +56,10 @@ TEST(CMatrixTest, ConstructionAndAccess) {
 
 TEST(CMatrixTest, IdentityAndDiagonal) {
   const CMatrix i3 = CMatrix::identity(3);
-  EXPECT_NEAR(i3.frobenius_norm(), std::sqrt(3.0), kTol);
-  const CMatrix d = CMatrix::diagonal({cplx{1, 0}, cplx{0, 2}});
+  EXPECT_NEAR(frobenius_norm(i3), std::sqrt(3.0), kTol);
+  EXPECT_EQ(i3(1, 1), (cplx{1, 0}));
+  EXPECT_EQ(i3(1, 2), (cplx{0, 0}));
+  const CMatrix d = diagonal({cplx{1, 0}, cplx{0, 2}});
   EXPECT_EQ(d(1, 1), (cplx{0, 2}));
   EXPECT_EQ(d(0, 1), (cplx{0, 0}));
 }
@@ -42,24 +68,19 @@ TEST(CMatrixTest, HermitianTransposeConj) {
   const CMatrix m{{cplx{1, 2}, cplx{3, 4}}, {cplx{5, 6}, cplx{7, 8}}};
   const CMatrix h = m.hermitian();
   EXPECT_EQ(h(0, 1), (cplx{5, -6}));
-  EXPECT_EQ(m.transpose()(0, 1), (cplx{5, 6}));
-  EXPECT_EQ(m.conj()(0, 0), (cplx{1, -2}));
+  EXPECT_EQ(h(0, 0), (cplx{1, -2}));
   // (A^H)^H == A
-  EXPECT_NEAR(h.hermitian().max_abs_diff(m), 0.0, kTol);
+  EXPECT_NEAR(max_abs_diff(h.hermitian(), m), 0.0, kTol);
 }
 
 TEST(CMatrixTest, ArithmeticAndShapeChecks) {
   Rng rng(1);
   const CMatrix a = random_matrix(rng, 3, 3);
-  const CMatrix b = random_matrix(rng, 3, 3);
-  const CMatrix sum = a + b;
-  EXPECT_NEAR((sum - b).max_abs_diff(a), 0.0, kTol);
-  const CMatrix scaled = a * cplx{2.0, 0.0};
-  EXPECT_NEAR(scaled.frobenius_norm(), 2.0 * a.frobenius_norm(), kTol);
   const CMatrix c = random_matrix(rng, 2, 3);
-  EXPECT_THROW(a + c, std::invalid_argument);
+  EXPECT_NEAR(max_abs_diff(a * CMatrix::identity(3), a), 0.0, kTol);
   // (2x3)(3x3)=2x3, (2x3)(2x3) bad
   EXPECT_THROW(c * a * c, std::invalid_argument);
+  EXPECT_THROW(a * cvec(2), std::invalid_argument);
 }
 
 TEST(CMatrixTest, MatrixProductAgainstHand) {
@@ -91,9 +112,8 @@ TEST(CMatrixTest, MatVecAndRowColHelpers) {
   EXPECT_EQ(row1[2], a(1, 2));
   EXPECT_EQ(col2[3], a(3, 2));
   CMatrix b(4, 3);
-  b.set_row(1, row1);
   b.set_col(2, col2);
-  EXPECT_EQ(b(1, 0), a(1, 0));
+  EXPECT_EQ(b(1, 0), (cplx{0, 0}));
   EXPECT_EQ(b(0, 2), a(0, 2));
 }
 
@@ -101,7 +121,6 @@ TEST(CMatrixTest, RowColPower) {
   const CMatrix m{{cplx{3, 4}, cplx{0, 0}}, {cplx{1, 0}, cplx{2, 0}}};
   EXPECT_NEAR(m.row_power(0), 25.0, kTol);
   EXPECT_NEAR(m.row_power(1), 5.0, kTol);
-  EXPECT_NEAR(m.col_power(0), 26.0, kTol);
 }
 
 TEST(LuTest, SolvesKnownSystem) {
@@ -120,7 +139,6 @@ TEST(LuTest, DetectsSingular) {
   EXPECT_FALSE(lu.ok());
   EXPECT_THROW(lu.solve(cvec{cplx{1, 0}, cplx{1, 0}}), std::logic_error);
   EXPECT_FALSE(inverse(a).has_value());
-  EXPECT_FALSE(solve(a, {cplx{1, 0}, cplx{1, 0}}).has_value());
 }
 
 TEST(LuTest, RejectsNonSquare) {
@@ -140,7 +158,7 @@ TEST_P(LuInverseProperty, InverseTimesSelfIsIdentity) {
     const auto inv = inverse(a);
     ASSERT_TRUE(inv.has_value());
     const CMatrix eye = a * (*inv);
-    EXPECT_NEAR(eye.max_abs_diff(CMatrix::identity(n)), 0.0, 1e-8)
+    EXPECT_NEAR(max_abs_diff(eye, CMatrix::identity(n)), 0.0, 1e-8)
         << "n=" << n << " trial=" << trial;
   }
 }
@@ -155,7 +173,7 @@ TEST(LuTest, SolveMatrixRhs) {
   const Lu lu(a);
   ASSERT_TRUE(lu.ok());
   const CMatrix x = lu.solve(b);
-  EXPECT_NEAR((a * x).max_abs_diff(b), 0.0, 1e-8);
+  EXPECT_NEAR(max_abs_diff(a * x, b), 0.0, 1e-8);
 }
 
 TEST(PinvTest, SquareMatchesInverse) {
@@ -164,7 +182,7 @@ TEST(PinvTest, SquareMatchesInverse) {
   const auto p = pinv(a);
   const auto inv_a = inverse(a);
   ASSERT_TRUE(p && inv_a);
-  EXPECT_NEAR(p->max_abs_diff(*inv_a), 0.0, 1e-7);
+  EXPECT_NEAR(max_abs_diff(*p, *inv_a), 0.0, 1e-7);
 }
 
 TEST(PinvTest, FatMatrixRightInverse) {
@@ -175,7 +193,7 @@ TEST(PinvTest, FatMatrixRightInverse) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->rows(), 6u);
   EXPECT_EQ(p->cols(), 3u);
-  EXPECT_NEAR((h * (*p)).max_abs_diff(CMatrix::identity(3)), 0.0, 1e-8);
+  EXPECT_NEAR(max_abs_diff(h * (*p), CMatrix::identity(3)), 0.0, 1e-8);
 }
 
 TEST(PinvTest, TallMatrixLeftInverse) {
@@ -183,7 +201,7 @@ TEST(PinvTest, TallMatrixLeftInverse) {
   const CMatrix a = random_matrix(rng, 6, 3);
   const auto p = pinv(a);
   ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(((*p) * a).max_abs_diff(CMatrix::identity(3)), 0.0, 1e-8);
+  EXPECT_NEAR(max_abs_diff((*p) * a, CMatrix::identity(3)), 0.0, 1e-8);
 }
 
 TEST(PinvTest, RidgeRegularizesRankDeficient) {
@@ -197,11 +215,11 @@ TEST(PinvTest, RidgeRegularizesRankDeficient) {
   EXPECT_FALSE(pinv(a, 0.0).has_value());
   const auto p = pinv(a, 1e-6);
   ASSERT_TRUE(p.has_value());
-  EXPECT_TRUE(std::isfinite(p->frobenius_norm()));
+  EXPECT_TRUE(std::isfinite(frobenius_norm(*p)));
 }
 
 TEST(SingularValues, DiagonalMatrixExact) {
-  const CMatrix d = CMatrix::diagonal({cplx{5, 0}, cplx{0, 2}, cplx{1, 0}});
+  const CMatrix d = diagonal({cplx{5, 0}, cplx{0, 2}, cplx{1, 0}});
   EXPECT_NEAR(largest_singular_value(d), 5.0, 1e-6);
   EXPECT_NEAR(smallest_singular_value(d), 1.0, 1e-6);
   EXPECT_NEAR(condition_number(d), 5.0, 1e-5);
@@ -224,8 +242,8 @@ TEST(SingularValues, BoundsFrobeniusNorm) {
   Rng rng(9);
   const CMatrix a = random_matrix(rng, 5, 5);
   const double smax = largest_singular_value(a);
-  EXPECT_LE(smax, a.frobenius_norm() + 1e-9);
-  EXPECT_GE(smax * std::sqrt(5.0), a.frobenius_norm() - 1e-9);
+  EXPECT_LE(smax, frobenius_norm(a) + 1e-9);
+  EXPECT_GE(smax * std::sqrt(5.0), frobenius_norm(a) - 1e-9);
 }
 
 // ---- Into-kernel parity: the allocating APIs wrap the _into kernels, so
@@ -294,11 +312,10 @@ TEST(IntoKernels, LuFactorizeSolveIntoMatchesLegacySolve) {
   // the factorization state fully resets between uses.
   ASSERT_TRUE(reusable.factorize(random_matrix(rng, 3, 3)));
   ASSERT_TRUE(reusable.factorize(a));
-  cvec x_into(4);
-  reusable.solve_into(b, x_into, scratch);
+  const cvec x_reused = reusable.solve(b);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(x_legacy[i].real(), x_into[i].real());
-    EXPECT_EQ(x_legacy[i].imag(), x_into[i].imag());
+    EXPECT_EQ(x_legacy[i].real(), x_reused[i].real());
+    EXPECT_EQ(x_legacy[i].imag(), x_reused[i].imag());
   }
 
   CMatrix inv_into;

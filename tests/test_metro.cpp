@@ -54,7 +54,9 @@ TEST(Churn, DisabledChurnDrawsNothingAndKeepsEveryoneAttached) {
   EXPECT_TRUE(churn_timeline(1, 0, 4, grid, p).empty());
   const CellChurn churn(1, 0, 4, grid, p);
   for (double t : {0.0, 0.3, 0.99}) {
-    EXPECT_EQ(churn.active_count(t), p.users_per_cell);
+    for (std::size_t u = 0; u < p.users_per_cell; ++u) {
+      EXPECT_TRUE(churn.active(u, t)) << "user " << u << " t " << t;
+    }
   }
   EXPECT_TRUE(churn.remeasure_times().empty());
   EXPECT_EQ(churn.stats().departures, 0u);

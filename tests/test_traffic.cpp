@@ -22,10 +22,34 @@
 namespace jmb::traffic {
 namespace {
 
-using net::AggFrame;
 using net::AggLimits;
 using net::DownlinkQueue;
 using net::Packet;
+
+/// One client's aggregated allocation: pop_aggregate_into's packets and
+/// payload bytes.
+struct AggFrame {
+  std::size_t client = 0;
+  std::vector<Packet> mpdus;
+  std::size_t total_bytes = 0;
+};
+
+AggFrame pop_aggregate(DownlinkQueue& q, std::size_t client,
+                       const AggLimits& lim) {
+  AggFrame frame;
+  frame.client = client;
+  frame.total_bytes = q.pop_aggregate_into(client, lim, frame.mpdus);
+  return frame;
+}
+
+/// Queued packets for `client`, counted by draining a copy of the queue.
+std::size_t backlog(const DownlinkQueue& q, std::size_t client) {
+  DownlinkQueue copy = q;
+  std::vector<Packet> out;
+  const auto all = static_cast<std::size_t>(-1);
+  (void)copy.pop_aggregate_into(client, AggLimits{all, all}, out);
+  return out.size();
+}
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -483,28 +507,28 @@ TEST(Aggregation, FrameAndByteBoundsHold) {
     q.push({0, 1500, 0, 0.0, 0, i});
   }
   // Frame cap.
-  AggFrame f = q.pop_aggregate(0, AggLimits{3, static_cast<std::size_t>(-1)});
+  AggFrame f = pop_aggregate(q, 0, AggLimits{3, static_cast<std::size_t>(-1)});
   ASSERT_EQ(f.mpdus.size(), 3u);
   EXPECT_EQ(f.total_bytes, 4500u);
   EXPECT_EQ(f.mpdus[0].id, 0u);  // arrival order preserved
   EXPECT_EQ(f.mpdus[2].id, 2u);
   // Byte cap: 4000 bytes fits two 1500 B packets, not three.
-  f = q.pop_aggregate(0, AggLimits{8, 4000});
+  f = pop_aggregate(q, 0, AggLimits{8, 4000});
   EXPECT_EQ(f.mpdus.size(), 2u);
   EXPECT_EQ(f.total_bytes, 3000u);
   // Head always taken, even when it alone exceeds the byte budget.
-  f = q.pop_aggregate(0, AggLimits{8, 100});
+  f = pop_aggregate(q, 0, AggLimits{8, 100});
   EXPECT_EQ(f.mpdus.size(), 1u);
   // Empty subqueue -> empty frame; other clients untouched.
-  EXPECT_EQ(q.backlog(0), 2u);
-  EXPECT_TRUE(q.pop_aggregate(5, AggLimits{4, 8000}).mpdus.empty());
+  EXPECT_EQ(backlog(q, 0), 2u);
+  EXPECT_TRUE(pop_aggregate(q, 5, AggLimits{4, 8000}).mpdus.empty());
 }
 
 TEST(Aggregation, DefaultLimitsReproduceSinglePacketPop) {
   DownlinkQueue q;
   q.push({2, 700, 0, 0.0, 0, 1});
   q.push({2, 900, 0, 0.0, 0, 2});
-  const AggFrame f = q.pop_aggregate(2, AggLimits{});
+  const AggFrame f = pop_aggregate(q, 2, AggLimits{});
   ASSERT_EQ(f.mpdus.size(), 1u);
   EXPECT_EQ(f.mpdus[0].id, 1u);
   EXPECT_EQ(f.total_bytes, 700u);
@@ -540,7 +564,7 @@ TEST(Aggregation, PopAggregateIntoMatchesPopAggregate) {
       const auto client = static_cast<std::size_t>(rng.uniform_int(0, 7));
       const AggLimits lim{static_cast<std::size_t>(rng.uniform_int(0, 5)),
                           static_cast<std::size_t>(rng.uniform_int(0, 6000))};
-      const AggFrame f = a.pop_aggregate(client, lim);
+      const AggFrame f = pop_aggregate(a, client, lim);
       std::vector<Packet> out = prefix;
       const std::size_t bytes = b.pop_aggregate_into(client, lim, out);
       ASSERT_EQ(f.client, client);
@@ -559,7 +583,7 @@ TEST(Aggregation, PopAggregateIntoMatchesPopAggregate) {
         ASSERT_EQ(g.deadline_s, w.deadline_s);
       }
       ASSERT_EQ(a.size(), b.size());
-      ASSERT_EQ(a.backlog(client), b.backlog(client));
+      ASSERT_EQ(backlog(a, client), backlog(b, client));
     }
   }
 }
@@ -602,7 +626,7 @@ TEST(Policy, FifoMatchesPopJointOrder) {
     ASSERT_EQ(picks.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(picks[i], batch[i].client);
-      const AggFrame f = b.pop_aggregate(picks[i], AggLimits{});
+      const AggFrame f = pop_aggregate(b, picks[i], AggLimits{});
       ASSERT_EQ(f.mpdus.size(), 1u);
       EXPECT_EQ(f.mpdus[0].id, batch[i].id);
     }
@@ -624,7 +648,7 @@ TEST(Policy, PfConvergesToEqualRatesForSymmetricUsers) {
   for (int s = 0; s < 1000 && !q.empty(); ++s) {
     const auto picks = pf.select(q, 1, s * slot_s, &hint);
     ASSERT_EQ(picks.size(), 1u);
-    const AggFrame f = q.pop_aggregate(picks[0], AggLimits{});
+    const AggFrame f = pop_aggregate(q, picks[0], AggLimits{});
     ++served[picks[0]];
     pf.on_served(picks[0], static_cast<double>(f.total_bytes), slot_s);
     pf.on_slot(slot_s);
@@ -758,7 +782,7 @@ TEST(PolicyParity, SelectionsMatchTheStableSortVersions) {
       ASSERT_EQ(picks, stable_sort_pf(q, streams, pf, h))
           << "round " << round << " slot " << slot;
       for (const std::size_t c : picks) {
-        const AggFrame f = q.pop_aggregate(c, AggLimits{2, 3000});
+        const AggFrame f = pop_aggregate(q, c, AggLimits{2, 3000});
         pf.on_served(c, static_cast<double>(f.total_bytes), 1e-3);
       }
       pf.on_slot(1e-3);
