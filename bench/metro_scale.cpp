@@ -96,10 +96,9 @@ int main(int argc, char** argv) {
 
   bench::banner("metro_scale — aggregate capacity vs cells x users",
                 opts.info.seed);
-  std::printf("churn %.1f Hz, %zu AP(s)/cell, %zu trial(s)/point, %.2f s "
-              "runs%s\n\n",
-              base.churn_rate_hz, base.aps_per_cell, base.n_trials,
-              base.duration_s, quick ? " (quick)" : "");
+  std::printf("churn %.1f Hz, %zu trial(s)/point, %.2f s runs%s\n\n",
+              base.churn_rate_hz, base.n_trials, base.duration_s,
+              quick ? " (quick)" : "");
   opts.add_param("trials_per_point", static_cast<double>(base.n_trials));
   opts.add_param("duration_s", base.duration_s);
   opts.add_param("churn_rate_hz", base.churn_rate_hz);
@@ -107,9 +106,9 @@ int main(int argc, char** argv) {
 
   engine::TrialRunner runner({.base_seed = opts.info.seed});
 
-  std::printf("%-7s %-7s %-16s %-18s %-11s %-9s %-8s\n", "cells", "users",
-              "aggregate Mb/s", "p99 latency (ms)", "handoffs", "blocked",
-              "elects");
+  std::printf("%-7s %-7s %-9s %-16s %-18s %-11s %-9s %-8s\n", "cells",
+              "users", "APs/cell", "aggregate Mb/s", "p99 latency (ms)",
+              "handoffs", "blocked", "elects");
   metro::MetroResult last;
   std::size_t first_trial = 0;
   for (const SweepPoint& pt : sweep) {
@@ -122,8 +121,8 @@ int main(int argc, char** argv) {
     p.normalize();
     const metro::MetroResult res = metro::run_metro(runner, p, first_trial);
     first_trial += p.n_trials;
-    std::printf("%-7zu %-7zu %-16.1f %-18.3f %-11zu %-9zu %-8zu\n", pt.cells,
-                pt.users, res.aggregate_goodput_mbps,
+    std::printf("%-7zu %-7zu %-9zu %-16.1f %-18.3f %-11zu %-9zu %-8zu\n",
+                pt.cells, pt.users, p.aps_per_cell, res.aggregate_goodput_mbps,
                 res.p99_frame_latency_s * 1e3,
                 res.handoffs_in + res.handoffs_out, res.blocked_handoffs,
                 res.lead_elections);
