@@ -21,11 +21,10 @@ int main(int argc, char** argv) {
   const auto seed = opts.info.seed;
   bench::banner("Ablation: measurement overhead vs coherence time", seed);
 
-  rate::AirtimeParams air;
   std::printf(
       "measurement airtime: 2 APs+2 clients: %.0f us, 10+10: %.0f us\n\n",
-              rate::measurement_airtime_s(2, 2, air) * 1e6,
-              rate::measurement_airtime_s(10, 10, air) * 1e6);
+      rate::measurement_airtime_s(2, 2) * 1e6,
+      rate::measurement_airtime_s(10, 10) * 1e6);
 
   const std::vector<double> coherence_ms{2.0, 10.0, 50.0, 100.0, 250.0, 1000.0};
 
@@ -37,8 +36,8 @@ int main(int argc, char** argv) {
   const auto rows =
       runner.run(coherence_ms.size(), [&](engine::TrialContext& ctx) {
         const double tc_ms = coherence_ms[ctx.index];
-        const double m4 = rate::measurement_airtime_s(4, 4, air);
-        const double m10 = rate::measurement_airtime_s(10, 10, air);
+        const double m4 = rate::measurement_airtime_s(4, 4);
+        const double m10 = rate::measurement_airtime_s(10, 10);
         const double o4 = m4 / (tc_ms * 1e-3 + m4);
         const double o10 = m10 / (tc_ms * 1e-3 + m10);
 

@@ -213,9 +213,8 @@ inline std::vector<std::vector<double>> band_link_gains(std::size_t n_aps,
                                                         std::size_t n_clients,
                                                         const SnrBand& band,
                                                         Rng& rng) {
-  const chan::RoomParams room;
   const chan::Topology topo = chan::sample_topology_in_band(
-      n_aps, n_clients, room, rng, band.lo_db, band.hi_db);
+      n_aps, n_clients, rng, band.lo_db, band.hi_db);
   std::vector<std::vector<double>> gains(n_clients,
                                          std::vector<double>(n_aps, 0.0));
   for (std::size_t c = 0; c < n_clients; ++c) {
@@ -308,9 +307,14 @@ inline std::optional<ScalingRun> run_scaling_topology(
   return run;
 }
 
+/// 802.11n channel width: the 802.11n benches price each spatial stream
+/// as one 20 MHz stream (the sample-level testbed runs phy::kSampleRateHz).
+inline constexpr double kHtSampleRateHz = 20e6;
+
 /// Goodput (Mb/s) of back-to-back 1500-byte frames, each followed by a
 /// 16 us SIFS-like gap, at the best rate the per-subcarrier SNRs support
 /// and that rate's delivery probability; 0 if even the base rate fails.
+/// `sample_rate_hz` is phy::kSampleRateHz or kHtSampleRateHz.
 inline double saturated_goodput_mbps(rvec subcarrier_snr,
                                      double sample_rate_hz) {
   rate::EffectiveSnrs link(std::move(subcarrier_snr));

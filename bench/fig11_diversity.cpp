@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
               sub[k] = std::norm(h.at(k)(0, 0));
             }
             const auto timer = ctx.time_stage(engine::kStageDecode);
-            acc.add(bench::saturated_goodput_mbps(std::move(sub), 10e6));
+            acc.add(bench::saturated_goodput_mbps(std::move(sub),
+                                                  phy::kSampleRateHz));
           }
           cols.push_back(acc.mean());
         }
@@ -86,7 +87,8 @@ int main(int argc, char** argv) {
                   row, core::kCalibratedPhaseSigma, 1.0, rng);
             }
             const auto timer = ctx.time_stage(engine::kStageDecode);
-            acc.add(bench::saturated_goodput_mbps(std::move(sub), 10e6));
+            acc.add(bench::saturated_goodput_mbps(std::move(sub),
+                                                  phy::kSampleRateHz));
           }
           cols.push_back(acc.mean());
         }

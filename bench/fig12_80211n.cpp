@@ -15,14 +15,7 @@
 #include "core/compat11n.h"
 #include "engine/trial_runner.h"
 
-namespace {
-
 using namespace jmb;
-
-// 802.11n channel width: one 20 MHz spatial stream per goodput sample.
-constexpr double kSampleRateHz = 20e6;
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "fig12_80211n");
@@ -56,12 +49,12 @@ int main(int argc, char** argv) {
       // JMB: all 4 streams concurrent.
       double jmb = 0.0;
       for (const rvec& s : r->jmb_stream_sinr) {
-        jmb += bench::saturated_goodput_mbps(s, kSampleRateHz);
+        jmb += bench::saturated_goodput_mbps(s, bench::kHtSampleRateHz);
       }
       // Baseline: each client's 2 streams, but clients time-share.
       double base = 0.0;
       for (const rvec& s : r->baseline_stream_snr) {
-        base += bench::saturated_goodput_mbps(s, kSampleRateHz);
+        base += bench::saturated_goodput_mbps(s, bench::kHtSampleRateHz);
       }
       base /= 2.0;
       if (base > 1.0) {

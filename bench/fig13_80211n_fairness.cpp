@@ -10,14 +10,7 @@
 #include "core/compat11n.h"
 #include "engine/trial_runner.h"
 
-namespace {
-
 using namespace jmb;
-
-// 802.11n channel width: one 20 MHz spatial stream per goodput sample.
-constexpr double kSampleRateHz = 20e6;
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto opts = bench::parse_options(argc, argv, "fig13_80211n_fairness");
@@ -41,10 +34,10 @@ int main(int argc, char** argv) {
     const auto timer = ctx.time_stage(engine::kStageDecode);
     double jmb = 0.0, base = 0.0;
     for (const rvec& s : r->jmb_stream_sinr) {
-      jmb += bench::saturated_goodput_mbps(s, kSampleRateHz);
+      jmb += bench::saturated_goodput_mbps(s, bench::kHtSampleRateHz);
     }
     for (const rvec& s : r->baseline_stream_snr) {
-      base += bench::saturated_goodput_mbps(s, kSampleRateHz);
+      base += bench::saturated_goodput_mbps(s, bench::kHtSampleRateHz);
     }
     base /= 2.0;
     return base > 1.0 ? jmb / base : std::nan("");

@@ -26,6 +26,7 @@
 #include "engine/trial_runner.h"
 #include "fault/plan.h"
 #include "metro/metro_scenario.h"
+#include "rate/airtime.h"
 
 namespace {
 
@@ -35,6 +36,20 @@ struct SweepPoint {
   std::size_t cells;
   std::size_t users;
 };
+
+/// APs a sweep point runs: zero-forcing needs as many transmitters as
+/// joint streams, so the deployment adds APs with user demand (the
+/// paper's scaling model).
+std::size_t aps_for(const metro::MetroParams& base, std::size_t users) {
+  return std::max(base.aps_per_cell, users);
+}
+
+/// Airtime of one channel-measurement epoch at `users` per cell. Each
+/// client feeds back n_aps x 52 coefficients, so it grows as N^2: the
+/// CSI-feedback wall.
+double epoch_s(const metro::MetroParams& base, std::size_t users) {
+  return rate::measurement_airtime_s(aps_for(base, users), users);
+}
 
 }  // namespace
 
@@ -94,6 +109,21 @@ int main(int argc, char** argv) {
     sweep.push_back({9, base.users_per_cell + 2});
   }
 
+  // A point whose first epoch outlasts the run would measure for the
+  // whole run and report 0 Mb/s; refuse it before running anything.
+  for (const SweepPoint& pt : sweep) {
+    if (epoch_s(base, pt.users) <= base.duration_s) continue;
+    std::size_t fit = 0;  // the largest user count whose epoch fits
+    while (epoch_s(base, fit + 1) <= base.duration_s) ++fit;
+    std::fprintf(stderr,
+                 "%s: JMB_USERS_PER_CELL=%zu: one channel-measurement epoch "
+                 "of %zu APs and %zu users takes %.1f ms, longer than the "
+                 "%.0f ms run; at most %zu users per cell fit\n",
+                 argv[0], pt.users, aps_for(base, pt.users), pt.users,
+                 epoch_s(base, pt.users) * 1e3, base.duration_s * 1e3, fit);
+    return 2;
+  }
+
   bench::banner("metro_scale — aggregate capacity vs cells x users",
                 opts.info.seed);
   std::printf("churn %.1f Hz, %zu trial(s)/point, %.2f s runs%s\n\n",
@@ -115,9 +145,7 @@ int main(int argc, char** argv) {
     metro::MetroParams p = base;
     p.n_cells = pt.cells;
     p.users_per_cell = pt.users;
-    // Zero-forcing needs as many transmitters as joint streams, so the
-    // deployment adds APs with user demand (the paper's scaling model).
-    p.aps_per_cell = std::max(base.aps_per_cell, pt.users);
+    p.aps_per_cell = aps_for(base, pt.users);
     p.normalize();
     const metro::MetroResult res = metro::run_metro(runner, p, first_trial);
     first_trial += p.n_trials;

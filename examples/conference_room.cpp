@@ -40,14 +40,13 @@ int main(int argc, char** argv) {
   const auto rows = runner.run(n_max, [&](engine::TrialContext& ctx) {
     const std::size_t n = ctx.index + 1;
     Rng& rng = ctx.rng;
-    const chan::RoomParams room;
     // Place n APs and n clients; require decent coverage (12-24 dB).
     std::vector<std::vector<double>> gains(n, std::vector<double>(n));
     core::ChannelMatrixSet h_base(0, 0);
     {
       const auto timer = ctx.time_stage(engine::kStageMeasure);
       const chan::Topology topo =
-          chan::sample_topology_in_band(n, n, room, rng, 12.0, 24.0);
+          chan::sample_topology_in_band(n, n, rng, 12.0, 24.0);
       for (std::size_t c = 0; c < n; ++c) {
         for (std::size_t a = 0; a < n; ++a) {
           gains[c][a] = from_db(topo.links[c][a].snr_db);

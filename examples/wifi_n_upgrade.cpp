@@ -12,13 +12,6 @@
 #include "core/compat11n.h"
 #include "engine/trial_runner.h"
 
-namespace {
-
-// 802.11n channel width: one 20 MHz spatial stream per goodput sample.
-constexpr double kSampleRateHz = 20e6;
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace jmb;
   auto opts = bench::parse_options(argc, argv, "wifi_n_upgrade");
@@ -46,14 +39,14 @@ int main(int argc, char** argv) {
   double jmb = 0.0, base = 0.0;
   std::printf("per-stream goodput (20 MHz, 1500-byte frames):\n");
   for (std::size_t s = 0; s < r.jmb_stream_sinr.size(); ++s) {
-    const double g =
-        bench::saturated_goodput_mbps(r.jmb_stream_sinr[s], kSampleRateHz);
+    const double g = bench::saturated_goodput_mbps(r.jmb_stream_sinr[s],
+                                                   bench::kHtSampleRateHz);
     std::printf("  JMB stream %zu (client %zu, antenna %zu): %.1f Mb/s\n", s,
                 s / 2, s % 2, g);
     jmb += g;
   }
   for (const rvec& s : r.baseline_stream_snr) {
-    base += bench::saturated_goodput_mbps(s, kSampleRateHz);
+    base += bench::saturated_goodput_mbps(s, bench::kHtSampleRateHz);
   }
   base /= 2.0;  // stock 802.11n: clients time-share the channel
 

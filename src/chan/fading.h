@@ -9,6 +9,7 @@
 
 #include "dsp/rng.h"
 #include "dsp/types.h"
+#include "phy/params.h"
 
 namespace jmb::chan {
 
@@ -19,7 +20,7 @@ struct FadingParams {
   double rice_k = 0.0;            ///< Rician K-factor for tap 0 (0 = Rayleigh)
   double delay_s = 0.0;           ///< propagation delay (fractional samples ok)
   double coherence_time_s = 0.25; ///< e^{-1} decorrelation time
-  double sample_rate_hz = 10e6;
+  double sample_rate_hz = phy::kSampleRateHz;
   std::uint64_t seed = 1;
 };
 

@@ -145,6 +145,8 @@ void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
              .t0 = t.start_s + ch->delay_samples() / fs,
              .fs_tx = txn.osc.sample_rate_hz(),
              .delta_cfo = txn.osc.cfo_hz() - rxo.cfo_hz(),
+             .delta_phase =
+                 txn.osc.phase_offset_rad() - rxo.phase_offset_rad(),
              .len = t.samples.size() + ch->taps().size() - 1};
       const double fs_rx = rxo.sample_rate_hz();
 
@@ -233,6 +235,7 @@ void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
       const double t0 = p.t0;
       const double fs_tx = p.fs_tx;
       const double delta_cfo = p.delta_cfo;
+      const double delta_phase = p.delta_phase;
       const auto len = static_cast<std::ptrdiff_t>(p.len);
 
       // The multipath samples this stretch reads: every position's four
@@ -268,11 +271,15 @@ void Medium::receive_into(std::span<const NodeId> rxs, double start_s,
           s = cubic_segment(at(i1 - 1), at(i1), at(i1 + 1), at(i1 + 2), mu);
         }
         if (s == cplx{}) continue;
-        // Oscillator rotations evaluated at true time.
+        // Oscillator rotations evaluated at true time. The injected
+        // offset is added only when a fault set one, so fault-free runs
+        // keep every bit.
         const double det = kTwoPi * delta_cfo * tm;
         const std::uint64_t k = index_at(tm) - b0;
         const double pn = theta_tx[k] - theta_rx[k];
-        y[m] += s * phasor(det + pn);
+        double rot = det + pn;
+        if (delta_phase != 0.0) rot += delta_phase;
+        y[m] += s * phasor(rot);
       }
     }
   }

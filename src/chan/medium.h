@@ -23,13 +23,14 @@
 #include "chan/oscillator.h"
 #include "dsp/rng.h"
 #include "dsp/types.h"
+#include "phy/params.h"
 
 namespace jmb::chan {
 
 using NodeId = std::size_t;
 
 struct MediumParams {
-  double sample_rate_hz = 10e6;  ///< nominal system rate
+  double sample_rate_hz = phy::kSampleRateHz;  ///< nominal system rate
 };
 
 class Medium {
@@ -104,6 +105,7 @@ class Medium {
     double t0 = 0.0;    ///< true time of the burst's first sample at rx
     double fs_tx = 0.0;
     double delta_cfo = 0.0;
+    double delta_phase = 0.0;  ///< injected phase offset, tx minus rx
     std::size_t len = 0;  ///< multipath output length
     std::size_t m_lo = 0, m_hi = 0;
     std::uint64_t idx_lo = 0, idx_hi = 0;

@@ -15,15 +15,16 @@
 #include <vector>
 
 #include "dsp/types.h"
+#include "phy/params.h"
 
 namespace jmb::chan {
 
 struct OscillatorParams {
-  double ppm = 0.0;                      ///< crystal error, parts per million
-  double carrier_hz = 2.4e9;  ///< RF carrier the crystal multiplies to
-  double sample_rate_hz = 10e6;          ///< nominal ADC/DAC rate
-  double phase_noise_linewidth_hz = 0.1; ///< Wiener linewidth (3 dB width)
-  std::uint64_t seed = 1;                ///< phase-noise stream seed
+  double ppm = 0.0;                       ///< crystal error, parts per million
+  double carrier_hz = phy::kCarrierHz;    ///< RF carrier the crystal multiplies to
+  double sample_rate_hz = phy::kSampleRateHz;  ///< nominal ADC/DAC rate
+  double phase_noise_linewidth_hz = 0.1;  ///< Wiener linewidth (3 dB width)
+  std::uint64_t seed = 1;                 ///< phase-noise stream seed
 };
 
 /// One node's oscillator. Thread-compatible (no internal locking).
@@ -61,23 +62,28 @@ class Oscillator {
 
   /// Fault injection (fault/injector.h): an instantaneous carrier-phase
   /// jump — a micro phase-hit such as a PLL cycle slip or a supply glitch.
-  /// Accumulates across calls into injected_phase_rad().
-  void inject_phase_jump(double radians) { injected_phase_rad_ += radians; }
-  /// Fault injection: a drift-rate step — the crystal's frequency walks to
-  /// a new operating point (temperature shock, aging step). Accumulates
-  /// into cfo_hz() so both the carrier rotation and every consumer of the
-  /// deterministic offset see it.
-  void inject_cfo_step(double hz) { injected_cfo_hz_ += hz; }
-  [[nodiscard]] double injected_phase_rad() const {
-    return injected_phase_rad_;
+  /// Accumulates across calls into phase_offset_rad().
+  void inject_phase_jump(double radians) { phase_offset_rad_ += radians; }
+  /// Fault injection: a drift-rate step at time `t_s` — the crystal's
+  /// frequency walks to a new operating point (temperature shock, aging
+  /// step). Accumulates into cfo_hz() so both the carrier rotation and
+  /// every consumer of the deterministic offset see it. The carrier
+  /// rotates by 2 pi cfo_hz() t at absolute time t, so the step also
+  /// subtracts 2 pi hz t_s from phase_offset_rad(): the phase stays
+  /// continuous at t_s.
+  void inject_cfo_step(double hz, double t_s) {
+    injected_cfo_hz_ += hz;
+    phase_offset_rad_ -= kTwoPi * hz * t_s;
   }
-  [[nodiscard]] double injected_cfo_hz() const { return injected_cfo_hz_; }
+  /// Carrier-phase offset the injected faults add on top of the CFO
+  /// rotation and the phase noise (radians; 0 without faults).
+  [[nodiscard]] double phase_offset_rad() const { return phase_offset_rad_; }
 
  private:
   OscillatorParams params_;
   std::uint64_t key_ = 0;          ///< splitmix64(seed), hoisted
   double sigma_per_sample_ = 0.0;  ///< phase-noise increment std dev
-  double injected_phase_rad_ = 0.0;
+  double phase_offset_rad_ = 0.0;
   double injected_cfo_hz_ = 0.0;
 
   /// A point of the random walk: theta(idx) == phase.

@@ -14,40 +14,51 @@ double Position::distance_to(const Position& o) const {
 
 namespace {
 
-Link make_link(const Position& ap, const Position& cl,
-               const PathLossParams& pl, Rng& rng) {
+// Log-distance path loss with lognormal shadowing and a LOS/NLOS mix,
+// fitted to a 2.4 GHz indoor room.
+constexpr double kRefLossDb = 40.0;  ///< loss at 1 m
+constexpr double kExponentLos = 2.0;
+constexpr double kExponentNlos = 3.2;
+constexpr double kShadowingSigmaDb = 3.0;
+constexpr double kNlosProbability = 0.35;
+constexpr double kTxPowerDbm = 10.0;
+constexpr double kNoiseFloorDbm = -91.0;  ///< thermal + NF over 10 MHz
+
+/// Draws before sample_topology_in_band settles for its closest attempt.
+constexpr int kMaxBandTries = 200;
+
+Link make_link(const Position& ap, const Position& cl, Rng& rng) {
   Link link;
   link.distance_m = std::max(ap.distance_to(cl), 0.5);
-  link.line_of_sight = !rng.bernoulli(pl.nlos_probability);
-  const double n = link.line_of_sight ? pl.exponent_los : pl.exponent_nlos;
-  const double loss_db = pl.ref_loss_db +
-                         10.0 * n * std::log10(link.distance_m) +
-                         rng.gaussian(pl.shadowing_sigma_db);
-  const double rx_dbm = pl.tx_power_dbm - loss_db;
-  link.snr_db = rx_dbm - pl.noise_floor_dbm;
+  link.line_of_sight = !rng.bernoulli(kNlosProbability);
+  const double n = link.line_of_sight ? kExponentLos : kExponentNlos;
+  const double loss_db = kRefLossDb + 10.0 * n * std::log10(link.distance_m) +
+                         rng.gaussian(kShadowingSigmaDb);
+  const double rx_dbm = kTxPowerDbm - loss_db;
+  link.snr_db = rx_dbm - kNoiseFloorDbm;
   link.gain = from_db(-loss_db);
   return link;
 }
 
-Position sample_perimeter(const RoomParams& room, Rng& rng) {
+Position sample_perimeter(Rng& rng) {
   // APs sit on ledges: within 0.5 m of a wall.
   const double margin = 0.5;
   const int side = rng.uniform_int(0, 3);
   Position p;
   switch (side) {
     case 0:
-      p = {rng.uniform(0, room.width_m), rng.uniform(0, margin)};
+      p = {rng.uniform(0, kRoomWidthM), rng.uniform(0, margin)};
       break;
     case 1:
-      p = {rng.uniform(0, room.width_m),
-           room.height_m - rng.uniform(0, margin)};
+      p = {rng.uniform(0, kRoomWidthM),
+           kRoomHeightM - rng.uniform(0, margin)};
       break;
     case 2:
-      p = {rng.uniform(0, margin), rng.uniform(0, room.height_m)};
+      p = {rng.uniform(0, margin), rng.uniform(0, kRoomHeightM)};
       break;
     default:
-      p = {room.width_m - rng.uniform(0, margin),
-           rng.uniform(0, room.height_m)};
+      p = {kRoomWidthM - rng.uniform(0, margin),
+           rng.uniform(0, kRoomHeightM)};
       break;
   }
   return p;
@@ -56,23 +67,22 @@ Position sample_perimeter(const RoomParams& room, Rng& rng) {
 }  // namespace
 
 Topology sample_topology(std::size_t n_aps, std::size_t n_clients,
-                         const RoomParams& room, Rng& rng) {
+                         Rng& rng) {
   Topology topo;
   topo.aps.reserve(n_aps);
   for (std::size_t i = 0; i < n_aps; ++i) {
-    topo.aps.push_back(sample_perimeter(room, rng));
+    topo.aps.push_back(sample_perimeter(rng));
   }
   topo.clients.reserve(n_clients);
   for (std::size_t i = 0; i < n_clients; ++i) {
-    topo.clients.push_back({rng.uniform(1.0, room.width_m - 1.0),
-                            rng.uniform(1.0, room.height_m - 1.0)});
+    topo.clients.push_back({rng.uniform(1.0, kRoomWidthM - 1.0),
+                            rng.uniform(1.0, kRoomHeightM - 1.0)});
   }
   topo.links.resize(n_clients);
   for (std::size_t c = 0; c < n_clients; ++c) {
     topo.links[c].reserve(n_aps);
     for (std::size_t a = 0; a < n_aps; ++a) {
-      topo.links[c].push_back(make_link(topo.aps[a], topo.clients[c],
-                                        room.path_loss, rng));
+      topo.links[c].push_back(make_link(topo.aps[a], topo.clients[c], rng));
     }
   }
   return topo;
@@ -112,24 +122,23 @@ double cell_distance_m(std::size_t a, std::size_t b, const CellGridParams& g) {
   return cell_center(a, g).distance_to(cell_center(b, g));
 }
 
-double inter_cell_leakage_gain(double distance_m, const InterCellParams& p) {
-  if (p.coupling_scale == 0.0) return 0.0;
-  const double d = std::max(distance_m, p.ref_distance_m);
+double inter_cell_leakage_gain(double distance_m) {
+  const double d = std::max(distance_m, kInterCellRefDistanceM);
   const double loss_db =
-      p.leakage_ref_db + 10.0 * p.exponent * std::log10(d / p.ref_distance_m);
-  return p.coupling_scale * from_db(p.tx_snr_db - loss_db);
+      kInterCellLeakageRefDb +
+      10.0 * kInterCellExponent * std::log10(d / kInterCellRefDistanceM);
+  return from_db(kInterCellTxSnrDb - loss_db);
 }
 
-std::vector<double> inter_cell_interference(
-    std::size_t self, std::size_t n_cells, const CellGridParams& grid,
-    const InterCellParams& p, std::size_t n_subcarriers,
-    std::uint64_t trial_seed, const std::vector<double>& duty) {
+std::vector<double> inter_cell_interference(std::size_t self,
+                                            std::size_t n_cells,
+                                            const CellGridParams& grid,
+                                            std::size_t n_subcarriers,
+                                            std::uint64_t trial_seed) {
   std::vector<double> psd(n_subcarriers, 0.0);
   for (std::size_t j = 0; j < n_cells; ++j) {
     if (j == self) continue;
-    const double d = duty.empty() ? 1.0 : duty[j % duty.size()];
-    const double g = inter_cell_leakage_gain(cell_distance_m(self, j, grid), p);
-    if (g <= 0.0 || d <= 0.0) continue;
+    const double g = inter_cell_leakage_gain(cell_distance_m(self, j, grid));
     // Unordered pair key: the fade a sees toward b is the fade b sees
     // toward a, and the draw depends only on (trial, pair), never on
     // which shard computes it first.
@@ -140,19 +149,18 @@ std::vector<double> inter_cell_interference(
     for (std::size_t k = 0; k < n_subcarriers; ++k) {
       // Rayleigh-faded power with unit mean: |CN(0, 1)|^2.
       const cplx h = pair_rng.cgaussian(1.0);
-      psd[k] += g * d * std::norm(h);
+      psd[k] += g * std::norm(h);
     }
   }
   return psd;
 }
 
 Topology sample_topology_in_band(std::size_t n_aps, std::size_t n_clients,
-                                 const RoomParams& room, Rng& rng,
-                                 double lo_db, double hi_db, int max_tries) {
+                                 Rng& rng, double lo_db, double hi_db) {
   Topology best;
   double best_violation = 1e18;
-  for (int attempt = 0; attempt < max_tries; ++attempt) {
-    Topology t = sample_topology(n_aps, n_clients, room, rng);
+  for (int attempt = 0; attempt < kMaxBandTries; ++attempt) {
+    Topology t = sample_topology(n_aps, n_clients, rng);
     double violation = 0.0;
     for (std::size_t c = 0; c < n_clients; ++c) {
       double snr = -1e18;

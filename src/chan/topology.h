@@ -19,16 +19,6 @@ struct Position {
   [[nodiscard]] double distance_to(const Position& o) const;
 };
 
-struct PathLossParams {
-  double ref_loss_db = 40.0;     ///< loss at 1 m (2.4 GHz indoor)
-  double exponent_los = 2.0;
-  double exponent_nlos = 3.2;
-  double shadowing_sigma_db = 3.0;
-  double nlos_probability = 0.35;
-  double tx_power_dbm = 10.0;
-  double noise_floor_dbm = -91.0;  ///< thermal + NF over 10 MHz
-};
-
 struct Link {
   double gain = 0.0;      ///< linear power gain (signal power / tx power)
   bool line_of_sight = true;
@@ -44,27 +34,23 @@ struct Topology {
   std::vector<std::vector<Link>> links;
 };
 
-struct RoomParams {
-  double width_m = 18.0;
-  double height_m = 12.0;
-  PathLossParams path_loss;
-};
+/// The conference room of the paper's testbed (Fig. 5), in meters.
+inline constexpr double kRoomWidthM = 18.0;
+inline constexpr double kRoomHeightM = 12.0;
 
 /// Sample a random placement of n_aps APs (perimeter ledges) and n_clients
-/// clients (interior), with per-link path loss.
+/// clients (interior) in the room, with per-link path loss.
 [[nodiscard]] Topology sample_topology(std::size_t n_aps, std::size_t n_clients,
-                                       const RoomParams& room, Rng& rng);
+                                       Rng& rng);
 
 /// Resample client positions until every client's *best-AP* SNR falls in
 /// [lo_db, hi_db] — how the paper picks topologies per SNR range
 /// ("place nodes ... such that all clients obtain an effective SNR in the
-/// desired range"). Gives up after `max_tries` and returns the closest
+/// desired range"). Gives up after 200 tries and returns the closest
 /// attempt, clamping link gains into the band.
 [[nodiscard]] Topology sample_topology_in_band(std::size_t n_aps,
-                                               std::size_t n_clients,
-                                               const RoomParams& room, Rng& rng,
-                                               double lo_db, double hi_db,
-                                               int max_tries = 200);
+                                               std::size_t n_clients, Rng& rng,
+                                               double lo_db, double hi_db);
 
 /// Dense-deployment link gains: every client has a distinct nearby AP
 /// whose SNR lands in [lo_db, hi_db], with the remaining APs a few dB
@@ -95,28 +81,22 @@ struct CellGridParams {
 [[nodiscard]] double cell_distance_m(std::size_t a, std::size_t b,
                                      const CellGridParams& g);
 
-struct InterCellParams {
-  /// Neighbor cluster's in-band transmit level over the victim's noise
-  /// floor, before coupling loss (dB).
-  double tx_snr_db = 30.0;
-  /// Coupling loss at ref_distance_m (dB): walls + street-level clutter.
-  double leakage_ref_db = 30.0;
-  double ref_distance_m = 30.0;
-  /// Beyond-ref falloff exponent (urban canyon, > indoor NLOS).
-  double exponent = 3.5;
-  /// Linear multiplier on the whole term; 0 disables inter-cell coupling
-  /// exactly (every leakage gain is 0.0, so no pair draws or adds
-  /// anything).
-  double coupling_scale = 1.0;
-};
+/// Inter-cell coupling. A neighbor cluster transmits kInterCellTxSnrDb
+/// over the victim's noise floor before coupling loss; the loss is
+/// kInterCellLeakageRefDb (walls + street-level clutter) at
+/// kInterCellRefDistanceM, falling off beyond it with exponent
+/// kInterCellExponent (urban canyon, > indoor NLOS).
+inline constexpr double kInterCellTxSnrDb = 30.0;
+inline constexpr double kInterCellLeakageRefDb = 30.0;
+inline constexpr double kInterCellRefDistanceM = 30.0;
+inline constexpr double kInterCellExponent = 3.5;
 
 /// Mean linear interference-to-noise gain contributed by a neighbor
-/// `distance_m` away: coupling_scale * 10^((tx_snr_db - loss(d)) / 10)
-/// with loss(d) = leakage_ref_db + 10 * exponent * log10(d / ref), d
-/// clamped to ref_distance_m from below. Monotone non-increasing in
-/// distance; exactly 0.0 when coupling_scale == 0.
-[[nodiscard]] double inter_cell_leakage_gain(double distance_m,
-                                             const InterCellParams& p);
+/// `distance_m` away: 10^((kInterCellTxSnrDb - loss(d)) / 10) with
+/// loss(d) = kInterCellLeakageRefDb + 10 * kInterCellExponent *
+/// log10(d / kInterCellRefDistanceM), d clamped to kInterCellRefDistanceM
+/// from below. Monotone non-increasing in distance.
+[[nodiscard]] double inter_cell_leakage_gain(double distance_m);
 
 /// Aggregate per-subcarrier interference power at cell `self` from every
 /// other cell on the grid, in units of the victim's noise floor
@@ -125,13 +105,9 @@ struct InterCellParams {
 /// Each (cell pair, subcarrier) gets an independent Rayleigh-faded draw
 /// seeded from `trial_seed` and the *unordered* pair — deterministic for
 /// any shard schedule, and symmetric: cell a sees the same fade toward b
-/// as b toward a. `duty[j]` scales neighbor j's contribution by its
-/// transmit duty cycle (fraction of airtime actually occupied); pass 1.0
-/// for saturated neighbors. Pairs with zero leakage gain or zero duty are
-/// skipped without a draw, so coupling_scale == 0 returns all zeros.
+/// as b toward a. Every neighbor is saturated (transmits all the time).
 [[nodiscard]] std::vector<double> inter_cell_interference(
     std::size_t self, std::size_t n_cells, const CellGridParams& grid,
-    const InterCellParams& p, std::size_t n_subcarriers,
-    std::uint64_t trial_seed, const std::vector<double>& duty);
+    std::size_t n_subcarriers, std::uint64_t trial_seed);
 
 }  // namespace jmb::chan

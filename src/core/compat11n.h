@@ -20,29 +20,16 @@
 
 namespace jmb::core {
 
+/// The Section 11.5 testbed is fixed: two 2-antenna APs (AP 0 is the
+/// lead) and two 2-antenna 802.11n clients; compat11n.cpp holds its
+/// constants. Only the operating point varies.
 struct Compat11nParams {
-  std::size_t n_aps = 2;          ///< 2-antenna APs; AP 0 is the lead
-  std::size_t n_clients = 2;      ///< 2-antenna 802.11n clients
-  std::size_t ants_per_node = 2;
-
-  double sounding_interval_s = 2e-3;  ///< spacing between soundings
-  double measure_snr_db = 35.0;       ///< per-sounding estimation SNR
-  double ppm_range = 2.0;             ///< oscillator spread (APs and clients)
-  double carrier_hz = 2.4e9;
-  double phase_noise_linewidth_hz = 0.1;
-  /// Residual per-slave phase error of the sync-header correction at
-  /// transmit time (calibrated from the sample-level Fig. 7 result).
-  double tx_phase_err_sigma = kCalibratedPhaseSigma;
-  /// Operating point: noise floor set so joint ZF would deliver this
-  /// post-beamforming SNR with a perfect snapshot; <= 0 uses noise_power.
+  /// Noise floor set so joint ZF would deliver this post-beamforming SNR
+  /// with a perfect snapshot (dB).
   double effective_snr_db = 20.0;
-  double noise_power = 1.0;
   /// Mean link power gain (flat across clients here; benches scale it to
   /// hit the paper's SNR bands).
   double link_gain = 100.0;
-  /// Rician K of each link (ceiling APs in a conference room are LOS-ish;
-  /// keeps the 4x4 joint channel well conditioned, as the paper observes).
-  double rice_k = 5.0;
 };
 
 struct Compat11nResult {
@@ -62,9 +49,8 @@ struct Compat11nResult {
 };
 
 /// Run one end-to-end compat measurement + joint transmission evaluation.
-/// Throws std::invalid_argument naming the field for fewer than 2 transmit
-/// antennas, a non-finite or non-positive link_gain, a non-finite
-/// measure_snr_db, or a non-finite or negative sounding_interval_s.
+/// Throws std::invalid_argument naming the field for a non-finite or
+/// non-positive link_gain or a non-finite effective_snr_db.
 [[nodiscard]] Compat11nResult run_compat11n(const Compat11nParams& p,
                                             Rng& rng);
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "phy/params.h"
+
 namespace jmb::core {
 
 namespace {
@@ -15,14 +17,14 @@ struct NodeOsc {
       : cfo_hz(ppm * 1e-6 * carrier_hz),
         osc({.ppm = 0.0,
              .carrier_hz = carrier_hz,
-             .sample_rate_hz = 10e6,
+             .sample_rate_hz = phy::kSampleRateHz,
              .phase_noise_linewidth_hz = linewidth,
              .seed = seed}) {}
 
   [[nodiscard]] double phase_at(double t) const {
     return kTwoPi * cfo_hz * t +
-           osc.phase_noise_at(
-               static_cast<std::uint64_t>(std::max(0.0, t * 10e6)));
+           osc.phase_noise_at(static_cast<std::uint64_t>(
+               std::max(0.0, t * phy::kSampleRateHz)));
   }
 };
 

@@ -20,7 +20,7 @@ struct DecoupledParams {
   double measurement_spacing_s = 50e-3;  ///< t_c - t_{c-1}
   double measure_snr_db = 25.0;
   double ppm_range = 2.0;
-  double carrier_hz = 2.4e9;
+  double carrier_hz = phy::kCarrierHz;
   double phase_noise_linewidth_hz = 0.1;
   /// Slave sync residual at transmit.
   double tx_phase_err_sigma = kCalibratedPhaseSigma;

@@ -7,9 +7,6 @@
 
 namespace jmb::core {
 
-SlavePhaseSync::SlavePhaseSync(PhaseSyncParams p)
-    : params_(p), cfo_avg_(p.cfo_alpha) {}
-
 void SlavePhaseSync::set_reference(const phy::ChannelEstimate& h_lead_at_t0,
                                    double t0_seconds) {
   reference_ = h_lead_at_t0;

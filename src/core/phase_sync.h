@@ -23,13 +23,6 @@
 
 namespace jmb::core {
 
-struct PhaseSyncParams {
-  double sample_rate_hz = 10e6;
-  /// EWMA weight for the long-term CFO average (small = long memory;
-  /// infrastructure CFOs are stable, per Section 5.3).
-  double cfo_alpha = 0.05;
-};
-
 /// Correction a slave applies to its transmit baseband.
 struct SlaveCorrection {
   cplx phasor_at_header{1.0, 0.0};  ///< e^{j (omega_L - omega_S)(t1 - t0)}
@@ -43,8 +36,6 @@ struct SlaveCorrection {
 
 class SlavePhaseSync {
  public:
-  explicit SlavePhaseSync(PhaseSyncParams p = {});
-
   /// Install the reference channel captured during the channel-measurement
   /// phase (time t0). Clears nothing else: the CFO average persists, as it
   /// should for infrastructure nodes.
@@ -91,11 +82,14 @@ class SlavePhaseSync {
   }
 
  private:
+  /// EWMA weight for the long-term CFO average (small = long memory;
+  /// infrastructure CFOs are stable, per Section 5.3).
+  static constexpr double kCfoAlpha = 0.05;
+
   const obs::ObsSink* obs_ = nullptr;
-  PhaseSyncParams params_;
   std::optional<phy::ChannelEstimate> reference_;
   double t0_ = 0.0;
-  Ewma cfo_avg_;
+  Ewma cfo_avg_{kCfoAlpha};
 
   /// Previous sync-header phase sample for the ratio-based refinement.
   std::optional<double> last_header_phase_;

@@ -64,9 +64,10 @@ class EngineFaultHost final : public fault::FaultHost {
       sys_.medium.oscillator_mutable(sys_.ap_nodes[ap]).inject_phase_jump(rad);
     }
   }
-  void on_cfo_step(std::size_t ap, double hz) override {
+  void on_cfo_step(std::size_t ap, double hz, double t_s) override {
     if (ap < sys_.ap_nodes.size()) {
-      sys_.medium.oscillator_mutable(sys_.ap_nodes[ap]).inject_cfo_step(hz);
+      sys_.medium.oscillator_mutable(sys_.ap_nodes[ap])
+          .inject_cfo_step(hz, t_s);
     }
   }
 
@@ -96,7 +97,7 @@ void pump_faults(SystemState& sys) {
 
 SyncOutcome run_sync_header(SystemState& sys) {
   pump_faults(sys);
-  const double fs = sys.params.phy.sample_rate_hz;
+  const double fs = phy::kSampleRateHz;
   SyncOutcome out;
   out.header_t = sys.now;
   out.per_slave.resize(sys.params.n_aps - 1);
@@ -143,14 +144,13 @@ SyncOutcome run_sync_header(SystemState& sys) {
     }
   }
   out.tx_start = out.header_t + static_cast<double>(phy::kPreambleLen) / fs +
-                 sys.params.turnaround_s;
+                 kTurnaroundS;
   return out;
 }
 
-void apply_slave_correction(const SystemState& sys, cvec& wave,
-                            const core::SlaveCorrection& corr, double tx_start,
-                            double header_t) {
-  const double fs = sys.params.phy.sample_rate_hz;
+void apply_slave_correction(cvec& wave, const core::SlaveCorrection& corr,
+                            double tx_start, double header_t) {
+  const double fs = phy::kSampleRateHz;
   const double base_dt = tx_start - header_t;
   for (std::size_t n = 0; n < wave.size(); ++n) {
     wave[n] *= corr.at(base_dt + static_cast<double>(n) / fs);
@@ -184,9 +184,8 @@ void MeasurementStage::run(StageContext& stage_ctx) {
   pump_faults(sys);
   sys.medium.clear_transmissions();
   sys.medium.evolve_links_to(sys.now);
-  const double fs = sys.params.phy.sample_rate_hz;
-  ctx.sched = core::MeasurementSchedule{sys.params.n_aps,
-                                        sys.params.measurement_rounds};
+  const double fs = phy::kSampleRateHz;
+  ctx.sched = core::MeasurementSchedule{sys.params.n_aps};
   const core::MeasurementSchedule& sched = *ctx.sched;
   const double frame_t = sys.now;
 
@@ -201,7 +200,7 @@ void MeasurementStage::run(StageContext& stage_ctx) {
   sys.medium.transmit(sys.ap_nodes[0], frame_t, sched.ap_waveform(0));
   for (std::size_t a = 1; a < sys.params.n_aps; ++a) {
     if (sys.fault && sys.fault->ap_down(a)) continue;  // crashed: silent
-    const double jitter = sys.rng.gaussian(sys.params.trigger_jitter_s);
+    const double jitter = sys.rng.gaussian(kTriggerJitterS);
     sys.medium.transmit(sys.ap_nodes[a],
                         frame_t + sys.ap_tx_offset_s[a] + jitter,
                         sched.ap_waveform(a));
@@ -229,7 +228,7 @@ void MeasurementStage::run(StageContext& stage_ctx) {
     // LS fit spans the whole block) than a single preamble correlation —
     // this is what bounds the within-packet phase drift (Section 5.3).
     if (const auto own =
-            process_measurement_frame(buf, sched, sys.params.phy, sys.ws)) {
+            process_measurement_frame(buf, sched, phy::PhyConfig{}, sys.ws)) {
       sys.slave_sync[a - 1].set_cfo_estimate(own->per_ap[0].cfo_hz);
     }
     phy::ChannelEstimate ref = pm->chan;
@@ -245,7 +244,7 @@ void MeasurementStage::run(StageContext& stage_ctx) {
         sys.medium.receive(sys.client_nodes[c], frame_t - kRxMargin / fs,
                            kRxMargin + sched.frame_len() + 200);
     const auto cm =
-        process_measurement_frame(buf, sched, sys.params.phy, sys.ws);
+        process_measurement_frame(buf, sched, phy::PhyConfig{}, sys.ws);
     if (!cm) {
       if (sys.metrics) sys.metrics->stage(kStageMeasure).add_detect_failure();
       all_ok = false;
@@ -423,10 +422,10 @@ void SynthesisStage::run(StageContext& stage_ctx) {
     }
     ++ctx.result.slaves_synced;
     if (!sys.params.disable_slave_correction) {
-      apply_slave_correction(sys, wave, *corr, ctx.sync.tx_start,
+      apply_slave_correction(wave, *corr, ctx.sync.tx_start,
                              ctx.sync.header_t);
     }
-    const double jitter = sys.rng.gaussian(sys.params.trigger_jitter_s);
+    const double jitter = sys.rng.gaussian(kTriggerJitterS);
     ctx.ap_tx_time[a] = ctx.sync.tx_start + sys.ap_tx_offset_s[a] + jitter;
     ctx.ap_waves[a] = std::move(wave);
   }
@@ -435,7 +434,7 @@ void SynthesisStage::run(StageContext& stage_ctx) {
 void PropagationStage::run(StageContext& stage_ctx) {
   FrameContext& ctx = stage_ctx.frame;
   SystemState& sys = ctx.sys;
-  const double fs = sys.params.phy.sample_rate_hz;
+  const double fs = phy::kSampleRateHz;
   for (std::size_t a = 0; a < sys.params.n_aps; ++a) {
     if (!ctx.ap_waves[a]) continue;
     sys.medium.transmit(sys.ap_nodes[a], ctx.ap_tx_time[a],
@@ -444,7 +443,7 @@ void PropagationStage::run(StageContext& stage_ctx) {
   }
   const std::size_t total =
       kRxMargin + phy::kPreambleLen +
-      static_cast<std::size_t>(sys.params.turnaround_s * fs) + ctx.wave_len +
+      static_cast<std::size_t>(kTurnaroundS * fs) + ctx.wave_len +
       300;
   ctx.client_bufs.resize(sys.params.n_clients);
   sys.medium.receive_into(sys.client_nodes, ctx.sync.header_t - kRxMargin / fs,
@@ -455,7 +454,7 @@ void PropagationStage::run(StageContext& stage_ctx) {
 void DecodeStage::run(StageContext& stage_ctx) {
   FrameContext& ctx = stage_ctx.frame;
   SystemState& sys = ctx.sys;
-  const double fs = sys.params.phy.sample_rate_hz;
+  const double fs = phy::kSampleRateHz;
   ctx.result.per_client.resize(sys.params.n_clients);
   bool all_ok = true;
   for (std::size_t c = 0; c < sys.params.n_clients; ++c) {
@@ -472,7 +471,7 @@ void DecodeStage::run(StageContext& stage_ctx) {
         pm->ltf_start >= 192 ? pm->ltf_start - 192 : pm->stf_start;
     const std::size_t payload_start =
         header_pos + phy::kPreambleLen +
-        static_cast<std::size_t>(sys.params.turnaround_s * fs);
+        static_cast<std::size_t>(kTurnaroundS * fs);
     ctx.result.per_client[c] = sys.rx.receive_payload(buf, payload_start,
                                                       pm->cfo_hz);
     const phy::RxResult& r = ctx.result.per_client[c];

@@ -31,50 +31,16 @@
 
 namespace jmb::core {
 
+/// The sample-level system models the paper's USRP2 testbed (10 MHz at
+/// 2.4 GHz, one conference room). Its fixed physics lives in constants
+/// next to the code that reads them: system.cpp builds the nodes and
+/// links, pipeline.cpp runs the frames, and the two they share are below
+/// (engine::kTurnaroundS, engine::kTriggerJitterS).
 struct SystemParams {
   std::size_t n_aps = 2;
   std::size_t n_clients = 2;
-  phy::PhyConfig phy{};
 
-  /// Oscillator spread: each node's ppm ~ U(-range, range).
-  double ap_ppm_range = 2.0;
-  double client_ppm_range = 5.0;
-  double phase_noise_linewidth_hz = 0.1;
-
-  /// Fixed per-AP transmit timing offset range (cabling/pipeline skew,
-  /// drawn once per AP). Constant offsets are absorbed into the measured
-  /// channels, exactly as the paper argues for propagation delays.
-  double fixed_timing_offset_s = 20e-9;
-  /// Per-transmission timing repeatability jitter (std dev). Timestamped
-  /// USRP transmissions repeat to a fraction of a sample; SourceSync
-  /// absolute error is constant and lands in the fixed offset above.
-  double trigger_jitter_s = 1e-9;
-
-  /// Turnaround between lead sync header and the joint transmission
-  /// (software latency on the paper's USRPs: 150 us).
-  double turnaround_s = 150e-6;
-
-  /// Client noise floor (linear power per sample); link gains are relative.
-  double noise_var = 1.0;
-
-  /// AP-to-AP link SNR in dB (APs share ledges; links are strong).
-  double ap_ap_snr_db = 35.0;
-
-  /// Interleaved measurement rounds.
-  std::size_t measurement_rounds = 4;
-
-  /// Propagation delay range for AP-client links (fractional samples ok).
-  double prop_delay_min_s = 10e-9;
-  double prop_delay_max_s = 60e-9;
-
-  /// Multipath shape for every link. At 10 MHz a conference room's
-  /// 30-100 ns delay spread is sub-sample: one dominant tap plus a weak
-  /// echo. (Long tails would also break nulling at symbol boundaries,
-  /// where circular convolution does not hold — a real effect, but not
-  /// one this deployment scenario exhibits.)
-  std::size_t n_taps = 2;
-  double tap_decay = 0.15;
-  double rice_k = 4.0;
+  /// Coherence time of every link (the Doppler of the fading process).
   double coherence_time_s = 0.25;
 
   /// Ablation switch: when true, slaves transmit without any phase
@@ -110,17 +76,24 @@ namespace jmb::engine {
 /// Samples of slack kept before scheduled frames in receive buffers.
 inline constexpr std::size_t kRxMargin = 100;
 
+/// Turnaround between the lead's sync header and the joint transmission
+/// (software latency on the paper's USRPs: 150 us).
+inline constexpr double kTurnaroundS = 150e-6;
+
+/// Per-transmission timing repeatability jitter (std dev). Timestamped
+/// USRP transmissions repeat to a fraction of a sample; SourceSync
+/// absolute error is constant and lands in the fixed per-AP offset.
+inline constexpr double kTriggerJitterS = 1e-9;
+
 /// Everything the stages share between frames: the medium, node handles,
 /// per-slave sync state, the measured channel snapshot and the precoder.
 /// JmbSystem owns one SystemState and is a thin facade over the stages.
 struct SystemState {
   explicit SystemState(core::SystemParams p)
       : params(p),
-        medium({p.phy.sample_rate_hz}, p.seed ^ 0xfeedbeef),
+        medium({phy::kSampleRateHz}, p.seed ^ 0xfeedbeef),
         rng(p.seed),
-        h(p.n_clients, p.n_aps),
-        tx(p.phy),
-        rx(p.phy) {
+        h(p.n_clients, p.n_aps) {
     rx.set_workspace(&ws);
   }
 
@@ -132,7 +105,7 @@ struct SystemState {
   std::vector<chan::NodeId> ap_nodes;      // [0] is the lead
   std::vector<chan::NodeId> client_nodes;
   std::vector<double> ap_tx_offset_s;      // fixed per-AP timing offset
-  double client_noise_var = 1.0;
+  double client_noise_var = 1.0;  // linear power per sample; gains relative
   std::vector<core::SlavePhaseSync> slave_sync;  // index 0 <-> ap 1
 
   core::ChannelMatrixSet h;
@@ -178,9 +151,8 @@ struct SyncOutcome {
 [[nodiscard]] SyncOutcome run_sync_header(SystemState& sys);
 
 /// Apply a slave correction to a waveform starting at tx_start.
-void apply_slave_correction(const SystemState& sys, cvec& wave,
-                            const core::SlaveCorrection& corr, double tx_start,
-                            double header_t);
+void apply_slave_correction(cvec& wave, const core::SlaveCorrection& corr,
+                            double tx_start, double header_t);
 
 /// Mean 2-norm condition number over a spread of subcarriers (at most
 /// `max_samples`, evenly strided) — the conditioning term K in the paper's

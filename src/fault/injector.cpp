@@ -67,7 +67,7 @@ void OscillatorInjector::on_edge(const FaultEvent& ev, bool begin,
   if (ev.kind == FaultKind::kPhaseJump) {
     host.on_phase_jump(ev.ap, ev.magnitude);
   } else if (ev.kind == FaultKind::kCfoStep) {
-    host.on_cfo_step(ev.ap, ev.magnitude);
+    host.on_cfo_step(ev.ap, ev.magnitude, ev.t_s);
   }
 }
 

@@ -38,9 +38,12 @@ class FaultHost {
     (void)ap;
     (void)rad;
   }
-  virtual void on_cfo_step(std::size_t ap, double hz) {
+  /// `t_s` is the step's scheduled time, where the carrier phase stays
+  /// continuous.
+  virtual void on_cfo_step(std::size_t ap, double hz, double t_s) {
     (void)ap;
     (void)hz;
+    (void)t_s;
   }
 };
 

@@ -69,7 +69,7 @@ void ResilienceController::on_sync_result(std::size_t ap, bool ok,
     s.residual_strikes = 0;
     ++s.consecutive_misses;
     if (s.health == ApHealth::kHealthy &&
-        s.consecutive_misses >= params_.sync_miss_threshold) {
+        s.consecutive_misses >= kSyncMissThreshold) {
       quarantine(ap, t_s, "/quarantine_sync_loss");
     }
     if (s.health == ApHealth::kProbation) {
@@ -79,7 +79,7 @@ void ResilienceController::on_sync_result(std::size_t ap, bool ok,
     return;
   }
   s.consecutive_misses = 0;
-  const bool dirty = residual_rad > params_.residual_threshold_rad;
+  const bool dirty = residual_rad > kResidualThresholdRad;
   if (dirty) {
     s.residual_strikes++;
     s.clean_headers = 0;
@@ -88,7 +88,7 @@ void ResilienceController::on_sync_result(std::size_t ap, bool ok,
                     obs::kPhaseRadBounds, residual_rad);
     }
     if (s.health == ApHealth::kHealthy &&
-        s.residual_strikes >= params_.residual_strike_threshold) {
+        s.residual_strikes >= kResidualStrikeThreshold) {
       quarantine(ap, t_s, "/quarantine_residual");
     }
     return;
@@ -97,7 +97,7 @@ void ResilienceController::on_sync_result(std::size_t ap, bool ok,
   s.residual_strikes = 0;
   ++s.clean_headers;
   if (s.health == ApHealth::kQuarantined &&
-      s.clean_headers >= params_.probation_headers) {
+      s.clean_headers >= kProbationHeaders) {
     // Evidence is back; park in probation until a re-measurement epoch
     // restores a trustworthy reference.
     s.health = ApHealth::kProbation;

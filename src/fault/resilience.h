@@ -27,16 +27,17 @@
 
 namespace jmb::fault {
 
+/// Consecutive missed sync headers before an AP is quarantined.
+inline constexpr std::size_t kSyncMissThreshold = 3;
+/// Phase-sync residual (radians) counted as a strike against the AP.
+inline constexpr double kResidualThresholdRad = 0.5;
+/// Consecutive above-threshold residuals before quarantine.
+inline constexpr std::size_t kResidualStrikeThreshold = 3;
+/// Consecutive clean sync headers a probation AP must produce before it
+/// rejoins joint transmissions.
+inline constexpr std::size_t kProbationHeaders = 2;
+
 struct ResilienceParams {
-  /// Consecutive missed sync headers before an AP is quarantined.
-  std::size_t sync_miss_threshold = 3;
-  /// Phase-sync residual (radians) counted as a strike against the AP.
-  double residual_threshold_rad = 0.5;
-  /// Consecutive above-threshold residuals before quarantine.
-  std::size_t residual_strike_threshold = 3;
-  /// Consecutive clean sync headers a probation AP must produce before it
-  /// rejoins joint transmissions.
-  std::size_t probation_headers = 2;
   /// Metric namespace for everything the controller publishes. Per-cluster
   /// controllers (metro sharding) pass e.g. "cell3/resilience" so the
   /// merged aggregate registry keeps clusters apart; the default keeps
@@ -74,9 +75,9 @@ class ResilienceController {
   /// The MAC observed AP `ap` hard-down (e.g. backhaul heartbeat loss).
   void mark_down(std::size_t ap, double t_s);
 
-  /// A re-measurement epoch completed at t_s: probation APs (and, when
-  /// `readmit_quarantined`, quarantined ones whose evidence returned)
-  /// rejoin with fresh references.
+  /// A re-measurement epoch completed at t_s: probation APs rejoin with
+  /// fresh references. Quarantined APs stay out until kProbationHeaders
+  /// clean headers move them to probation.
   void on_remeasure(double t_s);
 
   /// First fully-successful joint transmission after a quarantine; stamps

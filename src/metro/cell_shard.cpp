@@ -13,6 +13,12 @@ namespace jmb::metro {
 namespace {
 
 constexpr std::size_t kSinrPool = 8;  ///< pre-drawn entries per active set
+/// Per-cell SNR band for the link budget (dB): the high band of the
+/// throughput benches, as a dense metro cell sees it.
+constexpr double kLoDb = 18.0;
+constexpr double kHiDb = 28.0;
+/// SIFS-like turnaround, as in the fig09 MAC runs.
+constexpr double kTurnaroundS = 16e-6;
 
 }  // namespace
 
@@ -27,8 +33,7 @@ CellShardReport run_cell_shard(engine::TrialContext& ctx,
   core::ChannelMatrixSet h(0, 0);
   {
     const auto timer = ctx.time_stage(engine::kStageMeasure);
-    gains = chan::diverse_link_gains(p.n_aps, p.n_clients, p.lo_db, p.hi_db,
-                                     rng);
+    gains = chan::diverse_link_gains(p.n_aps, p.n_clients, kLoDb, kHiDb, rng);
     h = core::well_conditioned_channel_set(gains, rng);
   }
 
@@ -38,8 +43,7 @@ CellShardReport run_cell_shard(engine::TrialContext& ctx,
   const std::uint64_t trial_seed =
       ctx.seed ^ (static_cast<std::uint64_t>(ctx.cell) << 32);
   const std::vector<double> psd = chan::inter_cell_interference(
-      ctx.cell, ctx.n_cells, p.grid, p.coupling, h.n_subcarriers(), trial_seed,
-      {});
+      ctx.cell, ctx.n_cells, p.grid, h.n_subcarriers(), trial_seed);
   double i_sum = 0.0;
   for (const double v : psd) i_sum += v;
   rep.mean_interference =
@@ -47,7 +51,7 @@ CellShardReport run_cell_shard(engine::TrialContext& ctx,
 
   net::MacParams mac;
   mac.duration_s = p.duration_s;
-  mac.airtime.turnaround_s = p.turnaround_s;
+  mac.airtime.turnaround_s = kTurnaroundS;
   mac.seed = rng.next_u64();
   mac.record_latency = true;
 

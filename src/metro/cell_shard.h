@@ -31,11 +31,7 @@ struct CellShardParams {
   std::size_t n_aps = 4;
   std::size_t n_clients = 4;  ///< user slots (JMB_USERS_PER_CELL)
   double duration_s = 0.25;
-  double lo_db = 18.0;  ///< per-cell SNR band for the link budget
-  double hi_db = 28.0;
-  double turnaround_s = 16e-6;
   chan::CellGridParams grid;
-  chan::InterCellParams coupling;
   ChurnParams churn;  ///< zero rates = no churn (legacy MAC path)
   /// Optional per-cell fault plan; null = fault-free cell.
   const fault::FaultPlan* fault_plan = nullptr;

@@ -34,14 +34,10 @@ MetroResult run_metro(engine::TrialRunner& runner, const MetroParams& p,
   shard.n_aps = p.aps_per_cell;
   shard.n_clients = p.users_per_cell;
   shard.duration_s = p.duration_s;
-  shard.lo_db = p.lo_db;
-  shard.hi_db = p.hi_db;
   shard.grid = p.grid;
-  shard.coupling = p.coupling;
   shard.churn.users_per_cell = p.users_per_cell;
   shard.churn.arrival_rate_hz = p.churn_rate_hz;
   shard.churn.departure_rate_hz = p.churn_rate_hz;
-  shard.churn.handoff_fraction = p.handoff_fraction;
   shard.churn.duration_s = p.duration_s;
   shard.fault_plan = p.fault_plan;
 

@@ -24,11 +24,7 @@ struct MetroParams {
   /// Symmetric churn: departure rate per attached user == re-attach rate
   /// per detached slot. 0 disables churn (bit-exact legacy MAC path).
   double churn_rate_hz = 0.0;
-  double handoff_fraction = 0.3;
-  double lo_db = 18.0;  ///< per-cell link-budget band
-  double hi_db = 28.0;
   chan::CellGridParams grid;  ///< cols is derived by normalize()
-  chan::InterCellParams coupling;
   /// Optional fault plan applied to every cell (per-cell session seeded
   /// from the trial seed); null = fault-free metro.
   const fault::FaultPlan* fault_plan = nullptr;

@@ -52,16 +52,11 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
           "MacParams::coherence_time_s must be > 0 on a JMB run");
   require(params.saturated || params.traffic != nullptr,
           "MacParams::saturated = false needs a MacParams::traffic source");
-  // A negative or non-finite airtime would run the clock backwards or
-  // stall it; a bad feedback rate would index past rate_set().
-  require(std::isfinite(params.airtime.sample_rate_hz) &&
-              params.airtime.sample_rate_hz > 0.0,
-          "MacParams::airtime.sample_rate_hz must be finite and > 0");
+  // A negative or non-finite turnaround would run the clock backwards or
+  // stall it.
   require(std::isfinite(params.airtime.turnaround_s) &&
               params.airtime.turnaround_s >= 0.0,
           "MacParams::airtime.turnaround_s must be finite and >= 0");
-  require(params.airtime.feedback_rate_index < phy::rate_set().size(),
-          "MacParams::airtime.feedback_rate_index must index rate_set()");
 
   // Traffic-source properties (DESIGN.md tabulates why each holds).
   TrafficSource* const src = params.traffic;
@@ -72,7 +67,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
       joint ? 4 * n_streams + (params.activity ? n_clients : 0) : n_clients;
   // Sync preamble + turnaround: the cost of a slot without data.
   const double idle_slot_s =
-      static_cast<double>(phy::kPreambleLen) / params.airtime.sample_rate_hz +
+      static_cast<double>(phy::kPreambleLen) / phy::kSampleRateHz +
       params.airtime.turnaround_s;
 
   MacReport report;
@@ -124,8 +119,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
     const auto r = rate::select_rate(hint_link);
     if (!r) return 0.0;
     return static_cast<double>(phy::rate_set()[*r].n_dbps()) *
-           params.airtime.sample_rate_hz /
-           static_cast<double>(phy::kSymbolLen) / 1e6;
+           phy::kSampleRateHz / static_cast<double>(phy::kSymbolLen) / 1e6;
   };
 
   std::vector<std::size_t> picked;
@@ -154,8 +148,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
       if (t >= next_measurement || due > next_forced ||
           (ctrl && ctrl->needs_remeasure())) {
         next_forced = due;
-        const double meas =
-            rate::measurement_airtime_s(n_aps, n_clients, params.airtime);
+        const double meas = rate::measurement_airtime_s(n_aps, n_clients);
         t += meas;
         report.measurement_airtime_s += meas;
         ++report.measurement_epochs;
@@ -289,8 +282,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
     const phy::Mcs& mcs = phy::rate_set()[reachable ? rate_idx : 0];
     const double airtime =
         joint ? rate::joint_frame_airtime_s(frame_bytes, mcs, params.airtime)
-              : rate::frame_airtime_s(frame_bytes, mcs,
-                                      params.airtime.sample_rate_hz);
+              : rate::frame_airtime_s(frame_bytes, mcs, phy::kSampleRateHz);
     t += airtime;
     if (reachable || src) report.data_airtime_s += airtime;
 

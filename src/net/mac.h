@@ -54,9 +54,8 @@ using ActivityFn = std::function<bool(std::size_t client, double t)>;
 /// Every entry point validates its inputs and throws std::invalid_argument
 /// naming the field: duration_s must be finite and > 0, n_aps, n_clients
 /// and n_streams > 0, coherence_time_s > 0 on a JMB run, and
-/// saturated = false needs a traffic source. Of `airtime`,
-/// sample_rate_hz must be finite and > 0, turnaround_s finite and >= 0,
-/// and feedback_rate_index < rate_set().size().
+/// saturated = false needs a traffic source, and airtime.turnaround_s
+/// must be finite and >= 0.
 struct MacParams {
   double duration_s = 1.0;
   std::size_t psdu_bytes = 1500;

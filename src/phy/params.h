@@ -83,10 +83,16 @@ struct Mcs {
 [[nodiscard]] unsigned rate_field_bits(std::size_t rate_set_index);
 [[nodiscard]] std::size_t rate_index_from_field(unsigned bits);
 
+/// Sample rate of the paper's USRP2 testbed: a 10 MHz channel. The one
+/// definition every layer (PHY, channel, airtime, phase sync) reads.
+inline constexpr double kSampleRateHz = 10e6;
+/// RF carrier of the testbed (2.4 GHz ISM), for ppm -> Hz conversions.
+inline constexpr double kCarrierHz = 2.4e9;
+
 /// Channel/system-level configuration shared by TX and RX.
 struct PhyConfig {
-  double sample_rate_hz = 10e6;     ///< USRP testbed channel width
-  double carrier_hz = 2.4e9;        ///< RF carrier (for ppm conversions)
+  double sample_rate_hz = kSampleRateHz;
+  double carrier_hz = kCarrierHz;
 
   [[nodiscard]] double symbol_duration_s() const {
     return static_cast<double>(kSymbolLen) / sample_rate_hz;

@@ -246,30 +246,28 @@ TEST(FadingChannel, ApplyRangeMatchesApply) {
 
 TEST(Topology, PlacementRespectsRoom) {
   Rng rng(1);
-  const RoomParams room;
-  const Topology t = sample_topology(10, 10, room, rng);
+  const Topology t = sample_topology(10, 10, rng);
   EXPECT_EQ(t.aps.size(), 10u);
   EXPECT_EQ(t.clients.size(), 10u);
   ASSERT_EQ(t.links.size(), 10u);
   for (const auto& row : t.links) EXPECT_EQ(row.size(), 10u);
   for (const Position& p : t.aps) {
     EXPECT_GE(p.x, 0.0);
-    EXPECT_LE(p.x, room.width_m);
+    EXPECT_LE(p.x, kRoomWidthM);
     EXPECT_GE(p.y, 0.0);
-    EXPECT_LE(p.y, room.height_m);
+    EXPECT_LE(p.y, kRoomHeightM);
     // On a ledge: within 0.5 m of some wall.
-    const double wall = std::min(std::min(p.x, room.width_m - p.x),
-                                 std::min(p.y, room.height_m - p.y));
+    const double wall = std::min(std::min(p.x, kRoomWidthM - p.x),
+                                 std::min(p.y, kRoomHeightM - p.y));
     EXPECT_LE(wall, 0.5);
   }
 }
 
 TEST(Topology, CloserIsStrongerOnAverage) {
   Rng rng(2);
-  const RoomParams room;
   RunningStats near_snr, far_snr;
   for (int trial = 0; trial < 60; ++trial) {
-    const Topology t = sample_topology(4, 4, room, rng);
+    const Topology t = sample_topology(4, 4, rng);
     for (std::size_t c = 0; c < t.clients.size(); ++c) {
       for (std::size_t a = 0; a < t.aps.size(); ++a) {
         (t.links[c][a].distance_m < 5.0 ? near_snr : far_snr)
@@ -282,10 +280,9 @@ TEST(Topology, CloserIsStrongerOnAverage) {
 
 TEST(Topology, BandSamplerHitsBand) {
   Rng rng(3);
-  const RoomParams room;
   for (const auto& [lo, hi] :
        {std::pair{6.0, 12.0}, {12.0, 18.0}, {18.0, 30.0}}) {
-    const Topology t = sample_topology_in_band(6, 6, room, rng, lo, hi);
+    const Topology t = sample_topology_in_band(6, 6, rng, lo, hi);
     for (std::size_t c = 0; c < t.clients.size(); ++c) {
       double best = -1e18;
       for (const Link& l : t.links[c]) best = std::max(best, l.snr_db);
@@ -333,14 +330,13 @@ TEST(MetroGeometry, GridPlacementIsRowMajor) {
 }
 
 TEST(MetroGeometry, LeakageGainIsMonotoneInDistance) {
-  const InterCellParams p;
-  // Clamped below ref_distance_m; strictly decreasing beyond it.
-  EXPECT_DOUBLE_EQ(inter_cell_leakage_gain(0.0, p),
-                   inter_cell_leakage_gain(p.ref_distance_m, p));
-  double prev = inter_cell_leakage_gain(p.ref_distance_m, p);
+  // Clamped below the reference distance; strictly decreasing beyond it.
+  EXPECT_DOUBLE_EQ(inter_cell_leakage_gain(0.0),
+                   inter_cell_leakage_gain(kInterCellRefDistanceM));
+  double prev = inter_cell_leakage_gain(kInterCellRefDistanceM);
   EXPECT_GT(prev, 0.0);
-  for (double d = p.ref_distance_m * 1.5; d < 400.0; d *= 1.5) {
-    const double g = inter_cell_leakage_gain(d, p);
+  for (double d = kInterCellRefDistanceM * 1.5; d < 400.0; d *= 1.5) {
+    const double g = inter_cell_leakage_gain(d);
     EXPECT_LT(g, prev) << "at d=" << d;
     prev = g;
   }
@@ -351,9 +347,8 @@ TEST(MetroGeometry, InterferenceIsSymmetricForACellPair) {
   // so each side sees the identical per-subcarrier profile no matter
   // which shard computes first.
   const CellGridParams grid{.cols = 2, .pitch_m = 30.0};
-  const InterCellParams p;
-  const auto at0 = inter_cell_interference(0, 2, grid, p, 48, 1234, {});
-  const auto at1 = inter_cell_interference(1, 2, grid, p, 48, 1234, {});
+  const auto at0 = inter_cell_interference(0, 2, grid, 48, 1234);
+  const auto at1 = inter_cell_interference(1, 2, grid, 48, 1234);
   ASSERT_EQ(at0.size(), 48u);
   double total = 0.0;
   for (std::size_t k = 0; k < at0.size(); ++k) {
@@ -362,23 +357,17 @@ TEST(MetroGeometry, InterferenceIsSymmetricForACellPair) {
   }
   EXPECT_GT(total, 0.0);
   // And regenerating the same shard's view is bit-stable.
-  const auto again = inter_cell_interference(0, 2, grid, p, 48, 1234, {});
+  const auto again = inter_cell_interference(0, 2, grid, 48, 1234);
   EXPECT_EQ(at0, again);
   // A different trial seed redraws the fades.
-  const auto other = inter_cell_interference(0, 2, grid, p, 48, 1235, {});
+  const auto other = inter_cell_interference(0, 2, grid, 48, 1235);
   EXPECT_NE(at0, other);
 }
 
-TEST(MetroGeometry, ZeroCouplingIsExactlyZero) {
+TEST(MetroGeometry, SingleCellGridHasNoInterference) {
+  // Single-cell grids have no neighbors, so nothing leaks in.
   const CellGridParams grid{.cols = 3, .pitch_m = 30.0};
-  InterCellParams p;
-  p.coupling_scale = 0.0;
-  EXPECT_EQ(inter_cell_leakage_gain(10.0, p), 0.0);
-  const auto psd = inter_cell_interference(4, 9, grid, p, 48, 77, {});
-  for (const double v : psd) EXPECT_EQ(v, 0.0);
-  // Single-cell grids have no neighbors regardless of coupling.
-  const auto lone =
-      inter_cell_interference(0, 1, grid, InterCellParams{}, 48, 77, {});
+  const auto lone = inter_cell_interference(0, 1, grid, 48, 77);
   for (const double v : lone) EXPECT_EQ(v, 0.0);
 }
 

@@ -295,7 +295,7 @@ TEST(PhaseSync, CfoAverageConvergesAndRefines) {
   // per-header estimates; the long-term estimate must converge well below
   // the single-shot noise.
   const double truth = 1234.5;
-  SlavePhaseSync sync({.sample_rate_hz = 10e6, .cfo_alpha = 0.05});
+  SlavePhaseSync sync;
   Rng rng(14);
   phy::ChannelEstimate ref;
   for (int k = -26; k <= 26; ++k) {

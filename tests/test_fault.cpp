@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "chan/medium.h"
 #include "core/link_model.h"
 #include "core/precoder.h"
 #include "engine/pipeline.h"
@@ -231,7 +232,7 @@ TEST(FaultSession, PointEventsReachTheHost) {
     void on_phase_jump(std::size_t ap, double rad) override {
       jumps.emplace_back(ap, rad);
     }
-    void on_cfo_step(std::size_t ap, double hz) override {
+    void on_cfo_step(std::size_t ap, double hz, double) override {
       steps.emplace_back(ap, hz);
     }
   };
@@ -467,9 +468,7 @@ TEST(EngineFaults, CrashQuarantineRemeasureRecover) {
   const fault::FaultPlan plan =
       fault::FaultPlan::single_crash(2, sys.now() + 1e-4);
   fault::FaultSession session(plan, 4, 5);
-  fault::ResilienceParams rp;
-  rp.sync_miss_threshold = 1;  // quarantine on the first missed header
-  fault::ResilienceController ctrl(4, rp);
+  fault::ResilienceController ctrl(4);
   sys.attach_fault(&session);
   sys.attach_resilience(&ctrl);
   sys.advance_time(1e-3);
@@ -477,6 +476,9 @@ TEST(EngineFaults, CrashQuarantineRemeasureRecover) {
   phy::ByteVec pa(150, 0x11), pb(150, 0x22), pc(150, 0x33);
   const phy::Mcs mcs{phy::Modulation::kQpsk, phy::CodeRate::kHalf};
   const core::JointResult r1 = sys.transmit_joint({pa, pb, pc}, mcs);
+  // Two more headerless frames reach the controller's miss threshold.
+  static_assert(fault::kSyncMissThreshold == 3);
+  for (int i = 1; i < 3; ++i) (void)sys.transmit_joint({pa, pb, pc}, mcs);
   // The crashed slave sent no sync header: only 2 of 3 slaves synced, and
   // the controller quarantined it from the missing-evidence stream.
   EXPECT_EQ(r1.slaves_synced, 2u);
@@ -499,6 +501,59 @@ TEST(EngineFaults, CrashQuarantineRemeasureRecover) {
   }
   EXPECT_GE(ctrl.recoveries(), 1u);
   EXPECT_GT(ctrl.last_detect_latency_s(), 0.0);
+}
+
+TEST(EngineFaults, PhaseJumpShowsInTheSlaveResidual) {
+  // A carrier-phase hit on slave AP 1 rotates everything its receiver
+  // hears, so the next sync header's phase walk strays from the CFO
+  // prediction by the jump: a strike for the resilience controller.
+  core::SystemParams p;
+  p.n_aps = 2;
+  p.n_clients = 2;
+  p.seed = 31;
+  const double gain = core::JmbSystem::gain_for_snr_db(25.0, 1.0);
+  core::JmbSystem sys(
+      p, std::vector<std::vector<double>>(2, std::vector<double>(2, gain)));
+  ASSERT_TRUE(sys.run_measurement());
+  const phy::ByteVec pa(100, 0x5a), pb(100, 0xa5);
+  const phy::Mcs mcs{phy::Modulation::kQpsk, phy::CodeRate::kHalf};
+  for (int i = 0; i < 2; ++i) {
+    sys.advance_time(1e-3);
+    (void)sys.transmit_joint({pa, pb}, mcs);
+  }
+  const core::SlavePhaseSync& slave = sys.state().slave_sync[0];
+  ASSERT_LT(slave.last_residual_rad(), fault::kResidualThresholdRad);
+
+  std::vector<fault::FaultEvent> events;
+  events.push_back(
+      {fault::FaultKind::kPhaseJump, sys.now() + 1e-4, 1, 0.0, 1.0, 1.0});
+  const fault::FaultPlan plan(std::move(events), 1);
+  fault::FaultSession session(plan, 2, 1);
+  sys.attach_fault(&session);
+  sys.advance_time(1e-3);
+  (void)sys.transmit_joint({pa, pb}, mcs);
+  EXPECT_EQ(session.events_applied(), 1u);
+  EXPECT_GT(slave.last_residual_rad(), fault::kResidualThresholdRad);
+}
+
+TEST(EngineFaults, CfoStepKeepsThePhaseContinuous) {
+  // Render one instant just before and just after a 100 Hz step at that
+  // instant: the carrier's frequency changes there, its phase does not.
+  constexpr double kStepAtS = 1.25e-3;
+  chan::Medium medium({});
+  const chan::NodeId tx = medium.add_node(
+      {.ppm = 0.0, .phase_noise_linewidth_hz = 0.0, .seed = 1}, 0.0);
+  const chan::NodeId rx = medium.add_node(
+      {.ppm = 0.0, .phase_noise_linewidth_hz = 0.0, .seed = 2}, 0.0);
+  medium.set_link(tx, rx,
+                  {.gain = 1.0, .n_taps = 1, .tap_decay = 1.0, .rice_k = 1e9,
+                   .delay_s = 0.0, .coherence_time_s = 0.25, .seed = 3});
+  medium.transmit(tx, 0.0, cvec(20000, cplx{1.0, 0.0}));
+  const cvec before = medium.receive(rx, kStepAtS, 1);
+  medium.oscillator_mutable(tx).inject_cfo_step(100.0, kStepAtS);
+  const cvec after = medium.receive(rx, kStepAtS, 1);
+  ASSERT_GT(std::abs(before[0]), 0.5);
+  EXPECT_NEAR(std::arg(after[0] * std::conj(before[0])), 0.0, 1e-9);
 }
 
 // ------------------------------------------------------------ MAC layer

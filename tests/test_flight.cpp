@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -102,8 +103,15 @@ TEST(FlightRing, SnapshotIsSafeAgainstConcurrentWriter) {
   while (wrote.load(std::memory_order_relaxed) < 256) {
     std::this_thread::yield();
   }
+  // A writer lapping the ring nonstop can tear every record of a
+  // snapshot, so 200 rounds alone may check nothing. Race on until at
+  // least one record has been checked, under a wall-clock cap.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::size_t seen = 0;
-  for (int round = 0; round < 200; ++round) {
+  for (int round = 0; (round < 200 || seen == 0) &&
+                      std::chrono::steady_clock::now() < deadline;
+       ++round) {
     if (round % 16 == 0) std::this_thread::yield();
     for (const flight::FlightRecord& r : ring.snapshot()) {
       EXPECT_EQ(r.tsc, r.flow);
