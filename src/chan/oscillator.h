@@ -20,11 +20,11 @@
 namespace jmb::chan {
 
 struct OscillatorParams {
-  double ppm = 0.0;                       ///< crystal error, parts per million
-  double carrier_hz = phy::kCarrierHz;    ///< RF carrier the crystal multiplies to
+  double ppm = 0.0;                     ///< crystal error, parts per million
+  double carrier_hz = phy::kCarrierHz;  ///< RF carrier the crystal drives
   double sample_rate_hz = phy::kSampleRateHz;  ///< nominal ADC/DAC rate
   double phase_noise_linewidth_hz = 0.1;  ///< Wiener linewidth (3 dB width)
-  std::uint64_t seed = 1;                 ///< phase-noise stream seed
+  std::uint64_t seed = 1;               ///< phase-noise stream seed
 };
 
 /// One node's oscillator. Thread-compatible (no internal locking).

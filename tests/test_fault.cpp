@@ -476,9 +476,10 @@ TEST(EngineFaults, CrashQuarantineRemeasureRecover) {
   phy::ByteVec pa(150, 0x11), pb(150, 0x22), pc(150, 0x33);
   const phy::Mcs mcs{phy::Modulation::kQpsk, phy::CodeRate::kHalf};
   const core::JointResult r1 = sys.transmit_joint({pa, pb, pc}, mcs);
-  // Two more headerless frames reach the controller's miss threshold.
-  static_assert(fault::kSyncMissThreshold == 3);
-  for (int i = 1; i < 3; ++i) (void)sys.transmit_joint({pa, pb, pc}, mcs);
+  // More headerless frames, up to the controller's miss threshold.
+  for (std::size_t i = 1; i < fault::kSyncMissThreshold; ++i) {
+    (void)sys.transmit_joint({pa, pb, pc}, mcs);
+  }
   // The crashed slave sent no sync header: only 2 of 3 slaves synced, and
   // the controller quarantined it from the missing-evidence stream.
   EXPECT_EQ(r1.slaves_synced, 2u);

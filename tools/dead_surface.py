@@ -22,6 +22,12 @@ The exit code is 1 when a dead function is not on KEEP below, by its full
 signature or by its qualified name (each entry says why it stays although
 nothing links it), 0 otherwise. A KEEP entry that matches nothing dead is
 noted so it can be dropped.
+
+Blind spot: a function defined inline in a header is emitted only by the
+translation units that call it, so one that nothing calls appears in no
+archive and is invisible here. Oscillator::injected_phase_rad() and
+injected_cfo_hz() had no caller anywhere and the survey never listed
+them; find such functions by grepping for their callers.
 """
 
 import argparse
