@@ -1,12 +1,18 @@
 # Export parity across environments: run one bench twice with the same
 # seed under two environment/argument sets and require byte-identical
-# --metrics-out artifacts. Used to prove that a knob which must not change
-# physics (e.g. JMB_PRECODER=zf vs unset) really leaves it untouched.
+# --metrics-out artifacts. Used to prove that a setting which must not
+# change physics really leaves it untouched: the worker count
+# (thread_parity_*: JMB_THREADS=1 vs 4), the SIMD backend
+# (simd_parity_*: JMB_SIMD=scalar vs --unset=JMB_SIMD, so the native leg
+# picks the machine's best backend even when the surrounding environment
+# pins one) and the precoder knob (precoder_zf_parity_*: JMB_PRECODER=zf
+# vs unset).
 #
 # Invoked by ctest (see bench/CMakeLists.txt) as:
 #   cmake -DBENCH=<bench exe> -DSEED=<decimal seed>
 #         -DOUT1=<artifact> -DOUT2=<artifact>
-#         [-DENV1=<;-separated VAR=VAL>] [-DENV2=...]
+#         [-DENV1=<;-separated `cmake -E env` args: VAR=VAL, --unset=VAR>]
+#         [-DENV2=...]
 #         [-DARGS1=<;-separated bench args>] [-DARGS2=...]
 #         -P env_parity.cmake
 #

@@ -21,8 +21,11 @@ FadingChannel::FadingChannel(FadingParams p) : params_(p), rng_(p.seed) {
   if (p.n_taps == 0) {
     throw std::invalid_argument("FadingChannel: need >= 1 tap");
   }
-  if (p.gain < 0) throw std::invalid_argument("FadingChannel: negative gain");
-  if (p.coherence_time_s <= 0) {
+  // Negated comparisons, so a NaN fails them too.
+  if (!(p.gain >= 0)) {
+    throw std::invalid_argument("FadingChannel: negative or NaN gain");
+  }
+  if (!(p.coherence_time_s > 0)) {
     throw std::invalid_argument(
         "FadingChannel: coherence time must be positive");
   }

@@ -11,18 +11,6 @@
 
 namespace jmb::core {
 
-namespace {
-
-/// Shared 64-point plan for the per-round channel-symbol FFTs. Immutable
-/// after construction, so sharing across threads is safe; bitwise-identical
-/// to fft_inplace().
-const FftPlan& plan64() {
-  static const FftPlan plan(phy::kNfft);
-  return plan;
-}
-
-}  // namespace
-
 std::size_t MeasurementSchedule::cfo_block_offset(std::size_t ap) const {
   if (ap >= n_aps) throw std::invalid_argument("cfo_block_offset: bad ap");
   return phy::kPreambleLen + ap * kCfoSlotLen;
@@ -73,8 +61,7 @@ cvec MeasurementSchedule::ap_waveform(std::size_t ap) const {
 std::optional<ClientMeasurement> process_measurement_frame(
     const cvec& rx, const MeasurementSchedule& sched, const phy::PhyConfig& cfg,
     Workspace& ws) {
-  phy::Receiver receiver(cfg);
-  receiver.set_workspace(&ws);
+  const phy::Receiver receiver(ws, cfg);
   const auto pm = receiver.measure_preamble(rx);
   if (!pm) return std::nullopt;
   // Reference time = sync-header start. The LTF correlator pinned the
@@ -97,6 +84,7 @@ std::optional<ClientMeasurement> process_measurement_frame(
   // below stay off the heap once capacities are warm.
   cvec& win = ws.meas_win;
   cvec& freq = ws.meas_freq;
+  const FftPlan& plan = ws.fft_plan(phy::kNfft);
 
   for (std::size_t ap = 0; ap < sched.n_aps; ++ap) {
     // --- Coarse CFO from the AP's dedicated block (lag-64 correlation).
@@ -119,11 +107,7 @@ std::optional<ClientMeasurement> process_measurement_frame(
       const std::size_t at =
           header + sched.chan_symbol_offset(ap, r) + phy::kCpLen - kBackoff;
       rel_offset[r] = static_cast<double>(at - header) - ref;
-      win.assign(rx.begin() + static_cast<std::ptrdiff_t>(at),
-                 rx.begin() + static_cast<std::ptrdiff_t>(at + phy::kNfft));
-      phy::correct_cfo_into(win, cfo, fs, rel_offset[r], win);
-      freq.assign(win.begin(), win.end());
-      plan64().forward(freq);
+      phy::fft_window_into(rx, at, cfo, fs, rel_offset[r], plan, freq);
       raw[r] = phy::estimate_from_ltf(freq);
     }
 

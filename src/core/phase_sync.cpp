@@ -49,11 +49,9 @@ SlaveCorrection SlavePhaseSync::on_sync_header(
   // ambiguity is resolved with the current average — the same trick GPS
   // disciplining uses, and what "continuously averaged ... across multiple
   // transmissions" amounts to in practice.
-  last_innovation_hz_ =
-      cfo_avg_.empty() ? 0.0 : std::abs(preamble_cfo_hz - cfo_avg_.value());
   if (obs_ && !cfo_avg_.empty()) {
     obs_->observe("phase_sync/cfo_innovation_hz", obs::kHzBounds,
-                  last_innovation_hz_);
+                  std::abs(preamble_cfo_hz - cfo_avg_.value()));
   }
   cfo_avg_.add(preamble_cfo_hz);
   const double phase_now = std::arg(corr.phasor_at_header);

@@ -73,13 +73,9 @@ class SlavePhaseSync {
 
   /// Telemetry from the most recent on_sync_header(): how far the
   /// header-to-header phase walk strayed from the averaged-CFO prediction
-  /// (0 until two headers have been seen) and the preamble CFO innovation
-  /// against the long-term average. The resilience controller consumes
-  /// these as per-AP sync-health evidence.
+  /// (0 until two headers have been seen). The resilience controller
+  /// consumes it as per-AP sync-health evidence.
   [[nodiscard]] double last_residual_rad() const { return last_residual_rad_; }
-  [[nodiscard]] double last_cfo_innovation_hz() const {
-    return last_innovation_hz_;
-  }
 
  private:
   /// EWMA weight for the long-term CFO average (small = long memory;
@@ -96,7 +92,6 @@ class SlavePhaseSync {
   double last_header_t_ = 0.0;
 
   double last_residual_rad_ = 0.0;
-  double last_innovation_hz_ = 0.0;
 };
 
 }  // namespace jmb::core

@@ -158,16 +158,8 @@ class Precoder {
     return scale_ * scale_ / noise_power;
   }
 
-  /// Per-subcarrier transmit vector for stream symbols x (one per client).
-  [[nodiscard]] cvec transmit_vector(std::size_t used_idx,
-                                     const cvec& x) const {
-    cvec out(w_[used_idx].rows());
-    transmit_vector_into(used_idx, x, out);
-    return out;
-  }
-
-  /// transmit_vector() into a caller-owned span of exactly n_tx() entries.
-  /// Bitwise-identical to the allocating API, which wraps this kernel.
+  /// Per-subcarrier transmit vector for stream symbols x (one per client),
+  /// into a caller-owned span of exactly n_tx() entries.
   void transmit_vector_into(std::size_t used_idx, std::span<const cplx> x,
                             std::span<cplx> out) const {
     multiply_into(w_[used_idx], x, out);

@@ -139,7 +139,6 @@ SyncOutcome run_sync_header(SystemState& sys) {
       const bool ok = out.per_slave[a - 1].has_value();
       sys.resilience->on_sync_result(
           a, ok, ok ? sys.slave_sync[a - 1].last_residual_rad() : 0.0,
-          ok ? sys.slave_sync[a - 1].last_cfo_innovation_hz() : 0.0,
           out.header_t);
     }
   }

@@ -93,9 +93,8 @@ struct SystemState {
       : params(p),
         medium({phy::kSampleRateHz}, p.seed ^ 0xfeedbeef),
         rng(p.seed),
-        h(p.n_clients, p.n_aps) {
-    rx.set_workspace(&ws);
-  }
+        h(p.n_clients, p.n_aps),
+        rx(ws) {}
 
   core::SystemParams params;
   chan::Medium medium;
@@ -115,7 +114,8 @@ struct SystemState {
   /// the denoising-projection cache. One per SystemState (one per
   /// TrialRunner worker), so every stage runs lock-free off it. Declared
   /// before tx/rx so `rx` can bind to it during construction; Workspace is
-  /// non-copyable, which also pins SystemState in place (rx holds &ws).
+  /// non-copyable, which also pins SystemState in place (rx holds a
+  /// reference to ws).
   Workspace ws;
 
   phy::Transmitter tx;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -63,6 +62,9 @@ const SystemParams& validated(const SystemParams& p) {
   };
   require(p.n_aps > 0, "n_aps must be > 0");
   require(p.n_clients > 0, "n_clients must be > 0");
+  // NaN fails the comparison; a NaN coherence time would build a system
+  // that never measures.
+  require(p.coherence_time_s > 0, "coherence_time_s must be > 0");
   return p;
 }
 
@@ -319,10 +321,8 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
         header_pos + phy::kPreambleLen +
         static_cast<std::size_t>(kTurnaroundS * fs);
     // Workspace-backed scratch: the two per-pair FFT windows, each
-    // CFO-corrected on its own. Correcting [at, at + 64) with offset `at`
-    // gives the same doubles as correcting the whole buffer, since
-    // double(n - at) + double(at) == double(n) for every n < 2^53.
-    const std::span<const cplx> heard(buf);
+    // CFO-corrected on its own with its phase origin at sample 0 of buf.
+    const FftPlan& plan = state_.ws.fft_plan(phy::kNfft);
     cplx delta_acc{};
     for (std::size_t p = 0; p < kPairs; ++p) {
       const std::size_t lead_at =
@@ -331,15 +331,10 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
       if (buf.size() < slave_at + phy::kNfft) break;
       cvec& fl = state_.ws.meas_win;
       cvec& fsv = state_.ws.meas_freq;
-      fl.resize(phy::kNfft);
-      fsv.resize(phy::kNfft);
-      phy::correct_cfo_into(heard.subspan(lead_at, phy::kNfft), pm->cfo_hz,
-                            fs, static_cast<double>(lead_at), fl);
-      phy::correct_cfo_into(heard.subspan(slave_at, phy::kNfft), pm->cfo_hz,
-                            fs, static_cast<double>(slave_at), fsv);
-      const FftPlan& plan = state_.ws.fft_plan(phy::kNfft);
-      plan.forward(fl);
-      plan.forward(fsv);
+      phy::fft_window_into(buf, lead_at, pm->cfo_hz, fs,
+                           static_cast<double>(lead_at), plan, fl);
+      phy::fft_window_into(buf, slave_at, pm->cfo_hz, fs,
+                           static_cast<double>(slave_at), plan, fsv);
       const phy::ChannelEstimate el = phy::estimate_from_ltf(fl);
       const phy::ChannelEstimate es = phy::estimate_from_ltf(fsv);
       delta_acc += es.mean_ratio(el);

@@ -59,7 +59,6 @@ void ResilienceController::quarantine(std::size_t ap, double t_s,
 
 void ResilienceController::on_sync_result(std::size_t ap, bool ok,
                                           double residual_rad,
-                                          double cfo_innovation_hz,
                                           double t_s) {
   // the lead judges, others are judged
   if (ap == 0 || ap >= state_.size()) return;
@@ -93,7 +92,6 @@ void ResilienceController::on_sync_result(std::size_t ap, bool ok,
     }
     return;
   }
-  (void)cfo_innovation_hz;
   s.residual_strikes = 0;
   ++s.clean_headers;
   if (s.health == ApHealth::kQuarantined &&

@@ -2,10 +2,10 @@
 // bookkeeping.
 //
 // The controller consumes exactly the signals a real deployment has at
-// the lead: did each slave answer the last sync header, how far its
+// the lead: did each slave answer the last sync header, and how far its
 // header-to-header phase walk strayed from the averaged-CFO prediction
-// (the phase-sync residual of Fig. 7), and how large the CFO innovation
-// was. From those it runs a per-AP health state machine:
+// (the phase-sync residual of Fig. 7). From those it runs a per-AP health
+// state machine:
 //
 //        healthy --misses/residual strikes--> quarantined
 //        quarantined --evidence returns--> probation --re-measure--> healthy
@@ -66,11 +66,10 @@ class ResilienceController {
   void note_fault(double t_s);
 
   /// Feed one sync-header outcome for AP `ap` at time `t_s`. `ok` means
-  /// the header round-trip produced a usable correction;
-  /// `residual_rad` / `cfo_innovation_hz` carry the phase-sync telemetry
-  /// when ok (pass 0 when unavailable).
+  /// the header round-trip produced a usable correction; `residual_rad`
+  /// carries the phase-sync residual when ok (pass 0 when unavailable).
   void on_sync_result(std::size_t ap, bool ok, double residual_rad,
-                      double cfo_innovation_hz, double t_s);
+                      double t_s);
 
   /// The MAC observed AP `ap` hard-down (e.g. backhaul heartbeat loss).
   void mark_down(std::size_t ap, double t_s);

@@ -186,7 +186,7 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
               !fault || (!fault->ap_down(a) && !fault->sync_header_lost(a));
           const double residual =
               ok && fault ? std::abs(fault->sync_header_phase_error(a)) : 0.0;
-          ctrl->on_sync_result(a, ok, residual, 0.0, t);
+          ctrl->on_sync_result(a, ok, residual, t);
         }
         sample_latency();
         if (ctrl->needs_remeasure()) continue;  // epoch first

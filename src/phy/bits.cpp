@@ -15,7 +15,7 @@ BitVec bytes_to_bits(const ByteVec& bytes) {
   return bits;
 }
 
-ByteVec bits_to_bytes(const BitVec& bits) {
+ByteVec bits_to_bytes(std::span<const std::uint8_t> bits) {
   if (bits.size() % 8 != 0) {
     throw std::invalid_argument("bits_to_bytes: size not a multiple of 8");
   }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "phy/scrambler.h"  // BitVec
@@ -14,6 +15,6 @@ using ByteVec = std::vector<std::uint8_t>;
 [[nodiscard]] BitVec bytes_to_bits(const ByteVec& bytes);
 
 /// Bits -> bytes; size must be a multiple of 8.
-[[nodiscard]] ByteVec bits_to_bytes(const BitVec& bits);
+[[nodiscard]] ByteVec bits_to_bytes(std::span<const std::uint8_t> bits);
 
 }  // namespace jmb::phy

@@ -1,5 +1,6 @@
 #include "phy/frame.h"
 
+#include <span>
 #include <stdexcept>
 
 #include "phy/convcode.h"
@@ -51,14 +52,17 @@ cvec build_signal_symbol(const SignalField& sig) {
 }
 
 std::optional<SignalField> decode_signal_symbol(const cvec& data48,
-                                                double noise_var) {
+                                                double noise_var,
+                                                Workspace& ws) {
   if (data48.size() != kNumDataCarriers) {
     throw std::invalid_argument("decode_signal_symbol: need 48 symbols");
   }
-  const std::vector<double> llr =
-      demodulate_soft(data48, Modulation::kBpsk, noise_var);
-  const std::vector<double> dei = deinterleave_soft(llr, kSignalMcs);
-  const BitVec bits = viterbi_decode(dei, 24, /*terminated=*/true);
+  ws.noise48.assign(kNumDataCarriers, noise_var);
+  demodulate_soft_into(data48, Modulation::kBpsk, ws.noise48, ws.llr_concat);
+  deinterleave_soft_into(ws.llr_concat, kSignalMcs, ws.llr_dei);
+  viterbi_decode_into(ws.llr_dei, 24, /*terminated=*/true, ws.viterbi,
+                      ws.decoded_bits);
+  const BitVec& bits = ws.decoded_bits;
 
   std::uint8_t parity = 0;
   for (std::size_t i = 0; i < 17; ++i) parity ^= bits[i];
@@ -139,7 +143,7 @@ std::optional<ByteVec> decode_psdu(
   // unterminated-tolerant (terminated=true falls back internally if needed).
   viterbi_decode_into(ws.llr_mother, total_bits, /*terminated=*/false,
                       ws.viterbi, ws.decoded_bits);
-  const BitVec& scrambled = ws.decoded_bits;
+  BitVec& scrambled = ws.decoded_bits;
 
   // Recover the scrambler seed: SERVICE bits were zeros, so the first 7
   // scrambled bits equal the scrambling sequence. Search the 127 seeds.
@@ -160,20 +164,14 @@ std::optional<ByteVec> decode_psdu(
   }
   if (seed == 0) return std::nullopt;
 
-  BitVec descrambled = scramble_bits(scrambled, seed);
   const std::size_t first = kServiceBits;
   const std::size_t last = first + 8 * sig.length;
-  if (last > descrambled.size()) return std::nullopt;
-  BitVec psdu_bits(descrambled.begin() + static_cast<std::ptrdiff_t>(first),
-                   descrambled.begin() + static_cast<std::ptrdiff_t>(last));
-  return bits_to_bytes(psdu_bits);
-}
-
-std::optional<ByteVec> decode_psdu(
-    const std::vector<std::vector<double>>& llr_per_symbol,
-    const SignalField& sig) {
-  Workspace ws;
-  return decode_psdu(llr_per_symbol, sig, ws);
+  if (last > scrambled.size()) return std::nullopt;
+  // Descramble in place up to the PSDU's last bit (the operation is its
+  // own inverse), then pack the PSDU bits.
+  const std::span<std::uint8_t> bits(scrambled.data(), last);
+  Scrambler(seed).scramble_in_place(bits);
+  return bits_to_bytes(bits.subspan(first));
 }
 
 }  // namespace jmb::phy

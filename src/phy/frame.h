@@ -33,9 +33,12 @@ struct SignalField {
 [[nodiscard]] cvec build_signal_symbol(const SignalField& sig);
 
 /// Decode a received (equalized) SIGNAL symbol; nullopt on parity failure
-/// or invalid RATE bits. `noise_var` feeds the soft demapper.
+/// or invalid RATE bits. `noise_var` feeds the soft demapper. The noise,
+/// LLR and Viterbi buffers come from the per-trial workspace, so a warm
+/// workspace decodes without touching the heap; `data48` may be
+/// ws.data48, which is only read.
 [[nodiscard]] std::optional<SignalField> decode_signal_symbol(
-    const cvec& data48, double noise_var);
+    const cvec& data48, double noise_var, Workspace& ws);
 
 /// Scramble + encode + interleave + map a PSDU into per-symbol groups of 48
 /// constellation points (frequency-domain, pilots NOT included).
@@ -46,15 +49,10 @@ struct SignalField {
 /// Inverse of encode_psdu from per-symbol soft LLR groups: deinterleave,
 /// depuncture, Viterbi-decode, descramble (seed recovered from SERVICE),
 /// strip padding. `llr_per_symbol[i]` holds n_cbps LLRs for data symbol i.
-/// Returns nullopt if the symbol count mismatches the SIGNAL length.
-[[nodiscard]] std::optional<ByteVec> decode_psdu(
-    const std::vector<std::vector<double>>& llr_per_symbol,
-    const SignalField& sig);
-
-/// decode_psdu() with the per-symbol deinterleave, depuncture and Viterbi
-/// buffers drawn from the per-trial workspace — no per-symbol heap churn.
-/// Bitwise-identical to the overload above (which wraps this kernel with a
-/// throwaway workspace).
+/// Returns nullopt if the symbol count mismatches the SIGNAL length. The
+/// deinterleave, depuncture and Viterbi buffers come from the per-trial
+/// workspace: on a warm workspace the returned bytes are the only
+/// allocation.
 [[nodiscard]] std::optional<ByteVec> decode_psdu(
     const std::vector<std::vector<double>>& llr_per_symbol,
     const SignalField& sig, Workspace& ws);

@@ -56,18 +56,11 @@ void deinterleave_soft_into(std::span<const double> llr, const Mcs& mcs,
                             std::vector<double>& out) {
   if (llr.size() != mcs.n_cbps()) {
     throw std::invalid_argument(
-        "deinterleave_soft: need exactly n_cbps values");
+        "deinterleave_soft_into: need exactly n_cbps values");
   }
   const auto& perm = cached_interleave_permutation(mcs);
   out.assign(llr.size(), 0.0);
   for (std::size_t k = 0; k < llr.size(); ++k) out[k] = llr[perm[k]];
-}
-
-std::vector<double> deinterleave_soft(const std::vector<double>& llr,
-                                      const Mcs& mcs) {
-  std::vector<double> out;
-  deinterleave_soft_into(llr, mcs, out);
-  return out;
 }
 
 }  // namespace jmb::phy

@@ -14,10 +14,6 @@ namespace jmb::phy {
 /// Interleave one OFDM symbol of coded bits (size must equal n_cbps).
 [[nodiscard]] BitVec interleave(const BitVec& bits, const Mcs& mcs);
 
-/// Inverse permutation on soft values (LLRs).
-[[nodiscard]] std::vector<double> deinterleave_soft(
-    const std::vector<double>& llr, const Mcs& mcs);
-
 /// The composite permutation: out[perm[k]] = in[k] for interleave.
 [[nodiscard]] std::vector<std::size_t> interleave_permutation(const Mcs& mcs);
 
@@ -27,8 +23,8 @@ namespace jmb::phy {
 [[nodiscard]] const std::vector<std::size_t>& cached_interleave_permutation(
     const Mcs& mcs);
 
-/// deinterleave_soft() into a reused vector (cleared first; allocation-free
-/// once the buffer is warm).
+/// Inverse permutation on soft values (LLRs), into a reused vector
+/// (cleared first; allocation-free once the buffer is warm).
 void deinterleave_soft_into(std::span<const double> llr, const Mcs& mcs,
                             std::vector<double>& out);
 

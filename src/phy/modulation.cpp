@@ -129,7 +129,8 @@ void demodulate_soft_into(std::span<const cplx> symbols, Modulation m,
                           std::span<const double> noise_var_per_symbol,
                           std::vector<double>& out) {
   if (symbols.size() != noise_var_per_symbol.size()) {
-    throw std::invalid_argument("demodulate_soft: noise vector size mismatch");
+    throw std::invalid_argument(
+        "demodulate_soft_into: noise vector size mismatch");
   }
   const std::size_t nbits = bits_per_symbol(m);
   const cvec& pts = constellation(m);
@@ -153,18 +154,6 @@ void demodulate_soft_into(std::span<const cplx> symbols, Modulation m,
       out.push_back((d1 - d0) / nv);
     }
   }
-}
-
-std::vector<double> demodulate_soft(const cvec& symbols, Modulation m,
-                                    const rvec& noise_var_per_symbol) {
-  std::vector<double> llr;
-  demodulate_soft_into(symbols, m, noise_var_per_symbol, llr);
-  return llr;
-}
-
-std::vector<double> demodulate_soft(const cvec& symbols, Modulation m,
-                                    double noise_var) {
-  return demodulate_soft(symbols, m, rvec(symbols.size(), noise_var));
 }
 
 }  // namespace jmb::phy

@@ -21,19 +21,9 @@ namespace jmb::phy {
 /// Map bits (size divisible by bits_per_symbol) to symbols, MSB first.
 [[nodiscard]] cvec modulate(const BitVec& bits, Modulation m);
 
-/// Exact max-log LLRs: for each bit, llr = (min_{b=1} d^2 - min_{b=0} d^2)
-/// / noise_var, positive when bit 0 is more likely — matching the Viterbi
-/// decoder's convention. `noise_var` scales confidence; per-symbol noise
-/// variances allow per-subcarrier weighting after equalization.
-[[nodiscard]] std::vector<double> demodulate_soft(const cvec& symbols,
-                                                  Modulation m,
-                                                  double noise_var);
-[[nodiscard]] std::vector<double> demodulate_soft(
-    const cvec& symbols, Modulation m, const rvec& noise_var_per_symbol);
-
 // ---- Allocation-free kernels (workspace-owned outputs) -------------------
-// The allocating APIs above wrap these, so the arithmetic has a single
-// implementation and results are bitwise identical.
+// modulate() above wraps modulate_into(), so the arithmetic has a single
+// implementation. The receive side has only these forms.
 
 /// modulate() into a span of exactly bits.size()/bits_per_symbol entries.
 void modulate_into(std::span<const std::uint8_t> bits, Modulation m,
@@ -45,7 +35,10 @@ void modulate_into(std::span<const std::uint8_t> bits, Modulation m,
 void demodulate_hard_into(std::span<const cplx> symbols, Modulation m,
                           BitVec& out);
 
-/// demodulate_soft() into a reused vector (cleared first).
+/// Exact max-log LLRs into a reused vector (cleared first): for each bit,
+/// llr = (min_{b=1} d^2 - min_{b=0} d^2) / noise_var, positive when bit 0
+/// is more likely — matching the Viterbi decoder's convention. Per-symbol
+/// noise variances weight each subcarrier after equalization.
 void demodulate_soft_into(std::span<const cplx> symbols, Modulation m,
                           std::span<const double> noise_var_per_symbol,
                           std::vector<double>& out);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "dsp/fft_plan.h"
 #include "phy/modulation.h"
@@ -14,16 +15,6 @@ namespace jmb::phy {
 
 namespace {
 
-// Every helper takes the (possibly null) per-trial workspace and binds
-// each buffer it needs via `cvec local; cvec& buf = ws ? ws->x : local;`
-// — one implementation, so the workspace path cannot diverge from the
-// allocating path.
-
-const FftPlan& plan64() {
-  static const FftPlan kPlan(kNfft);
-  return kPlan;
-}
-
 // The receiver CFO-corrects only the samples it reads. Samples
 // [pos, pos + out.size()) of correct_cfo(rx, cfo_hz, fs) go to `out`:
 // the same doubles as correcting the whole buffer, because
@@ -33,15 +24,6 @@ void correct_window_into(const cvec& rx, std::size_t pos, double cfo_hz,
                          double fs, std::span<cplx> out) {
   correct_cfo_into(std::span(rx).subspan(pos, out.size()), cfo_hz, fs,
                    static_cast<double>(pos), out);
-}
-
-// FFT of the bare 64-sample window of rx starting at `pos` (no CP
-// handling), CFO-corrected, written into `out`.
-void fft_window_into(const cvec& rx, std::size_t pos, double cfo_hz,
-                     double fs, cvec& out) {
-  out.resize(kNfft);
-  correct_window_into(rx, pos, cfo_hz, fs, out);
-  plan64().forward(out);
 }
 
 // locate_ltf(corrected, from, to) over the corrected copy of rx, where
@@ -80,14 +62,18 @@ double ltf_noise_var(const cvec& f1, const cvec& f2) {
 
 // Demodulate/equalize one OFDM symbol whose 80 samples start at
 // `sym_start`, leaving the equalized data and per-carrier noise variances
-// in `freq`/`data48`/`noise48`. Only the symbol's FFT window is corrected.
+// in ws.sym_freq/data48/noise48. Only the symbol's FFT window is
+// corrected.
 void decode_symbol(const cvec& rx, double cfo_hz, double fs,
                    std::size_t sym_start, std::size_t backoff,
                    const ChannelEstimate& chan, double noise_var,
-                   std::size_t symbol_index, cvec& freq, cvec& data48,
-                   rvec& noise48) {
+                   std::size_t symbol_index, const FftPlan& plan,
+                   Workspace& ws) {
+  cvec& freq = ws.sym_freq;
+  cvec& data48 = ws.data48;
+  rvec& noise48 = ws.noise48;
   const std::size_t win = sym_start + kCpLen - backoff;
-  fft_window_into(rx, win, cfo_hz, fs, freq);
+  fft_window_into(rx, win, cfo_hz, fs, static_cast<double>(win), plan, freq);
   const PilotPhase pp = track_pilots(freq, chan, symbol_index);
 
   data48.resize(kNumDataCarriers);
@@ -108,29 +94,25 @@ void decode_symbol(const cvec& rx, double cfo_hz, double fs,
 // corrected with pm.cfo_hz.
 RxResult decode_after_ltf(const cvec& rx, double fs,
                           const PreambleMeasurement& pm,
-                          std::size_t timing_backoff, Workspace* ws) {
+                          std::size_t timing_backoff, Workspace& ws) {
   RxResult res;
   res.preamble = pm;
   const std::size_t backoff = std::min(pm.ltf_start, timing_backoff);
   const std::size_t payload = pm.ltf_start + 2 * kNfft;
-
-  cvec local_freq;
-  cvec& freq = ws ? ws->sym_freq : local_freq;
-  cvec local_data48;
-  cvec& data48 = ws ? ws->data48 : local_data48;
-  rvec local_noise48;
-  rvec& noise48 = ws ? ws->noise48 : local_noise48;
+  const FftPlan& plan = ws.fft_plan(kNfft);
+  const cvec& data48 = ws.data48;
 
   if (rx.size() < payload + kSymbolLen) {
     res.fail_reason = "buffer too short for SIGNAL";
     return res;
   }
   decode_symbol(rx, pm.cfo_hz, fs, payload, backoff, pm.chan, pm.noise_var, 0,
-                freq, data48, noise48);
+                plan, ws);
   const auto sig = decode_signal_symbol(
       data48,
       std::max(pm.noise_var / std::max(pm.chan.mean_gain_power(), 1e-12),
-               1e-12));
+               1e-12),
+      ws);
   if (!sig) {
     res.fail_reason = "SIGNAL decode failed";
     return res;
@@ -145,21 +127,18 @@ RxResult decode_after_ltf(const cvec& rx, double fs,
     return res;
   }
 
-  std::vector<std::vector<double>> local_llr;
-  std::vector<std::vector<double>>& llr_per_symbol =
-      ws ? ws->llr_per_symbol : local_llr;
+  std::vector<std::vector<double>>& llr_per_symbol = ws.llr_per_symbol;
   llr_per_symbol.resize(n_sym);
-  BitVec local_hard;
-  BitVec& hard = ws ? ws->hard_bits : local_hard;
-  cvec local_nearest;
-  cvec& nearest = ws ? ws->nearest : local_nearest;
+  BitVec& hard = ws.hard_bits;
+  cvec& nearest = ws.nearest;
 
   double evm_err = 0.0, evm_sig = 0.0;
   for (std::size_t s = 0; s < n_sym; ++s) {
     const std::size_t sym_start = payload + (1 + s) * kSymbolLen;
     decode_symbol(rx, pm.cfo_hz, fs, sym_start, backoff, pm.chan,
-                  pm.noise_var, s + 1, freq, data48, noise48);
-    demodulate_soft_into(data48, mcs.modulation, noise48, llr_per_symbol[s]);
+                  pm.noise_var, s + 1, plan, ws);
+    demodulate_soft_into(data48, mcs.modulation, ws.noise48,
+                         llr_per_symbol[s]);
     // EVM against the nearest constellation points.
     demodulate_hard_into(data48, mcs.modulation, hard);
     nearest.resize(data48.size());
@@ -171,13 +150,12 @@ RxResult decode_after_ltf(const cvec& rx, double fs,
   }
   res.evm_snr_db = to_db(evm_sig / std::max(evm_err, 1e-12));
 
-  const auto psdu = ws ? decode_psdu(llr_per_symbol, *sig, *ws)
-                       : decode_psdu(llr_per_symbol, *sig);
+  auto psdu = decode_psdu(llr_per_symbol, *sig, ws);
   if (!psdu) {
     res.fail_reason = "payload decode failed";
     return res;
   }
-  res.psdu = *psdu;
+  res.psdu = std::move(*psdu);
   res.ok = true;
   return res;
 }
@@ -186,14 +164,10 @@ RxResult decode_after_ltf(const cvec& rx, double fs,
 
 std::optional<PreambleMeasurement> Receiver::measure_preamble(
     const cvec& rx, std::size_t search_from) const {
-  cvec local_corrected;
-  cvec& corrected = ws_ ? ws_->corrected : local_corrected;
-  cvec local_a;
-  cvec& win_a = ws_ ? ws_->win_a : local_a;
-  cvec local_b;
-  cvec& win_b = ws_ ? ws_->win_b : local_b;
-  cvec local_freq;
-  cvec& freq_scratch = ws_ ? ws_->sym_freq : local_freq;
+  cvec& corrected = ws_.corrected;
+  cvec& win_a = ws_.win_a;
+  cvec& win_b = ws_.win_b;
+  cvec& freq_scratch = ws_.sym_freq;
 
   const double fs = cfg_.sample_rate_hz;
   const auto det = detect_packet(rx, search_from);
@@ -247,8 +221,10 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
   const double total_cfo = coarse + fine;
 
   const std::size_t w1 = ltf_start - std::min(ltf_start, kTimingBackoff);
-  fft_window_into(rx, w1, total_cfo, fs, win_a);
-  fft_window_into(rx, w1 + kNfft, total_cfo, fs, win_b);
+  const FftPlan& plan = ws_.fft_plan(kNfft);
+  const std::size_t w2 = w1 + kNfft;
+  fft_window_into(rx, w1, total_cfo, fs, static_cast<double>(w1), plan, win_a);
+  fft_window_into(rx, w2, total_cfo, fs, static_cast<double>(w2), plan, win_b);
 
   PreambleMeasurement pm;
   pm.stf_start = stf;
@@ -277,12 +253,8 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
                                    double cfo_hz) const {
   RxResult res;
   const double fs = cfg_.sample_rate_hz;
-  cvec local_corrected;
-  cvec& corrected = ws_ ? ws_->corrected : local_corrected;
-  cvec local_a;
-  cvec& win_a = ws_ ? ws_->win_a : local_a;
-  cvec local_b;
-  cvec& win_b = ws_ ? ws_->win_b : local_b;
+  cvec& win_a = ws_.win_a;
+  cvec& win_b = ws_.win_b;
 
   // The payload begins with its own double-guard LTF: 32-sample GI2 then
   // two 64-sample symbols. Search a window wide enough for a few samples
@@ -290,7 +262,8 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
   // (at +96) can never win the correlation.
   const auto ltf =
       locate_ltf_corrected(rx, cfo_hz, fs, payload_start,
-                           std::min(rx.size(), payload_start + kNfft), corrected);
+                           std::min(rx.size(), payload_start + kNfft),
+                           ws_.corrected);
   if (!ltf) {
     res.fail_reason = "payload LTF not found";
     return res;
@@ -302,8 +275,10 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
   }
   const std::size_t backoff = std::min(ltf_start, kTimingBackoff);
   const std::size_t w1 = ltf_start - backoff;
-  fft_window_into(rx, w1, cfo_hz, fs, win_a);
-  fft_window_into(rx, w1 + kNfft, cfo_hz, fs, win_b);
+  const FftPlan& plan = ws_.fft_plan(kNfft);
+  const std::size_t w2 = w1 + kNfft;
+  fft_window_into(rx, w1, cfo_hz, fs, static_cast<double>(w1), plan, win_a);
+  fft_window_into(rx, w2, cfo_hz, fs, static_cast<double>(w2), plan, win_b);
 
   PreambleMeasurement pm;
   pm.stf_start = payload_start;

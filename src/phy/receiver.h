@@ -39,14 +39,12 @@ struct RxResult {
 
 class Receiver {
  public:
-  explicit Receiver(PhyConfig cfg = {}) : cfg_(cfg) {}
-
-  /// Attach a per-trial workspace: every internal buffer (CFO-corrected
-  /// copy, FFT windows, LLRs, Viterbi trellis) is drawn from it instead of
-  /// the heap. The receiver never owns the workspace; the caller keeps it
-  /// alive across calls and must not share one workspace between threads.
-  /// Results are bitwise-identical with or without a workspace.
-  void set_workspace(Workspace* ws) { ws_ = ws; }
+  /// Every internal buffer (CFO-corrected copy, FFT windows, LLRs, Viterbi
+  /// trellis) and the FFT plan come from the per-trial workspace `ws`. The
+  /// receiver never owns it: the caller keeps it alive for the receiver's
+  /// lifetime and must not share one workspace between threads.
+  explicit Receiver(Workspace& ws, PhyConfig cfg = {})
+      : cfg_(cfg), ws_(ws) {}
 
   /// Detect and measure a preamble at/after `search_from`.
   [[nodiscard]] std::optional<PreambleMeasurement> measure_preamble(
@@ -63,8 +61,6 @@ class Receiver {
                                          std::size_t payload_start,
                                          double cfo_hz) const;
 
-  [[nodiscard]] const PhyConfig& config() const { return cfg_; }
-
  private:
   /// FFT-window back-off into the CP: tolerates small timing error and
   /// pre-cursor multipath; the common phase ramp is absorbed by the channel
@@ -72,7 +68,7 @@ class Receiver {
   static constexpr std::size_t kTimingBackoff = 4;
 
   PhyConfig cfg_;
-  Workspace* ws_ = nullptr;
+  Workspace& ws_;
 };
 
 }  // namespace jmb::phy

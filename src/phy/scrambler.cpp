@@ -18,17 +18,16 @@ std::uint8_t Scrambler::next_bit() {
   return static_cast<std::uint8_t>(fb);
 }
 
-BitVec Scrambler::scramble(const BitVec& bits) {
-  BitVec out(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>((bits[i] ^ next_bit()) & 1u);
+void Scrambler::scramble_in_place(std::span<std::uint8_t> bits) {
+  for (std::uint8_t& b : bits) {
+    b = static_cast<std::uint8_t>((b ^ next_bit()) & 1u);
   }
-  return out;
 }
 
 BitVec scramble_bits(const BitVec& bits, unsigned seed) {
-  Scrambler s(seed);
-  return s.scramble(bits);
+  BitVec out = bits;
+  Scrambler(seed).scramble_in_place(out);
+  return out;
 }
 
 }  // namespace jmb::phy

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace jmb::phy {
@@ -17,8 +18,8 @@ class Scrambler {
   /// Next bit of the scrambling sequence (also advances the state).
   [[nodiscard]] std::uint8_t next_bit();
 
-  /// XOR the sequence into a copy of `bits`.
-  [[nodiscard]] BitVec scramble(const BitVec& bits);
+  /// XOR the sequence into `bits`.
+  void scramble_in_place(std::span<std::uint8_t> bits);
 
  private:
   unsigned state_;

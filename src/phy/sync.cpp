@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/fft_plan.h"
 #include "phy/preamble.h"
 
 namespace jmb::phy {
@@ -179,6 +180,15 @@ void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
   for (std::size_t n = 0; n < x.size(); ++n) {
     out[n] = x[n] * phasor(step * (static_cast<double>(n) + n0));
   }
+}
+
+void fft_window_into(std::span<const cplx> x, std::size_t pos, double cfo_hz,
+                     double sample_rate_hz, double n0, const FftPlan& plan,
+                     cvec& out) {
+  out.resize(plan.size());
+  correct_cfo_into(x.subspan(pos, out.size()), cfo_hz, sample_rate_hz, n0,
+                   out);
+  plan.forward(out);
 }
 
 }  // namespace jmb::phy

@@ -78,7 +78,7 @@ void viterbi_decode_into(std::span<const double> llr, std::size_t n_info,
                          bool terminated, ViterbiScratch& scratch,
                          BitVec& out) {
   if (llr.size() != 2 * n_info) {
-    throw std::invalid_argument("viterbi_decode: need 2*n_info soft bits");
+    throw std::invalid_argument("viterbi_decode_into: need 2*n_info soft bits");
   }
   scratch.metric.assign(kNumStates, kNegInf);
   scratch.metric[0] = 0.0;  // encoder starts in the all-zero state
@@ -135,14 +135,6 @@ void viterbi_decode_into(std::span<const double> llr, std::size_t n_info,
     out[step] = survivor_bit[step][state];
     state = survivor[step][state];
   }
-}
-
-BitVec viterbi_decode(const std::vector<double>& llr, std::size_t n_info,
-                      bool terminated) {
-  ViterbiScratch scratch;
-  BitVec bits;
-  viterbi_decode_into(llr, n_info, terminated, scratch, bits);
-  return bits;
 }
 
 }  // namespace jmb::phy

@@ -21,19 +21,14 @@ struct ViterbiScratch {
   std::vector<std::array<std::uint8_t, kNumStates>> survivor_bit;
 };
 
-/// Decode `2*n_info` mother-rate soft bits into `n_info` information bits.
+/// Decode `2*n_info` mother-rate soft bits into `n_info` information bits
+/// in `out`, with caller-owned scratch — allocation-free once the scratch
+/// and `out` are warm.
 ///
 /// LLR convention: llr[i] = log P(bit=0)/P(bit=1); 0 is an erasure (as
 /// produced by depuncture_into()). If `terminated` is true the trellis is
 /// forced to end in the all-zero state (the framer always appends 6 zero
 /// tail bits), otherwise the best end state wins.
-[[nodiscard]] BitVec viterbi_decode(const std::vector<double>& llr,
-                                    std::size_t n_info,
-                                    bool terminated = true);
-
-/// viterbi_decode() with caller-owned scratch and output — allocation-free
-/// once the scratch is warm. Bitwise-identical to the allocating API
-/// (which wraps this kernel).
 void viterbi_decode_into(std::span<const double> llr, std::size_t n_info,
                          bool terminated, ViterbiScratch& scratch,
                          BitVec& out);

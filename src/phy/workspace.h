@@ -10,9 +10,11 @@
 //    capacity after the first frame of a given shape; later frames reuse
 //    the capacity (vectors are resized/cleared, never reallocated).
 //  - Everything here is scratch: no buffer carries state between calls,
-//    so using a workspace changes *where* intermediates live but never
-//    their values — physics outputs are bitwise identical with or
-//    without one, and for any JMB_THREADS.
+//    so reusing a workspace changes *where* intermediates live but never
+//    their values — physics outputs are bitwise identical on a fresh or a
+//    warm workspace, and for any JMB_THREADS.
+//  - The receive chain runs on a workspace only: phy::Receiver binds one
+//    at construction, and decode_signal_symbol/decode_psdu take one.
 #pragma once
 
 #include <cstddef>
@@ -43,17 +45,19 @@ class Workspace {
   // ---- linalg scratch ----------------------------------------------------
   PinvScratch pinv;
 
-  // ---- receiver scratch (phy::Receiver::set_workspace) -------------------
+  // ---- receiver scratch (phy::Receiver, decode_signal_symbol, decode_psdu)
   cvec corrected;    ///< RX buffer, CFO-corrected where an LTF search reads
   cvec win_a;        ///< first LTF FFT window
   cvec win_b;        ///< second LTF FFT window
   cvec sym_freq;     ///< per-symbol FFT window; the fine-CFO LTF pair
   cvec data48;       ///< equalized data subcarriers
   rvec noise48;      ///< post-equalization noise variance per carrier
+                     ///< (flat for the SIGNAL symbol)
   phy::BitVec hard_bits;  ///< EVM hard decisions
   cvec nearest;      ///< EVM re-modulated constellation points
   std::vector<std::vector<double>> llr_per_symbol;
-  std::vector<double> llr_concat;  ///< deinterleaved LLRs, all symbols
+  std::vector<double> llr_concat;  ///< deinterleaved LLRs, all symbols;
+                                   ///< the SIGNAL symbol's raw LLRs
   std::vector<double> llr_dei;     ///< one symbol's deinterleaved LLRs
   std::vector<double> llr_mother;  ///< depunctured mother-rate LLRs
   phy::ViterbiScratch viterbi;
@@ -70,8 +74,8 @@ class Workspace {
   simd::acvec sym_time;  ///< kSymbolLen modulated symbol
 
   // ---- measurement scratch ------------------------------------------------
-  cvec meas_win;   ///< per-round lead LTF window, CFO-corrected, then FFT'd
-  cvec meas_freq;  ///< the same for the slave's LTF window
+  cvec meas_win;   ///< an AP's CFO block; the alignment probe's lead window
+  cvec meas_freq;  ///< per-round channel-symbol FFT; the probe's slave window
 
  private:
   std::map<std::size_t, FftPlan> plans_;

@@ -21,6 +21,7 @@
 #include "dsp/stats.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
+#include "phy/workspace.h"
 
 namespace jmb::chan {
 namespace {
@@ -185,6 +186,21 @@ TEST(Fading, EvolveToNaNThrows) {
   EXPECT_EQ(ch.taps(), before);
   ch.evolve_to(1e-3);
   for (const cplx& h : ch.taps()) EXPECT_TRUE(std::isfinite(std::abs(h)));
+}
+
+TEST(Fading, RejectsNegativeOrNanParams) {
+  const double nan = std::nan("");
+  const auto build = [](double gain, double tc) {
+    return FadingChannel({.gain = gain, .n_taps = 1, .tap_decay = 0.5,
+                          .rice_k = 0.0, .delay_s = 0.0,
+                          .coherence_time_s = tc, .sample_rate_hz = 10e6,
+                          .seed = 1});
+  };
+  EXPECT_THROW(build(-1.0, 0.25), std::invalid_argument);
+  EXPECT_THROW(build(nan, 0.25), std::invalid_argument);
+  EXPECT_THROW(build(1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(build(1.0, nan), std::invalid_argument);
+  EXPECT_NO_THROW(build(0.0, 0.25));
 }
 
 TEST(Fading, RicianKConcentratesFirstTap) {
@@ -513,7 +529,8 @@ TEST(Medium, EndToEndPacketThroughMediumDecodes) {
 
   const phy::PhyConfig cfg;
   const phy::Transmitter tx(cfg);
-  const phy::Receiver rx(cfg);
+  Workspace ws;
+  const phy::Receiver rx(ws, cfg);
   Rng rng(14);
   phy::ByteVec psdu(500);
   for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));

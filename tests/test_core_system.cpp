@@ -313,6 +313,10 @@ TEST(JmbSystemTest, InputValidation) {
   };
   rejects("n_aps", [](SystemParams& q) { q.n_aps = 0; });
   rejects("n_clients", [](SystemParams& q) { q.n_clients = 0; });
+  rejects("coherence_time_s", [](SystemParams& q) {
+    q.coherence_time_s = std::numeric_limits<double>::quiet_NaN();
+  });
+  rejects("coherence_time_s", [](SystemParams& q) { q.coherence_time_s = 0; });
 }
 
 TEST(Compat11n, ReferenceAntennaTrickReconstructsH) {

@@ -119,7 +119,8 @@ TEST(ZfPrecoderTest, TransmitVectorMatchesWeights) {
   const auto p = Precoder::build(h);
   ASSERT_TRUE(p.has_value());
   const cvec x{cplx{1.0, 0.0}, cplx{0.0, -1.0}};
-  const cvec tx = p->transmit_vector(11, x);
+  cvec tx(p->n_tx());
+  p->transmit_vector_into(11, x, tx);
   const cvec expect = p->weights(11) * x;
   for (std::size_t i = 0; i < tx.size(); ++i) {
     EXPECT_NEAR(std::abs(tx[i] - expect[i]), 0.0, 1e-12);
@@ -149,15 +150,6 @@ TEST(ZfPrecoderTest, WorkspaceBuildIsBitwiseIdentical) {
         EXPECT_EQ(a(r, c).imag(), b(r, c).imag());
       }
     }
-  }
-  // transmit_vector_into matches the allocating wrapper bitwise.
-  const cvec x{cplx{0.3, 0.1}, cplx{-0.2, 0.9}, cplx{0.5, -0.4}};
-  cvec into(reusing->n_tx());
-  reusing->transmit_vector_into(19, x, into);
-  const cvec alloc = reusing->transmit_vector(19, x);
-  for (std::size_t i = 0; i < into.size(); ++i) {
-    EXPECT_EQ(alloc[i].real(), into[i].real());
-    EXPECT_EQ(alloc[i].imag(), into[i].imag());
   }
 }
 

@@ -259,10 +259,10 @@ TEST(FaultSession, PointEventsReachTheHost) {
 TEST(Resilience, MissesQuarantineAndStampDetectLatency) {
   fault::ResilienceController ctrl(4);
   ctrl.note_fault(1.0);
-  ctrl.on_sync_result(2, false, 0.0, 0.0, 1.01);
-  ctrl.on_sync_result(2, false, 0.0, 0.0, 1.02);
+  ctrl.on_sync_result(2, false, 0.0, 1.01);
+  ctrl.on_sync_result(2, false, 0.0, 1.02);
   EXPECT_FALSE(ctrl.quarantined(2));
-  ctrl.on_sync_result(2, false, 0.0, 0.0, 1.03);
+  ctrl.on_sync_result(2, false, 0.0, 1.03);
   EXPECT_TRUE(ctrl.quarantined(2));
   EXPECT_EQ(ctrl.health(2), fault::ApHealth::kQuarantined);
   EXPECT_EQ(ctrl.active()[2], 0);
@@ -276,28 +276,28 @@ TEST(Resilience, MissesQuarantineAndStampDetectLatency) {
 TEST(Resilience, ResidualStrikesQuarantine) {
   fault::ResilienceController ctrl(3);
   for (int i = 0; i < 3; ++i) {
-    ctrl.on_sync_result(1, true, /*residual_rad=*/0.9, 0.0, 0.1 * i);
+    ctrl.on_sync_result(1, true, /*residual_rad=*/0.9, 0.1 * i);
   }
   EXPECT_TRUE(ctrl.quarantined(1));
   // A clean header in between resets the streak.
   fault::ResilienceController ctrl2(3);
-  ctrl2.on_sync_result(1, true, 0.9, 0.0, 0.0);
-  ctrl2.on_sync_result(1, true, 0.9, 0.0, 0.1);
-  ctrl2.on_sync_result(1, true, 0.01, 0.0, 0.2);
-  ctrl2.on_sync_result(1, true, 0.9, 0.0, 0.3);
-  ctrl2.on_sync_result(1, true, 0.9, 0.0, 0.4);
+  ctrl2.on_sync_result(1, true, 0.9, 0.0);
+  ctrl2.on_sync_result(1, true, 0.9, 0.1);
+  ctrl2.on_sync_result(1, true, 0.01, 0.2);
+  ctrl2.on_sync_result(1, true, 0.9, 0.3);
+  ctrl2.on_sync_result(1, true, 0.9, 0.4);
   EXPECT_FALSE(ctrl2.quarantined(1));
 }
 
 TEST(Resilience, ProbationReadmissionNeedsRemeasure) {
   fault::ResilienceController ctrl(3);
-  for (int i = 0; i < 3; ++i) ctrl.on_sync_result(1, false, 0.0, 0.0, 0.1);
+  for (int i = 0; i < 3; ++i) ctrl.on_sync_result(1, false, 0.0, 0.1);
   ASSERT_TRUE(ctrl.quarantined(1));
   ctrl.on_remeasure(0.2);  // quarantined (not probation): stays out
   EXPECT_TRUE(ctrl.quarantined(1));
   // Evidence returns: two clean headers move it to probation...
-  ctrl.on_sync_result(1, true, 0.0, 0.0, 0.3);
-  ctrl.on_sync_result(1, true, 0.0, 0.0, 0.4);
+  ctrl.on_sync_result(1, true, 0.0, 0.3);
+  ctrl.on_sync_result(1, true, 0.0, 0.4);
   EXPECT_EQ(ctrl.health(1), fault::ApHealth::kProbation);
   EXPECT_EQ(ctrl.active()[1], 0);  // probation still sits out
   EXPECT_TRUE(ctrl.needs_remeasure());
@@ -311,7 +311,7 @@ TEST(Resilience, ProbationReadmissionNeedsRemeasure) {
 TEST(Resilience, RecoveryLatencyStampsOncePerQuarantine) {
   fault::ResilienceController ctrl(3);
   ctrl.note_fault(1.0);
-  for (int i = 0; i < 3; ++i) ctrl.on_sync_result(2, false, 0.0, 0.0, 1.05);
+  for (int i = 0; i < 3; ++i) ctrl.on_sync_result(2, false, 0.0, 1.05);
   ctrl.on_recovered(1.25);
   EXPECT_EQ(ctrl.recoveries(), 1u);
   EXPECT_NEAR(ctrl.last_recover_latency_s(), 0.25, 1e-12);
@@ -322,10 +322,10 @@ TEST(Resilience, RecoveryLatencyStampsOncePerQuarantine) {
 
 TEST(Resilience, LeadEvidenceIsIgnored) {
   fault::ResilienceController ctrl(3);
-  for (int i = 0; i < 10; ++i) ctrl.on_sync_result(0, false, 0.0, 0.0, 0.1);
+  for (int i = 0; i < 10; ++i) ctrl.on_sync_result(0, false, 0.0, 0.1);
   EXPECT_FALSE(ctrl.quarantined(0));
   // Out-of-range APs are ignored too, not UB.
-  ctrl.on_sync_result(17, false, 0.0, 0.0, 0.1);
+  ctrl.on_sync_result(17, false, 0.0, 0.1);
 }
 
 TEST(Resilience, MarkDownAndLeadElection) {

@@ -21,6 +21,14 @@ BitVec random_bits(Rng& rng, std::size_t n) {
   return b;
 }
 
+// Terminated-trellis Viterbi decode on fresh scratch.
+BitVec viterbi(const std::vector<double>& llr, std::size_t n_info) {
+  ViterbiScratch scratch;
+  BitVec out;
+  viterbi_decode_into(llr, n_info, /*terminated=*/true, scratch, out);
+  return out;
+}
+
 TEST(Scrambler, IsItsOwnInverse) {
   Rng rng(1);
   const BitVec bits = random_bits(rng, 500);
@@ -132,7 +140,7 @@ TEST_P(ViterbiRoundTrip, CleanChannelRecoversBits) {
     }
     std::vector<double> dep;
     depuncture_into(llr, info.size(), rate, dep);
-    EXPECT_EQ(viterbi_decode(dep, info.size()), info);
+    EXPECT_EQ(viterbi(dep, info.size()), info);
   }
 }
 
@@ -154,7 +162,7 @@ TEST_P(ViterbiRoundTrip, CorrectsNoisySoftBits) {
     }
     std::vector<double> dep;
     depuncture_into(llr, info.size(), rate, dep);
-    if (viterbi_decode(dep, info.size()) != info) ++failures;
+    if (viterbi(dep, info.size()) != info) ++failures;
   }
   // Rate 1/2 should essentially never fail here; punctured rates rarely.
   EXPECT_LE(failures, rate == CodeRate::kHalf ? 0 : 4);
@@ -177,11 +185,11 @@ TEST(Viterbi, HardDecisionCorrectsErrors) {
   // Hard decisions enter the decoder as +-1 LLRs.
   std::vector<double> llr(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) llr[i] = coded[i] ? -1.0 : 1.0;
-  EXPECT_EQ(viterbi_decode(llr, info.size()), info);
+  EXPECT_EQ(viterbi(llr, info.size()), info);
 }
 
 TEST(Viterbi, InputValidation) {
-  EXPECT_THROW((void)viterbi_decode(std::vector<double>(10), 6),
+  EXPECT_THROW((void)viterbi(std::vector<double>(10), 6),
                std::invalid_argument);
 }
 
@@ -209,7 +217,8 @@ TEST_P(InterleaverRoundTrip, SoftMatchesHard) {
   const BitVec inter = interleave(bits, mcs);
   std::vector<double> llr(inter.size());
   for (std::size_t i = 0; i < inter.size(); ++i) llr[i] = inter[i] ? -1.0 : 1.0;
-  const auto soft = deinterleave_soft(llr, mcs);
+  std::vector<double> soft;
+  deinterleave_soft_into(llr, mcs, soft);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     EXPECT_EQ(soft[i] < 0, bits[i] == 1);
   }
@@ -260,7 +269,8 @@ TEST_P(ModulationRoundTrip, SoftSignsMatchHardBits) {
   Rng rng(12);
   const BitVec bits = random_bits(rng, bits_per_symbol(m) * 48);
   const cvec syms = modulate(bits, m);
-  const auto llr = demodulate_soft(syms, m, 0.1);
+  std::vector<double> llr;
+  demodulate_soft_into(syms, m, rvec(syms.size(), 0.1), llr);
   ASSERT_EQ(llr.size(), bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (bits[i]) {
@@ -302,7 +312,8 @@ INSTANTIATE_TEST_SUITE_P(AllMods, ModulationRoundTrip,
 TEST(Modulation, InputValidation) {
   EXPECT_THROW((void)modulate(BitVec(3, 0), Modulation::kQpsk),
                std::invalid_argument);
-  EXPECT_THROW((void)demodulate_soft(cvec(4), Modulation::kBpsk, rvec(3)),
+  std::vector<double> llr;
+  EXPECT_THROW(demodulate_soft_into(cvec(4), Modulation::kBpsk, rvec(3), llr),
                std::invalid_argument);
 }
 

@@ -19,6 +19,7 @@
 #include "obs/alloc_count.h"
 #include "obs/flight/recorder.h"
 #include "phy/convcode.h"
+#include "phy/frame.h"
 #include "phy/interleaver.h"
 #include "phy/modulation.h"
 #include "phy/ofdm.h"
@@ -127,6 +128,55 @@ TEST(ZeroAlloc, SteadyStateFrameKernelsDoNotAllocate) {
       << "steady-state frame kernels allocated " << c.allocs << " times ("
       << c.bytes << " bytes)";
   EXPECT_EQ(c.deallocs, 0u);
+  EXPECT_TRUE(all_ok);
+}
+
+TEST(ZeroAlloc, FrameDecodeAllocatesOnlyTheReturnedBytes) {
+  // The receive chain's decode half on a warm workspace, as
+  // phy::Receiver runs it: the SIGNAL symbol from ws.data48, per-symbol
+  // soft demapping into ws.llr_per_symbol, then the payload decode. The
+  // PSDU bytes it returns are the one allocation per frame.
+  const phy::Mcs mcs{phy::Modulation::kQam16, phy::CodeRate::kHalf};
+  Workspace ws;
+  phy::ByteVec psdu(300);
+  for (std::size_t i = 0; i < psdu.size(); ++i) {
+    psdu[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  const cvec signal = phy::build_signal_symbol({phy::rate_index(mcs),
+                                                psdu.size()});
+  const std::vector<cvec> symbols = phy::encode_psdu(psdu, mcs);
+  const rvec noise(kNumDataCarriers, 0.05);
+
+  bool all_ok = true;
+  const auto frame = [&] {
+    ws.data48.assign(signal.begin(), signal.end());
+    const auto sig = phy::decode_signal_symbol(ws.data48, 0.01, ws);
+    all_ok &= sig.has_value() && sig->length == psdu.size();
+    if (!sig) return;
+    ws.llr_per_symbol.resize(symbols.size());
+    for (std::size_t s = 0; s < symbols.size(); ++s) {
+      phy::demodulate_soft_into(symbols[s], mcs.modulation, noise,
+                                ws.llr_per_symbol[s]);
+    }
+    const auto bytes = phy::decode_psdu(ws.llr_per_symbol, *sig, ws);
+    all_ok &= bytes.has_value() && *bytes == psdu;
+  };
+
+  for (int it = 0; it < 3; ++it) frame();  // warm the workspace
+  ASSERT_TRUE(all_ok);
+
+  constexpr std::size_t kFrames = 50;
+  obs::reset_alloc_counts();
+  obs::set_alloc_counting(true);
+  for (std::size_t it = 0; it < kFrames; ++it) frame();
+  obs::set_alloc_counting(false);
+
+  const obs::AllocCounts c = obs::alloc_counts();
+  EXPECT_EQ(c.allocs, kFrames)
+      << "frame decode allocated " << c.allocs << " times (" << c.bytes
+      << " bytes) in " << kFrames << " frames";
+  EXPECT_EQ(c.deallocs, kFrames);
+  EXPECT_EQ(c.bytes, kFrames * psdu.size());
   EXPECT_TRUE(all_ok);
 }
 
