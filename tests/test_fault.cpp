@@ -17,6 +17,7 @@
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "fault/resilience.h"
+#include "golden_digest.h"
 #include "net/mac.h"
 #include "obs/json.h"
 #include "phy/workspace.h"
@@ -220,6 +221,107 @@ TEST(FaultSession, QuietPlanNeverDrawsOrImpairs) {
     EXPECT_FALSE(s.backhaul_packet_lost());
     EXPECT_EQ(s.backhaul_delay_s(), 0.0);
     EXPECT_FALSE(s.stale_channel());
+  }
+}
+
+/// Digest of every query answer after each advance_to on a 1/64 s grid
+/// over [0, t_end]. Asks one AP past `n_aps` too, which must stay inert.
+std::uint64_t session_timeline_digest(const fault::FaultPlan& plan,
+                                      std::size_t n_aps,
+                                      std::uint64_t trial_seed,
+                                      double t_end) {
+  fault::FaultSession s(plan, n_aps, trial_seed);
+  golden::Fnv d;
+  for (double t = 0.0; t <= t_end; t += 1.0 / 64) {
+    s.advance_to(t);
+    for (std::size_t ap = 0; ap <= n_aps; ++ap) {
+      d.add(static_cast<std::uint64_t>(s.ap_down(ap)));
+      d.add(static_cast<std::uint64_t>(s.sync_header_lost(ap)));
+      d.add(s.sync_header_phase_error(ap));
+    }
+    d.add(static_cast<std::uint64_t>(s.stale_channel()));
+    d.add(static_cast<std::uint64_t>(s.backhaul_packet_lost()));
+    d.add(s.backhaul_delay_s());
+    d.add(static_cast<std::uint64_t>(s.events_applied()));
+    d.add(s.last_fault_t());
+  }
+  return d.value();
+}
+
+TEST(FaultGolden, SessionTimeline) {
+  using fault::FaultKind;
+  const golden::GoldenTable want = {
+      {"crashes/1", 0xe655d27bb5206a84ull},
+      {"sync/1", 0x1ff9cdfbe9a7a0e8ull},
+      {"world/1", 0x3b695ee97393032bull},
+      {"crashes/2", 0xe655d27bb5206a84ull},
+      {"sync/2", 0x65a54476c0838b57ull},
+      {"world/2", 0x6b35fd731109c132ull},
+      {"random/1", 0x779dbbb5cadc75fbull},
+      {"random/2", 0xaad5c0641361edfcull},
+      {"random/3", 0x9e7d0f586f880aa6ull},
+      {"random/4", 0x5b108a807289721dull},
+      {"random/5", 0xd2b03118c7a5f8c8ull},
+      {"random/6", 0x1ceb10cd112bc43cull},
+      {"random/7", 0x9d09aef966977a38ull},
+      {"random/8", 0x51fafc17b9d07d3aull},
+  };
+  // Crash windows: overlapping on one AP (the first one's end edge brings
+  // the AP up while the second is still open), back-to-back handover at
+  // 0.5 s, a restart inside a window, an open-ended crash and an AP past
+  // n_aps.
+  const fault::FaultPlan crashes(
+      {{FaultKind::kApCrash, 0.25, 1, 0.5, 0.0, 1.0},
+       {FaultKind::kApCrash, 0.5, 1, 0.5, 0.0, 1.0},
+       {FaultKind::kApCrash, 0.25, 2, 0.25, 0.0, 1.0},
+       {FaultKind::kApCrash, 0.5, 2, 0.25, 0.0, 1.0},
+       {FaultKind::kApCrash, 0.125, 3, 1.0, 0.0, 1.0},
+       {FaultKind::kApRestart, 0.375, 3, 0.0, 0.0, 1.0},
+       {FaultKind::kApRestart, 0.4, 0, 0.0, 0.0, 1.0},
+       {FaultKind::kApCrash, 1.1, 0, 0.0, 0.0, 1.0},
+       {FaultKind::kApCrash, 0.3, 7, 0.2, 0.0, 1.0},
+       {FaultKind::kApRestart, 0.6, 7, 0.0, 0.0, 1.0}},
+      5);
+  // Sync windows: two overlapping loss windows on AP 1 (the inner one's
+  // end clears the slot), overlapping corruption on AP 2, loss on an AP
+  // past n_aps, and point events that only count as applied.
+  const fault::FaultPlan sync(
+      {{FaultKind::kSyncLoss, 0.25, 1, 0.75, 0.0, 0.5},
+       {FaultKind::kSyncLoss, 0.5, 1, 0.25, 0.0, 0.9},
+       {FaultKind::kSyncCorrupt, 0.125, 2, 0.5, 0.3, 1.0},
+       {FaultKind::kSyncCorrupt, 0.25, 2, 0.75, 0.1, 0.5},
+       {FaultKind::kSyncLoss, 0.2, 9, 0.5, 0.0, 1.0},
+       {FaultKind::kSyncCorrupt, 0.7, 1, 0.0, 0.2, 0.25},
+       {FaultKind::kPhaseJump, 0.3, 1, 0.0, 0.7, 1.0},
+       {FaultKind::kCfoStep, 0.33, 2, 0.0, 150.0, 1.0},
+       {FaultKind::kPhaseJump, 0.9, 8, 0.0, 0.2, 1.0}},
+      6);
+  // Nested stale windows plus an open-ended one; backhaul loss and delay
+  // windows that hand over at one instant.
+  const fault::FaultPlan world(
+      {{FaultKind::kStaleChannel, 0.25, 0, 1.0, 0.0, 1.0},
+       {FaultKind::kStaleChannel, 0.5, 0, 0.25, 0.0, 1.0},
+       {FaultKind::kStaleChannel, 1.5, 0, 0.0, 0.0, 1.0},
+       {FaultKind::kBackhaulLoss, 0.25, 0, 0.25, 0.0, 0.3},
+       {FaultKind::kBackhaulLoss, 0.5, 0, 0.25, 0.0, 0.7},
+       {FaultKind::kBackhaulDelay, 0.25, 0, 0.25, 0.002, 1.0},
+       {FaultKind::kBackhaulDelay, 0.5, 0, 0.5, 0.005, 1.0},
+       {FaultKind::kBackhaulDelay, 0.6, 0, 0.1, 0.001, 1.0}},
+      7);
+  for (const std::uint64_t trial : {1ull, 2ull}) {
+    const std::string tag = "/" + std::to_string(trial);
+    golden::expect_golden(want, "crashes" + tag,
+                          session_timeline_digest(crashes, 4, trial, 2.0));
+    golden::expect_golden(want, "sync" + tag,
+                          session_timeline_digest(sync, 4, trial, 2.0));
+    golden::expect_golden(want, "world" + tag,
+                          session_timeline_digest(world, 4, trial, 2.0));
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const fault::FaultPlan plan =
+        fault::FaultPlan::random_crashes(8.0, 0.3, 5, 0.1, seed);
+    golden::expect_golden(want, "random/" + std::to_string(seed),
+                          session_timeline_digest(plan, 5, seed, 0.5));
   }
 }
 
