@@ -84,7 +84,7 @@ std::optional<ClientMeasurement> process_measurement_frame(
   // below stay off the heap once capacities are warm.
   cvec& win = ws.meas_win;
   cvec& freq = ws.meas_freq;
-  const FftPlan& plan = ws.fft_plan(phy::kNfft);
+  const FftPlan& plan = phy::ofdm_fft_plan();
 
   for (std::size_t ap = 0; ap < sched.n_aps; ++ap) {
     // --- Coarse CFO from the AP's dedicated block (lag-64 correlation).

@@ -51,46 +51,30 @@ const std::vector<UsedRun>& used_bin_runs() {
   return kRuns;
 }
 
-/// Routes fault-session point events into the physical world: oscillator
-/// phase jumps / drift-rate steps land on the owning medium node. Crash
-/// and restart edges need no physical action here — the session's own
-/// up/down mask gates transmissions at the stage hook points.
-class EngineFaultHost final : public fault::FaultHost {
- public:
-  explicit EngineFaultHost(SystemState& sys) : sys_(sys) {}
-
-  void on_phase_jump(std::size_t ap, double rad) override {
-    if (ap < sys_.ap_nodes.size()) {
-      sys_.medium.oscillator_mutable(sys_.ap_nodes[ap]).inject_phase_jump(rad);
-    }
-  }
-  void on_cfo_step(std::size_t ap, double hz, double t_s) override {
-    if (ap < sys_.ap_nodes.size()) {
-      sys_.medium.oscillator_mutable(sys_.ap_nodes[ap])
-          .inject_cfo_step(hz, t_s);
-    }
-  }
-
- private:
-  SystemState& sys_;
-};
-
-/// Advance the fault timeline to the current simulated time. With no
-/// pending edges this is two comparisons — cheap enough for every frame —
-/// and it never allocates (the host is a stack object).
+/// Advance the fault timeline to the current simulated time and land the
+/// oscillator phase jumps / drift-rate steps it began on the owning medium
+/// node. Crash and restart edges need no physical action here — the
+/// session's own up/down mask gates transmissions at the stage hook
+/// points. With no pending edges this is two comparisons — cheap enough
+/// for every frame — and it never allocates.
 void pump_faults(SystemState& sys) {
   if (!sys.fault) return;
-  const std::size_t before = sys.fault->events_applied();
-  EngineFaultHost host(sys);
-  sys.fault->advance_to(sys.now, host);
-  if (sys.fault->events_applied() != before) {
-    // Rare (only on a fault edge), so the interning lookup is fine here.
-    obs::flight::instant("fault/injected", obs::flight::kNoFlow,
-                         sys.fault->events_applied());
-    if (sys.resilience) {
-      sys.resilience->note_fault(sys.fault->last_fault_t());
+  const std::span<const fault::FaultEvent> begun =
+      sys.fault->advance_to(sys.now);
+  if (begun.empty()) return;
+  for (const fault::FaultEvent& ev : begun) {
+    if (ev.ap >= sys.ap_nodes.size()) continue;
+    chan::Oscillator& osc = sys.medium.oscillator_mutable(sys.ap_nodes[ev.ap]);
+    if (ev.kind == fault::FaultKind::kPhaseJump) {
+      osc.inject_phase_jump(ev.magnitude);
+    } else if (ev.kind == fault::FaultKind::kCfoStep) {
+      osc.inject_cfo_step(ev.magnitude, ev.t_s);
     }
   }
+  // Rare (only on a fault edge), so the interning lookup is fine here.
+  obs::flight::instant("fault/injected", obs::flight::kNoFlow,
+                       sys.fault->events_applied());
+  if (sys.resilience) sys.resilience->note_fault(sys.fault->last_fault_t());
 }
 
 }  // namespace
@@ -368,7 +352,7 @@ void SynthesisStage::run(StageContext& stage_ctx) {
       }
     }
     ltf_time.assign(spec.begin(), spec.end());
-    sys.ws.fft_plan(phy::kNfft).inverse(ltf_time);
+    phy::ofdm_fft_plan().inverse(ltf_time);
     cvec wave(ctx.wave_len);
     for (std::size_t i = 0; i < 32; ++i) {
       wave[i] = ltf_time[phy::kNfft - 32 + i];

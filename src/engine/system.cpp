@@ -322,7 +322,7 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
         static_cast<std::size_t>(kTurnaroundS * fs);
     // Workspace-backed scratch: the two per-pair FFT windows, each
     // CFO-corrected on its own with its phase origin at sample 0 of buf.
-    const FftPlan& plan = state_.ws.fft_plan(phy::kNfft);
+    const FftPlan& plan = phy::ofdm_fft_plan();
     cplx delta_acc{};
     for (std::size_t p = 0; p < kPairs; ++p) {
       const std::size_t lead_at =

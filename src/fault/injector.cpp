@@ -17,92 +17,24 @@ std::uint64_t mix_seeds(std::uint64_t a, std::uint64_t b) {
   return x ^ (x >> 31);
 }
 
+/// A window slot takes `ev` on its begin edge; its end edge clears the
+/// slot only if a later window has not taken it over.
+void set_window(const FaultEvent*& slot, const FaultEvent& ev, bool begin) {
+  if (begin) {
+    slot = &ev;
+  } else if (slot == &ev) {
+    slot = nullptr;
+  }
+}
+
 }  // namespace
-
-void ApCrashInjector::on_edge(const FaultEvent& ev, bool begin,
-                              FaultHost& host) {
-  if (ev.ap >= down_.size()) return;
-  if (ev.kind == FaultKind::kApCrash) {
-    if (begin) {
-      if (!down_[ev.ap]) host.on_ap_crash(ev.ap);
-      down_[ev.ap] = 1;
-    } else {
-      if (down_[ev.ap]) host.on_ap_restart(ev.ap);
-      down_[ev.ap] = 0;
-    }
-  } else if (ev.kind == FaultKind::kApRestart && begin) {
-    if (down_[ev.ap]) host.on_ap_restart(ev.ap);
-    down_[ev.ap] = 0;
-  }
-}
-
-void SyncHeaderInjector::on_edge(const FaultEvent& ev, bool begin,
-                                 FaultHost& host) {
-  (void)host;
-  if (ev.ap >= loss_.size()) return;
-  std::vector<const FaultEvent*>& slot =
-      ev.kind == FaultKind::kSyncLoss ? loss_ : corrupt_;
-  if (begin) {
-    slot[ev.ap] = &ev;
-  } else if (slot[ev.ap] == &ev) {
-    slot[ev.ap] = nullptr;
-  }
-}
-
-bool SyncHeaderInjector::header_lost(std::size_t ap, Rng& rng) const {
-  if (ap >= loss_.size() || loss_[ap] == nullptr) return false;
-  return rng.bernoulli(loss_[ap]->probability);
-}
-
-double SyncHeaderInjector::header_phase_error(std::size_t ap, Rng& rng) const {
-  if (ap >= corrupt_.size() || corrupt_[ap] == nullptr) return 0.0;
-  const FaultEvent& ev = *corrupt_[ap];
-  if (ev.probability < 1.0 && !rng.bernoulli(ev.probability)) return 0.0;
-  return rng.gaussian(ev.magnitude);
-}
-
-void OscillatorInjector::on_edge(const FaultEvent& ev, bool begin,
-                                 FaultHost& host) {
-  if (!begin) return;
-  if (ev.kind == FaultKind::kPhaseJump) {
-    host.on_phase_jump(ev.ap, ev.magnitude);
-  } else if (ev.kind == FaultKind::kCfoStep) {
-    host.on_cfo_step(ev.ap, ev.magnitude, ev.t_s);
-  }
-}
-
-void StaleChannelInjector::on_edge(const FaultEvent& ev, bool begin,
-                                   FaultHost& host) {
-  (void)ev;
-  (void)host;
-  depth_ += begin ? 1 : -1;
-}
-
-void BackhaulInjector::on_edge(const FaultEvent& ev, bool begin,
-                               FaultHost& host) {
-  (void)host;
-  const FaultEvent** slot =
-      ev.kind == FaultKind::kBackhaulLoss ? &loss_ : &delay_;
-  if (begin) {
-    *slot = &ev;
-  } else if (*slot == &ev) {
-    *slot = nullptr;
-  }
-}
-
-bool BackhaulInjector::packet_lost(Rng& rng) const {
-  if (loss_ == nullptr) return false;
-  return rng.bernoulli(loss_->probability);
-}
 
 FaultSession::FaultSession(const FaultPlan& plan, std::size_t n_aps,
                            std::uint64_t trial_seed)
     : plan_(&plan),
       rng_(mix_seeds(plan.seed(), trial_seed)),
-      crash_(n_aps),
-      sync_(n_aps),
-      injectors_{&crash_, &sync_, &osc_, &stale_, &backhaul_} {
-  last_fault_t_ = -std::numeric_limits<double>::infinity();
+      last_fault_t_(-std::numeric_limits<double>::infinity()),
+      aps_(n_aps) {
   const std::vector<FaultEvent>& events = plan.events();
   edges_.reserve(2 * events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -115,6 +47,9 @@ FaultSession::FaultSession(const FaultPlan& plan, std::size_t n_aps,
   }
   // Sort by time; at equal times, end edges fire before begin edges so a
   // back-to-back window pair hands over cleanly, and ties stay stable.
+  // The plan's events are stable-sorted by t_s, so begin edges fire in
+  // plan order: the events one advance_to() begins are a contiguous range
+  // of plan.events().
   std::stable_sort(edges_.begin(), edges_.end(),
                    [](const Edge& a, const Edge& b) {
                      if (a.t != b.t) return a.t < b.t;
@@ -122,13 +57,34 @@ FaultSession::FaultSession(const FaultPlan& plan, std::size_t n_aps,
                    });
 }
 
-void FaultSession::dispatch(const Edge& e, FaultHost& host) {
+void FaultSession::dispatch(const Edge& e) {
   const FaultEvent& ev = plan_->events()[e.event];
-  for (Injector* inj : injectors_) {
-    if (inj->handles(ev.kind)) {
-      inj->on_edge(ev, e.begin, host);
+  ApWindows* ap = ev.ap < aps_.size() ? &aps_[ev.ap] : nullptr;
+  switch (ev.kind) {
+    case FaultKind::kApCrash:
+      if (ap) ap->down = e.begin;
       break;
-    }
+    case FaultKind::kApRestart:
+      if (ap) ap->down = false;
+      break;
+    case FaultKind::kSyncLoss:
+      if (ap) set_window(ap->sync_loss, ev, e.begin);
+      break;
+    case FaultKind::kSyncCorrupt:
+      if (ap) set_window(ap->sync_corrupt, ev, e.begin);
+      break;
+    case FaultKind::kStaleChannel:
+      stale_depth_ += e.begin ? 1 : -1;
+      break;
+    case FaultKind::kBackhaulLoss:
+      set_window(backhaul_loss_, ev, e.begin);
+      break;
+    case FaultKind::kBackhaulDelay:
+      set_window(backhaul_delay_, ev, e.begin);
+      break;
+    case FaultKind::kPhaseJump:
+    case FaultKind::kCfoStep:
+      break;  // the host applies these from advance_to's span
   }
   if (e.begin) {
     ++applied_;
@@ -136,18 +92,32 @@ void FaultSession::dispatch(const Edge& e, FaultHost& host) {
   }
 }
 
-void FaultSession::advance_to(double now_s, FaultHost& host) {
-  if (now_s < now_) return;  // monotone; ignore out-of-order pumps
+std::span<const FaultEvent> FaultSession::advance_to(double now_s) {
+  if (now_s < now_) return {};  // monotone; ignore out-of-order pumps
   now_ = now_s;
+  const std::size_t first = applied_;
   while (next_edge_ < edges_.size() && edges_[next_edge_].t <= now_s) {
-    dispatch(edges_[next_edge_], host);
+    dispatch(edges_[next_edge_]);
     ++next_edge_;
   }
+  return std::span(plan_->events()).subspan(first, applied_ - first);
 }
 
-void FaultSession::advance_to(double now_s) {
-  FaultHost null_host;
-  advance_to(now_s, null_host);
+bool FaultSession::sync_header_lost(std::size_t ap) {
+  if (ap >= aps_.size() || aps_[ap].sync_loss == nullptr) return false;
+  return rng_.bernoulli(aps_[ap].sync_loss->probability);
+}
+
+double FaultSession::sync_header_phase_error(std::size_t ap) {
+  if (ap >= aps_.size() || aps_[ap].sync_corrupt == nullptr) return 0.0;
+  const FaultEvent& ev = *aps_[ap].sync_corrupt;
+  if (ev.probability < 1.0 && !rng_.bernoulli(ev.probability)) return 0.0;
+  return rng_.gaussian(ev.magnitude);
+}
+
+bool FaultSession::backhaul_packet_lost() {
+  if (backhaul_loss_ == nullptr) return false;
+  return rng_.bernoulli(backhaul_loss_->probability);
 }
 
 }  // namespace jmb::fault

@@ -34,6 +34,9 @@ bool set_error(std::string* error, std::string msg) {
   return false;
 }
 
+/// A whole number that converts to a 64-bit integer without overflow.
+bool is_u64(double x) { return x >= 0.0 && x < 0x1p64 && std::floor(x) == x; }
+
 std::string_view fault_kind_name(FaultKind k) {
   for (const KindName& kn : kKindNames) {
     if (kn.kind == k) return kn.name;
@@ -100,8 +103,9 @@ FaultPlan FaultPlan::from_json(const obs::JsonValue& doc, std::string* error) {
   }
   std::uint64_t seed = 1;
   if (const obs::JsonValue* s = doc.get("seed")) {
-    if (!s->is_number() || s->as_number() < 0) {
-      set_error(error, "fault plan: seed must be a non-negative number");
+    if (!s->is_number() || !is_u64(s->as_number())) {
+      set_error(error,
+                "fault plan: 'seed' must be a non-negative integer below 2^64");
       return {};
     }
     seed = static_cast<std::uint64_t>(s->as_number());
@@ -128,28 +132,31 @@ FaultPlan FaultPlan::from_json(const obs::JsonValue& doc, std::string* error) {
       return {};
     }
     const obs::JsonValue* t = e.get("t");
-    if (t == nullptr || !t->is_number() || t->as_number() < 0.0) {
-      set_error(error, at + ": 't' must be a non-negative number");
+    if (t == nullptr || !t->is_number() || t->as_number() < 0.0 ||
+        !std::isfinite(t->as_number())) {
+      set_error(error, at + ": 't' must be a finite non-negative number");
       return {};
     }
     ev.t_s = t->as_number();
     if (const obs::JsonValue* ap = e.get("ap")) {
-      if (!ap->is_number() || ap->as_number() < 0) {
-        set_error(error, at + ": 'ap' must be a non-negative integer");
+      if (!ap->is_number() || !is_u64(ap->as_number())) {
+        set_error(error,
+                  at + ": 'ap' must be a non-negative integer below 2^64");
         return {};
       }
       ev.ap = static_cast<std::size_t>(ap->as_number());
     }
     if (const obs::JsonValue* d = e.get("duration")) {
-      if (!d->is_number() || d->as_number() < 0.0) {
-        set_error(error, at + ": 'duration' must be non-negative");
+      if (!d->is_number() || d->as_number() < 0.0 ||
+          !std::isfinite(d->as_number())) {
+        set_error(error, at + ": 'duration' must be finite and non-negative");
         return {};
       }
       ev.duration_s = d->as_number();
     }
     if (const obs::JsonValue* m = e.get("magnitude")) {
-      if (!m->is_number()) {
-        set_error(error, at + ": 'magnitude' must be a number");
+      if (!m->is_number() || !std::isfinite(m->as_number())) {
+        set_error(error, at + ": 'magnitude' must be a finite number");
         return {};
       }
       ev.magnitude = m->as_number();

@@ -130,9 +130,8 @@ MacReport run_mac(std::size_t n_aps, std::size_t n_clients,
 
   while (t < params.duration_s) {
     if (fault) {
-      const std::size_t applied = fault->events_applied();
-      fault->advance_to(t);
-      if (ctrl && fault->events_applied() != applied) {
+      const bool begun = !fault->advance_to(t).empty();
+      if (ctrl && begun) {
         ctrl->note_fault(fault->last_fault_t());  // feeds detect latency
       }
     }

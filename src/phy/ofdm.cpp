@@ -3,20 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "dsp/fft_plan.h"
-
 namespace jmb::phy {
 
-namespace {
-
-// One immutable plan for the OFDM transform size, shared by every thread
-// (FftPlan is read-only after construction).
-const FftPlan& plan64() {
+const FftPlan& ofdm_fft_plan() {
   static const FftPlan kPlan(kNfft);
   return kPlan;
 }
-
-}  // namespace
 
 void map_subcarriers_into(std::span<const cplx> data48,
                           std::size_t symbol_index, std::span<cplx> freq) {
@@ -57,7 +49,7 @@ void ofdm_modulate_into(std::span<const cplx> freq_symbol,
   // forward as the cyclic prefix — same transform, no scratch buffer.
   const std::span<cplx> time = out.subspan(kCpLen, kNfft);
   std::copy(freq_symbol.begin(), freq_symbol.end(), time.begin());
-  plan64().inverse(time);
+  ofdm_fft_plan().inverse(time);
   for (std::size_t i = 0; i < kCpLen; ++i) out[i] = time[kNfft - kCpLen + i];
 }
 

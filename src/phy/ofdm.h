@@ -10,10 +10,16 @@
 
 #include <span>
 
+#include "dsp/fft_plan.h"
 #include "dsp/types.h"
 #include "phy/params.h"
 
 namespace jmb::phy {
+
+/// The one kNfft-point FFT plan every OFDM transform runs on, transmit and
+/// receive; built on first use and shared by every thread (FftPlan is
+/// read-only after construction).
+[[nodiscard]] const FftPlan& ofdm_fft_plan();
 
 /// Place 48 data symbols and the 4 pilots (with per-symbol polarity) onto
 /// logical subcarriers, returning the kNfft-point frequency-domain symbol.

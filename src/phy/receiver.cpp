@@ -5,7 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "dsp/fft_plan.h"
 #include "phy/modulation.h"
 #include "phy/ofdm.h"
 #include "phy/sync.h"
@@ -60,6 +59,27 @@ double ltf_noise_var(const cvec& f1, const cvec& f2) {
   return std::max(acc / (2.0 * n), 1e-12);
 }
 
+// The two-LTF measurement: FFT windows at w1 and w1 + kNfft (left in
+// ws.win_a/win_b), each corrected with cfo_hz from its own start, then
+// the noise variance, the averaged channel estimate and the SNR. The
+// caller fills in stf_start and ltf_start.
+PreambleMeasurement measure_ltf_pair(const cvec& rx, std::size_t w1,
+                                     double cfo_hz, double fs, Workspace& ws) {
+  const FftPlan& plan = ofdm_fft_plan();
+  const std::size_t w2 = w1 + kNfft;
+  fft_window_into(rx, w1, cfo_hz, fs, static_cast<double>(w1), plan,
+                  ws.win_a);
+  fft_window_into(rx, w2, cfo_hz, fs, static_cast<double>(w2), plan,
+                  ws.win_b);
+  PreambleMeasurement pm;
+  pm.cfo_hz = cfo_hz;
+  pm.noise_var = ltf_noise_var(ws.win_a, ws.win_b);
+  pm.chan = average_estimates(
+      {estimate_from_ltf(ws.win_a), estimate_from_ltf(ws.win_b)});
+  pm.snr_db = to_db(std::max(pm.chan.mean_gain_power(), 1e-12) / pm.noise_var);
+  return pm;
+}
+
 // Demodulate/equalize one OFDM symbol whose 80 samples start at
 // `sym_start`, leaving the equalized data and per-carrier noise variances
 // in ws.sym_freq/data48/noise48. Only the symbol's FFT window is
@@ -67,13 +87,13 @@ double ltf_noise_var(const cvec& f1, const cvec& f2) {
 void decode_symbol(const cvec& rx, double cfo_hz, double fs,
                    std::size_t sym_start, std::size_t backoff,
                    const ChannelEstimate& chan, double noise_var,
-                   std::size_t symbol_index, const FftPlan& plan,
-                   Workspace& ws) {
+                   std::size_t symbol_index, Workspace& ws) {
   cvec& freq = ws.sym_freq;
   cvec& data48 = ws.data48;
   rvec& noise48 = ws.noise48;
   const std::size_t win = sym_start + kCpLen - backoff;
-  fft_window_into(rx, win, cfo_hz, fs, static_cast<double>(win), plan, freq);
+  fft_window_into(rx, win, cfo_hz, fs, static_cast<double>(win),
+                  ofdm_fft_plan(), freq);
   const PilotPhase pp = track_pilots(freq, chan, symbol_index);
 
   data48.resize(kNumDataCarriers);
@@ -91,15 +111,15 @@ void decode_symbol(const cvec& rx, double cfo_hz, double fs,
 
 // Shared back half of reception: channel-estimate in pm, symbols start
 // right after the two LTF repetitions at pm.ltf_start, and each is
-// corrected with pm.cfo_hz.
+// corrected with pm.cfo_hz. The measurement moves into RxResult::preamble.
 RxResult decode_after_ltf(const cvec& rx, double fs,
-                          const PreambleMeasurement& pm,
+                          PreambleMeasurement measured,
                           std::size_t timing_backoff, Workspace& ws) {
   RxResult res;
-  res.preamble = pm;
+  res.preamble = std::move(measured);
+  const PreambleMeasurement& pm = res.preamble;
   const std::size_t backoff = std::min(pm.ltf_start, timing_backoff);
   const std::size_t payload = pm.ltf_start + 2 * kNfft;
-  const FftPlan& plan = ws.fft_plan(kNfft);
   const cvec& data48 = ws.data48;
 
   if (rx.size() < payload + kSymbolLen) {
@@ -107,7 +127,7 @@ RxResult decode_after_ltf(const cvec& rx, double fs,
     return res;
   }
   decode_symbol(rx, pm.cfo_hz, fs, payload, backoff, pm.chan, pm.noise_var, 0,
-                plan, ws);
+                ws);
   const auto sig = decode_signal_symbol(
       data48,
       std::max(pm.noise_var / std::max(pm.chan.mean_gain_power(), 1e-12),
@@ -136,7 +156,7 @@ RxResult decode_after_ltf(const cvec& rx, double fs,
   for (std::size_t s = 0; s < n_sym; ++s) {
     const std::size_t sym_start = payload + (1 + s) * kSymbolLen;
     decode_symbol(rx, pm.cfo_hz, fs, sym_start, backoff, pm.chan,
-                  pm.noise_var, s + 1, plan, ws);
+                  pm.noise_var, s + 1, ws);
     demodulate_soft_into(data48, mcs.modulation, ws.noise48,
                          llr_per_symbol[s]);
     // EVM against the nearest constellation points.
@@ -221,24 +241,14 @@ std::optional<PreambleMeasurement> Receiver::measure_preamble(
   const double total_cfo = coarse + fine;
 
   const std::size_t w1 = ltf_start - std::min(ltf_start, kTimingBackoff);
-  const FftPlan& plan = ws_.fft_plan(kNfft);
-  const std::size_t w2 = w1 + kNfft;
-  fft_window_into(rx, w1, total_cfo, fs, static_cast<double>(w1), plan, win_a);
-  fft_window_into(rx, w2, total_cfo, fs, static_cast<double>(w2), plan, win_b);
-
-  PreambleMeasurement pm;
+  PreambleMeasurement pm = measure_ltf_pair(rx, w1, total_cfo, fs, ws_);
   pm.stf_start = stf;
   pm.ltf_start = ltf_start;
-  pm.cfo_hz = total_cfo;
-  pm.noise_var = ltf_noise_var(win_a, win_b);
-  pm.chan =
-      average_estimates({estimate_from_ltf(win_a), estimate_from_ltf(win_b)});
-  pm.snr_db = to_db(std::max(pm.chan.mean_gain_power(), 1e-12) / pm.noise_var);
   return pm;
 }
 
 RxResult Receiver::receive(const cvec& rx, std::size_t search_from) const {
-  const auto pm = measure_preamble(rx, search_from);
+  auto pm = measure_preamble(rx, search_from);
   if (!pm) {
     RxResult res;
     res.fail_reason = "no preamble detected";
@@ -246,15 +256,14 @@ RxResult Receiver::receive(const cvec& rx, std::size_t search_from) const {
   }
   // Payload symbols start right after the second LTF repetition; the FFT
   // windows inside use the same back-off as the channel-estimate windows.
-  return decode_after_ltf(rx, cfg_.sample_rate_hz, *pm, kTimingBackoff, ws_);
+  return decode_after_ltf(rx, cfg_.sample_rate_hz, std::move(*pm),
+                          kTimingBackoff, ws_);
 }
 
 RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
                                    double cfo_hz) const {
   RxResult res;
   const double fs = cfg_.sample_rate_hz;
-  cvec& win_a = ws_.win_a;
-  cvec& win_b = ws_.win_b;
 
   // The payload begins with its own double-guard LTF: 32-sample GI2 then
   // two 64-sample symbols. Search a window wide enough for a few samples
@@ -273,22 +282,11 @@ RxResult Receiver::receive_payload(const cvec& rx, std::size_t payload_start,
     res.fail_reason = "buffer too short for payload LTF";
     return res;
   }
-  const std::size_t backoff = std::min(ltf_start, kTimingBackoff);
-  const std::size_t w1 = ltf_start - backoff;
-  const FftPlan& plan = ws_.fft_plan(kNfft);
-  const std::size_t w2 = w1 + kNfft;
-  fft_window_into(rx, w1, cfo_hz, fs, static_cast<double>(w1), plan, win_a);
-  fft_window_into(rx, w2, cfo_hz, fs, static_cast<double>(w2), plan, win_b);
-
-  PreambleMeasurement pm;
+  const std::size_t w1 = ltf_start - std::min(ltf_start, kTimingBackoff);
+  PreambleMeasurement pm = measure_ltf_pair(rx, w1, cfo_hz, fs, ws_);
   pm.stf_start = payload_start;
   pm.ltf_start = ltf_start;
-  pm.cfo_hz = cfo_hz;
-  pm.noise_var = ltf_noise_var(win_a, win_b);
-  pm.chan =
-      average_estimates({estimate_from_ltf(win_a), estimate_from_ltf(win_b)});
-  pm.snr_db = to_db(std::max(pm.chan.mean_gain_power(), 1e-12) / pm.noise_var);
-  return decode_after_ltf(rx, fs, pm, kTimingBackoff, ws_);
+  return decode_after_ltf(rx, fs, std::move(pm), kTimingBackoff, ws_);
 }
 
 }  // namespace jmb::phy

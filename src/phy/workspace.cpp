@@ -4,12 +4,6 @@
 
 namespace jmb {
 
-const FftPlan& Workspace::fft_plan(std::size_t n) {
-  auto it = plans_.find(n);
-  if (it == plans_.end()) it = plans_.try_emplace(n, n).first;
-  return it->second;
-}
-
 const CMatrix& Workspace::denoise_projection(std::size_t support) {
   auto it = projections_.find(support);
   if (it == projections_.end()) {

@@ -1,6 +1,6 @@
-// Per-trial scratch workspace: cached FFT plans plus every reusable buffer
-// the frame hot path needs, so steady-state frames run without touching
-// the heap.
+// Per-trial scratch workspace: every reusable buffer the frame hot path
+// needs, so steady-state frames run without touching the heap. (The FFT
+// plan is process-wide and immutable: phy::ofdm_fft_plan().)
 //
 // Ownership model (see DESIGN.md "Memory model"):
 //  - One Workspace per engine::TrialRunner worker, owned by SystemState
@@ -21,7 +21,6 @@
 #include <map>
 #include <vector>
 
-#include "dsp/fft_plan.h"
 #include "dsp/types.h"
 #include "linalg/pinv.h"
 #include "phy/viterbi.h"
@@ -34,9 +33,6 @@ class Workspace {
   Workspace() = default;
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
-
-  /// Cached FFT plan for size n (built on first use, then allocation-free).
-  const FftPlan& fft_plan(std::size_t n);
 
   /// Per-workspace projection matrix for phy::denoise_time_support (built
   /// on first use per support; workspaces are per-trial, so no lock).
@@ -78,7 +74,6 @@ class Workspace {
   cvec meas_freq;  ///< per-round channel-symbol FFT; the probe's slave window
 
  private:
-  std::map<std::size_t, FftPlan> plans_;
   std::map<std::size_t, CMatrix> projections_;
 };
 

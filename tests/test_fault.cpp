@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "chan/medium.h"
@@ -108,6 +109,32 @@ TEST(FaultPlan, ParseRejectsMalformedDocuments) {
     const fault::FaultPlan plan = fault::FaultPlan::from_json(doc, &err);
     EXPECT_TRUE(plan.empty()) << text;
     EXPECT_FALSE(err.empty()) << text;
+  }
+}
+
+TEST(FaultPlan, ParseRejectsOutOfRangeNumbers) {
+  // Each document names the field the rejection must point at.
+  const std::pair<const char*, const char*> bad[] = {
+      {R"({"seed": 1e30, "events": []})", "'seed'"},
+      {R"({"events": [{"kind": "ap_crash", "t": 0, "ap": 1e300}]})", "'ap'"},
+      {R"({"events": [{"kind": "ap_crash", "t": 0, "ap": 1.5}]})", "'ap'"},
+      {R"({"events": [{"kind": "ap_crash", "t": 1e999}]})", "'t'"},
+      {R"({"events": [{"kind": "phase_jump", "t": 0, "magnitude": 1e999}]})",
+       "'magnitude'"},
+      {R"({"events": [{"kind": "ap_crash", "t": 0, "duration": 1e999}]})",
+       "'duration'"},
+  };
+  for (const auto& [text, field] : bad) {
+    std::string parse_err;
+    const obs::JsonValue doc = obs::parse_json(text, &parse_err);
+    ASSERT_TRUE(parse_err.empty()) << text << ": " << parse_err;
+    std::string err;
+    const fault::FaultPlan plan = fault::FaultPlan::from_json(doc, &err);
+    EXPECT_TRUE(plan.empty()) << text;
+    EXPECT_NE(err.find(field), std::string::npos) << text << " -> " << err;
+    if (std::string_view(field) != "'seed'") {
+      EXPECT_NE(err.find("events[0]"), std::string::npos) << err;
+    }
   }
 }
 
@@ -326,34 +353,37 @@ TEST(FaultGolden, SessionTimeline) {
 }
 
 TEST(FaultSession, PointEventsReachTheHost) {
-  struct Recorder : fault::FaultHost {
-    std::vector<std::pair<std::size_t, double>> jumps, steps;
-    std::vector<std::size_t> crashes, restarts;
-    void on_ap_crash(std::size_t ap) override { crashes.push_back(ap); }
-    void on_ap_restart(std::size_t ap) override { restarts.push_back(ap); }
-    void on_phase_jump(std::size_t ap, double rad) override {
-      jumps.emplace_back(ap, rad);
-    }
-    void on_cfo_step(std::size_t ap, double hz, double) override {
-      steps.emplace_back(ap, hz);
-    }
-  };
   std::vector<fault::FaultEvent> events;
   events.push_back({fault::FaultKind::kPhaseJump, 0.1, 1, 0.0, 0.7, 1.0});
   events.push_back({fault::FaultKind::kCfoStep, 0.2, 2, 0.0, 150.0, 1.0});
   events.push_back({fault::FaultKind::kApCrash, 0.3, 0, 0.1, 0.0, 1.0});
+  events.push_back({fault::FaultKind::kApCrash, 0.5, 1, 0.0, 0.0, 1.0});
   const fault::FaultPlan plan(std::move(events), 1);
   fault::FaultSession s(plan, 3, 1);
-  Recorder host;
-  s.advance_to(1.0, host);
-  ASSERT_EQ(host.jumps.size(), 1u);
-  EXPECT_EQ(host.jumps[0].first, 1u);
-  EXPECT_DOUBLE_EQ(host.jumps[0].second, 0.7);
-  ASSERT_EQ(host.steps.size(), 1u);
-  EXPECT_EQ(host.steps[0].first, 2u);
-  EXPECT_DOUBLE_EQ(host.steps[0].second, 150.0);
-  EXPECT_EQ(host.crashes, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(host.restarts, (std::vector<std::size_t>{0}));  // window end
+  EXPECT_TRUE(s.advance_to(0.05).empty());
+
+  // One pump hands back every event it began, in plan order.
+  const std::span<const fault::FaultEvent> begun = s.advance_to(0.35);
+  ASSERT_EQ(begun.size(), 3u);
+  EXPECT_EQ(begun.data(), plan.events().data());
+  EXPECT_EQ(begun[0].kind, fault::FaultKind::kPhaseJump);
+  EXPECT_EQ(begun[0].ap, 1u);
+  EXPECT_DOUBLE_EQ(begun[0].magnitude, 0.7);
+  EXPECT_EQ(begun[1].kind, fault::FaultKind::kCfoStep);
+  EXPECT_EQ(begun[1].ap, 2u);
+  EXPECT_DOUBLE_EQ(begun[1].magnitude, 150.0);
+  EXPECT_EQ(begun[2].kind, fault::FaultKind::kApCrash);
+  EXPECT_TRUE(s.ap_down(0));
+
+  // An end edge alone begins nothing; the crash shows through ap_down.
+  EXPECT_TRUE(s.advance_to(0.45).empty());
+  EXPECT_FALSE(s.ap_down(0));
+  EXPECT_TRUE(s.advance_to(0.2).empty());  // going backwards
+  const std::span<const fault::FaultEvent> last = s.advance_to(1.0);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(&last[0], &plan.events()[3]);
+  EXPECT_TRUE(s.ap_down(1));
+  EXPECT_EQ(s.events_applied(), 4u);
 }
 
 // ------------------------------------------------------------ controller

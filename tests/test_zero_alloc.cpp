@@ -111,10 +111,10 @@ TEST(ZeroAlloc, SteadyStateFrameKernelsDoNotAllocate) {
     // Precode path: per-subcarrier pseudo-inverse + transmit vector.
     all_ok &= pinv_into(h.at(it % n_sc), 0.0, ws.pinv, w_scratch);
     precoder->transmit_vector_into(it % n_sc, x, txv);
-    (void)ws.fft_plan(kNfft);
+    (void)phy::ofdm_fft_plan();
   };
 
-  // Warm-up: builds interleaver tables, FFT plans and buffer capacities.
+  // Warm-up: builds interleaver tables, the FFT plan and buffer capacities.
   for (std::size_t it = 0; it < 3; ++it) frame_iter(it);
   ASSERT_TRUE(all_ok);
 
