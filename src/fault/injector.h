@@ -38,7 +38,8 @@ class FaultSession {
                std::uint64_t trial_seed);
 
   /// Fire every edge with time <= now and return the events whose begin
-  /// edge fired in this call, in plan order (empty when none did).
+  /// edge fired in this call, in plan order (empty when none did). The
+  /// span views plan().events(), so it lives as long as the plan.
   /// Monotone: time never goes backwards.
   std::span<const FaultEvent> advance_to(double now_s);
 

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "chan/medium.h"
