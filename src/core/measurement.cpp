@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dsp/fft_plan.h"
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
 #include "phy/sync.h"
@@ -84,7 +83,6 @@ std::optional<ClientMeasurement> process_measurement_frame(
   // below stay off the heap once capacities are warm.
   cvec& win = ws.meas_win;
   cvec& freq = ws.meas_freq;
-  const FftPlan& plan = phy::ofdm_fft_plan();
 
   for (std::size_t ap = 0; ap < sched.n_aps; ++ap) {
     // --- Coarse CFO from the AP's dedicated block (lag-64 correlation).
@@ -107,7 +105,7 @@ std::optional<ClientMeasurement> process_measurement_frame(
       const std::size_t at =
           header + sched.chan_symbol_offset(ap, r) + phy::kCpLen - kBackoff;
       rel_offset[r] = static_cast<double>(at - header) - ref;
-      phy::fft_window_into(rx, at, cfo, fs, rel_offset[r], plan, freq);
+      phy::fft_window_into(rx, at, cfo, fs, rel_offset[r], freq);
       raw[r] = phy::estimate_from_ltf(freq);
     }
 

@@ -322,7 +322,6 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
         static_cast<std::size_t>(kTurnaroundS * fs);
     // Workspace-backed scratch: the two per-pair FFT windows, each
     // CFO-corrected on its own with its phase origin at sample 0 of buf.
-    const FftPlan& plan = phy::ofdm_fft_plan();
     cplx delta_acc{};
     for (std::size_t p = 0; p < kPairs; ++p) {
       const std::size_t lead_at =
@@ -332,9 +331,9 @@ rvec JmbSystem::measure_alignment_series(std::size_t n_rounds, double gap_s) {
       cvec& fl = state_.ws.meas_win;
       cvec& fsv = state_.ws.meas_freq;
       phy::fft_window_into(buf, lead_at, pm->cfo_hz, fs,
-                           static_cast<double>(lead_at), plan, fl);
+                           static_cast<double>(lead_at), fl);
       phy::fft_window_into(buf, slave_at, pm->cfo_hz, fs,
-                           static_cast<double>(slave_at), plan, fsv);
+                           static_cast<double>(slave_at), fsv);
       const phy::ChannelEstimate el = phy::estimate_from_ltf(fl);
       const phy::ChannelEstimate es = phy::estimate_from_ltf(fsv);
       delta_acc += es.mean_ratio(el);

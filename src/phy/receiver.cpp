@@ -65,12 +65,9 @@ double ltf_noise_var(const cvec& f1, const cvec& f2) {
 // caller fills in stf_start and ltf_start.
 PreambleMeasurement measure_ltf_pair(const cvec& rx, std::size_t w1,
                                      double cfo_hz, double fs, Workspace& ws) {
-  const FftPlan& plan = ofdm_fft_plan();
   const std::size_t w2 = w1 + kNfft;
-  fft_window_into(rx, w1, cfo_hz, fs, static_cast<double>(w1), plan,
-                  ws.win_a);
-  fft_window_into(rx, w2, cfo_hz, fs, static_cast<double>(w2), plan,
-                  ws.win_b);
+  fft_window_into(rx, w1, cfo_hz, fs, static_cast<double>(w1), ws.win_a);
+  fft_window_into(rx, w2, cfo_hz, fs, static_cast<double>(w2), ws.win_b);
   PreambleMeasurement pm;
   pm.cfo_hz = cfo_hz;
   pm.noise_var = ltf_noise_var(ws.win_a, ws.win_b);
@@ -92,8 +89,7 @@ void decode_symbol(const cvec& rx, double cfo_hz, double fs,
   cvec& data48 = ws.data48;
   rvec& noise48 = ws.noise48;
   const std::size_t win = sym_start + kCpLen - backoff;
-  fft_window_into(rx, win, cfo_hz, fs, static_cast<double>(win),
-                  ofdm_fft_plan(), freq);
+  fft_window_into(rx, win, cfo_hz, fs, static_cast<double>(win), freq);
   const PilotPhase pp = track_pilots(freq, chan, symbol_index);
 
   data48.resize(kNumDataCarriers);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dsp/fft_plan.h"
+#include "phy/ofdm.h"
 #include "phy/preamble.h"
 
 namespace jmb::phy {
@@ -183,12 +183,10 @@ void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
 }
 
 void fft_window_into(std::span<const cplx> x, std::size_t pos, double cfo_hz,
-                     double sample_rate_hz, double n0, const FftPlan& plan,
-                     cvec& out) {
-  out.resize(plan.size());
-  correct_cfo_into(x.subspan(pos, out.size()), cfo_hz, sample_rate_hz, n0,
-                   out);
-  plan.forward(out);
+                     double sample_rate_hz, double n0, cvec& out) {
+  out.resize(kNfft);
+  correct_cfo_into(x.subspan(pos, kNfft), cfo_hz, sample_rate_hz, n0, out);
+  ofdm_fft_plan().forward(out);
 }
 
 }  // namespace jmb::phy

@@ -13,10 +13,6 @@
 #include "dsp/types.h"
 #include "phy/params.h"
 
-namespace jmb {
-class FftPlan;
-}
-
 namespace jmb::phy {
 
 /// Result of STF-based packet detection.
@@ -64,14 +60,13 @@ struct Detection {
 void correct_cfo_into(std::span<const cplx> x, double cfo_hz,
                       double sample_rate_hz, double n0, std::span<cplx> out);
 
-/// The receive side's CFO-corrected FFT window: `out` (resized to
-/// plan.size()) becomes the forward FFT of x[pos, pos + plan.size())
+/// The receive side's CFO-corrected FFT window: `out` (resized to kNfft)
+/// becomes the forward FFT, on ofdm_fft_plan(), of x[pos, pos + kNfft)
 /// corrected with correct_cfo_into(..., n0, ...). `n0` is the window's
 /// phase origin: passing `pos` gives the same doubles as correcting the
 /// whole buffer and reading the window, because
 /// double(n) + double(pos) == double(n + pos) for every index below 2^53.
 void fft_window_into(std::span<const cplx> x, std::size_t pos, double cfo_hz,
-                     double sample_rate_hz, double n0, const FftPlan& plan,
-                     cvec& out);
+                     double sample_rate_hz, double n0, cvec& out);
 
 }  // namespace jmb::phy
