@@ -268,8 +268,8 @@ inline std::optional<ScalingRun> run_scaling_topology(
     }
     precoder = core::Precoder::build_kind(h, cfg, &ctx.sink);
     if (precoder) {
-      ctx.metrics->stage(engine::kStagePrecode)
-          .add_condition(condition_number(h.at(0)));
+      engine::add_condition(&ctx.sink, engine::kStagePrecode,
+                            condition_number(h.at(0)));
     }
   }
   if (!precoder) return std::nullopt;

@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
         core::JmbSystem sys(
             p, {{core::JmbSystem::gain_for_snr_db(snr_db, 1.0),
                  core::JmbSystem::gain_for_snr_db(snr_db, 1.0)}});
-        sys.attach_metrics(ctx.metrics);
         sys.attach_obs(&ctx.sink);
         if (!sys.run_measurement()) return {};
         rvec dev = sys.measure_alignment_series(kRounds, 5e-3);

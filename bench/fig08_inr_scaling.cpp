@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
             const auto timer = ctx.time_stage(engine::kStagePrecode);
             precoder = core::Precoder::build(h, 1.0, &ctx.sink);
             if (precoder) {
-              ctx.metrics->stage(engine::kStagePrecode)
-                  .add_condition(condition_number(h.at(0)));
+              engine::add_condition(&ctx.sink, engine::kStagePrecode,
+                                    condition_number(h.at(0)));
             }
           }
           if (!precoder) continue;
@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
           }
         }
         core::JmbSystem sys(p, gains);
-        sys.attach_metrics(ctx.metrics);
         sys.attach_obs(&ctx.sink);
         if (!sys.run_measurement()) return std::nan("");
         sys.calibrate_to_effective_snr(20.0);

@@ -861,13 +861,13 @@ BENCHMARK(BM_FlightSpanScope);
 // Latency distributions: run each op repeatedly under a ScopedStageTimer
 // so every repetition lands in the op's frame_us histogram, then report
 // p50/p90/p99 — tail latency that google-benchmark's mean hides.
-void run_latency_distributions(engine::StageMetricsSet& set) {
+void run_latency_distributions(const obs::ObsSink& sink) {
   constexpr int kReps = 200;
   {
     Rng rng(1);
     const cvec x = rng.cgaussian_vec(64);
     for (int i = 0; i < kReps; ++i) {
-      const engine::ScopedStageTimer timer(&set, "fft64");
+      const engine::ScopedStageTimer timer(&sink, "fft64");
       cvec y = x;
       fft_inplace(y);
       benchmark::DoNotOptimize(y.data());
@@ -877,7 +877,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     Rng rng(2);
     const cvec x = rng.cgaussian_vec(1024);
     for (int i = 0; i < kReps; ++i) {
-      const engine::ScopedStageTimer timer(&set, "fft1024");
+      const engine::ScopedStageTimer timer(&sink, "fft1024");
       cvec y = x;
       fft_inplace(y);
       benchmark::DoNotOptimize(y.data());
@@ -889,7 +889,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     const FftPlan plan(64);
     cvec y(64);
     for (int i = 0; i < kReps; ++i) {
-      const engine::ScopedStageTimer timer(&set, "fft64_planned");
+      const engine::ScopedStageTimer timer(&sink, "fft64_planned");
       std::copy(x.begin(), x.end(), y.begin());
       plan.forward(y);
       benchmark::DoNotOptimize(y.data());
@@ -899,7 +899,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     Rng rng(6);
     const core::ChannelMatrixSet h = core::random_channel_set(4, 4, rng);
     for (int i = 0; i < kReps; ++i) {
-      const engine::ScopedStageTimer timer(&set, "zf_build_4x4");
+      const engine::ScopedStageTimer timer(&sink, "zf_build_4x4");
       auto p = core::Precoder::build(h);
       benchmark::DoNotOptimize(p->scale());
     }
@@ -911,7 +911,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     Workspace ws;
     core::Precoder p;
     for (int i = 0; i < kReps; ++i) {
-      const engine::ScopedStageTimer timer(&set, "zf_build_4x4_ws");
+      const engine::ScopedStageTimer timer(&sink, "zf_build_4x4_ws");
       const bool ok = p.rebuild_kind(h, cfg, ws.pinv);
       benchmark::DoNotOptimize(ok);
     }
@@ -923,7 +923,7 @@ void run_latency_distributions(engine::StageMetricsSet& set) {
     const phy::Transmitter tx;
     const phy::Mcs mcs{phy::Modulation::kQam64, phy::CodeRate::kThreeQuarters};
     for (int i = 0; i < 50; ++i) {
-      const engine::ScopedStageTimer timer(&set, "tx_chain_1500B");
+      const engine::ScopedStageTimer timer(&sink, "tx_chain_1500B");
       auto frame = tx.build_frame(psdu, mcs);
       benchmark::DoNotOptimize(frame.samples.data());
     }
@@ -943,14 +943,14 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  engine::StageMetricsSet set;
-  run_latency_distributions(set);
+  obs::MetricRegistry reg;
+  run_latency_distributions(obs::ObsSink(&reg, 0));
   std::fprintf(stderr, "\n[perf-micro] latency distributions\n");
-  engine::print_stage_metrics(set);
+  engine::print_stage_metrics(reg);
 
   if (!opts.metrics_out.empty()) {
     const std::string text =
-        obs::bench_result_json(opts.info, set.registry(), opts.timing_metrics);
+        obs::bench_result_json(opts.info, reg, opts.timing_metrics);
     if (!obs::write_text_file(opts.metrics_out, text)) return 1;
   }
   return 0;

@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
         p.seed = seed;  // same world at every AP count, as before
         const double gain = core::JmbSystem::gain_for_snr_db(6.0, 1.0);
         core::JmbSystem sys(p, {std::vector<double>(p.n_aps, gain)});
-        sys.attach_metrics(ctx.metrics);
         sys.attach_obs(&ctx.sink);
         // At dead-spot SNRs the measurement frame itself can be missed;
         // retry across fades, as a real AP would.

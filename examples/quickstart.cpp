@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     // Links at ~25 dB SNR (a small room).
     const double gain = core::JmbSystem::gain_for_snr_db(25.0, 1.0);
     core::JmbSystem system(params, {{gain, gain}, {gain, gain}});
-    system.attach_metrics(ctx.metrics);
     system.attach_obs(&ctx.sink);
 
     // 2. Channel-measurement phase: the lead AP sends a sync header, all

@@ -41,9 +41,6 @@ class FadingChannel {
   /// Current taps (nominal sample spacing).
   [[nodiscard]] const cvec& taps() const { return taps_; }
 
-  /// Average (ensemble) power gain of the link.
-  [[nodiscard]] double mean_gain() const { return params_.gain; }
-
   /// Propagation delay in nominal samples (fractional).
   [[nodiscard]] double delay_samples() const {
     return params_.delay_s * params_.sample_rate_hz;

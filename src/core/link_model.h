@@ -23,8 +23,11 @@
 namespace jmb::core {
 
 /// Residual per-slave phase-error sigma (radians) the closed-form link
-/// model runs at, calibrated against the sample-level Fig. 7 distribution
-/// (median 0.017 rad, 95th percentile < 0.05 rad => sigma ~ 0.02).
+/// model runs at. The value is the paper's: its Fig. 7 reports a median
+/// misalignment of 0.017 rad and a 95th percentile below 0.05 rad, which
+/// sigma ~ 0.02 matches. The repo's own sample-level Fig. 7 is coarser
+/// (`fig07_phase_cdf 1` prints a median of 0.0229 rad and a 95th
+/// percentile of 0.0879 rad); ROADMAP.md tracks re-deriving sigma from it.
 inline constexpr double kCalibratedPhaseSigma = 0.02;
 
 /// Random i.i.d. Rayleigh channel set (unit mean power per link), the

@@ -1,92 +1,105 @@
 #include "engine/metrics.h"
 
+#include <cstddef>
+#include <string>
+#include <variant>
+
 #include "obs/bounds.h"
-#include "obs/flight/recorder.h"
 
 namespace jmb::engine {
 
 namespace {
 
-std::string stage_key(std::string_view stage, const char* leaf) {
-  std::string key = "stage/";
+constexpr std::string_view kPrefix = "stage/";
+
+// A stage's metrics in registration (and so export) order.
+enum Leaf : std::size_t {
+  kWallS,
+  kFrameUs,
+  kFrames,
+  kDetectFailures,
+  kCondSum,
+  kCondCount,
+};
+constexpr std::string_view kLeafNames[] = {
+    "wall_s", "frame_us", "frames", "detect_failures", "cond_sum",
+    "cond_count"};
+
+// "stage/<stage>/<leaf>", composed in a per-thread buffer that keeps its
+// capacity, so looking up a registered stage allocates nothing. The view
+// is valid until the calling thread's next stage_key().
+std::string_view stage_key(std::string_view stage, Leaf leaf) {
+  thread_local std::string key;
+  key.assign(kPrefix);
   key += stage;
   key += '/';
-  key += leaf;
+  key += kLeafNames[leaf];
   return key;
 }
 
-double counter_value(const obs::MetricRegistry& reg, const std::string& name) {
-  const auto* e = reg.find(name);
+// The one owner of the stage layout: get-or-create `leaf` of `stage`,
+// first registering all six of the stage's metrics, in Leaf order, if
+// the stage is new to `reg`.
+obs::Counter& stage_counter(obs::MetricRegistry& reg, std::string_view stage,
+                            Leaf leaf) {
+  if (reg.find(stage_key(stage, kWallS)) == nullptr) {
+    using obs::MetricClass;
+    reg.counter(stage_key(stage, kWallS), MetricClass::kTiming);
+    reg.histogram(stage_key(stage, kFrameUs), obs::kTimeUsBounds,
+                  MetricClass::kTiming);
+    for (const Leaf l : {kFrames, kDetectFailures, kCondSum, kCondCount}) {
+      reg.counter(stage_key(stage, l));
+    }
+  }
+  return reg.counter(stage_key(stage, leaf));
+}
+
+double counter_value(const obs::MetricRegistry& reg, std::string_view stage,
+                     Leaf leaf) {
+  const auto* e = reg.find(stage_key(stage, leaf));
   if (!e) return 0.0;
   const auto* c = std::get_if<obs::Counter>(&e->metric);
   return c ? c->value() : 0.0;
 }
 
+// The stage a "stage/<stage>/wall_s" entry opens; empty for any other
+// name.
+std::string_view stage_of(std::string_view name) {
+  const std::string_view suffix = kLeafNames[kWallS];
+  if (name.size() <= kPrefix.size() + 1 + suffix.size() ||
+      !name.starts_with(kPrefix) || !name.ends_with(suffix) ||
+      name[name.size() - suffix.size() - 1] != '/') {
+    return {};
+  }
+  return name.substr(kPrefix.size(),
+                     name.size() - kPrefix.size() - suffix.size() - 1);
+}
+
 }  // namespace
 
-StageMetricsSet::StageMetricsSet()
-    : reg_(std::make_unique<obs::MetricRegistry>()) {}
-
-StageMetrics& StageMetricsSet::stage(std::string_view name) {
-  for (auto& [n, m] : cache_) {
-    if (n == name) return m;
-  }
-  using obs::MetricClass;
-  StageMetrics m;
-  m.wall_s_ = &reg_->counter(stage_key(name, "wall_s"), MetricClass::kTiming);
-  m.frame_us_ = &reg_->histogram(stage_key(name, "frame_us"),
-                                 obs::kTimeUsBounds, MetricClass::kTiming);
-  m.frames_ = &reg_->counter(stage_key(name, "frames"));
-  m.detect_failures_ = &reg_->counter(stage_key(name, "detect_failures"));
-  m.cond_sum_ = &reg_->counter(stage_key(name, "cond_sum"));
-  m.cond_count_ = &reg_->counter(stage_key(name, "cond_count"));
-  cache_.emplace_back(std::string(name), m);
-  return cache_.back().second;
+void add_detect_failure(const obs::ObsSink* sink, std::string_view stage) {
+  if (sink == nullptr || sink->registry() == nullptr) return;
+  stage_counter(*sink->registry(), stage, kDetectFailures).add(1.0);
 }
 
-std::vector<std::string_view> StageMetricsSet::stage_names() const {
-  std::vector<std::string_view> names;
-  names.reserve(cache_.size());
-  for (const auto& entry : cache_) names.push_back(entry.first);
-  return names;
+void add_condition(const obs::ObsSink* sink, std::string_view stage,
+                   double cond) {
+  if (sink == nullptr || sink->registry() == nullptr) return;
+  obs::MetricRegistry& reg = *sink->registry();
+  stage_counter(reg, stage, kCondSum).add(cond);
+  reg.counter(stage_key(stage, kCondCount)).add(1.0);
 }
 
-StageSnapshot StageMetricsSet::snapshot(std::string_view name) const {
-  StageSnapshot s;
-  s.wall_s = counter_value(*reg_, stage_key(name, "wall_s"));
-  s.frames = static_cast<std::uint64_t>(
-      counter_value(*reg_, stage_key(name, "frames")));
-  s.detect_failures = static_cast<std::uint64_t>(
-      counter_value(*reg_, stage_key(name, "detect_failures")));
-  s.cond_sum = counter_value(*reg_, stage_key(name, "cond_sum"));
-  s.cond_count = static_cast<std::uint64_t>(
-      counter_value(*reg_, stage_key(name, "cond_count")));
-  if (const auto* e = reg_->find(stage_key(name, "frame_us"))) {
-    s.frame_us = std::get_if<obs::Histogram>(&e->metric);
-  }
-  return s;
-}
-
-void StageMetricsSet::merge(const StageMetricsSet& other) {
-  reg_->merge(*other.reg_);
-  // Re-resolve handles for any stage first seen in `other` so
-  // stage_names() covers the union.
-  for (const auto& entry : other.cache_) (void)stage(entry.first);
-}
-
-ScopedStageTimer::ScopedStageTimer(StageMetricsSet* set, std::string_view name,
-                                   const obs::ObsSink* sink,
-                                   std::uint64_t frame, std::uint64_t flow)
-    : set_(set),
+ScopedStageTimer::ScopedStageTimer(const obs::ObsSink* sink,
+                                   std::string_view name, std::uint64_t frame)
+    : reg_(sink ? sink->registry() : nullptr),
       name_(name),
       ring_(obs::flight::FlightRecorder::instance().local_ring()),
-      flow_(flow),
       t0_(std::chrono::steady_clock::now()) {
   if (ring_) {
     name_id_ = obs::flight::FlightRecorder::instance().intern(name);
-    if (flow_ == obs::flight::kNoFlow && sink != nullptr) {
-      // Batch identity: the trial is the "stream", the frame the item.
-      flow_ = obs::flight::make_flow(sink->trial(), frame);
+    if (sink != nullptr) {
+      flow_ = obs::flight::make_cell_flow(sink->trial(), sink->cell(), frame);
     }
     t0_ticks_ = obs::flight::now_ticks();
   }
@@ -96,32 +109,50 @@ ScopedStageTimer::~ScopedStageTimer() {
   const auto dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
           .count();
-  if (set_) set_->stage(name_).add_frame_time(dt);
+  if (reg_) {
+    stage_counter(*reg_, name_, kFrames).add(1.0);
+    reg_->counter(stage_key(name_, kWallS)).add(dt);
+    reg_->histogram(stage_key(name_, kFrameUs), obs::kTimeUsBounds,
+                    obs::MetricClass::kTiming)
+        .observe(dt * 1e6);
+  }
   if (ring_) {
     ring_->write(obs::flight::EventType::kSpan, name_id_, t0_ticks_, flow_,
                  obs::flight::now_ticks() - t0_ticks_);
   }
 }
 
-void print_stage_metrics(const StageMetricsSet& metrics, std::FILE* out) {
-  if (metrics.empty()) return;
-  std::fprintf(out, "%-12s %-10s %-8s %-12s %-10s %-27s\n", "stage",
-               "wall (s)", "frames", "detect-fail", "mean-cond",
-               "frame us p50/p90/p99");
-  for (const std::string_view name : metrics.stage_names()) {
-    const StageSnapshot s = metrics.snapshot(name);
+void print_stage_metrics(const obs::MetricRegistry& reg, std::FILE* out) {
+  bool header = false;
+  for (const obs::MetricRegistry::Entry& e : reg.entries()) {
+    const std::string_view name = stage_of(e.name);
+    if (name.empty()) continue;
+    if (!header) {
+      std::fprintf(out, "%-12s %-10s %-8s %-12s %-10s %-27s\n", "stage",
+                   "wall (s)", "frames", "detect-fail", "mean-cond",
+                   "frame us p50/p90/p99");
+      header = true;
+    }
+    const auto count = [&](Leaf leaf) {
+      return static_cast<unsigned long long>(counter_value(reg, name, leaf));
+    };
     std::fprintf(out, "%-12.*s %-10.3f %-8llu %-12llu ",
-                 static_cast<int>(name.size()), name.data(), s.wall_s,
-                 static_cast<unsigned long long>(s.frames),
-                 static_cast<unsigned long long>(s.detect_failures));
-    if (s.cond_count > 0) {
-      std::fprintf(out, "%-10.2f ", s.mean_condition());
+                 static_cast<int>(name.size()), name.data(),
+                 counter_value(reg, name, kWallS), count(kFrames),
+                 count(kDetectFailures));
+    const unsigned long long cond_count = count(kCondCount);
+    if (cond_count > 0) {
+      std::fprintf(out, "%-10.2f ",
+                   counter_value(reg, name, kCondSum) /
+                       static_cast<double>(cond_count));
     } else {
       std::fprintf(out, "%-10s ", "-");
     }
-    if (s.frame_us && s.frame_us->count() > 0) {
-      std::fprintf(out, "%.1f / %.1f / %.1f\n", s.frame_us->quantile(0.50),
-                   s.frame_us->quantile(0.90), s.frame_us->quantile(0.99));
+    const auto* h = reg.find(stage_key(name, kFrameUs));
+    const auto* us = h ? std::get_if<obs::Histogram>(&h->metric) : nullptr;
+    if (us && us->count() > 0) {
+      std::fprintf(out, "%.1f / %.1f / %.1f\n", us->quantile(0.50),
+                   us->quantile(0.90), us->quantile(0.99));
     } else {
       std::fprintf(out, "-\n");
     }

@@ -1,23 +1,19 @@
 // Per-stage instrumentation for the frame pipeline and the trial runner.
 //
-// Since PR 2 this is a *view* over obs::MetricRegistry — the single
-// metrics spine. Each stage's counters live in the registry under
-// "stage/<name>/..." and StageMetrics is a handle of resolved pointers,
-// so the hot path stays a few pointer-chasing adds with no name lookup.
-// Wall-clock values are registered as MetricClass::kTiming and therefore
-// excluded from default exports; frame counts, detection failures and
-// conditioning sums are kPhysics (deterministic given the seed).
+// Stage metrics ride the trial's obs::ObsSink like every other probe:
+// each stage owns six metrics in the sink's registry under
+// "stage/<name>/<leaf>" — wall_s and frame_us (MetricClass::kTiming,
+// excluded from default exports), then frames, detect_failures, cond_sum
+// and cond_count (kPhysics, deterministic given the seed). The six
+// register together, in that order, the first time anything touches the
+// stage, so the registry layout does not depend on which event comes
+// first. metrics.cpp is the one owner of those names.
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/flight/recorder.h"
 #include "obs/registry.h"
@@ -34,115 +30,46 @@ inline constexpr const char* kStageSynthesis = "synthesis";
 inline constexpr const char* kStagePropagate = "propagate";
 inline constexpr const char* kStageDecode = "decode";
 
-/// Handle over one stage's registry metrics. Obtained from
-/// StageMetricsSet::stage(); stays valid for the set's lifetime.
-class StageMetrics {
- public:
-  /// One frame processed in `dt_s` seconds: bumps the frame counter and
-  /// feeds the wall-time counter + per-frame latency histogram.
-  void add_frame_time(double dt_s) {
-    frames_->add(1.0);
-    wall_s_->add(dt_s);
-    frame_us_->observe(dt_s * 1e6);
-  }
-  /// A frame processed without timing (closed-form benches).
-  void add_frame() { frames_->add(1.0); }
-  void add_detect_failure() { detect_failures_->add(1.0); }
-  void add_condition(double cond) {
-    cond_sum_->add(cond);
-    cond_count_->add(1.0);
-  }
+/// One missed detection in `stage` (stage/<stage>/detect_failures). A
+/// null sink or a sink without a registry records nothing.
+void add_detect_failure(const obs::ObsSink* sink, std::string_view stage);
 
- private:
-  friend class StageMetricsSet;
-  obs::Counter* wall_s_ = nullptr;           // timing
-  obs::Histogram* frame_us_ = nullptr;       // timing
-  obs::Counter* frames_ = nullptr;           // physics
-  obs::Counter* detect_failures_ = nullptr;  // physics
-  obs::Counter* cond_sum_ = nullptr;         // physics
-  obs::Counter* cond_count_ = nullptr;       // physics
-};
-
-/// Read-only copy of one stage's counters, for reports and tests.
-struct StageSnapshot {
-  double wall_s = 0.0;
-  std::uint64_t frames = 0;
-  std::uint64_t detect_failures = 0;
-  double cond_sum = 0.0;
-  std::uint64_t cond_count = 0;
-  const obs::Histogram* frame_us = nullptr;  ///< null if never timed
-
-  [[nodiscard]] double mean_condition() const {
-    return cond_count ? cond_sum / static_cast<double>(cond_count) : 0.0;
-  }
-};
-
-/// Named stage metrics in first-seen order, backed by an owned
-/// MetricRegistry that probe sinks share. One set per trial keeps the hot
-/// path lock-free; the runner merges sets in trial order afterwards so
-/// aggregates are independent of the thread count.
-class StageMetricsSet {
- public:
-  StageMetricsSet();
-  StageMetricsSet(StageMetricsSet&&) = default;
-  StageMetricsSet& operator=(StageMetricsSet&&) = default;
-  StageMetricsSet(const StageMetricsSet&) = delete;
-  StageMetricsSet& operator=(const StageMetricsSet&) = delete;
-
-  /// Get-or-create a stage's counters (registers all of the stage's
-  /// metrics on first touch so registry layout doesn't depend on which
-  /// event happens first).
-  [[nodiscard]] StageMetrics& stage(std::string_view name);
-
-  /// Stage names in first-seen order.
-  [[nodiscard]] std::vector<std::string_view> stage_names() const;
-  [[nodiscard]] StageSnapshot snapshot(std::string_view name) const;
-  [[nodiscard]] bool empty() const { return cache_.empty(); }
-
-  /// The backing registry — probe sinks write here too, so merged sets
-  /// aggregate probes along with stage counters.
-  [[nodiscard]] obs::MetricRegistry& registry() { return *reg_; }
-  [[nodiscard]] const obs::MetricRegistry& registry() const { return *reg_; }
-
-  void merge(const StageMetricsSet& other);
-
- private:
-  std::unique_ptr<obs::MetricRegistry> reg_;
-  std::vector<std::pair<std::string, StageMetrics>> cache_;
-};
+/// One conditioning sample for `stage` (stage/<stage>/cond_sum and
+/// cond_count). A null sink or a sink without a registry records nothing.
+void add_condition(const obs::ObsSink* sink, std::string_view stage,
+                   double cond);
 
 /// RAII timer: on destruction adds the elapsed wall time and one frame to
-/// the named stage, and — when the flight recorder is enabled — writes a
-/// TSC-stamped span record to the calling thread's flight ring. The span
-/// carries `flow` (an obs::flight::make_flow id) so one item's stage
-/// chain reconstructs causally; when no explicit flow is given and a
-/// sink is present, the batch identity (trial, frame) is used. Null
-/// `set` still records the flight span. `name` is held by reference
-/// (string_view), so pass the kStage* constants or another string that
-/// outlives the timer; per-frame construction allocates nothing.
+/// the named stage in the sink's registry, and — when the flight recorder
+/// is enabled — writes a TSC-stamped span record to the calling thread's
+/// flight ring. The span's flow id is the sink's (trial, cell, frame)
+/// (obs::flight::make_cell_flow), so one item's stage chain reconstructs
+/// causally; a null sink records the span alone, without a flow. `name`
+/// is held by reference (string_view), so pass the kStage* constants or
+/// another string that outlives the timer. Once the stage is registered,
+/// a timer allocates nothing.
 class ScopedStageTimer {
  public:
-  explicit ScopedStageTimer(StageMetricsSet* set, std::string_view name,
-                            const obs::ObsSink* sink = nullptr,
-                            std::uint64_t frame = 0,
-                            std::uint64_t flow = obs::flight::kNoFlow);
+  explicit ScopedStageTimer(const obs::ObsSink* sink, std::string_view name,
+                            std::uint64_t frame = 0);
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
   ~ScopedStageTimer();
 
  private:
-  StageMetricsSet* set_;
+  obs::MetricRegistry* reg_;
   std::string_view name_;
   obs::flight::FlightRing* ring_;  ///< null when recording is disabled
   std::uint32_t name_id_ = 0;
-  std::uint64_t flow_;
+  std::uint64_t flow_ = obs::flight::kNoFlow;
   std::uint64_t t0_ticks_ = 0;
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// Shared reporter: one aligned row per stage, with per-frame latency
-/// percentiles. Defaults to stderr so bench stdout stays parseable data.
-void print_stage_metrics(const StageMetricsSet& metrics,
+/// Shared reporter: one aligned row per stage found in `reg`, in
+/// first-registration order, with per-frame latency percentiles.
+/// Defaults to stderr so bench stdout stays parseable data.
+void print_stage_metrics(const obs::MetricRegistry& reg,
                          std::FILE* out = stderr);
 
 }  // namespace jmb::engine

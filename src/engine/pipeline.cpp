@@ -175,7 +175,7 @@ void MeasurementStage::run(StageContext& stage_ctx) {
   // With the lead crashed there is no reference transmitter: the epoch is
   // lost, but simulated time still advances so the world keeps moving.
   if (sys.fault && sys.fault->ap_down(0)) {
-    if (sys.metrics) sys.metrics->stage(kStageMeasure).add_detect_failure();
+    add_detect_failure(sys.obs, kStageMeasure);
     sys.now = frame_t + static_cast<double>(sched.frame_len() + 400) / fs;
     return;
   }
@@ -202,7 +202,7 @@ void MeasurementStage::run(StageContext& stage_ctx) {
                            kRxMargin + sched.frame_len() + 200);
     const auto pm = sys.rx.measure_preamble(buf);
     if (!pm) {
-      if (sys.metrics) sys.metrics->stage(kStageMeasure).add_detect_failure();
+      add_detect_failure(sys.obs, kStageMeasure);
       return;  // measurement_ok stays false; time does not advance
     }
     sys.slave_sync[a - 1].observe_cfo(pm->cfo_hz);
@@ -229,7 +229,7 @@ void MeasurementStage::run(StageContext& stage_ctx) {
     const auto cm =
         process_measurement_frame(buf, sched, phy::PhyConfig{}, sys.ws);
     if (!cm) {
-      if (sys.metrics) sys.metrics->stage(kStageMeasure).add_detect_failure();
+      add_detect_failure(sys.obs, kStageMeasure);
       all_ok = false;
       break;
     }
@@ -280,9 +280,8 @@ void PrecodeStage::run(StageContext& stage_ctx) {
       sys.precoder.reset();
     }
   }
-  if (sys.metrics && sys.precoder) {
-    sys.metrics->stage(kStagePrecode).add_condition(
-        mean_condition_number(sys.h));
+  if (sys.obs && sys.precoder) {
+    add_condition(sys.obs, kStagePrecode, mean_condition_number(sys.h));
   }
 }
 
@@ -446,7 +445,7 @@ void DecodeStage::run(StageContext& stage_ctx) {
     if (!pm) {
       ctx.result.per_client[c].fail_reason = "sync header not detected";
       all_ok = false;
-      if (sys.metrics) sys.metrics->stage(kStageDecode).add_detect_failure();
+      add_detect_failure(sys.obs, kStageDecode);
       if (sys.obs) sys.obs->count("decode/preamble_miss");
       continue;
     }
@@ -459,9 +458,7 @@ void DecodeStage::run(StageContext& stage_ctx) {
                                                       pm->cfo_hz);
     const phy::RxResult& r = ctx.result.per_client[c];
     if (!r.ok) all_ok = false;
-    if (sys.metrics && !r.ok) {
-      sys.metrics->stage(kStageDecode).add_detect_failure();
-    }
+    if (!r.ok) add_detect_failure(sys.obs, kStageDecode);
     if (sys.obs) {
       sys.obs->count(r.ok ? "decode/frames_ok" : "decode/frames_bad");
       if (r.header_ok) {
@@ -478,13 +475,11 @@ void DecodeStage::run(StageContext& stage_ctx) {
 
 void FramePipeline::run_stage(Stage& stage, FrameContext& ctx) {
   StageContext sctx(ctx);
-  StageMetricsSet* m = ctx.sys.metrics;
-  if (!m) {
+  if (!ctx.sys.obs) {
     stage.run(sctx);
     return;
   }
-  const ScopedStageTimer timer(m, stage.name(), ctx.sys.obs,
-                               ctx.sys.frame_seq);
+  const ScopedStageTimer timer(ctx.sys.obs, stage.name(), ctx.sys.frame_seq);
   stage.run(sctx);
 }
 

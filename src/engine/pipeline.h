@@ -11,8 +11,8 @@
 // SystemState is the shared world (medium, nodes, oscillator sync state,
 // measured channels, precoder); a FrameContext carries one frame's inputs,
 // intermediates and outputs through the stages. FramePipeline sequences
-// the stages and records per-stage wall time into the attached
-// StageMetricsSet, which the TrialRunner aggregates across trials.
+// the stages and records per-stage wall time into the attached ObsSink's
+// registry, which the TrialRunner aggregates across trials.
 #pragma once
 
 #include <cstddef>
@@ -121,9 +121,8 @@ struct SystemState {
   phy::Transmitter tx;
   phy::Receiver rx;
 
-  /// Per-stage metrics sink; null disables instrumentation.
-  StageMetricsSet* metrics = nullptr;
-  /// Physics-probe sink (registry + optional trace); null = probes off.
+  /// Telemetry sink for stage metrics and physics probes; null turns
+  /// instrumentation off.
   obs::ObsSink* obs = nullptr;
   /// Fault-injection session for this trial (null = no impairments). The
   /// stages pump its timeline to sys.now and poll its windows at the
@@ -249,7 +248,7 @@ class DecodeStage final : public Stage {
 };
 
 /// Sequences the stages for the two frame paths and records per-stage
-/// wall time into SystemState::metrics when attached.
+/// wall time into the registry of SystemState::obs when attached.
 class FramePipeline {
  public:
   /// measure -> precode. Returns true when the snapshot was captured and

@@ -9,8 +9,9 @@
 // engine/pipeline.h: it owns the SystemState, validates inputs, and
 // delegates frame processing to MeasurementStage/PrecodeStage (the
 // measurement path) and SynthesisStage/PropagationStage/DecodeStage (the
-// joint-transmission path). Attach a StageMetricsSet to get per-stage
-// wall-time/failure/conditioning metrics for every frame it processes.
+// joint-transmission path). Attach an obs::ObsSink to get per-stage
+// wall-time/failure/conditioning metrics and the physics probes for every
+// frame it processes.
 #pragma once
 
 #include <optional>
@@ -85,16 +86,11 @@ class JmbSystem {
   /// subcarriers hold unit-power symbols (52 used / 64^2 * 64).
   static constexpr double kOfdmTimePower = 52.0 / 4096.0;
 
-  /// Record per-stage metrics for every subsequent frame into `metrics`
-  /// (null detaches). The caller keeps ownership; the set must outlive the
-  /// frames it observes.
-  void attach_metrics(engine::StageMetricsSet* metrics) {
-    state_.metrics = metrics;
-  }
-
-  /// Attach a physics-probe sink: the precoder, phase sync, and decode
-  /// stage publish conditioning / residual-phase / EVM distributions into
-  /// its registry (null detaches). Caller keeps ownership.
+  /// Attach the telemetry sink (null detaches): every subsequent frame
+  /// records per-stage metrics into its registry, and the precoder, phase
+  /// sync and decode stage publish conditioning / residual-phase / EVM
+  /// distributions there. The caller keeps ownership; the sink must
+  /// outlive the frames it observes.
   void attach_obs(obs::ObsSink* sink) {
     state_.obs = sink;
     for (auto& s : state_.slave_sync) s.attach_obs(sink);
@@ -117,18 +113,6 @@ class JmbSystem {
   /// stages directly (tests, custom probes) and read-only diagnostics.
   [[nodiscard]] engine::SystemState& state() { return state_; }
   [[nodiscard]] const engine::SystemState& state() const { return state_; }
-
-  /// Diagnostics: the underlying medium and node handles (read-only use).
-  [[nodiscard]] chan::Medium& medium() { return state_.medium; }
-  [[nodiscard]] chan::NodeId ap_node(std::size_t a) const {
-    return state_.ap_nodes.at(a);
-  }
-  [[nodiscard]] chan::NodeId client_node(std::size_t c) const {
-    return state_.client_nodes.at(c);
-  }
-  [[nodiscard]] double ap_tx_offset_s(std::size_t a) const {
-    return state_.ap_tx_offset_s.at(a);
-  }
 
  private:
   engine::SystemState state_;

@@ -25,7 +25,7 @@ void TrialRunner::print_report(std::FILE* out) const {
                  "\n[trial-runner] %zu trial(s), %zu thread(s), %.3f s wall\n",
                  trials_run_, n_threads_, wall_s_);
   }
-  print_stage_metrics(metrics_, out);
+  print_stage_metrics(registry_, out);
 }
 
 }  // namespace jmb::engine

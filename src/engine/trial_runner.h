@@ -2,7 +2,7 @@
 // streams and two-level (trial × cell) work scheduling.
 //
 // Every trial gets its own seed (base_seed ^ trial index) and its own
-// StageMetricsSet, so results and metrics are bit-identical no matter how
+// MetricRegistry, so results and metrics are bit-identical no matter how
 // many worker threads execute the trials or in what order they finish:
 // results land in a vector indexed by trial, and metrics are merged in
 // trial order after the fan-out completes.
@@ -11,7 +11,7 @@
 // simulates a grid of cells: each (trial, cell) pair is an independent
 // work item with its own seed (base_seed ^ trial ^ (cell << 32) — cell 0
 // degenerates to the classic per-trial seed, so single-cell configs are
-// bitwise identical to the pre-sharding path) and its own metrics set,
+// bitwise identical to the pre-sharding path) and its own registry,
 // and the deterministic merge runs in (trial, cell) lexicographic order.
 // Aggregate exports are therefore byte-identical for any JMB_THREADS and
 // any shard schedule.
@@ -42,27 +42,24 @@ namespace jmb::engine {
 [[nodiscard]] std::size_t default_thread_count();
 
 /// Handed to each trial body: its index, its deterministic seed, a ready
-/// Rng on that seed, a per-trial metrics sink, and an ObsSink bound to
-/// the same trial's registry for physics probes. Sharded runs
-/// (run_sharded) additionally carry the cell index within the trial;
-/// plain run() leaves cell = 0 and n_cells = 1.
+/// Rng on that seed, and an ObsSink bound to the item's own registry —
+/// the one handle for stage metrics and physics probes alike. Sharded
+/// runs (run_sharded) additionally carry the cell index within the
+/// trial; plain run() leaves cell = 0 and n_cells = 1.
 struct TrialContext {
   std::size_t index = 0;
   std::uint64_t seed = 0;
   std::size_t cell = 0;     ///< shard index within the trial
   std::size_t n_cells = 1;  ///< shards per trial in this run
   Rng rng;
-  StageMetricsSet* metrics = nullptr;
   obs::ObsSink sink;
 
-  /// RAII wall-time sample attributed to `stage` in this trial's metrics
+  /// RAII wall-time sample attributed to `stage` in this trial's registry
   /// (and a flight-recorder span carrying the (trial, cell, frame) flow
   /// id — for cell 0 identical to the classic (trial, frame) id).
   [[nodiscard]] ScopedStageTimer time_stage(std::string_view stage,
                                             std::uint64_t frame = 0) const {
-    return ScopedStageTimer(
-        metrics, stage, &sink, frame,
-        obs::flight::make_cell_flow(index, cell, frame));
+    return ScopedStageTimer(&sink, stage, frame);
   }
 };
 
@@ -95,7 +92,7 @@ class TrialRunner {
   /// Two-level fan-out: `n_trials` trials of `n_cells` cell shards each.
   /// Every (trial, cell) pair is one independent work item scheduled over
   /// the pool; item results land in a vector indexed by
-  /// trial * n_cells + cell, and per-item metric sets merge in that flat
+  /// trial * n_cells + cell, and per-item registries merge in that flat
   /// order — (trial, cell) lexicographic — so the aggregate registry is
   /// independent of thread count and shard schedule. Seeds follow
   /// base_seed ^ (first_trial + trial) ^ (cell << 32): the cell occupies
@@ -112,7 +109,7 @@ class TrialRunner {
     const auto t0 = Clock::now();
     const std::size_t n_items = n_trials * n_cells;
     std::vector<Result> results(n_items);
-    std::vector<StageMetricsSet> per_item(n_items);
+    std::vector<obs::MetricRegistry> per_item(n_items);
 
     auto one = [&](std::size_t i) {
       const std::size_t trial = first_trial + i / n_cells;
@@ -124,8 +121,7 @@ class TrialRunner {
       ctx.seed = opts_.base_seed ^ static_cast<std::uint64_t>(trial) ^
                  (static_cast<std::uint64_t>(cell) << 32);
       ctx.rng = Rng(ctx.seed);
-      ctx.metrics = &per_item[i];
-      ctx.sink = obs::ObsSink(&per_item[i].registry(),
+      ctx.sink = obs::ObsSink(&per_item[i],
                               static_cast<std::uint32_t>(trial),
                               static_cast<std::uint32_t>(cell));
       results[i] = fn(ctx);
@@ -157,21 +153,18 @@ class TrialRunner {
 
     // Merge in (trial, cell) order so the aggregate is independent of
     // scheduling.
-    for (const StageMetricsSet& m : per_item) metrics_.merge(m);
+    for (const obs::MetricRegistry& r : per_item) registry_.merge(r);
     trials_run_ += n_trials;
     cells_run_ += n_items;
     wall_s_ += std::chrono::duration<double>(Clock::now() - t0).count();
     return results;
   }
 
-  /// Metrics aggregated across every trial run so far, in trial order.
-  [[nodiscard]] const StageMetricsSet& metrics() const { return metrics_; }
-  /// The merged metric registry (stage counters + physics probes).
+  /// The registry merged across every item run so far, in (trial, cell)
+  /// order: stage counters and physics probes alike.
   [[nodiscard]] const obs::MetricRegistry& registry() const {
-    return metrics_.registry();
+    return registry_;
   }
-  /// Wall time spent inside run() so far (seconds).
-  [[nodiscard]] double wall_s() const { return wall_s_; }
   [[nodiscard]] std::size_t trials_run() const { return trials_run_; }
   /// Total (trial, cell) work items run so far; equals trials_run() for
   /// unsharded runs.
@@ -187,7 +180,7 @@ class TrialRunner {
 
   TrialRunnerOptions opts_;
   std::size_t n_threads_ = 1;
-  StageMetricsSet metrics_;
+  obs::MetricRegistry registry_;
   double wall_s_ = 0.0;
   std::size_t trials_run_ = 0;
   std::size_t cells_run_ = 0;

@@ -4,8 +4,8 @@
 // first-registration order. Instances are NOT thread-safe by design: the
 // trial runner gives every trial its own registry (lock-free hot path)
 // and merges them in trial order afterwards, so aggregates are
-// bit-identical for any worker-thread count — the same discipline
-// StageMetricsSet established in PR 1, now generalized to every metric.
+// bit-identical for any worker-thread count. The pipeline's per-stage
+// metrics live here too (engine/metrics.h), under "stage/<name>/...".
 //
 // Metrics carry a class: kPhysics values are deterministic functions of
 // the seed (frame counts, phase errors, condition numbers) and are what
@@ -50,7 +50,6 @@ class Gauge {
     set_ = true;
   }
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] bool is_set() const { return set_; }
   void merge(const Gauge& other) {
     if (other.set_) {
       value_ = other.value_;

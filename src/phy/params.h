@@ -93,10 +93,6 @@ inline constexpr double kCarrierHz = 2.4e9;
 struct PhyConfig {
   double sample_rate_hz = kSampleRateHz;
   double carrier_hz = kCarrierHz;
-
-  [[nodiscard]] double symbol_duration_s() const {
-    return static_cast<double>(kSymbolLen) / sample_rate_hz;
-  }
 };
 
 }  // namespace jmb::phy

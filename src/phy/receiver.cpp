@@ -7,6 +7,7 @@
 
 #include "phy/modulation.h"
 #include "phy/ofdm.h"
+#include "phy/preamble.h"
 #include "phy/sync.h"
 #include "phy/workspace.h"
 
@@ -71,8 +72,19 @@ PreambleMeasurement measure_ltf_pair(const cvec& rx, std::size_t w1,
   PreambleMeasurement pm;
   pm.cfo_hz = cfo_hz;
   pm.noise_var = ltf_noise_var(ws.win_a, ws.win_b);
-  pm.chan = average_estimates(
-      {estimate_from_ltf(ws.win_a), estimate_from_ltf(ws.win_b)});
+  // average_estimates({estimate_from_ltf(win_a), estimate_from_ltf(win_b)})
+  // without the two temporary estimates: each used bin takes the same
+  // operations (zero, + e1, + e2, x 1/2), so every bit matches; unused
+  // bins keep pm.chan's zeros.
+  const cvec& ltf = ltf_freq();
+  for (int k = -26; k <= 26; ++k) {
+    if (k == 0) continue;
+    const std::size_t b = bin_of(k);
+    cplx& h = pm.chan.h[b];
+    h += ws.win_a[b] / ltf[b];
+    h += ws.win_b[b] / ltf[b];
+    h *= 0.5;
+  }
   pm.snr_db = to_db(std::max(pm.chan.mean_gain_power(), 1e-12) / pm.noise_var);
   return pm;
 }

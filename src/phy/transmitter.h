@@ -17,7 +17,6 @@ struct TxFrame {
   Mcs mcs;
   std::size_t psdu_len = 0;
 
-  [[nodiscard]] std::size_t n_samples() const { return samples.size(); }
   /// Airtime in seconds at the given sample rate.
   [[nodiscard]] double duration_s(double sample_rate_hz) const {
     return static_cast<double>(samples.size()) / sample_rate_hz;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "engine/env.h"
@@ -13,6 +14,8 @@
 #include "engine/system.h"
 #include "engine/thread_pool.h"
 #include "engine/trial_runner.h"
+#include "obs/registry.h"
+#include "obs/sink.h"
 
 namespace jmb {
 namespace {
@@ -210,23 +213,36 @@ TEST(TrialRunner, ThreadCountDoesNotChangeResults) {
   }
 }
 
+// Value of the counter `name` in `reg`; 0 when it is absent.
+double counter_value(const obs::MetricRegistry& reg, std::string_view name) {
+  const auto* e = reg.find(name);
+  const auto* c = e ? std::get_if<obs::Counter>(&e->metric) : nullptr;
+  return c ? c->value() : 0.0;
+}
+
 TEST(TrialRunner, MetricsMergeInTrialOrder) {
   auto body = [](engine::TrialContext& ctx) {
-    ctx.metrics->stage(engine::kStagePrecode).add_condition(
-        static_cast<double>(ctx.index + 1));
+    engine::add_condition(&ctx.sink, engine::kStagePrecode,
+                          static_cast<double>(ctx.index + 1));
     return 0;
   };
   engine::TrialRunner serial({.base_seed = 5, .n_threads = 1});
   engine::TrialRunner parallel({.base_seed = 5, .n_threads = 4});
   (void)serial.run(16, body);
   (void)parallel.run(16, body);
-  ASSERT_FALSE(serial.metrics().empty());
-  const auto s = serial.metrics().snapshot(engine::kStagePrecode);
-  const auto p = parallel.metrics().snapshot(engine::kStagePrecode);
-  EXPECT_EQ(s.cond_count, 16u);
-  EXPECT_EQ(p.cond_count, 16u);
-  EXPECT_DOUBLE_EQ(s.cond_sum, p.cond_sum);
-  EXPECT_DOUBLE_EQ(s.mean_condition(), p.mean_condition());
+  ASSERT_FALSE(serial.registry().empty());
+  const double s_sum =
+      counter_value(serial.registry(), "stage/precode/cond_sum");
+  const double s_count =
+      counter_value(serial.registry(), "stage/precode/cond_count");
+  const double p_sum =
+      counter_value(parallel.registry(), "stage/precode/cond_sum");
+  const double p_count =
+      counter_value(parallel.registry(), "stage/precode/cond_count");
+  EXPECT_EQ(s_count, 16.0);
+  EXPECT_EQ(p_count, 16.0);
+  EXPECT_DOUBLE_EQ(s_sum, p_sum);
+  EXPECT_DOUBLE_EQ(s_sum / s_count, p_sum / p_count);
 }
 
 TEST(TrialRunner, ExceptionsPropagate) {
@@ -328,8 +344,9 @@ TEST(FramePipeline, RecordsPerStageMetrics) {
   p.seed = 42;
   const double gain = core::JmbSystem::gain_for_snr_db(25.0, 1.0);
   core::JmbSystem sys(p, {{gain, gain}, {gain, gain}});
-  engine::StageMetricsSet metrics;
-  sys.attach_metrics(&metrics);
+  obs::MetricRegistry reg;
+  obs::ObsSink sink(&reg, 0);
+  sys.attach_obs(&sink);
   ASSERT_TRUE(sys.run_measurement());
   sys.advance_time(5e-3);
   phy::ByteVec a(100, 0x01), b(100, 0x02);
@@ -337,17 +354,18 @@ TEST(FramePipeline, RecordsPerStageMetrics) {
                            {phy::Modulation::kQpsk, phy::CodeRate::kHalf});
 
   bool saw_measure = false, saw_precode = false, saw_decode = false;
-  for (const std::string_view name : metrics.stage_names()) {
-    const engine::StageSnapshot m = metrics.snapshot(name);
-    if (name == engine::kStageMeasure) {
+  for (const obs::MetricRegistry::Entry& e : reg.entries()) {
+    if (e.name == "stage/measure/wall_s") {
       saw_measure = true;
-      EXPECT_EQ(m.frames, 1u);
+      EXPECT_EQ(counter_value(reg, "stage/measure/frames"), 1.0);
     }
-    if (name == engine::kStagePrecode) {
+    if (e.name == "stage/precode/wall_s") {
       saw_precode = true;
-      EXPECT_GT(m.mean_condition(), 0.0);
+      EXPECT_GT(counter_value(reg, "stage/precode/cond_sum") /
+                    counter_value(reg, "stage/precode/cond_count"),
+                0.0);
     }
-    if (name == engine::kStageDecode) saw_decode = true;
+    if (e.name == "stage/decode/wall_s") saw_decode = true;
   }
   EXPECT_TRUE(saw_measure);
   EXPECT_TRUE(saw_precode);

@@ -6,6 +6,8 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "engine/trial_runner.h"
@@ -140,8 +142,8 @@ std::string run_and_export(std::size_t n_threads) {
   engine::TrialRunner runner({.base_seed = 17, .n_threads = n_threads});
   (void)runner.run(12, [](engine::TrialContext& ctx) {
     const auto timer = ctx.time_stage(engine::kStageDecode);
-    ctx.metrics->stage(engine::kStagePrecode)
-        .add_condition(1.0 + static_cast<double>(ctx.index));
+    engine::add_condition(&ctx.sink, engine::kStagePrecode,
+                          1.0 + static_cast<double>(ctx.index));
     ctx.sink.count("probe/common");
     ctx.sink.observe("probe/phase", obs::kPhaseRadBounds,
                      1e-3 * static_cast<double>(ctx.index + 1));
@@ -330,21 +332,56 @@ TEST(ObsTrace, ScopedStageTimerRecordsFlightSpanAndMetrics) {
   ASSERT_NE(ring, nullptr);
   const std::uint64_t written0 = ring->written();
 
-  engine::StageMetricsSet set;
-  const obs::ObsSink sink(&set.registry(), 3);
-  { const engine::ScopedStageTimer timer(&set, "x", &sink, 7); }
-  const engine::StageSnapshot snap = set.snapshot("x");
-  EXPECT_EQ(snap.frames, 1u);
-  ASSERT_NE(snap.frame_us, nullptr);
-  EXPECT_EQ(snap.frame_us->count(), 1u);
+  obs::MetricRegistry reg;
+  const obs::ObsSink sink(&reg, 3);
+  { const engine::ScopedStageTimer timer(&sink, "x", 7); }
+  const auto* frames = reg.find("stage/x/frames");
+  ASSERT_NE(frames, nullptr);
+  EXPECT_EQ(std::get<obs::Counter>(frames->metric).value(), 1.0);
+  const auto* frame_us = reg.find("stage/x/frame_us");
+  ASSERT_NE(frame_us, nullptr);
+  EXPECT_EQ(std::get<obs::Histogram>(frame_us->metric).count(), 1u);
 
   ASSERT_EQ(ring->written(), written0 + 1);
   const auto records = ring->snapshot(1);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].type, obs::flight::EventType::kSpan);
   EXPECT_EQ(flight.name_of(records[0].name), "x");
-  // Without an explicit flow the batch identity (trial, frame) is used.
+  // The flow is the sink's batch identity (trial, frame).
   EXPECT_EQ(records[0].flow, obs::flight::make_flow(3, 7));
+}
+
+TEST(ObsStage, FirstTouchRegistersTheStageLayoutTogether) {
+  // Whichever event touches a stage first, its six metrics register
+  // together in export order, so artifact layouts never depend on it.
+  obs::MetricRegistry reg;
+  const obs::ObsSink sink(&reg, 0);
+  engine::add_detect_failure(&sink, "a");
+  sink.count("probe/between");
+  engine::add_condition(&sink, "b", 2.0);
+  const std::vector<std::pair<std::string, obs::MetricClass>> want = {
+      {"stage/a/wall_s", obs::MetricClass::kTiming},
+      {"stage/a/frame_us", obs::MetricClass::kTiming},
+      {"stage/a/frames", obs::MetricClass::kPhysics},
+      {"stage/a/detect_failures", obs::MetricClass::kPhysics},
+      {"stage/a/cond_sum", obs::MetricClass::kPhysics},
+      {"stage/a/cond_count", obs::MetricClass::kPhysics},
+      {"probe/between", obs::MetricClass::kPhysics},
+      {"stage/b/wall_s", obs::MetricClass::kTiming},
+      {"stage/b/frame_us", obs::MetricClass::kTiming},
+      {"stage/b/frames", obs::MetricClass::kPhysics},
+      {"stage/b/detect_failures", obs::MetricClass::kPhysics},
+      {"stage/b/cond_sum", obs::MetricClass::kPhysics},
+      {"stage/b/cond_count", obs::MetricClass::kPhysics},
+  };
+  ASSERT_EQ(reg.entries().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(reg.entries()[i].name, want[i].first);
+    EXPECT_EQ(reg.entries()[i].cls, want[i].second) << want[i].first;
+  }
+  EXPECT_EQ(std::get<obs::Counter>(reg.entries()[3].metric).value(), 1.0);
+  EXPECT_EQ(std::get<obs::Counter>(reg.entries()[11].metric).value(), 2.0);
+  EXPECT_EQ(std::get<obs::Counter>(reg.entries()[12].metric).value(), 1.0);
 }
 
 }  // namespace

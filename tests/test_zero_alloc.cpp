@@ -9,15 +9,19 @@
 
 #include <cstddef>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "core/precoder.h"
 #include "core/types.h"
 #include "dsp/fft_plan.h"
+#include "engine/metrics.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "obs/alloc_count.h"
 #include "obs/flight/recorder.h"
+#include "obs/registry.h"
+#include "obs/sink.h"
 #include "phy/convcode.h"
 #include "phy/frame.h"
 #include "phy/interleaver.h"
@@ -217,6 +221,36 @@ TEST(ZeroAlloc, FlightRecorderHotPathDoesNotAllocate) {
       << " bytes)";
   EXPECT_EQ(c.deallocs, 0u);
   EXPECT_GE(ring->written(), 4096u * 4);
+}
+
+TEST(ZeroAlloc, WarmStageTelemetryDoesNotAllocate) {
+  // Per-frame stage telemetry on a trial's sink: a stage timer (registry
+  // counters + flight span) and the pipeline's detect-failure counter.
+  // Once the stage is registered, both only add to existing metrics.
+  auto& rec = obs::flight::FlightRecorder::instance();
+  rec.set_enabled_for_test(true);
+  obs::MetricRegistry reg;
+  const obs::ObsSink sink(&reg, 1);
+  sink.count("zero_alloc/probe");
+  const auto frame = [&](std::uint64_t seq) {
+    const engine::ScopedStageTimer timer(&sink, engine::kStageDecode, seq);
+    engine::add_detect_failure(&sink, engine::kStageDecode);
+  };
+  frame(0);  // registers the stage, leases the ring, interns the name
+
+  obs::reset_alloc_counts();
+  obs::set_alloc_counting(true);
+  for (std::uint64_t seq = 1; seq <= 256; ++seq) frame(seq);
+  obs::set_alloc_counting(false);
+
+  const obs::AllocCounts c = obs::alloc_counts();
+  EXPECT_EQ(c.allocs, 0u)
+      << "warm stage telemetry allocated " << c.allocs << " times ("
+      << c.bytes << " bytes)";
+  EXPECT_EQ(c.deallocs, 0u);
+  const auto* frames = reg.find("stage/decode/frames");
+  ASSERT_NE(frames, nullptr);
+  EXPECT_EQ(std::get<obs::Counter>(frames->metric).value(), 257.0);
 }
 
 TEST(ZeroAlloc, SimdDispatchPathDoesNotAllocate) {
